@@ -30,8 +30,8 @@
 // 1-f fraction instead of materializing the whole order.
 //
 // Membership is re-derived from AppState alone (Update is idempotent), so
-// every simulator hook simply calls Update(app) after mutating it. The
-// simulator owns one RhoIndex and threads it to policies through
+// every round-core hook simply calls Update(app) after mutating it. The
+// round core (core/round_core.h) owns one RhoIndex and threads it through
 // SchedulerContext::rho_index(); contexts built without one (legacy tests,
 // external embedders) leave the pointer null and ThemisPolicy falls back to
 // the literal scan. ThemisConfig::incremental_filter = false forces the

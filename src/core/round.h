@@ -4,7 +4,7 @@
 // One scheduling pass is one *round*: the ARBITER publishes a ResourceOffer
 // (the free pool plus its per-machine shape and the lease terms), a round
 // scheduler answers with a GrantSet (per-(app, job) GPU bundles plus
-// diagnostics), and the simulator — never the policy — turns the grants into
+// diagnostics), and the round core — never the policy — turns the grants into
 // binding leases through the single ApplyGrants path. Offers and grant sets
 // are plain data: they carry ids and GPU lists, not Cluster pointers, so a
 // federation layer can route them between sharded ARBITERs (core/federation)

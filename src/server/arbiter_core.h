@@ -1,38 +1,36 @@
-// The ARBITER state machine behind themis_arbiterd (Sec. 5.1's central
-// resource allocator, run as a service instead of inside the simulator).
+// The ARBITER behind themis_arbiterd (Sec. 5.1's central resource
+// allocator, run as a service instead of inside the simulator).
 //
-// ArbiterCore owns the authoritative cluster + app state and advances a
-// *virtual* clock: round k runs at k * round_interval_minutes, independent
-// of wall time. Everything a policy reads — job progress, attained service,
-// rho inputs, the work estimator and its RNG stream — lives here, never
-// with the AGENTs (the paper's semi-trusted AGENT model: the ARBITER
-// corrects misreported bids anyway, so it keeps the authoritative copy).
-// A BID on the wire therefore only signals liveness and declared demand;
-// the auction runs against this state. That is what makes daemon-served
-// rounds bit-identical to driving the same core in-process: both paths are
-// the same BeginRound()/FinishRound() call sequence on the same state, and
-// the wire in between carries no float that feeds back into scheduling.
+// ArbiterCore is a thin wrapper over the shared round state machine
+// (core/round_core.h), the same RoundCore the simulator clocks: accrual,
+// lease reclaim, tuner steps, RunRound + ApplyGrants and restart charging
+// are implemented there, once. The wrapper adds what a service needs:
+//   - a *virtual* clock: round k runs at k * round_interval_minutes,
+//     independent of wall time;
+//   - finish detection at round boundaries, reported in
+//     RoundStart::finished (the simulator projects finish instants);
+//   - guards against mutating state while a round's offer is out;
+//   - the running GrantDigest of every applied grant.
 //
-// One round is split in two so the daemon can fan out the offer and await
-// bids between the halves:
-//   BeginRound()  — advance the clock one interval, accrue progress for
-//                   lease holders, finish apps whose best model converged,
-//                   reclaim expired leases, step the per-app tuners, and
-//                   publish the ResourceOffer (if there is anything to
-//                   offer). No core mutation may happen between the halves.
-//   FinishRound() — run the policy's RunRound over the offer, apply the
-//                   grants (binding leases), charge restart overheads, and
-//                   fold the grants into the running GrantDigest.
-// The in-process reference calls both back-to-back (RunOneRound).
+// All state a policy reads lives in the core, never with the AGENTs (the
+// paper's semi-trusted AGENT model), so a BID on the wire only signals
+// liveness and declared demand. Daemon-served rounds are therefore
+// bit-identical to driving the same core in-process: both are the same
+// BeginRound()/FinishRound() call sequence on the same state.
+//
+// The round is split so the daemon can fan out the offer and await bids
+// in between: BeginRound() advances the clock, accrues progress, finishes
+// converged apps and runs the core's first half (an offer-less round
+// settles at once); FinishRound() runs the core's second half over the
+// offer and folds the grants into the digest. No mutation may happen
+// between the halves. RunOneRound() calls both back-to-back.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "common/rng.h"
-#include "core/rho_index.h"
+#include "core/round_core.h"
 #include "core/themis_policy.h"
 #include "estimator/work_estimator.h"
 #include "net/wire.h"
@@ -92,44 +90,25 @@ class ArbiterCore {
   /// `start` is non-null the round's first half is copied out.
   GrantSet RunOneRound(RoundStart* start = nullptr);
 
-  Time now() const { return now_; }
-  std::uint64_t rounds_run() const { return passes_; }
-  std::size_t apps_registered() const { return apps_.size(); }
-  std::size_t apps_active() const { return active_apps_.size(); }
-  std::size_t apps_finished() const { return finished_apps_; }
+  Time now() const { return core_.now(); }
+  std::uint64_t rounds_run() const { return core_.passes(); }
+  std::size_t apps_registered() const { return core_.next_app_id(); }
+  std::size_t apps_active() const { return core_.active_apps().size(); }
+  std::size_t apps_finished() const { return core_.finished_apps(); }
   const net::GrantDigest& digest() const { return digest_; }
-  const Cluster& cluster() const { return cluster_; }
-  const AppState* app(AppId id) const {
-    return id < apps_.size() ? apps_[id].get() : nullptr;
-  }
+  const Cluster& cluster() const { return core_.cluster(); }
+  const AppState* app(AppId id) const { return core_.FindApp(id); }
+  /// The shared round state machine (read-only).
+  const RoundCore& round_core() const { return core_; }
 
   /// Declared whole-gang demand still unmet for an app (what an honest
   /// AGENT would put in its BID). 0 for finished/unknown apps.
   int UnmetDemand(AppId id) const;
 
  private:
-  AppState* FindApp(AppId id);
-  void ActivateApp(AppState* app);
-  void DeactivateApp(AppId id);
-  void UpdateHolding(AppState* app);
-  void KillJob(JobState& job);
-  void FinishApp(Time t, AppState& app);
-
   ArbiterConfig config_;
-  Cluster cluster_;
-  std::unique_ptr<IRoundScheduler> scheduler_;
-  WorkEstimator estimator_;
-  Rng rng_;
-  std::vector<std::unique_ptr<AppState>> apps_;
-  AppList active_apps_;
-  AppList holding_apps_;
-  RhoIndex rho_index_;
-  std::vector<JobView> views_scratch_;
+  RoundCore core_;
   net::GrantDigest digest_;
-  Time now_ = 0.0;
-  Time last_advance_ = 0.0;
-  std::uint64_t passes_ = 0;
-  std::size_t finished_apps_ = 0;
   bool round_open_ = false;
 };
 

@@ -240,6 +240,24 @@ FleetResult RunScriptedAgents(const std::string& host, int port,
     }
   };
 
+  const auto drain = [&](FleetAgent& a) {
+    std::string line;
+    while (!a.closed && a.reader.NextLine(line)) {
+      if (line.empty()) continue;
+      net::WireMessage msg;
+      try {
+        msg = net::ParseWireMessage(line);
+      } catch (const net::WireError&) {
+        ++result.errors_received;
+        continue;
+      }
+      handle_message(a, msg);
+    }
+  };
+  // The handshake read can pull the first OFFER in with the WELCOME; answer
+  // such buffered frames now, since poll only reports bytes still unread.
+  for (FleetAgent& a : fleet) drain(a);
+
   std::vector<pollfd> pfds;
   std::vector<FleetAgent*> owners;
   double last_progress_ms = NowMs();
@@ -286,19 +304,7 @@ FleetResult RunScriptedAgents(const std::string& host, int port,
         }
         if (static_cast<std::size_t>(r) < sizeof buf) break;
       }
-      if (a.closed) continue;
-      std::string line;
-      while (!a.closed && a.reader.NextLine(line)) {
-        if (line.empty()) continue;
-        net::WireMessage msg;
-        try {
-          msg = net::ParseWireMessage(line);
-        } catch (const net::WireError&) {
-          ++result.errors_received;
-          continue;
-        }
-        handle_message(a, msg);
-      }
+      drain(a);
     }
   }
 

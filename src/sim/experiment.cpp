@@ -55,10 +55,7 @@ std::unique_ptr<ISchedulerPolicy> MakePolicy(PolicyKind kind,
   return std::make_unique<ThemisPolicy>(themis_config);
 }
 
-namespace {
-
-/// Shared metric-summary step for every run form (preloaded or streamed).
-ExperimentResult Summarize(const ExperimentConfig& config, SimResult run) {
+ExperimentResult SummarizeRun(const ExperimentConfig& config, SimResult run) {
   const double contention = run.peak_contention;
 
   ExperimentResult result;
@@ -93,6 +90,8 @@ ExperimentResult Summarize(const ExperimentConfig& config, SimResult run) {
   return result;
 }
 
+namespace {
+
 /// SimConfig::round_threads is the engine-level knob (what the CLI and
 /// scenario JSON set); ThemisConfig::auction_threads is what the policy
 /// reads. A non-zero engine knob wins so one setting configures the run.
@@ -112,7 +111,7 @@ ExperimentResult RunExperimentWithApps(const ExperimentConfig& config,
                 MakePolicy(config.policy, FoldRoundThreads(config)),
                 config.sim);
   if (round_observer) sim.set_round_observer(std::move(round_observer));
-  return Summarize(config, sim.Run());
+  return SummarizeRun(config, sim.Run());
 }
 
 ExperimentResult RunStreamingExperiment(const ExperimentConfig& config,
@@ -122,7 +121,7 @@ ExperimentResult RunStreamingExperiment(const ExperimentConfig& config,
   Simulator sim(config.cluster, std::move(trace),
                 MakePolicy(config.policy, FoldRoundThreads(config)),
                 sim_config);
-  return Summarize(config, sim.Run());
+  return SummarizeRun(config, sim.Run());
 }
 
 ExperimentResult RunExperiment(const ExperimentConfig& config) {

@@ -81,6 +81,10 @@ ExperimentResult RunExperimentWithApps(
 ExperimentResult RunStreamingExperiment(const ExperimentConfig& config,
                                         std::unique_ptr<TraceReader> trace);
 
+/// Summarize a finished run the way the Run* helpers above do — for callers
+/// that construct and drive the Simulator themselves.
+ExperimentResult SummarizeRun(const ExperimentConfig& config, SimResult run);
+
 /// The testbed-scale configuration of Sec. 8.3: 50-GPU cluster, durations
 /// scaled down 5x, same inter-arrival distribution.
 ExperimentConfig TestbedScaleConfig(PolicyKind policy, std::uint64_t seed = 42,

@@ -2,11 +2,10 @@
 // against (Sec. 2.3). ThemisPolicy and the four baseline emulations
 // (Gandiva / Tiresias / SLAQ / DRF, Sec. 8 intro) all implement
 // IRoundScheduler (core/round.h): whenever GPUs are reclaimed or apps
-// arrive/finish, the simulator publishes a ResourceOffer, the scheduler
-// stages grants through this context and returns a GrantSet, and the
-// simulator applies the leases through ApplyGrants. The simulator then
-// applies restart overheads, lease bookkeeping and finish-event
-// rescheduling.
+// arrive/finish, the round core (core/round_core.h) publishes a
+// ResourceOffer, the scheduler stages grants through this context and
+// returns a GrantSet, and the core applies the leases through ApplyGrants,
+// then charges restart overheads.
 #pragma once
 
 #include <utility>

@@ -1,14 +1,15 @@
 // Event-driven GPU-cluster simulator (Sec. 8.1 "Simulator").
 //
-// The simulator advances job progress between events, reclaims expired
-// leases, invokes the per-app tuners (HyperBand / HyperDrive), and runs one
-// ARBITER round per scheduling pass: it publishes a ResourceOffer, hands it
-// to the IRoundScheduler, and applies the returned GrantSet itself through
-// ApplyGrants — policies never mutate the cluster. It then applies the
-// checkpoint/restart overhead whenever a job's gang changes. An app finishes
-// when its first job reaches the target accuracy — that job is the "best
-// model" that defines the app's finish time (Sec. 2.1) — at which point the
-// remaining jobs are terminated and their GPUs reclaimed.
+// The simulator is an event clock over the shared ARBITER round state
+// machine (core/round_core.h). The core does the bookkeeping — progress
+// accrual, lease reclaim, tuner steps, the offer -> RunRound -> ApplyGrants
+// round, and checkpoint/restart charging whenever a job's gang changes —
+// and the simulator decides *when* it happens: arrivals, lease ticks,
+// projected job finishes, machine failures and epsilon-batched rounds all
+// come off one typed event queue. An app finishes when its first job
+// reaches the target accuracy — that job is the "best model" that defines
+// the app's finish time (Sec. 2.1) — at which point the remaining jobs are
+// terminated and their GPUs reclaimed.
 //
 // Workloads arrive either as a preloaded vector (every AppState built up
 // front — the classic path, bit-identical to before) or through a
@@ -28,7 +29,7 @@
 
 #include "cluster/cluster.h"
 #include "common/rng.h"
-#include "core/rho_index.h"
+#include "core/round_core.h"
 #include "estimator/work_estimator.h"
 #include "metrics/collector.h"
 #include "sim/events.h"
@@ -158,14 +159,19 @@ class Simulator {
   /// Run to completion (all apps finished) or to config.max_time.
   SimResult Run();
 
-  const Cluster& cluster() const { return cluster_; }
+  const Cluster& cluster() const { return core_.cluster(); }
   /// Resident apps, indexed by AppId minus the retirement offset; retired
   /// slots are null until the front of the window is popped.
-  const std::deque<std::unique_ptr<AppState>>& apps() const { return apps_; }
+  const std::deque<std::unique_ptr<AppState>>& apps() const {
+    return core_.apps();
+  }
+  /// The round state machine this simulator clocks (read-only).
+  const RoundCore& round_core() const { return core_; }
 
   /// Observe every (offer, grants) round as it is applied — the federation
   /// layer uses this to check cross-shard invariants; tests use it to audit
-  /// grant streams. Called after ApplyGrants, before overhead accounting.
+  /// grant streams. Called once the round has settled (grants applied,
+  /// restart overheads charged).
   using RoundObserver =
       std::function<void(const ResourceOffer&, const GrantSet&)>;
   void set_round_observer(RoundObserver observer) {
@@ -173,42 +179,32 @@ class Simulator {
   }
 
  private:
-  void AdvanceTo(Time t);
+  /// Seed the per-machine failure clocks (no-op when injection is off).
+  void ScheduleFailures();
   void SchedulingPass(Time t);
+  /// `job` converged at `t`: finish it (and so its app) in the core, then
+  /// record the app's final metrics.
   void FinishJob(Time t, AppState& app, JobState& job);
-  void FinishApp(Time t, AppState& app);
-  void KillJob(AppState& app, JobState& job);
   /// Project `job`'s analytic finish time from its granted rate and push
   /// the kJobFinish event — at most once per allocation epoch (see
   /// JobState::finish_projected_version). Event engine only; the
   /// pass-stepped reference re-derives projections inline every pass with
-  /// the same arithmetic and the same push gate (SchedulingPass step 5),
-  /// so the two must stay in sync.
+  /// the same arithmetic and the same push gate (SchedulingPass), so the
+  /// two must stay in sync.
   void MaybeScheduleFinish(Time t, AppState& app, JobState& job);
-  /// Run one app's tuner step (kills, caps) and fold its capped-demand
-  /// delta into the maintained contention sum.
-  void StepTuner(Time t, AppState& app);
+  /// Push `job`'s kJobFinish event at its analytic finish under `rate`
+  /// (dropped past max_time).
+  void PushFinish(Time t, AppId app, const JobState& job, double rate);
   void PushLeaseTick(Time t);
   /// Arm / re-arm the periodic metrics tick (no-op when disabled).
   void ArmMetricsTick(Time t);
-  AppState* FindApp(AppId id);
-  /// Maintain the active-app set (arrived && !finished, ascending AppId).
-  void ActivateApp(AppState* app);
-  void DeactivateApp(AppId id);
-  /// Re-derive `app`'s membership in the holder set (apps with at least one
-  /// leased GPU) after any gang mutation. The event engine advances
-  /// progress over holders only; non-holders contribute nothing.
-  void UpdateHolding(AppState* app);
-  /// Flag `app` for the next tuner walk (event engine) — its views may
-  /// have changed since its last Step.
-  void MarkTunerDirty(AppState* app);
-  /// Note that `app`'s held-GPU count may have changed this pass, so the
-  /// event engine's timeline walk must examine it.
-  void TouchAlloc(AppId id);
+  /// True while some injected app is unfinished.
+  bool AppsOutstanding() const {
+    return core_.finished_apps() != core_.next_app_id();
+  }
 
-  /// Build the AppState for `spec`, assign it the next AppId, and enqueue
-  /// its arrival event. Shared by the preloading constructor and the
-  /// streaming refill.
+  /// Add `spec` to the core under the next AppId and enqueue its arrival
+  /// event. Shared by the preloading constructor and the streaming refill.
   void InjectApp(AppSpec&& spec);
   /// Pull streamed arrivals up to the lookahead horizon (and always at
   /// least one when the queue is empty or everything injected finished).
@@ -219,50 +215,13 @@ class Simulator {
   /// Destroy a finished app's state (no-op unless retire_finished_apps).
   void RetireApp(AppId id);
 
-  Cluster cluster_;
-  /// Resident apps; apps_[id - apps_base_] is the state for `id`. Retired
-  /// entries are nulled, and the deque front is popped as it nulls out.
-  std::deque<std::unique_ptr<AppState>> apps_;
-  AppId apps_base_ = 0;
-  /// Apps that arrived and have not finished, sorted by AppId. The
-  /// pass-stepped engine walks this set every pass; the event engine only
-  /// consults it for rounds (policies see all active apps either way).
-  AppList active_apps_;
-  /// Active apps holding at least one leased GPU, sorted by AppId — the
-  /// event engine's progress-advance walk. Maintained by UpdateHolding at
-  /// every gang mutation site (grant, reclaim, kill, finish, failure).
-  AppList holding_apps_;
-  /// Maintained filter index for the ARBITER's rho sort, kept in sync at
-  /// every membership mutation (arrival, gang change, tuner step, finish)
-  /// and handed to policies through SchedulerContext::rho_index(). Policies
-  /// that ignore it cost one pointer; ThemisPolicy's incremental filter
-  /// reads it instead of probing the whole population each round.
-  RhoIndex rho_index_;
-  /// Apps whose tuner views may have changed since their last Step
-  /// (AppState::tuner_dirty guards duplicates); sorted+resolved per pass.
-  std::vector<AppId> tuner_dirty_apps_;
-  /// Apps whose held-GPU count may have changed before/outside the current
-  /// pass (arrivals, failure revocations, tuner kills); consumed by the
-  /// pass's timeline + finish-projection walks.
-  std::vector<AppId> alloc_touched_apps_;
-  /// Scratch JobView buffer reused across StepTuner calls (one allocation
-  /// for the whole run instead of one per app per pass).
-  std::vector<JobView> views_scratch_;
-  std::unique_ptr<IRoundScheduler> scheduler_;
+  RoundCore core_;
   RoundObserver round_observer_;
   SimConfig config_;
-  WorkEstimator estimator_;
-  Rng rng_;
   EventQueue queue_;
   MetricsCollector metrics_;
-  Time last_advance_ = 0.0;
   std::set<Time> pushed_ticks_;
-  int passes_ = 0;
-  int finished_apps_ = 0;
   double peak_contention_ = 0.0;
-  /// Sum over active apps of CapDemand(), maintained incrementally
-  /// (integer deltas, so it equals the brute-force resum bit-for-bit).
-  long long total_cap_demand_ = 0;
   bool event_mode_ = true;
   long long events_processed_ = 0;
   long long rounds_executed_ = 0;
@@ -277,7 +236,6 @@ class Simulator {
   AppSpec pending_spec_;
   bool have_pending_ = false;
   Time last_injected_arrival_ = -kInfiniteTime;
-  AppId next_app_id_ = 0;
   std::size_t live_apps_ = 0;
   std::size_t peak_live_apps_ = 0;
 };

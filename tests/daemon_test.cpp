@@ -16,7 +16,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <cstdint>
+#include <map>
 #include <poll.h>
 #include <string>
 #include <thread>
@@ -24,6 +27,8 @@
 
 #include "net/socket.h"
 #include "net/wire.h"
+#include "placement/model_profile.h"
+#include "round_audit.h"
 #include "server/arbiter_core.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -195,6 +200,16 @@ TEST_P(LoopbackEquivalence, DaemonMatchesInProcessCore) {
   // The daemon side must agree with its own core too (grants are routed,
   // not recomputed).
   EXPECT_TRUE(daemon.srv.core().digest() == fleet.digest);
+
+  // Replay once more, auditing the shared round state after every round.
+  server::ArbiterCore audited(config.arbiter);
+  for (const server::AgentScript& s : scripts)
+    for (const AppSpec& spec : s.apps) audited.RegisterApp(spec);
+  while (audited.rounds_run() < fleet.last_round_seen) {
+    audited.RunOneRound();
+    AuditRoundCore(audited.round_core());
+  }
+  EXPECT_TRUE(audited.digest() == reference.digest());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, LoopbackEquivalence,
@@ -206,6 +221,78 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, LoopbackEquivalence,
                          [](const auto& info) {
                            return std::string(ToString(info.param));
                          });
+
+// The registration barrier's last handshake read can pull round 1's OFFER
+// in with the WELCOME. The fleet must answer that buffered OFFER at once:
+// left unread it sits until the bid deadline, and the late BID then draws a
+// stale-bid ERROR. Every run must finish far inside the deadline, with no
+// misses and no errors.
+TEST(Daemon, FleetAnswersOfferBufferedWithWelcome) {
+  const int kAgents = 4;
+  for (int run = 0; run < 3; ++run) {
+    server::ServerConfig config = SmallConfig();
+    config.min_agents = kAgents;
+    config.max_rounds = 5;
+    config.bid_timeout_ms = 10000;
+    DaemonHarness daemon(config);
+    ASSERT_TRUE(daemon.Start());
+    const auto t0 = std::chrono::steady_clock::now();
+    const server::FleetResult fleet = server::RunScriptedAgents(
+        "127.0.0.1", daemon.srv.port(), Partition(SampleApps(8), kAgents));
+    const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count();
+    ASSERT_TRUE(fleet.ok) << fleet.error;
+    EXPECT_EQ(daemon.Join(), 0);
+    EXPECT_EQ(daemon.srv.stats().bid_deadline_misses, 0u) << "run " << run;
+    EXPECT_EQ(fleet.errors_received, 0u) << "run " << run;
+    EXPECT_LT(elapsed_ms, config.bid_timeout_ms / 2.0) << "run " << run;
+  }
+}
+
+// The same race made deterministic: a scripted peer writes the WELCOME and
+// the first OFFER in one send, so the fleet's handshake read always takes
+// both. The BID must come back without any further bytes from the peer.
+TEST(Daemon, FleetAnswersOfferReadWithTheWelcome) {
+  std::string err;
+  net::UniqueFd listener(net::TcpListen("127.0.0.1", 0, 4, &err));
+  ASSERT_TRUE(listener.valid()) << err;
+  const int port = net::ListenPort(listener.get());
+  server::FleetResult fleet;
+  std::thread agents([&] {
+    fleet = server::RunScriptedAgents("127.0.0.1", port,
+                                      Partition(SampleApps(1), 1));
+  });
+
+  RawClient peer;  // the server end of the one AGENT's connection
+  pollfd pfd{listener.get(), POLLIN, 0};
+  ASSERT_EQ(poll(&pfd, 1, 10000), 1);
+  peer.fd.reset(net::TcpAccept(listener.get()));
+  ASSERT_TRUE(peer.fd.valid());
+  net::WireMessage msg;
+  ASSERT_TRUE(peer.ReadMessage(&msg));
+  ASSERT_EQ(msg.type, net::MsgType::kHello);
+
+  ResourceOffer offer;
+  offer.round_id = 1;
+  offer.time = 5.0;
+  offer.lease_duration = 20.0;
+  offer.gpus = {0, 1};
+  offer.free_per_machine = {2};
+  offer.machine_speeds = {1.0};
+  ASSERT_TRUE(peer.SendLine(net::EncodeWelcome(0, {0}) + "\n" +
+                            net::EncodeOffer(offer)));
+  const bool answered =
+      peer.ReadMessage(&msg, /*timeout_ms=*/3000, /*expect_eof=*/true);
+  EXPECT_TRUE(answered && msg.type == net::MsgType::kBid)
+      << "the OFFER read with the WELCOME was never answered";
+
+  peer.SendLine(net::EncodeClose("done"));
+  agents.join();
+  EXPECT_TRUE(fleet.ok) << fleet.error;
+  EXPECT_EQ(fleet.offers_received, 1u);
+  EXPECT_EQ(fleet.errors_received, 0u);
+}
 
 // ---------------------------------------------------------------------------
 // Slow AGENTs and deadlines.
@@ -504,6 +591,63 @@ TEST(ArbiterCore, RunsAreDeterministic) {
   }
   EXPECT_TRUE(digests[0] == digests[1]);
   EXPECT_GT(digests[0].grants, 0);
+}
+
+/// One-job app that never converges in these tests: `tasks` gangs of two
+/// GPUs each, no tuner.
+AppSpec LongGangApp(int tasks) {
+  AppSpec app;
+  app.tuner = TunerKind::kNone;
+  app.target_loss = 0.1;
+  JobSpec job;
+  job.total_work = 1e9;
+  job.total_iterations = 1000.0;
+  job.num_tasks = tasks;
+  job.gpus_per_task = 2;
+  job.model = ModelByName("ResNet50");
+  job.loss = LossCurve(0.1 * std::pow(1001.0, 0.6), 0.6, 0.0);
+  app.jobs = {job};
+  return app;
+}
+
+// Restart charging follows the gang, not the grant. On one 4-GPU machine
+// (20-minute leases, rounds every 5 minutes) app A's gang is built from two
+// grants with different expiries; at the first expiry the reclaimed half
+// goes to a hungrier newcomer, so A's gang shrinks and A must restart then.
+// At the second expiry A re-wins exactly the gang it held: an intact
+// renewal, which must neither move resume_at nor add a placement score.
+TEST(ArbiterCore, RestartChargedOnlyWhenGangChanges) {
+  server::ArbiterConfig config;
+  config.cluster = ClusterSpec::Uniform(1, 1, 4, 2);
+  ASSERT_EQ(config.round_interval_minutes, 5.0);
+  ASSERT_EQ(config.lease_minutes, 20.0);
+  const Time overhead = config.restart_overhead_minutes;
+  server::ArbiterCore core(config);
+
+  const AppId x = core.RegisterApp(LongGangApp(1));
+  core.RunOneRound();  // t=5: X takes two GPUs
+  const AppId a = core.RegisterApp(LongGangApp(2));
+  core.RunOneRound();  // t=10: A takes the other two (expiring at 30)
+  core.RemoveApp(x);
+  core.RunOneRound();  // t=15: A takes X's two as well (expiring at 35)
+  const JobState& job = core.app(a)->jobs[0];
+  ASSERT_EQ(job.gpus.size(), 4u);
+  EXPECT_EQ(job.resume_at, 15.0 + overhead);
+  const std::vector<GpuId> second_half(job.gpus.begin() + 2, job.gpus.end());
+
+  core.RegisterApp(LongGangApp(1));  // C: gangless, so the worst off
+  while (core.now() < 30.0) core.RunOneRound();
+  // t=30: the first half expired and went to C; A kept the second half.
+  ASSERT_EQ(job.gpus, second_half);
+  EXPECT_EQ(job.resume_at, 30.0 + overhead) << "shrunk gang not charged";
+  const std::size_t scores = core.app(a)->placement_scores.count();
+
+  core.RunOneRound();
+  // t=35: the second half expired and A (now gangless) re-won it intact.
+  ASSERT_EQ(core.now(), 35.0);
+  ASSERT_EQ(job.gpus, second_half);
+  EXPECT_EQ(job.resume_at, 30.0 + overhead) << "intact renewal charged";
+  EXPECT_EQ(core.app(a)->placement_scores.count(), scores);
 }
 
 TEST(ArbiterCore, RejectsMutationMidRound) {

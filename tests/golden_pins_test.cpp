@@ -20,6 +20,7 @@
 #include <memory>
 #include <string>
 
+#include "round_audit.h"
 #include "sim/experiment.h"
 #include "workload/trace_gen.h"
 #include "workload/trace_io.h"
@@ -170,6 +171,48 @@ TEST_P(GoldenPins, ResultHashIsPinned) {
   EXPECT_EQ(HashResult(pass), hash) << "engines diverged";
 #if defined(__x86_64__)
   EXPECT_EQ(hash, pin.hash) << std::hex << "0x" << hash;
+#else
+  GTEST_SKIP() << "golden constants are pinned on x86-64 only";
+#endif
+}
+
+// The same runs with the Simulator driven directly, auditing the round
+// state after every round: the audit must hold throughout and the result
+// must still hash to the pin.
+ExperimentResult RunModeAudited(PolicyKind policy, Mode mode,
+                                SimEngine engine) {
+  ExperimentConfig config = ModeConfig(policy, mode, engine);
+  std::vector<AppSpec> apps = TraceGenerator(config.trace).Generate();
+  std::unique_ptr<Simulator> sim;
+  if (mode == Mode::kStreamed) {
+    config.sim.retire_finished_apps = true;
+    sim = std::make_unique<Simulator>(
+        config.cluster, std::make_unique<VectorTraceReader>(std::move(apps)),
+        MakePolicy(config.policy, config.themis), config.sim);
+  } else {
+    sim = std::make_unique<Simulator>(config.cluster, std::move(apps),
+                                      MakePolicy(config.policy, config.themis),
+                                      config.sim);
+  }
+  long long audited = 0;
+  sim->set_round_observer([&](const ResourceOffer&, const GrantSet&) {
+    AuditRoundCore(sim->round_core());
+    ++audited;
+  });
+  ExperimentResult result = SummarizeRun(config, sim->Run());
+  EXPECT_GT(audited, 0);
+  return result;
+}
+
+TEST_P(GoldenPins, AuditedRunsHoldInvariantsAndMatchPin) {
+  const Pin& pin = GetParam();
+  const std::uint64_t event =
+      HashResult(RunModeAudited(pin.policy, pin.mode, SimEngine::kEventDriven));
+  const std::uint64_t pass =
+      HashResult(RunModeAudited(pin.policy, pin.mode, SimEngine::kPassStepped));
+  EXPECT_EQ(pass, event) << "engines diverged";
+#if defined(__x86_64__)
+  EXPECT_EQ(event, pin.hash) << std::hex << "0x" << event;
 #else
   GTEST_SKIP() << "golden constants are pinned on x86-64 only";
 #endif
