@@ -1,6 +1,8 @@
 // Golden pins: a content hash of the full ExperimentResult for every policy
 // on one contended workload, run preloaded, streamed and under machine
-// failures, on both simulator engines.
+// failures, on both simulator engines. Themis is pinned under three more
+// settings that move its filter step: noisy estimation (theta = 0.15),
+// heterogeneous GPU generations, and the short-app tie-break turned off.
 //
 // The equivalence suites compare two paths inside one build (event vs pass,
 // streamed vs preloaded, parallel vs serial), so a change that moves both
@@ -94,13 +96,23 @@ ExperimentConfig ContendedConfig(PolicyKind policy) {
   return config;
 }
 
-enum class Mode { kPreloaded, kStreamed, kFailures };
+enum class Mode {
+  kPreloaded,
+  kStreamed,
+  kFailures,
+  kNoisy,
+  kGenerations,
+  kTiebreakOff
+};
 
 const char* ModeName(Mode mode) {
   switch (mode) {
     case Mode::kPreloaded: return "preloaded";
     case Mode::kStreamed: return "streamed";
     case Mode::kFailures: return "failures";
+    case Mode::kNoisy: return "noisy";
+    case Mode::kGenerations: return "generations";
+    case Mode::kTiebreakOff: return "tiebreak_off";
   }
   return "?";
 }
@@ -108,9 +120,24 @@ const char* ModeName(Mode mode) {
 ExperimentConfig ModeConfig(PolicyKind policy, Mode mode, SimEngine engine) {
   ExperimentConfig config = ContendedConfig(policy);
   config.sim.engine = engine;
-  if (mode == Mode::kFailures) {
-    config.sim.machine_mtbf_minutes = 300.0;
-    config.sim.machine_repair_minutes = 45.0;
+  switch (mode) {
+    case Mode::kFailures:
+      config.sim.machine_mtbf_minutes = 300.0;
+      config.sim.machine_repair_minutes = 45.0;
+      break;
+    case Mode::kNoisy:
+      config.sim.estimator.mode = EstimationMode::kNoisy;
+      config.sim.estimator.theta = 0.15;
+      break;
+    case Mode::kGenerations:
+      ApplyGenerationMix(config.cluster,
+                         ParseGenerationMix("K80:0.25,V100:0.5,A100:0.25"));
+      break;
+    case Mode::kTiebreakOff:
+      config.themis.short_app_tiebreak = false;
+      break;
+    default:
+      break;
   }
   return config;
 }
@@ -147,6 +174,9 @@ const Pin kPins[] = {
     {PolicyKind::kTiresias, Mode::kFailures,  0xb06434c280f491bdull},
     {PolicyKind::kSlaq,     Mode::kFailures,  0xbc0c5c52977677acull},
     {PolicyKind::kDrf,      Mode::kFailures,  0x00a58c10022e7236ull},
+    {PolicyKind::kThemis,   Mode::kNoisy,       0xf7a06d2847bdecfdull},
+    {PolicyKind::kThemis,   Mode::kGenerations, 0x37f431655e09629full},
+    {PolicyKind::kThemis,   Mode::kTiebreakOff, 0xc346ee9600b3a643ull},
 };
 // clang-format on
 
