@@ -20,6 +20,7 @@
 #include "core/agent.h"
 #include "core/rho_index.h"
 #include "core/themis_policy.h"
+#include "round_harness.h"
 #include "sim/experiment.h"
 
 namespace themis {
@@ -76,7 +77,7 @@ void BM_PartialAllocation(benchmark::State& state) {
   Cluster cluster(ClusterSpec::Simulation256());
   WorkEstimator est({});
   std::vector<std::unique_ptr<AppState>> apps;
-  std::vector<BidTable> tables;
+  std::vector<AgentBid> bids;
   Agent agent(&cluster.topology(), &est, 10.0);
   std::vector<GpuId> offered;
   for (GpuId g = 0; g < 128; ++g) offered.push_back(g);
@@ -84,8 +85,10 @@ void BM_PartialAllocation(benchmark::State& state) {
   for (GpuId g : offered) ++offered_vec[cluster.topology().gpu(g).machine];
   for (int i = 0; i < n_apps; ++i) {
     apps.push_back(BenchApp(static_cast<AppId>(i), 8, 2));
-    tables.push_back(agent.PrepareBid(*apps.back(), offered, 6).table);
+    bids.push_back(agent.PrepareBid(*apps.back(), offered, 6));
   }
+  std::vector<const BidTable*> tables;
+  for (const AgentBid& bid : bids) tables.push_back(&bid.table);
   for (auto _ : state) {
     benchmark::DoNotOptimize(PartialAllocation(tables, offered_vec));
   }
@@ -101,15 +104,12 @@ void BM_ThemisSchedulingPass(benchmark::State& state) {
     state.PauseTiming();
     Cluster cluster(ClusterSpec::Simulation256());
     std::vector<std::unique_ptr<AppState>> apps;
-    AppList list;
-    for (int i = 0; i < n_apps; ++i) {
+    for (int i = 0; i < n_apps; ++i)
       apps.push_back(BenchApp(static_cast<AppId>(i), 8, 1));
-      list.push_back(apps.back().get());
-    }
-    SchedulerContext ctx(0.0, &cluster, &est, 20.0, &list, &rng);
+    RoundHarness harness(cluster, est, rng);
     ThemisPolicy policy;
     state.ResumeTiming();
-    policy.Schedule(cluster.FreeGpus(), ctx);
+    harness.SyncAndRun(policy, apps);
   }
 }
 BENCHMARK(BM_ThemisSchedulingPass)->Arg(8)->Arg(16)->Arg(32);
@@ -147,12 +147,14 @@ BENCHMARK(BM_ClusterPassChurn)->Arg(64)->Arg(512)->Arg(1024)
 // BM_FilterProbe: ARBITER filter+probe cost vs live-app population, one
 // lease expiry per round — the daemon regime where a huge multi-tenant queue
 // waits on a small cluster and each round reoffers a sliver. The recompute
-// path probes and sorts every live app per round (O(n log n)); the indexed
-// path (core/rho_index.h) re-probes only the ~cluster-capacity holders and
-// merges them with the maintained gangless class, so rounds scale with the
-// auction instead of the population. Both paths are driven through the same
-// mutation sequence and their grant streams are fingerprint-checked for the
-// bit-identicality the index contract promises.
+// path rebuilds the RhoIndex from scratch every round — every live app
+// reclassified and the gangless class re-sorted, O(n log n) like probing and
+// sorting the whole population; the indexed path (core/rho_index.h) syncs
+// only the apps the round touched, re-probes the ~cluster-capacity holders
+// and merges them with the maintained gangless class, so rounds scale with
+// the auction instead of the population. Both paths are driven through the
+// same mutation sequence and their grant streams are fingerprint-checked
+// for the bit-identicality the index contract promises.
 // ---------------------------------------------------------------------------
 
 std::unique_ptr<AppState> FilterProbeApp(AppId id) {
@@ -180,17 +182,17 @@ struct FilterProbeWorld {
   Cluster cluster;
   WorkEstimator est;
   Rng rng;
+  RoundHarness harness{cluster, est, rng};
   std::vector<std::unique_ptr<AppState>> apps;
   AppList list;
-  RhoIndex index;
-  bool use_index;
+  bool rebuild_index;
   int victim_cursor = 0;
 
   FilterProbeWorld(int num_apps, bool indexed)
       : cluster(ClusterSpec::Uniform(2, 16, 4, 4)),  // 128 GPUs
         est({}),
         rng(42),
-        use_index(indexed) {
+        rebuild_index(!indexed) {
     for (AppId id = 0; id < static_cast<AppId>(num_apps); ++id) {
       apps.push_back(FilterProbeApp(id));
       list.push_back(apps.back().get());
@@ -201,8 +203,7 @@ struct FilterProbeWorld {
       cluster.Allocate(g, static_cast<AppId>(g), 0, 1.0e9);
       apps[g]->jobs[0].gpus = {g};
     }
-    if (use_index)
-      for (auto& app : apps) index.Update(app.get());
+    for (auto& app : apps) harness.Sync(*app);
   }
 
   /// One single-expiry round: the rotating victim's lease lapses, the round
@@ -216,11 +217,18 @@ struct FilterProbeWorld {
     const GpuId g = vjob.gpus[0];
     cluster.Release(g);
     vjob.gpus.clear();
-    if (use_index) index.Update(victim);
+    if (rebuild_index) {
+      // Forget every app's class (0 = absent) and index them all afresh.
+      harness.rho_index() = RhoIndex{};
+      for (auto& app : apps) {
+        app->rho_index_class = 0;
+        harness.Sync(*app);
+      }
+    } else {
+      harness.Sync(*victim);
+    }
 
-    SchedulerContext ctx(now, &cluster, &est, /*lease=*/1.0e9, &list, &rng);
-    if (use_index) ctx.set_rho_index(&index);
-    const GrantSet grants = policy.Schedule(cluster.FreeGpus(), ctx);
+    const GrantSet grants = harness.Run(policy, list, now, /*lease=*/1.0e9);
     for (const Grant& grant : grants.grants) {
       for (GpuId gg : grant.gpus) {
         fp = fp * 1000003ull + static_cast<std::uint64_t>(grant.app) * 131ull +
@@ -229,11 +237,6 @@ struct FilterProbeWorld {
         ++*granted_gpus;
       }
     }
-    if (use_index)
-      for (const auto& [app_id, job_id] : ctx.granted_jobs()) {
-        (void)job_id;
-        index.Update(apps[app_id].get());
-      }
     return fp;
   }
 };
@@ -250,7 +253,6 @@ FilterProbeRun MeasureFilterProbe(int num_apps, bool indexed, int rounds) {
   // Daemon regime: offer each sliver to the single worst-off app, so round
   // cost is the filter itself, not the auction.
   cfg.fairness_knob = 1.0;
-  cfg.incremental_filter = indexed;
   ThemisPolicy policy(cfg);
   FilterProbeRun run;
   Time now = 1.0;
@@ -322,11 +324,9 @@ int RunFilterProbeSweep() {
 // early-returns — round cost is then dominated by the embarrassingly
 // parallel bid-prep phase the thread budget actually touches. Hidden
 // payments are ablated (the PaConfig knob) and the branch-and-bound node
-// budget kept small so the serial solver stage stays a sliver. BidTable
-// allocations per round at this scale: before the pointer-borrowing
-// PartialAllocation overloads, the round deep-copied all 512 tables into
-// the solver (and the hidden-payments pass another 511 per bidder, ~262k
-// copies when enabled); now the solver borrows them in place — 0. Grant
+// budget kept small so the serial solver stage stays a sliver. The solver
+// borrows the 512 bid tables in place, so a round copies none of them (the
+// hidden-payments pass would otherwise copy 511 per bidder). Grant
 // streams are fingerprint-checked across thread counts for the
 // bit-identicality the pool contract promises; the process exits non-zero
 // only on an identity failure (a correctness bug), never on a throughput
@@ -359,6 +359,7 @@ ParallelRoundRun MeasureParallelRound(int machines, int apps_count,
     Cluster cluster(ClusterSpec::Uniform(/*racks=*/8, /*machines=*/machines / 8,
                                          /*gpus=*/8, /*slot=*/4));
     Rng rng(99);
+    RoundHarness harness(cluster, est, rng);
     std::vector<std::unique_ptr<AppState>> apps;
     AppList list;
     for (int i = 0; i < apps_count; ++i) {
@@ -381,11 +382,11 @@ ParallelRoundRun MeasureParallelRound(int machines, int apps_count,
                            /*expiry=*/1.0e9);
         apps[a]->jobs[j].gpus = gang;
       }
-    SchedulerContext ctx(0.0, &cluster, &est, 20.0, &list, &rng);
+    for (auto& app : apps) harness.Sync(*app);
     ThemisPolicy policy(cfg);
 
     const auto start = std::chrono::steady_clock::now();
-    const GrantSet grants = policy.Schedule(cluster.FreeGpus(), ctx);
+    const GrantSet grants = harness.Run(policy, list);
     total_s +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
@@ -436,7 +437,9 @@ int RunParallelRoundSweep() {
         run.rounds_per_sec / std::max(1e-9, baseline.rounds_per_sec);
     std::printf("%8d %12.2f %8.2fx %10s\n", threads, run.rounds_per_sec,
                 speedup, identical ? "yes" : "NO");
-    const std::string tag = "@" + std::to_string(threads) + "threads";
+    std::string tag = "@";
+    tag += std::to_string(threads);
+    tag += "threads";
     report.Metric("parallel_rounds_per_sec" + tag, run.rounds_per_sec);
     report.Metric("parallel_round_speedup" + tag, speedup);
     report.Metric("parallel_round_identical" + tag, identical ? 1.0 : 0.0);

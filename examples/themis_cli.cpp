@@ -5,7 +5,7 @@
 //              [--generations SPEC (e.g. K80:0.25,V100:0.5,A100:0.25)]
 //              [--apps N] [--seed S] [--contention C] [--lease MIN]
 //              [--knob F] [--theta T] [--mtbf MIN] [--sensitive FRAC]
-//              [--no-incremental-filter] [--round-threads N]
+//              [--round-threads N]
 //              [--trace-out FILE] [--trace-in FILE] [--cdf]
 //              [--stream-trace FILE] [--bounded-metrics]
 //              [--shards N] [--threads N]
@@ -63,8 +63,7 @@ using namespace themis;
                "          [--generations NAME:FRAC,... (e.g. "
                "K80:0.25,V100:0.5,A100:0.25)]\n"
                "          [--seed S] [--contention C] [--lease MIN]\n"
-               "          [--knob F] [--theta T] [--mtbf MIN]\n"
-               "          [--no-incremental-filter] [--round-threads N]\n"
+               "          [--knob F] [--theta T] [--mtbf MIN] [--round-threads N]\n"
                "          [--sensitive FRAC] [--trace-out FILE]\n"
                "          [--trace-in FILE] [--cdf]\n"
                "          [--stream-trace FILE] [--bounded-metrics]\n"
@@ -309,10 +308,6 @@ int main(int argc, char** argv) {
     else if (arg == "--lease") config.sim.lease_minutes = std::atof(next().c_str());
     else if (arg == "--knob")
       config.themis.fairness_knob = std::atof(next().c_str());
-    else if (arg == "--no-incremental-filter")
-      // Bisect escape hatch: force the literal probe-everything filter
-      // instead of the maintained rho index (bit-identical by contract).
-      config.themis.incremental_filter = false;
     else if (arg == "--round-threads")
       // Fan the round's probe + bid-prep phases over N pool threads
       // (bit-identical to serial; see common/parallel.h).

@@ -62,15 +62,10 @@ struct PaResult {
 };
 
 /// Run the PA mechanism. `bids` must each validate against `offered`
-/// (ValidateBid); violations throw std::invalid_argument. The pointer form
-/// is the primary entry point — tables stay wherever the caller already
-/// holds them (e.g. inside AgentBid) and are never copied; every pointer
-/// must be non-null and outlive the call. The value form is a convenience
-/// wrapper over it.
+/// (ValidateBid); violations throw std::invalid_argument. Tables stay
+/// wherever the caller already holds them (e.g. inside AgentBid) and are
+/// never copied; every pointer must be non-null and outlive the call.
 PaResult PartialAllocation(const std::vector<const BidTable*>& bids,
-                           const std::vector<int>& offered,
-                           const PaConfig& config = {});
-PaResult PartialAllocation(const std::vector<BidTable>& bids,
                            const std::vector<int>& offered,
                            const PaConfig& config = {});
 
@@ -82,9 +77,6 @@ struct PfSolution {
   bool exact = true;
 };
 PfSolution SolveProportionalFair(const std::vector<const BidTable*>& bids,
-                                 const std::vector<int>& offered,
-                                 const PaConfig& config = {});
-PfSolution SolveProportionalFair(const std::vector<BidTable>& bids,
                                  const std::vector<int>& offered,
                                  const PaConfig& config = {});
 

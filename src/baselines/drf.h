@@ -13,7 +13,7 @@
 
 namespace themis {
 
-class DrfPolicy final : public ISchedulerPolicy {
+class DrfPolicy final : public IRoundScheduler {
  public:
   GrantSet RunRound(const ResourceOffer& offer,
                     SchedulerContext& ctx) override;

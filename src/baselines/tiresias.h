@@ -11,7 +11,7 @@
 
 namespace themis {
 
-class TiresiasPolicy final : public ISchedulerPolicy {
+class TiresiasPolicy final : public IRoundScheduler {
  public:
   GrantSet RunRound(const ResourceOffer& offer,
                     SchedulerContext& ctx) override;

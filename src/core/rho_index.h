@@ -32,10 +32,11 @@
 // Membership is re-derived from AppState alone (Update is idempotent), so
 // every round-core hook simply calls Update(app) after mutating it. The
 // round core (core/round_core.h) owns one RhoIndex and threads it through
-// SchedulerContext::rho_index(); contexts built without one (legacy tests,
-// external embedders) leave the pointer null and ThemisPolicy falls back to
-// the literal scan. ThemisConfig::incremental_filter = false forces the
-// literal scan even when an index is present (the bisect escape hatch).
+// SchedulerContext::rho_index(); every context carries one, so
+// ThemisPolicy::SelectParticipants has a single filter path. The literal
+// scan lives on as a test oracle (tests/literal_filter.h), and the round
+// audit (tests/round_audit.h) re-derives both classes from scratch after
+// every audited round.
 #pragma once
 
 #include <cstddef>

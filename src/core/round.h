@@ -5,7 +5,10 @@
 // (the free pool plus its per-machine shape and the lease terms), a round
 // scheduler answers with a GrantSet (per-(app, job) GPU bundles plus
 // diagnostics), and the round core — never the policy — turns the grants into
-// binding leases through the single ApplyGrants path. Offers and grant sets
+// binding leases through the single ApplyGrants path. IRoundScheduler is the
+// only policy interface: all five policies implement RunRound, and a caller
+// that drives one round by hand (a test, a bench) builds the offer with
+// MakeOffer and applies the returned set itself. Offers and grant sets
 // are plain data: they carry ids and GPU lists, not Cluster pointers, so a
 // federation layer can route them between sharded ARBITERs (core/federation)
 // and a batching layer can coalesce several lease ticks into one bigger
@@ -166,9 +169,8 @@ class IRoundScheduler {
  public:
   virtual ~IRoundScheduler() = default;
 
-  /// Run one offer -> bid -> grant round. Precondition: `offer` matches the
-  /// context's pool (the context was built from this offer, or from the
-  /// same cluster state the offer snapshots).
+  /// Run one offer -> bid -> grant round. Precondition: the context was
+  /// built from `offer`.
   virtual GrantSet RunRound(const ResourceOffer& offer,
                             SchedulerContext& ctx) = 0;
 

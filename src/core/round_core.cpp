@@ -301,22 +301,17 @@ std::optional<ResourceOffer> RoundCore::BeginRound(Time now) {
 GrantSet RoundCore::FinishRound(const ResourceOffer* offer) {
   // 1. One ARBITER round: the scheduler stages its grants against the
   // offer's pool, then the leases are applied — the single
-  // grant-application path; policies never touch the cluster. The context,
-  // not the returned set, is the authoritative record of staged grants:
-  // legacy Schedule() shims apply-and-consume the GrantSet inside the
-  // round, but every grant still passes through ctx.Grant.
+  // grant-application path; policies never touch the cluster.
   GrantSet grants;
-  std::vector<std::pair<AppId, JobId>> granted_jobs;
   if (offer != nullptr) {
-    SchedulerContext ctx(*offer, &cluster_, &estimator_, &active_apps_, &rng_);
-    ctx.set_rho_index(&rho_index_);
+    SchedulerContext ctx(*offer, &cluster_, &estimator_, &active_apps_,
+                         rho_index_, &rng_);
     grants = scheduler_->RunRound(*offer, ctx);
     ApplyGrants(grants, cluster_);
-    granted_jobs = ctx.granted_jobs();
-    for (const auto& key : granted_jobs)
-      if (AppState* app = FindApp(key.first)) {
+    for (const Grant& grant : grants.grants)
+      if (AppState* app = FindApp(grant.app)) {
         UpdateHolding(*app);
-        Touch(key.first);
+        Touch(grant.app);
       }
   }
 
@@ -331,7 +326,8 @@ GrantSet RoundCore::FinishRound(const ResourceOffer* offer) {
     touched[key] = &gang;
     Touch(key.first);
   }
-  for (const auto& key : granted_jobs) touched.try_emplace(key, nullptr);
+  for (const Grant& grant : grants.grants)
+    touched.try_emplace({grant.app, grant.job}, nullptr);
   for (const auto& [key, before] : touched) {
     AppState* app = FindApp(key.first);
     if (app == nullptr || app->finished || key.second >= app->jobs.size())

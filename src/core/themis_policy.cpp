@@ -11,25 +11,22 @@ namespace themis {
 
 ThemisPolicy::ThemisPolicy(ThemisConfig config) : config_(config) {}
 
-GrantSet ThemisPolicy::RunRound(const ResourceOffer& offer,
-                                SchedulerContext& ctx) {
-  Agent agent(&ctx.topology(), &ctx.estimator(), ctx.now());
-
-  // Thread budget for the round's data-parallel phases (probe, bid prep).
+int ThemisPolicy::RoundThreads(SchedulerContext& ctx) const {
   // Only the stateless clairvoyant estimator is safe off the main thread:
   // kNoisy draws from the estimator's RNG on every probe and kCurveFit reads
   // shared fit state, so their call *sequence* is part of the contract and
   // they fall back to the serial loop regardless of the configured budget.
   const bool stateless_estimator =
       ctx.estimator().config().mode == EstimationMode::kClairvoyant;
-  const int round_threads =
-      stateless_estimator ? std::max(1, config_.auction_threads) : 1;
+  return stateless_estimator ? std::max(1, config_.auction_threads) : 1;
+}
 
-  // Steps 1-2: probe for rho, sort worst-off first, keep the top 1-f
-  // fraction (Fig. 3, steps 1-2). The comparator is a strict total order
-  // (ids are unique), so "sorted under it" names one unique permutation —
-  // which is what lets the indexed path below reproduce the full scan's
-  // stable_sort bit-for-bit from a merge.
+std::vector<AppState*> ThemisPolicy::SelectParticipants(
+    SchedulerContext& ctx, const Agent& agent) const {
+  // Sort worst-off first and keep the top 1-f fraction (Fig. 3, steps 1-2).
+  // The comparator is a strict total order (ids are unique), so "sorted
+  // under it" names one unique permutation — which is what lets a merge of
+  // the two index classes reproduce a stable_sort of all candidates.
   const bool short_first = config_.short_app_tiebreak;
   const auto worse = [short_first](const AppState* a, const AppState* b) {
     if (a->last_rho != b->last_rho) return a->last_rho > b->last_rho;
@@ -39,68 +36,56 @@ GrantSet ThemisPolicy::RunRound(const ResourceOffer& offer,
       return a->ideal_time < b->ideal_time;
     return a->id < b->id;  // deterministic final tie-break
   };
-  const auto offer_count = [this](std::size_t num_candidates) {
-    // Always at least one app so the round is work conserving.
-    return std::max(
-        1, static_cast<int>(std::ceil((1.0 - config_.fairness_knob) *
-                                      static_cast<double>(num_candidates))));
-  };
 
+  // Only apps holding GPUs can have a rho that moved since the last round,
+  // so only they are re-probed — ascending id, which is exactly the
+  // estimator-call sequence of probing every app, because gangless apps make
+  // no estimator calls. The gangless hungry class sits pre-ordered in the
+  // index with last_rho pinned to the kUnboundedRho constant the probe would
+  // return. Each probe slot touches only its own app, so the parallel probe
+  // stores the exact values the serial ascending loop would.
+  RhoIndex& index = *ctx.rho_index();
+  index.SetTiebreak(short_first);
+  const std::vector<AppState*>& holders = index.holders();
+  ParallelFor(holders.size(), RoundThreads(ctx), [&](std::size_t i) {
+    holders[i]->last_rho = agent.CurrentRho(*holders[i]);
+  });
+  std::vector<AppState*> bounded;
+  for (AppState* app : holders)
+    if (app->UnmetDemand() > 0) bounded.push_back(app);
+  const std::size_t num_candidates = bounded.size() + index.num_unbounded();
   std::vector<AppState*> participants;
-  RhoIndex* index = config_.incremental_filter ? ctx.rho_index() : nullptr;
-  if (index != nullptr) {
-    // Indexed filter (core/rho_index.h): only apps holding GPUs can have a
-    // rho that moved since the last round, so only they are re-probed —
-    // ascending id, which is exactly the full scan's estimator-call
-    // sequence, because gangless apps contribute no estimator calls there.
-    // The gangless hungry class sits pre-ordered in the index with
-    // last_rho pinned to the kUnboundedRho constant the probe would return.
-    index->SetTiebreak(short_first);
-    const std::vector<AppState*>& holders = index->holders();
-    // Probe phase: each slot touches only its own app, so the parallel probe
-    // stores the exact values the serial ascending loop would.
-    ParallelFor(holders.size(), round_threads,
-                [&](std::size_t i) {
-                  holders[i]->last_rho = agent.CurrentRho(*holders[i]);
-                });
-    std::vector<AppState*> bounded;
-    for (AppState* app : holders)
-      if (app->UnmetDemand() > 0) bounded.push_back(app);
-    const std::size_t num_candidates =
-        bounded.size() + index->num_unbounded();
-    if (num_candidates == 0) return ctx.TakeGrants();
-    std::stable_sort(bounded.begin(), bounded.end(), worse);
+  if (num_candidates == 0) return participants;
+  std::stable_sort(bounded.begin(), bounded.end(), worse);
 
-    // Merge the two sorted classes under the full comparator, stopping at
-    // the cut instead of materializing the whole order.
-    const std::size_t take = std::min<std::size_t>(
-        static_cast<std::size_t>(offer_count(num_candidates)), num_candidates);
-    participants.reserve(take);
-    auto ub = index->unbounded_candidates().begin();
-    const auto ub_end = index->unbounded_candidates().end();
-    std::size_t bi = 0;
-    while (participants.size() < take) {
-      if (bi < bounded.size() && (ub == ub_end || worse(bounded[bi], *ub)))
-        participants.push_back(bounded[bi++]);
-      else
-        participants.push_back(*ub++);
-    }
-  } else {
-    // Literal filter: probe every active app, sort the full candidate set.
-    const AppList& apps = ctx.apps();
-    ParallelFor(apps.size(), round_threads, [&](std::size_t i) {
-      apps[i]->last_rho = agent.CurrentRho(*apps[i]);
-    });
-    std::vector<AppState*> candidates;
-    for (AppState* app : apps)
-      if (app->UnmetDemand() > 0) candidates.push_back(app);
-    if (candidates.empty()) return ctx.TakeGrants();
-    std::stable_sort(candidates.begin(), candidates.end(), worse);
-    const int n_offer = offer_count(candidates.size());
-    participants.assign(
-        candidates.begin(),
-        candidates.begin() + std::min<std::size_t>(n_offer, candidates.size()));
+  // Merge the two sorted classes under the full comparator, stopping at the
+  // cut (always at least one app, so the round is work conserving) instead
+  // of materializing the whole order.
+  const std::size_t take = std::min<std::size_t>(
+      static_cast<std::size_t>(std::max(
+          1, static_cast<int>(std::ceil((1.0 - config_.fairness_knob) *
+                                        static_cast<double>(num_candidates))))),
+      num_candidates);
+  participants.reserve(take);
+  auto ub = index.unbounded_candidates().begin();
+  const auto ub_end = index.unbounded_candidates().end();
+  std::size_t bi = 0;
+  while (participants.size() < take) {
+    if (bi < bounded.size() && (ub == ub_end || worse(bounded[bi], *ub)))
+      participants.push_back(bounded[bi++]);
+    else
+      participants.push_back(*ub++);
   }
+  return participants;
+}
+
+GrantSet ThemisPolicy::RunRound(const ResourceOffer& offer,
+                                SchedulerContext& ctx) {
+  Agent agent(&ctx.topology(), &ctx.estimator(), ctx.now());
+
+  // Steps 1-2: the worst-off 1-f fraction of the hungry apps.
+  const std::vector<AppState*> participants = SelectParticipants(ctx, agent);
+  if (participants.empty()) return ctx.TakeGrants();
 
   // Step 3: collect bids against the offer's resource vector R-> and pool —
   // the protocol inputs, no recount of the cluster's free state.
@@ -115,7 +100,7 @@ GrantSet ThemisPolicy::RunRound(const ResourceOffer& offer,
   // unevenly sized valuation tables.
   std::vector<AgentBid> bids(participants.size());
   ParallelFor(
-      participants.size(), round_threads,
+      participants.size(), RoundThreads(ctx),
       [&](std::size_t i) {
         bids[i] = agent.PrepareBid(*participants[i], free_gpus,
                                    config_.max_bid_rows);

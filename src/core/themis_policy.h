@@ -1,7 +1,7 @@
 // The THEMIS ARBITER — Pseudocode 1 of the paper, as one protocol round.
 //
 // On every round with free GPUs:
-//   1. probe all active apps' AGENTs for their current rho,
+//   1. probe the active apps' AGENTs for their current rho,
 //   2. offer the round's pool to the worst-off 1-f fraction (the fairness
 //      knob f trades finish-time fairness for placement efficiency,
 //      Sec. 8.2),
@@ -16,6 +16,12 @@
 // The returned GrantSet carries the round's auction diagnostics (offered /
 // granted / leftover counts, participant count); applying the leases is the
 // caller's job via ApplyGrants.
+//
+// Steps 1-2 (SelectParticipants) run over the round core's RhoIndex
+// (core/rho_index.h): only apps holding GPUs can have a rho that moved, so
+// only they are re-probed, and the result equals probing and sorting every
+// active app. That literal scan is kept as a test oracle
+// (tests/literal_filter.h) checked before every round of a whole run.
 //
 // Heterogeneous generations: the auction prices speed-weighted shares
 // without any PA change, because every valuation is a rho and rho is built
@@ -42,14 +48,6 @@ struct ThemisConfig {
   /// ties toward apps with smaller ideal running time ("we break ties in
   /// favor of shorter apps"). When false, ties fall back to app id.
   bool short_app_tiebreak = true;
-  /// Use the maintained RhoIndex (core/rho_index.h) for the filter step when
-  /// the embedder provides one through SchedulerContext::rho_index():
-  /// re-probe only apps holding GPUs and merge them with the pre-ordered
-  /// gangless class, instead of probing and sorting every active app each
-  /// round. Bit-identical to the full scan by construction; false forces
-  /// the literal scan (the `themis_cli --no-incremental-filter` bisect
-  /// hatch). Contexts without an index always take the literal scan.
-  bool incremental_filter = true;
   /// Thread budget for the round's embarrassingly parallel phases — the rho
   /// probe over GPU holders and per-participant bid preparation (each worker
   /// writes only its own app / its own pre-sized bids[i] slot, so results are
@@ -62,14 +60,24 @@ struct ThemisConfig {
   PaConfig pa;
 };
 
-class ThemisPolicy final : public ISchedulerPolicy {
+class ThemisPolicy final : public IRoundScheduler {
  public:
   explicit ThemisPolicy(ThemisConfig config = {});
 
   GrantSet RunRound(const ResourceOffer& offer, SchedulerContext& ctx) override;
   const char* name() const override { return "Themis"; }
 
+  /// Steps 1-2: probe rho and return the worst-off max(1, ceil((1-f) N))
+  /// of the N hungry apps, worst first — empty when no app is hungry. Reads
+  /// the context's RhoIndex: only GPU holders are re-probed (ascending id),
+  /// and the gangless class, whose rho is the kUnboundedRho constant, comes
+  /// pre-ordered from the index. Writes last_rho of every holder.
+  std::vector<AppState*> SelectParticipants(SchedulerContext& ctx,
+                                            const Agent& agent) const;
+
  private:
+  /// Thread budget for the round's data-parallel phases (probe, bid prep).
+  int RoundThreads(SchedulerContext& ctx) const;
   /// Stage 6: hand out whatever is still in the pool after the auction.
   void AllocateLeftovers(SchedulerContext& ctx, const Agent& agent,
                          const std::vector<AppState*>& participants);

@@ -5,26 +5,21 @@
 namespace themis {
 
 SchedulerContext::SchedulerContext(const ResourceOffer& offer,
-                                   Cluster* cluster, WorkEstimator* estimator,
-                                   AppList* apps, Rng* rng)
+                                   const Cluster* cluster,
+                                   WorkEstimator* estimator, AppList* apps,
+                                   RhoIndex& rho_index, Rng* rng)
     : now_(offer.time),
       cluster_(cluster),
       estimator_(estimator),
       lease_duration_(offer.lease_duration),
       apps_(apps),
+      rho_index_(&rho_index),
       rng_(rng),
       pool_(offer.gpus, cluster->topology()),
       offered_gpus_(offer.TotalGpus()) {
   grants_.round_id = offer.round_id;
   grants_.lease_expiry = offer.time + offer.lease_duration;
 }
-
-SchedulerContext::SchedulerContext(Time now, Cluster* cluster,
-                                   WorkEstimator* estimator,
-                                   Time lease_duration, AppList* apps,
-                                   Rng* rng)
-    : SchedulerContext(MakeOffer(0, now, lease_duration, *cluster), cluster,
-                       estimator, apps, rng) {}
 
 void SchedulerContext::Grant(AppState& app, JobState& job,
                              const std::vector<GpuId>& gpus) {
@@ -35,7 +30,6 @@ void SchedulerContext::Grant(AppState& app, JobState& job,
   }
   granted_gpus_ += static_cast<int>(gpus.size());
   grants_.grants.push_back({app.id, job.id, gpus});
-  granted_jobs_.emplace_back(app.id, job.id);
 }
 
 GrantSet SchedulerContext::TakeGrants() {
@@ -43,20 +37,6 @@ GrantSet SchedulerContext::TakeGrants() {
   grants_.diagnostics.granted_gpus = granted_gpus_;
   grants_.diagnostics.leftover_gpus = pool_.size();
   return std::move(grants_);
-}
-
-GrantSet ISchedulerPolicy::Schedule(const std::vector<GpuId>& free_gpus,
-                                    SchedulerContext& ctx) {
-  ResourceOffer offer;
-  offer.round_id = ctx.grants().round_id;
-  offer.time = ctx.now();
-  offer.lease_duration = ctx.lease_duration();
-  offer.gpus = free_gpus;
-  offer.free_per_machine = ctx.free_per_machine();  // pre-grant snapshot
-  offer.machine_speeds = ctx.topology().machine_speeds();
-  GrantSet out = RunRound(offer, ctx);
-  ApplyGrants(out, ctx.cluster());
-  return out;
 }
 
 }  // namespace themis

@@ -5,10 +5,12 @@
 // arrive/finish, the round core (core/round_core.h) publishes a
 // ResourceOffer, the scheduler stages grants through this context and
 // returns a GrantSet, and the core applies the leases through ApplyGrants,
-// then charges restart overheads.
+// then charges restart overheads. A context is built only from an offer and
+// always carries the maintained RhoIndex, so a scheduler never sees a round
+// without one; tests that drive a single round go through the same
+// constructor.
 #pragma once
 
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -27,22 +29,17 @@ class RhoIndex;
 /// any cluster mutation. One context runs exactly one round.
 class SchedulerContext {
  public:
-  /// Round-protocol construction: the context adopts the offer's pool and
-  /// lease terms. `offer` must snapshot `cluster`'s current free pool.
-  SchedulerContext(const ResourceOffer& offer, Cluster* cluster,
-                   WorkEstimator* estimator, AppList* apps, Rng* rng);
-
-  /// Legacy construction: snapshots the cluster's free pool itself (an
-  /// anonymous round 0 offer). Kept for tests and embedders that drive
-  /// ISchedulerPolicy::Schedule directly.
-  SchedulerContext(Time now, Cluster* cluster, WorkEstimator* estimator,
-                   Time lease_duration, AppList* apps, Rng* rng);
+  /// The context adopts the offer's pool and lease terms. `offer` must
+  /// snapshot `cluster`'s current free pool, and `rho_index` must be in sync
+  /// with every app in `apps`.
+  SchedulerContext(const ResourceOffer& offer, const Cluster* cluster,
+                   WorkEstimator* estimator, AppList* apps, RhoIndex& rho_index,
+                   Rng* rng);
 
   Time now() const { return now_; }
-  /// Read-only cluster topology/lease queries. Free-pool state must be read
-  /// through free_pool(): the cluster does not see this round's grants until
+  /// Read-only topology queries. Free-pool state must be read through
+  /// free_pool(): the cluster does not see this round's grants until
   /// ApplyGrants runs.
-  Cluster& cluster() { return *cluster_; }
   const Topology& topology() const { return cluster_->topology(); }
   WorkEstimator& estimator() { return *estimator_; }
   Time lease_duration() const { return lease_duration_; }
@@ -50,13 +47,10 @@ class SchedulerContext {
   const AppList& apps() const { return *apps_; }
   Rng& rng() { return *rng_; }
 
-  /// The maintained rho index (core/rho_index.h) when the embedder keeps
-  /// one in sync with every app mutation — the simulator does; legacy
-  /// contexts leave it null and policies fall back to full scans. The index
-  /// reflects state as of round start; policies must not read it after
+  /// The maintained rho index (core/rho_index.h) over apps(); never null.
+  /// It reflects state as of round start; policies must not read it after
   /// staging grants (grants change holdings the index has not seen yet).
   RhoIndex* rho_index() const { return rho_index_; }
-  void set_rho_index(RhoIndex* index) { rho_index_ = index; }
 
   /// The offer's pool, shrunk by every grant staged so far. Policies read
   /// this instead of recounting the cluster's free state.
@@ -77,48 +71,22 @@ class SchedulerContext {
   /// The pending grant set (e.g. for a policy stamping auction diagnostics).
   GrantSet& grants() { return grants_; }
 
-  /// Every (app, job) that received a grant this round, in staging order
-  /// (may repeat). Unlike grants(), this record survives TakeGrants(), so
-  /// the simulator's change detection can enumerate grown gangs even when a
-  /// legacy Schedule() wrapper consumed the GrantSet inside the round.
-  const std::vector<std::pair<AppId, JobId>>& granted_jobs() const {
-    return granted_jobs_;
-  }
-
   /// Finish the round: stamp the pool-level diagnostics (offered / granted /
   /// leftover) and move the GrantSet out. The context is spent afterwards.
   GrantSet TakeGrants();
 
  private:
   Time now_;
-  Cluster* cluster_;
+  const Cluster* cluster_;
   WorkEstimator* estimator_;
   Time lease_duration_;
   AppList* apps_;
+  RhoIndex* rho_index_;
   Rng* rng_;
-  RhoIndex* rho_index_ = nullptr;
   FreePool pool_;
   GrantSet grants_;
-  std::vector<std::pair<AppId, JobId>> granted_jobs_;
   int offered_gpus_ = 0;
   int granted_gpus_ = 0;
-};
-
-/// Legacy single-call policy API, now a thin adapter over IRoundScheduler:
-/// Schedule() wraps the context's pool into a ResourceOffer, runs one round,
-/// and immediately applies the grants to the context's cluster. The
-/// simulator does not use it — it drives RunRound/ApplyGrants itself — but
-/// tests and embedders keep a one-line entry point.
-class ISchedulerPolicy : public IRoundScheduler {
- public:
-  /// Run one round and apply it. Precondition: `free_gpus` is the cluster's
-  /// complete current free pool (`ctx.cluster().FreeGpus()` with no mutation
-  /// since the context was built), so it agrees with ctx.free_pool() — the
-  /// auction uses the matching per-machine counts as its offered resources.
-  /// Passing a filtered subset would let the auction award GPUs the
-  /// materialization step cannot take. Returns the applied GrantSet.
-  GrantSet Schedule(const std::vector<GpuId>& free_gpus,
-                    SchedulerContext& ctx);
 };
 
 }  // namespace themis

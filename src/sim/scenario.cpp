@@ -207,15 +207,12 @@ void ApplySim(const JsonValue& v, SimConfig& sim) {
 
 void ApplyThemis(const JsonValue& v, ThemisConfig& themis) {
   CheckKeys(v, "themis",
-            {"fairness_knob", "max_bid_rows", "short_app_tiebreak",
-             "incremental_filter"});
+            {"fairness_knob", "max_bid_rows", "short_app_tiebreak"});
   themis.fairness_knob = v.NumberOr("fairness_knob", themis.fairness_knob);
   themis.max_bid_rows = IntKnob(v, "max_bid_rows", themis.max_bid_rows,
                                 "themis");
   themis.short_app_tiebreak =
       v.BoolOr("short_app_tiebreak", themis.short_app_tiebreak);
-  themis.incremental_filter =
-      v.BoolOr("incremental_filter", themis.incremental_filter);
 }
 
 void ApplyScenarioObject(const JsonValue& v, ScenarioSpec& spec) {

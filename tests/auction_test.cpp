@@ -24,6 +24,13 @@ BidTable Table(AppId app, std::vector<BidRow> rows) {
   return t;
 }
 
+/// The solver's input form: pointers borrowed from `tables`.
+std::vector<const BidTable*> Borrow(const std::vector<BidTable>& tables) {
+  std::vector<const BidTable*> out;
+  for (const BidTable& t : tables) out.push_back(&t);
+  return out;
+}
+
 TEST(BidValidation, AcceptsWellFormedBid) {
   const auto bid = Table(1, {Row({0, 0}, 8.0), Row({2, 0}, 4.0)});
   EXPECT_EQ(ValidateBid(bid, {4, 4}), "");
@@ -53,7 +60,7 @@ TEST(BidRow, ValueIsReciprocalRho) {
 }
 
 TEST(PartialAllocation, EmptyBidsLeaveEverything) {
-  const PaResult r = PartialAllocation(std::vector<BidTable>{}, {4, 4});
+  const PaResult r = PartialAllocation({}, {4, 4});
   EXPECT_TRUE(r.winners.empty());
   EXPECT_EQ(r.leftover, (std::vector<int>{4, 4}));
 }
@@ -62,7 +69,7 @@ TEST(PartialAllocation, SingleBidderAloneKeepsFullBundle) {
   // With no competitors, removing the bidder changes nothing for "others"
   // (empty product), so c = 1 and the whole proportional-fair bundle lands.
   const auto bid = Table(1, {Row({0}, 10.0), Row({4}, 2.5)});
-  const PaResult r = PartialAllocation({bid}, {4});
+  const PaResult r = PartialAllocation({&bid}, {4});
   ASSERT_EQ(r.winners.size(), 1u);
   EXPECT_EQ(r.winners[0].row, 1);
   EXPECT_DOUBLE_EQ(r.winners[0].c, 1.0);
@@ -75,7 +82,7 @@ TEST(PartialAllocation, PicksWelfareMaximizingAssignment) {
   // 1.25x: welfare is maximized by giving the machine to A.
   const auto a = Table(1, {Row({0}, 8.0), Row({4}, 2.0)});
   const auto b = Table(2, {Row({0}, 5.0), Row({4}, 4.0)});
-  const PfSolution pf = SolveProportionalFair({a, b}, {4});
+  const PfSolution pf = SolveProportionalFair({&a, &b}, {4});
   EXPECT_EQ(pf.rows, (std::vector<int>{1, 0}));
   EXPECT_TRUE(pf.exact);
 }
@@ -85,7 +92,7 @@ TEST(PartialAllocation, SplitsAcrossMachinesWhenProductPrefersIt) {
   // gains nothing more from the second: product prefers one each.
   const auto a = Table(1, {Row({0, 0}, 8.0), Row({2, 0}, 4.0), Row({2, 2}, 3.9)});
   const auto b = Table(2, {Row({0, 0}, 8.0), Row({0, 2}, 4.0), Row({2, 2}, 3.9)});
-  const PfSolution pf = SolveProportionalFair({a, b}, {2, 2});
+  const PfSolution pf = SolveProportionalFair({&a, &b}, {2, 2});
   EXPECT_EQ(pf.rows, (std::vector<int>{1, 1}));
 }
 
@@ -94,7 +101,7 @@ TEST(PartialAllocation, HiddenPaymentShrinksContestedGrants) {
   // pays a hidden payment (c < 1), so part of the machine is left over.
   const auto a = Table(1, {Row({0}, 8.0), Row({4}, 2.0)});
   const auto b = Table(2, {Row({0}, 8.0), Row({4}, 2.0)});
-  const PaResult r = PartialAllocation({a, b}, {4});
+  const PaResult r = PartialAllocation({&a, &b}, {4});
   int granted_total = 0;
   for (const PaWinner& w : r.winners) {
     EXPECT_LE(w.c, 1.0);
@@ -109,7 +116,7 @@ TEST(PartialAllocation, UncontestedBiddersKeepEverything) {
   // Disjoint interests: no competition, c = 1 for both, zero leftover.
   const auto a = Table(1, {Row({0, 0}, 8.0), Row({4, 0}, 2.0)});
   const auto b = Table(2, {Row({0, 0}, 8.0), Row({0, 4}, 2.0)});
-  const PaResult r = PartialAllocation({a, b}, {4, 4});
+  const PaResult r = PartialAllocation({&a, &b}, {4, 4});
   for (const PaWinner& w : r.winners) EXPECT_NEAR(w.c, 1.0, 1e-9);
   EXPECT_EQ(r.leftover, (std::vector<int>{0, 0}));
 }
@@ -118,7 +125,7 @@ TEST(PartialAllocation, ZeroRowWinnersGetNothing) {
   // B's gain is negligible; A's is big. B should win nothing and keep c=1.
   const auto a = Table(1, {Row({0}, 100.0), Row({4}, 1.0)});
   const auto b = Table(2, {Row({0}, 2.0), Row({4}, 1.9)});
-  const PaResult r = PartialAllocation({a, b}, {4});
+  const PaResult r = PartialAllocation({&a, &b}, {4});
   EXPECT_EQ(r.winners[0].row, 1);
   EXPECT_EQ(r.winners[1].row, 0);
   EXPECT_EQ(r.winners[1].granted, (std::vector<int>{0}));
@@ -148,7 +155,7 @@ TEST(PartialAllocation, GrantsNeverExceedOffer) {
       }
       bids.push_back(std::move(t));
     }
-    const PaResult result = PartialAllocation(bids, offered);
+    const PaResult result = PartialAllocation(Borrow(bids), offered);
     std::vector<int> used(machines, 0);
     for (const PaWinner& w : result.winners) {
       EXPECT_GE(w.c, 0.0);
@@ -175,8 +182,8 @@ TEST(PartialAllocation, TruthTellingBeatsExaggerationForTheLiar) {
   const auto b_honest = Table(2, {Row({0}, 10.0), Row({4}, 2.5)});
   const auto b_liar = Table(2, {Row({0}, 10.0), Row({4}, 0.1)});
 
-  const PaResult honest = PartialAllocation({a, b_honest}, {4});
-  const PaResult lying = PartialAllocation({a, b_liar}, {4});
+  const PaResult honest = PartialAllocation({&a, &b_honest}, {4});
+  const PaResult lying = PartialAllocation({&a, &b_liar}, {4});
 
   // Identical bids: symmetric welfare; exaggeration flips the win to B...
   EXPECT_EQ(lying.winners[1].row, 1);
@@ -207,7 +214,7 @@ TEST(PartialAllocation, LeftoverBoundedByEFraction) {
       }
       bids.push_back(std::move(t));
     }
-    const PaResult r = PartialAllocation(bids, offered);
+    const PaResult r = PartialAllocation(Borrow(bids), offered);
     int leftover = 0;
     const int total = 16;
     for (int m = 0; m < machines; ++m) leftover += r.leftover[m];
@@ -227,7 +234,7 @@ TEST(PartialAllocation, ParetoEfficiencyOfProportionalFairStage) {
   const auto a = Table(1, {Row({0, 0}, 9.0), Row({2, 0}, 5.0), Row({2, 2}, 3.0)});
   const auto b = Table(2, {Row({0, 0}, 7.0), Row({0, 2}, 4.0), Row({2, 2}, 2.5)});
   const std::vector<int> offered{2, 2};
-  const PfSolution pf = SolveProportionalFair({a, b}, offered);
+  const PfSolution pf = SolveProportionalFair({&a, &b}, offered);
   const std::vector<BidTable> bids{a, b};
   std::vector<int> used(2, 0);
   for (std::size_t i = 0; i < bids.size(); ++i)
@@ -251,8 +258,8 @@ TEST(PartialAllocation, ParetoEfficiencyOfProportionalFairStage) {
 }
 
 TEST(PartialAllocation, ThrowsOnInvalidBid) {
-  EXPECT_THROW(PartialAllocation({Table(1, {Row({9}, 1.0)})}, {4}),
-               std::invalid_argument);
+  const BidTable bad = Table(1, {Row({9}, 1.0)});
+  EXPECT_THROW(PartialAllocation({&bad}, {4}), std::invalid_argument);
 }
 
 TEST(PartialAllocation, GreedyFallbackStaysFeasible) {
@@ -267,7 +274,7 @@ TEST(PartialAllocation, GreedyFallbackStaysFeasible) {
     t.rows.push_back(Row({0, 2}, 5.0));
     bids.push_back(std::move(t));
   }
-  const PaResult r = PartialAllocation(bids, {4, 4}, cfg);
+  const PaResult r = PartialAllocation(Borrow(bids), {4, 4}, cfg);
   EXPECT_FALSE(r.exact);
   std::vector<int> used(2, 0);
   for (const PaWinner& w : r.winners)
@@ -296,10 +303,12 @@ TEST_P(PaScaleTest, ExactAndGreedyAgreeOnWelfareOrBetter) {
   }
   PaConfig exact_cfg;
   exact_cfg.max_nodes = 5'000'000;
-  const PfSolution exact = SolveProportionalFair(bids, offered, exact_cfg);
+  const PfSolution exact =
+      SolveProportionalFair(Borrow(bids), offered, exact_cfg);
   PaConfig greedy_cfg;
   greedy_cfg.max_nodes = 0;
-  const PfSolution greedy = SolveProportionalFair(bids, offered, greedy_cfg);
+  const PfSolution greedy =
+      SolveProportionalFair(Borrow(bids), offered, greedy_cfg);
   EXPECT_TRUE(exact.exact);
   EXPECT_GE(exact.log_welfare, greedy.log_welfare - 1e-9);
   // Greedy + local search is only the over-budget fallback; it should land
@@ -317,7 +326,7 @@ TEST(PartialAllocation, HiddenPaymentsOffGrantsFullRows) {
   const auto b = Table(2, {Row({0}, 8.0), Row({4}, 2.0)});
   PaConfig cfg;
   cfg.hidden_payments = false;
-  const PaResult r = PartialAllocation({a, b}, {4}, cfg);
+  const PaResult r = PartialAllocation({&a, &b}, {4}, cfg);
   int granted = 0;
   for (const PaWinner& w : r.winners) {
     EXPECT_DOUBLE_EQ(w.c, 1.0);

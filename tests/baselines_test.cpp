@@ -7,6 +7,7 @@
 #include "baselines/gandiva.h"
 #include "baselines/slaq.h"
 #include "baselines/tiresias.h"
+#include "round_harness.h"
 
 namespace themis {
 namespace {
@@ -48,16 +49,14 @@ class BaselineTest : public ::testing::Test {
   BaselineTest()
       : cluster_(ClusterSpec::Uniform(2, 2, 4, 2)), est_({}), rng_(1) {}
 
-  void Schedule(ISchedulerPolicy& policy, Time now = 0.0) {
-    AppList list;
-    for (auto& app : apps_) list.push_back(app.get());
-    SchedulerContext ctx(now, &cluster_, &est_, /*lease=*/20.0, &list, &rng_);
-    policy.Schedule(cluster_.FreeGpus(), ctx);
+  void Schedule(IRoundScheduler& policy, Time now = 0.0) {
+    harness_.SyncAndRun(policy, apps_, now);
   }
 
   Cluster cluster_;
   WorkEstimator est_;
   Rng rng_;
+  RoundHarness harness_{cluster_, est_, rng_};
   std::vector<std::unique_ptr<AppState>> apps_;
 };
 
@@ -153,25 +152,24 @@ TEST_F(BaselineTest, SlaqStillServesConvergedJobsWhenUncontested) {
 }
 
 TEST_F(BaselineTest, AllBaselinesHonorGangGranularity) {
-  for (auto make : {+[]() -> std::unique_ptr<ISchedulerPolicy> {
+  for (auto make : {+[]() -> std::unique_ptr<IRoundScheduler> {
                       return std::make_unique<GandivaPolicy>();
                     },
-                    +[]() -> std::unique_ptr<ISchedulerPolicy> {
+                    +[]() -> std::unique_ptr<IRoundScheduler> {
                       return std::make_unique<TiresiasPolicy>();
                     },
-                    +[]() -> std::unique_ptr<ISchedulerPolicy> {
+                    +[]() -> std::unique_ptr<IRoundScheduler> {
                       return std::make_unique<SlaqPolicy>();
                     }}) {
     Cluster cluster(ClusterSpec::Uniform(1, 1, 4, 2));
-    auto app = MakeApp(0, 0.0, {MakeJobSpec(40.0, 2, 3)});  // 3-GPU gangs
-    AppList list{app.get()};
+    std::vector<std::unique_ptr<AppState>> apps;
+    apps.push_back(MakeApp(0, 0.0, {MakeJobSpec(40.0, 2, 3)}));  // 3-GPU gangs
     WorkEstimator est({});
     Rng rng(1);
-    SchedulerContext ctx(0.0, &cluster, &est, 20.0, &list, &rng);
     auto policy = make();
-    policy->Schedule(cluster.FreeGpus(), ctx);
+    RoundHarness(cluster, est, rng).SyncAndRun(*policy, apps);
     // 4 free GPUs, 3-GPU gangs: exactly one gang granted.
-    EXPECT_EQ(app->GpusHeld(), 3) << policy->name();
+    EXPECT_EQ(apps[0]->GpusHeld(), 3) << policy->name();
   }
 }
 

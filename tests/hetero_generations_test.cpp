@@ -12,8 +12,7 @@
 //   - Homogeneous equivalence suite: with every speed pinned to 1.0, all
 //     five policies reproduce the generation-unaware decisions bit-for-bit
 //     (the guarantee that the resource-model refactor preserved today's
-//     scheduling; verified the same in-process-fingerprint way the round
-//     protocol pinned adapter-vs-native).
+//     scheduling, checked by in-process fingerprints).
 #include <gtest/gtest.h>
 
 #include <cmath>

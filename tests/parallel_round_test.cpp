@@ -234,15 +234,6 @@ TEST(ParallelRoundEquivalence, HoldsOnStreamedTraces) {
   EXPECT_EQ(serial.total_apps, apps.size());
 }
 
-TEST(ParallelRoundEquivalence, HoldsWithLiteralFilter) {
-  // Both filter paths host a parallel probe loop; pin the literal one too.
-  ExperimentConfig config = ContendedConfig(PolicyKind::kThemis);
-  config.themis.incremental_filter = false;
-  const ExperimentResult serial = RunWithThreads(config, 0);
-  const ExperimentResult parallel = RunWithThreads(config, 8);
-  ExpectSameExperiment(serial, parallel);
-}
-
 // ---------------------------------------------------------------------------
 // Stateful estimator modes: silent serial fallback, identical RNG streams.
 // ---------------------------------------------------------------------------

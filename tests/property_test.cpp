@@ -114,7 +114,9 @@ TEST_P(PaRandomInstanceTest, MechanismInvariantsHold) {
       bids.push_back(std::move(t));
     }
 
-    const PaResult result = PartialAllocation(bids, offered);
+    std::vector<const BidTable*> borrowed;
+    for (const BidTable& t : bids) borrowed.push_back(&t);
+    const PaResult result = PartialAllocation(borrowed, offered);
     ASSERT_EQ(result.winners.size(), bids.size());
 
     std::vector<int> used(machines, 0);
@@ -168,13 +170,15 @@ TEST_P(PaRandomInstanceTest, RemovingABidderNeverHurtsTheOthers) {
 
   PaConfig cfg;
   cfg.max_nodes = 1'000'000;
-  const PfSolution full = SolveProportionalFair(bids, offered, cfg);
+  std::vector<const BidTable*> all;
+  for (const BidTable& t : bids) all.push_back(&t);
+  const PfSolution full = SolveProportionalFair(all, offered, cfg);
   for (int drop = 0; drop < n_apps; ++drop) {
-    std::vector<BidTable> others;
+    std::vector<const BidTable*> others;
     double others_log_in_full = 0.0;
     for (int i = 0; i < n_apps; ++i) {
       if (i == drop) continue;
-      others.push_back(bids[i]);
+      others.push_back(&bids[i]);
       others_log_in_full += std::log(bids[i].rows[full.rows[i]].Value());
     }
     const PfSolution without = SolveProportionalFair(others, offered, cfg);

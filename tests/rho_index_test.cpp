@@ -1,20 +1,29 @@
-// Tests for core/rho_index.h: the maintained filter index behind
-// ThemisConfig::incremental_filter must be pinned bit-identical to the
-// literal probe-everything filter (results, fingerprints, diagnostics)
-// across every policy, both engines, failures, heterogeneous generations,
-// noisy estimation and streamed traces; the index itself must agree with a
-// from-scratch classification after arbitrary event sequences; and the
-// indexed participant cut must reproduce the comparator's tie-break chain
-// exactly.
+// Tests for core/rho_index.h, the maintained filter index behind
+// ThemisPolicy::SelectParticipants:
+//   - a per-round oracle: before every round of whole contended runs
+//     (preloaded, streamed, under failures, on mixed generations, with the
+//     short-app tie-break off, both engines), the indexed participant cut
+//     must equal the literal probe-everything filter (tests/literal_filter.h)
+//     id for id, and the checks must leave the run's result unchanged;
+//   - the invariant the index rests on: a gangless app probes to exactly
+//     kUnboundedRho without touching the estimator's RNG;
+//   - the index agrees with a from-scratch classification
+//     (ExpectIndexMatchesBruteForce, tests/round_audit.h) after arbitrary
+//     event sequences;
+//   - the cut follows the comparator's tie-break chain exactly.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
 #include "core/rho_index.h"
 #include "core/themis_policy.h"
+#include "literal_filter.h"
+#include "round_audit.h"
+#include "round_harness.h"
 #include "sim/experiment.h"
 #include "workload/trace_gen.h"
 #include "workload/trace_io.h"
@@ -23,8 +32,34 @@ namespace themis {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Bit-identical equivalence: indexed vs. recompute filter, whole experiments.
+// Per-round oracle: indexed cut == literal cut before every real round.
 // ---------------------------------------------------------------------------
+
+/// Runs ThemisPolicy, but before every round requires SelectParticipants to
+/// return the literal filter's ordered ids. Both probes are pure under the
+/// clairvoyant estimator, so the wrapped run must equal an unwrapped one.
+class FilterOracleScheduler final : public IRoundScheduler {
+ public:
+  FilterOracleScheduler(ThemisConfig config, int* rounds_checked)
+      : policy_(config), config_(config), rounds_checked_(rounds_checked) {}
+
+  GrantSet RunRound(const ResourceOffer& offer,
+                    SchedulerContext& ctx) override {
+    const Agent agent(&ctx.topology(), &ctx.estimator(), ctx.now());
+    const std::vector<AppId> literal =
+        AppIds(LiteralFilter(ctx.apps(), agent, config_));
+    EXPECT_EQ(AppIds(policy_.SelectParticipants(ctx, agent)), literal)
+        << "round " << offer.round_id << " at t=" << offer.time;
+    ++*rounds_checked_;
+    return policy_.RunRound(offer, ctx);
+  }
+  const char* name() const override { return "Themis (filter oracle)"; }
+
+ private:
+  ThemisPolicy policy_;
+  ThemisConfig config_;
+  int* rounds_checked_;
+};
 
 void ExpectSameExperiment(const ExperimentResult& a,
                           const ExperimentResult& b) {
@@ -54,11 +89,11 @@ void ExpectSameExperiment(const ExperimentResult& a,
 }
 
 // Contended mixed workload (multi-job tuned apps, overlapping lifetimes,
-// restarts): everything that can make the two filter paths diverge.
-ExperimentConfig ContendedConfig(PolicyKind policy) {
+// restarts): everything that can make the two filters diverge.
+ExperimentConfig ContendedConfig() {
   ExperimentConfig config;
   config.cluster = ClusterSpec::Uniform(2, 4, 4, 2);
-  config.policy = policy;
+  config.policy = PolicyKind::kThemis;
   config.trace.seed = 33;
   config.trace.num_apps = 25;
   config.trace.jobs_per_app_median = 6.0;
@@ -67,89 +102,65 @@ ExperimentConfig ContendedConfig(PolicyKind policy) {
   return config;
 }
 
-ExperimentResult RunWithFilter(ExperimentConfig config, bool incremental) {
-  config.themis.incremental_filter = incremental;
-  return RunExperiment(config);
+/// Runs `config` on both engines through the oracle and checks each run
+/// against the plain RunExperiment / RunStreamingExperiment result.
+void ExpectOracleHolds(const ExperimentConfig& base, bool streamed = false) {
+  for (const SimEngine engine :
+       {SimEngine::kEventDriven, SimEngine::kPassStepped}) {
+    ExperimentConfig config = base;
+    config.sim.engine = engine;
+    std::vector<AppSpec> apps = TraceGenerator(config.trace).Generate();
+    int checked = 0;
+    auto oracle = std::make_unique<FilterOracleScheduler>(config.themis,
+                                                          &checked);
+    ExperimentResult plain;
+    std::unique_ptr<Simulator> sim;
+    if (streamed) {
+      config.sim.arrival_lookahead_minutes = 30.0;
+      config.sim.retire_finished_apps = true;
+      plain = RunStreamingExperiment(
+          config, std::make_unique<VectorTraceReader>(apps));
+      sim = std::make_unique<Simulator>(
+          config.cluster, std::make_unique<VectorTraceReader>(std::move(apps)),
+          std::move(oracle), config.sim);
+    } else {
+      plain = RunExperiment(config);
+      sim = std::make_unique<Simulator>(config.cluster, std::move(apps),
+                                        std::move(oracle), config.sim);
+    }
+    const ExperimentResult checked_run = SummarizeRun(config, sim->Run());
+    EXPECT_GT(checked, 0);
+    EXPECT_EQ(checked_run.unfinished_apps, 0);
+    ExpectSameExperiment(checked_run, plain);
+  }
 }
 
-class FilterEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<PolicyKind, SimEngine>> {};
-
-TEST_P(FilterEquivalenceTest, IndexedMatchesRecomputeBitForBit) {
-  ExperimentConfig config = ContendedConfig(std::get<0>(GetParam()));
-  config.sim.engine = std::get<1>(GetParam());
-  const ExperimentResult indexed = RunWithFilter(config, true);
-  const ExperimentResult recompute = RunWithFilter(config, false);
-  ExpectSameExperiment(indexed, recompute);
-  EXPECT_EQ(indexed.unfinished_apps, 0);
-  EXPECT_GT(indexed.rounds_executed, 0);
+TEST(FilterOracle, HoldsEveryRoundPreloaded) {
+  ExpectOracleHolds(ContendedConfig());
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    PoliciesTimesEngines, FilterEquivalenceTest,
-    ::testing::Combine(::testing::Values(PolicyKind::kThemis,
-                                         PolicyKind::kGandiva,
-                                         PolicyKind::kTiresias,
-                                         PolicyKind::kSlaq, PolicyKind::kDrf),
-                       ::testing::Values(SimEngine::kEventDriven,
-                                         SimEngine::kPassStepped)));
+TEST(FilterOracle, HoldsEveryRoundStreamed) {
+  ExpectOracleHolds(ContendedConfig(), /*streamed=*/true);
+}
 
-TEST(FilterEquivalence, HoldsUnderMachineFailures) {
-  ExperimentConfig config = ContendedConfig(PolicyKind::kThemis);
+TEST(FilterOracle, HoldsEveryRoundUnderMachineFailures) {
+  ExperimentConfig config = ContendedConfig();
   config.sim.machine_mtbf_minutes = 300.0;
   config.sim.machine_repair_minutes = 45.0;
-  const ExperimentResult indexed = RunWithFilter(config, true);
-  const ExperimentResult recompute = RunWithFilter(config, false);
-  EXPECT_GT(indexed.machine_failures, 0);
-  ExpectSameExperiment(indexed, recompute);
+  ExpectOracleHolds(config);
 }
 
-TEST(FilterEquivalence, HoldsOnHeterogeneousGenerations) {
-  ExperimentConfig config = ContendedConfig(PolicyKind::kThemis);
+TEST(FilterOracle, HoldsEveryRoundOnHeterogeneousGenerations) {
+  ExperimentConfig config = ContendedConfig();
   ApplyGenerationMix(config.cluster,
                      ParseGenerationMix("K80:0.25,V100:0.5,A100:0.25"));
-  const ExperimentResult indexed = RunWithFilter(config, true);
-  const ExperimentResult recompute = RunWithFilter(config, false);
-  ExpectSameExperiment(indexed, recompute);
+  ExpectOracleHolds(config);
 }
 
-TEST(FilterEquivalence, HoldsUnderNoisyEstimation) {
-  // The noisy estimator draws one RNG sample per RemainingWork call, so the
-  // indexed probe must issue the exact estimator-call sequence of the full
-  // scan — any skipped or reordered probe desynchronizes every downstream
-  // random decision. Gangless apps make zero estimator calls, which is what
-  // makes "probe holders ascending id" the exact sequence.
-  ExperimentConfig config = ContendedConfig(PolicyKind::kThemis);
-  config.sim.estimator.mode = EstimationMode::kNoisy;
-  config.sim.estimator.theta = 0.15;
-  const ExperimentResult indexed = RunWithFilter(config, true);
-  const ExperimentResult recompute = RunWithFilter(config, false);
-  ExpectSameExperiment(indexed, recompute);
-}
-
-TEST(FilterEquivalence, HoldsOnStreamedTraces) {
-  const ExperimentConfig base = ContendedConfig(PolicyKind::kThemis);
-  const auto apps = TraceGenerator(base.trace).Generate();
-  auto run = [&](bool incremental) {
-    ExperimentConfig config = base;
-    config.themis.incremental_filter = incremental;
-    config.sim.arrival_lookahead_minutes = 30.0;
-    config.sim.retire_finished_apps = true;
-    return RunStreamingExperiment(config,
-                                  std::make_unique<VectorTraceReader>(apps));
-  };
-  const ExperimentResult indexed = run(true);
-  const ExperimentResult recompute = run(false);
-  ExpectSameExperiment(indexed, recompute);
-  EXPECT_EQ(indexed.total_apps, apps.size());
-}
-
-TEST(FilterEquivalence, HoldsWithShortAppTiebreakOff) {
-  ExperimentConfig config = ContendedConfig(PolicyKind::kThemis);
+TEST(FilterOracle, HoldsEveryRoundWithShortAppTiebreakOff) {
+  ExperimentConfig config = ContendedConfig();
   config.themis.short_app_tiebreak = false;
-  const ExperimentResult indexed = RunWithFilter(config, true);
-  const ExperimentResult recompute = RunWithFilter(config, false);
-  ExpectSameExperiment(indexed, recompute);
+  ExpectOracleHolds(config);
 }
 
 // ---------------------------------------------------------------------------
@@ -182,45 +193,6 @@ std::unique_ptr<AppState> PropApp(AppId id, double ideal_time, int jobs) {
     app->jobs.push_back(std::move(job));
   }
   return app;
-}
-
-// From-scratch reference: classify every app and order each class exactly as
-// the index contract promises.
-void ExpectIndexMatchesBruteForce(
-    const RhoIndex& index, const std::vector<std::unique_ptr<AppState>>& apps,
-    bool short_tiebreak) {
-  std::vector<const AppState*> want_holders;
-  std::vector<const AppState*> want_unbounded;
-  for (const auto& app : apps) {
-    if (!app->arrived || app->finished) continue;
-    bool holds = false;
-    for (const JobState& job : app->jobs)
-      if (!job.gpus.empty()) holds = true;
-    if (holds)
-      want_holders.push_back(app.get());
-    else if (app->UnmetDemand() > 0)
-      want_unbounded.push_back(app.get());
-  }
-  std::sort(want_holders.begin(), want_holders.end(),
-            [](const AppState* a, const AppState* b) { return a->id < b->id; });
-  std::sort(want_unbounded.begin(), want_unbounded.end(),
-            [short_tiebreak](const AppState* a, const AppState* b) {
-              if (short_tiebreak && a->ideal_time != b->ideal_time)
-                return a->ideal_time < b->ideal_time;
-              return a->id < b->id;
-            });
-
-  ASSERT_EQ(index.holders().size(), want_holders.size());
-  for (std::size_t i = 0; i < want_holders.size(); ++i)
-    EXPECT_EQ(index.holders()[i], want_holders[i]) << "holder " << i;
-  ASSERT_EQ(index.num_unbounded(), want_unbounded.size());
-  std::size_t i = 0;
-  for (const AppState* app : index.unbounded_candidates()) {
-    EXPECT_EQ(app, want_unbounded[i]) << "unbounded " << i;
-    // Contract: the index pins the class's last_rho to the probe constant.
-    EXPECT_EQ(app->last_rho, kUnboundedRho);
-    ++i;
-  }
 }
 
 TEST(RhoIndexProperty, AgreesWithBruteForceAfterRandomEventSequence) {
@@ -289,76 +261,90 @@ TEST(RhoIndexProperty, SetTiebreakReordersTheUnboundedClass) {
 }
 
 // ---------------------------------------------------------------------------
-// Tie-break-chain exactness through the policy's indexed cut.
+// The invariant the index rests on.
 // ---------------------------------------------------------------------------
 
-// Two identical worlds, one scheduled through the index, one through the
-// literal scan; both legacy contexts, same RNG seed.
+std::uint64_t Bits(double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+// A gangless app's rho is the kUnboundedRho constant, bit for bit, and the
+// probe that computes it never reaches the estimator: under kNoisy the next
+// RemainingWork draw equals a same-seed twin's that skipped the probe. A
+// holder's probe does draw, which shows the twin comparison can fail.
+TEST(RhoIndexInvariant, GanglessProbeIsTheConstantAndDrawsNothing) {
+  Cluster cluster(ClusterSpec::Uniform(2, 2, 4, 2));
+  EstimatorConfig noisy;
+  noisy.mode = EstimationMode::kNoisy;
+  noisy.theta = 0.15;
+  noisy.seed = 11;
+  auto app = PropApp(0, 5.0, 3);
+  app->jobs[0].done = 12.0;  // progress does not bound a gangless app
+  const JobSpec& spec = app->jobs[1].spec;
+  ASSERT_GT(app->UnmetDemand(), 0);
+
+  WorkEstimator probed(noisy), twin(noisy);
+  const double rho = Agent(&cluster.topology(), &probed, 30.0).CurrentRho(*app);
+  EXPECT_EQ(Bits(rho), Bits(kUnboundedRho));
+  EXPECT_EQ(Bits(probed.RemainingWork(spec, 100.0, 0.1)),
+            Bits(twin.RemainingWork(spec, 100.0, 0.1)));
+
+  app->jobs[0].gpus = {0, 1};
+  WorkEstimator holder_probed(noisy), holder_twin(noisy);
+  const double bounded =
+      Agent(&cluster.topology(), &holder_probed, 30.0).CurrentRho(*app);
+  EXPECT_LT(bounded, kUnboundedRho);
+  EXPECT_NE(Bits(holder_probed.RemainingWork(spec, 100.0, 0.1)),
+            Bits(holder_twin.RemainingWork(spec, 100.0, 0.1)));
+}
+
+// ---------------------------------------------------------------------------
+// Tie-break-chain exactness through the policy's indexed cut, checked
+// against the literal oracle.
+// ---------------------------------------------------------------------------
+
 struct World {
   World() : cluster(ClusterSpec::Uniform(2, 2, 4, 2)), est({}), rng(7) {}
   Cluster cluster;
   WorkEstimator est;
   Rng rng;
+  RoundHarness harness{cluster, est, rng};
   std::vector<std::unique_ptr<AppState>> apps;
 
   void AddApp(AppId id, double ideal_time) {
     apps.push_back(PropApp(id, ideal_time, 1));
-    apps.back()->ideal_time = ideal_time;
   }
 
-  GrantSet Schedule(ThemisConfig cfg, RhoIndex* index) {
-    AppList list;
-    for (auto& app : apps) list.push_back(app.get());
-    SchedulerContext ctx(0.0, &cluster, &est, 20.0, &list, &rng);
-    if (index != nullptr) {
-      for (auto& app : apps) index->Update(app.get());
-      ctx.set_rho_index(index);
-    }
-    ThemisPolicy policy(cfg);
-    return policy.Schedule(cluster.FreeGpus(), ctx);
+  /// One round through the oracle-checked policy.
+  GrantSet Schedule(ThemisConfig cfg) {
+    int checked = 0;
+    FilterOracleScheduler policy(cfg, &checked);
+    GrantSet grants = harness.SyncAndRun(policy, apps);
+    EXPECT_EQ(checked, 1);
+    return grants;
   }
 };
 
-void ExpectSameGrants(const GrantSet& a, const GrantSet& b) {
-  ASSERT_EQ(a.grants.size(), b.grants.size());
-  for (std::size_t i = 0; i < a.grants.size(); ++i) {
-    EXPECT_EQ(a.grants[i].app, b.grants[i].app);
-    EXPECT_EQ(a.grants[i].job, b.grants[i].job);
-    EXPECT_EQ(a.grants[i].gpus, b.grants[i].gpus);
-  }
-  EXPECT_EQ(a.lease_expiry, b.lease_expiry);
-  EXPECT_EQ(a.diagnostics.auction_ran, b.diagnostics.auction_ran);
-  EXPECT_EQ(a.diagnostics.auction_participants,
-            b.diagnostics.auction_participants);
-  EXPECT_EQ(a.diagnostics.offered_gpus, b.diagnostics.offered_gpus);
-  EXPECT_EQ(a.diagnostics.granted_gpus, b.diagnostics.granted_gpus);
-  EXPECT_EQ(a.diagnostics.leftover_gpus, b.diagnostics.leftover_gpus);
-}
-
 // All-unbounded population with colliding and distinct ideal times: the cut
 // must follow (ideal_time asc, id asc) exactly when short_app_tiebreak is
-// set, and (id asc) when it is not — in both paths.
+// set, and (id asc) when it is not.
 TEST(TiebreakExactness, IndexedCutMatchesLiteralCutOnPureTies) {
   for (const bool short_tiebreak : {true, false}) {
-    World indexed, literal;
-    for (AppId id = 0; id < 8; ++id) {
-      const double ideal = (id < 4) ? 5.0 : 9.0 - static_cast<double>(id);
-      indexed.AddApp(id, ideal);
-      literal.AddApp(id, ideal);
-    }
+    World world;
+    for (AppId id = 0; id < 8; ++id)
+      world.AddApp(id, (id < 4) ? 5.0 : 9.0 - static_cast<double>(id));
     ThemisConfig cfg;
     cfg.fairness_knob = 0.9;  // ceil(0.1 * 8) = 1 participant: the head app
     cfg.short_app_tiebreak = short_tiebreak;
-    RhoIndex index;
-    const GrantSet a = indexed.Schedule(cfg, &index);
-    const GrantSet b = literal.Schedule(cfg, nullptr);
-    ExpectSameGrants(a, b);
-    EXPECT_EQ(a.diagnostics.auction_participants, 1);
+    const GrantSet grants = world.Schedule(cfg);
+    EXPECT_EQ(grants.diagnostics.auction_participants, 1);
     // The auction's grant (staged before any leftovers) goes to the
     // comparator's head app: with the short-app tie-break, the smallest
     // ideal_time (app 7, ideal 2.0); without it, the smallest id.
-    ASSERT_FALSE(a.grants.empty());
-    EXPECT_EQ(a.grants[0].app, short_tiebreak ? 7 : 0);
+    ASSERT_FALSE(grants.grants.empty());
+    EXPECT_EQ(grants.grants[0].app, short_tiebreak ? 7 : 0);
   }
 }
 
@@ -367,26 +353,20 @@ TEST(TiebreakExactness, IndexedCutMatchesLiteralCutOnPureTies) {
 // positions the full sort gives them.
 TEST(TiebreakExactness, MergePlacesBoundedHoldersExactly) {
   for (const double knob : {0.0, 0.5, 0.9}) {
-    World indexed, literal;
-    for (AppId id = 0; id < 6; ++id) {
-      indexed.AddApp(id, 4.0 + static_cast<double>(id));
-      literal.AddApp(id, 4.0 + static_cast<double>(id));
-    }
+    World world;
+    for (AppId id = 0; id < 6; ++id)
+      world.AddApp(id, 4.0 + static_cast<double>(id));
     // Apps 1 and 4 hold one whole gang each (bounded rho, still hungry).
-    for (World* w : {&indexed, &literal}) {
-      w->cluster.Allocate(/*gpu=*/0, 1, 0, 20.0);
-      w->cluster.Allocate(/*gpu=*/1, 1, 0, 20.0);
-      w->apps[1]->jobs[0].gpus = {0, 1};
-      w->cluster.Allocate(/*gpu=*/8, 4, 0, 20.0);
-      w->cluster.Allocate(/*gpu=*/9, 4, 0, 20.0);
-      w->apps[4]->jobs[0].gpus = {8, 9};
-    }
+    world.cluster.Allocate(/*gpu=*/0, 1, 0, 20.0);
+    world.cluster.Allocate(/*gpu=*/1, 1, 0, 20.0);
+    world.apps[1]->jobs[0].gpus = {0, 1};
+    world.cluster.Allocate(/*gpu=*/8, 4, 0, 20.0);
+    world.cluster.Allocate(/*gpu=*/9, 4, 0, 20.0);
+    world.apps[4]->jobs[0].gpus = {8, 9};
     ThemisConfig cfg;
     cfg.fairness_knob = knob;
-    RhoIndex index;
-    const GrantSet a = indexed.Schedule(cfg, &index);
-    const GrantSet b = literal.Schedule(cfg, nullptr);
-    ExpectSameGrants(a, b);
+    const GrantSet grants = world.Schedule(cfg);
+    EXPECT_TRUE(grants.diagnostics.auction_ran);
   }
 }
 

@@ -6,15 +6,19 @@
 //     JobState::gpus agree, and no GPU is held twice;
 //   - the holder set is exactly the active apps with a non-empty gang (so
 //     no finished or retired app keeps a GPU);
-//   - RhoIndex::holders() is the holder set.
+//   - RhoIndex::holders() is the holder set, and its unbounded class is
+//     exactly the gangless hungry apps in comparator order, each with
+//     last_rho pinned to kUnboundedRho (ExpectIndexMatchesBruteForce).
 //
 // Failures are reported through gtest with the offending ids.
 #pragma once
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "core/rho_index.h"
 #include "core/round_core.h"
 
 namespace themis {
@@ -24,6 +28,46 @@ inline std::vector<AppId> AppIds(const std::vector<AppState*>& apps) {
   ids.reserve(apps.size());
   for (const AppState* app : apps) ids.push_back(app->id);
   return ids;
+}
+
+// From-scratch reference for the RhoIndex: classify every resident app and
+// order each class exactly as the index contract promises. `apps` holds
+// owning pointers; null slots (retired apps) are skipped.
+template <typename OwnedApps>
+void ExpectIndexMatchesBruteForce(const RhoIndex& index, const OwnedApps& apps,
+                                  bool short_tiebreak) {
+  std::vector<const AppState*> want_holders;
+  std::vector<const AppState*> want_unbounded;
+  for (const auto& app : apps) {
+    if (app == nullptr || !app->arrived || app->finished) continue;
+    bool holds = false;
+    for (const JobState& job : app->jobs)
+      if (!job.gpus.empty()) holds = true;
+    if (holds)
+      want_holders.push_back(app.get());
+    else if (app->UnmetDemand() > 0)
+      want_unbounded.push_back(app.get());
+  }
+  std::sort(want_holders.begin(), want_holders.end(),
+            [](const AppState* a, const AppState* b) { return a->id < b->id; });
+  std::sort(want_unbounded.begin(), want_unbounded.end(),
+            [short_tiebreak](const AppState* a, const AppState* b) {
+              if (short_tiebreak && a->ideal_time != b->ideal_time)
+                return a->ideal_time < b->ideal_time;
+              return a->id < b->id;
+            });
+
+  ASSERT_EQ(index.holders().size(), want_holders.size());
+  for (std::size_t i = 0; i < want_holders.size(); ++i)
+    EXPECT_EQ(index.holders()[i], want_holders[i]) << "holder " << i;
+  ASSERT_EQ(index.num_unbounded(), want_unbounded.size());
+  std::size_t i = 0;
+  for (const AppState* app : index.unbounded_candidates()) {
+    EXPECT_EQ(app, want_unbounded[i]) << "unbounded " << i;
+    // Contract: the index pins the class's last_rho to the probe constant.
+    EXPECT_EQ(app->last_rho, kUnboundedRho) << "unbounded app " << app->id;
+    ++i;
+  }
 }
 
 inline void AuditRoundCore(const RoundCore& core) {
@@ -62,6 +106,8 @@ inline void AuditRoundCore(const RoundCore& core) {
   EXPECT_EQ(holders, active_with_gang);
   EXPECT_EQ(gang_owners, active_with_gang) << "an inactive app holds GPUs";
   EXPECT_EQ(AppIds(core.rho_index().holders()), holders);
+  ExpectIndexMatchesBruteForce(core.rho_index(), core.apps(),
+                               core.rho_index().short_app_tiebreak());
 }
 
 }  // namespace themis

@@ -3,19 +3,13 @@
 //   - FreePool: ordered O(1)-removal view semantics.
 //   - Staging: RunRound never touches the cluster; ApplyGrants is the single
 //     lease-application path and rejects double application.
-//   - Equivalence: for all five policies at fixed seeds, driving rounds
-//     through the legacy ISchedulerPolicy::Schedule adapter (which applies
-//     grants inside the round) reproduces the simulator's native
-//     RunRound + ApplyGrants path bit-identically — the guarantee that the
-//     protocol redesign preserved every scheduling decision.
+//   - The simulator records every round's diagnostics and observes every
+//     applied grant.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "baselines/drf.h"
-#include "baselines/gandiva.h"
-#include "baselines/slaq.h"
-#include "baselines/tiresias.h"
+#include "core/rho_index.h"
 #include "core/themis_policy.h"
 #include "sim/experiment.h"
 
@@ -103,7 +97,9 @@ TEST(RoundProtocol, RunRoundStagesWithoutTouchingTheCluster) {
   EXPECT_EQ(offer.TotalGpus(), 16);
   EXPECT_EQ(offer.free_per_machine, cluster.FreeGpusPerMachine());
 
-  SchedulerContext ctx(offer, &cluster, &est, &list, &rng);
+  RhoIndex index;
+  index.Update(app.get());
+  SchedulerContext ctx(offer, &cluster, &est, &list, index, &rng);
   ThemisPolicy policy;
   const GrantSet grants = policy.RunRound(offer, ctx);
 
@@ -137,7 +133,9 @@ TEST(RoundProtocol, ContextRejectsGrantsOutsideTheOffer) {
   AppList list{app.get()};
   WorkEstimator est({});
   Rng rng(1);
-  SchedulerContext ctx(0.0, &cluster, &est, 20.0, &list, &rng);
+  RhoIndex index;
+  SchedulerContext ctx(MakeOffer(0, 0.0, 20.0, cluster), &cluster, &est,
+                       &list, index, &rng);
   EXPECT_THROW(ctx.Grant(*app, app->jobs[0], {0}), std::logic_error);
   // Granting the same pooled GPU twice is equally impossible.
   ctx.Grant(*app, app->jobs[0], {1});
@@ -150,7 +148,9 @@ TEST(RoundProtocol, PoolViewsShrinkAsGrantsAreStaged) {
   AppList list{app.get()};
   WorkEstimator est({});
   Rng rng(1);
-  SchedulerContext ctx(0.0, &cluster, &est, 20.0, &list, &rng);
+  RhoIndex index;
+  SchedulerContext ctx(MakeOffer(0, 0.0, 20.0, cluster), &cluster, &est,
+                       &list, index, &rng);
   EXPECT_EQ(ctx.free_pool().size(), 8);
   ctx.Grant(*app, app->jobs[0], {0, 1, 4});
   EXPECT_EQ(ctx.free_pool().size(), 5);
@@ -166,85 +166,8 @@ TEST(RoundProtocol, PoolViewsShrinkAsGrantsAreStaged) {
 }
 
 // ---------------------------------------------------------------------------
-// Equivalence: adapter path == native round path, all five policies.
+// The simulator's side of the protocol.
 // ---------------------------------------------------------------------------
-
-/// Routes every simulator round through the legacy Schedule() adapter of the
-/// wrapped policy — grants are applied inside the round, exactly like the
-/// pre-round-protocol Schedule() API did — and hands the simulator an empty
-/// GrantSet so its own ApplyGrants is a no-op.
-class ScheduleAdapterShim final : public IRoundScheduler {
- public:
-  explicit ScheduleAdapterShim(std::unique_ptr<ISchedulerPolicy> inner)
-      : inner_(std::move(inner)) {}
-
-  GrantSet RunRound(const ResourceOffer& offer, SchedulerContext& ctx) override {
-    inner_->Schedule(offer.gpus, ctx);
-    return {};
-  }
-  const char* name() const override { return inner_->name(); }
-
- private:
-  std::unique_ptr<ISchedulerPolicy> inner_;
-};
-
-struct RunFingerprint {
-  std::vector<double> finish_times;
-  std::vector<double> rhos;
-  std::vector<int> final_holdings;
-  int passes = 0;
-  Time end_time = 0.0;
-
-  bool operator==(const RunFingerprint&) const = default;
-};
-
-RunFingerprint Fingerprint(const ExperimentConfig& config,
-                           std::unique_ptr<IRoundScheduler> scheduler) {
-  TraceGenerator gen(config.trace);
-  Simulator sim(config.cluster, gen.Generate(), std::move(scheduler),
-                config.sim);
-  const SimResult run = sim.Run();
-  RunFingerprint fp;
-  fp.passes = run.scheduling_passes;
-  fp.end_time = run.end_time;
-  for (const auto& app : sim.apps()) {
-    fp.finish_times.push_back(app->finish_time);
-    fp.rhos.push_back(app->FinalRho());
-    fp.final_holdings.push_back(app->GpusHeld());
-  }
-  return fp;
-}
-
-TEST(RoundProtocolEquivalence, AllPoliciesMatchTheLegacySchedulePath) {
-  for (PolicyKind kind : {PolicyKind::kThemis, PolicyKind::kGandiva,
-                          PolicyKind::kTiresias, PolicyKind::kSlaq,
-                          PolicyKind::kDrf}) {
-    for (std::uint64_t seed : {42ULL, 7ULL}) {
-      ExperimentConfig config = SimScaleConfig(kind, seed, 40);
-      config.trace.contention_factor = 2.0;
-      const RunFingerprint native =
-          Fingerprint(config, MakePolicy(kind, config.themis));
-      const RunFingerprint adapter = Fingerprint(
-          config, std::make_unique<ScheduleAdapterShim>(
-                      MakePolicy(kind, config.themis)));
-      EXPECT_EQ(native, adapter)
-          << ToString(kind) << " seed " << seed
-          << ": the adapter path diverged from the native round path";
-    }
-  }
-}
-
-TEST(RoundProtocolEquivalence, TestbedScaleMatchesToo) {
-  for (PolicyKind kind : {PolicyKind::kThemis, PolicyKind::kTiresias}) {
-    ExperimentConfig config = TestbedScaleConfig(kind, 23, 30);
-    const RunFingerprint native =
-        Fingerprint(config, MakePolicy(kind, config.themis));
-    const RunFingerprint adapter = Fingerprint(
-        config, std::make_unique<ScheduleAdapterShim>(
-                    MakePolicy(kind, config.themis)));
-    EXPECT_EQ(native, adapter) << ToString(kind);
-  }
-}
 
 TEST(RoundProtocol, SimulatorRecordsAuctionDiagnostics) {
   // The per-round diagnostics feed MetricsCollector::RecordAuction — the

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "core/themis_policy.h"
+#include "round_harness.h"
 
 namespace themis {
 namespace {
@@ -47,15 +48,13 @@ class ThemisPolicyTest : public ::testing::Test {
       : cluster_(ClusterSpec::Uniform(2, 2, 4, 2)), est_({}), rng_(1) {}
 
   GrantSet Schedule(ThemisPolicy& policy, Time now = 0.0) {
-    AppList list;
-    for (auto& app : apps_) list.push_back(app.get());
-    SchedulerContext ctx(now, &cluster_, &est_, /*lease=*/20.0, &list, &rng_);
-    return policy.Schedule(cluster_.FreeGpus(), ctx);
+    return harness_.SyncAndRun(policy, apps_, now);
   }
 
   Cluster cluster_;
   WorkEstimator est_;
   Rng rng_;
+  RoundHarness harness_{cluster_, est_, rng_};
   std::vector<std::unique_ptr<AppState>> apps_;
 };
 
@@ -168,11 +167,8 @@ TEST_F(ThemisPolicyTest, DeterministicAcrossIdenticalRuns) {
       apps.push_back(MakeApp(i, 0.0, {MakeJobSpec(40.0, 2, 2)}));
     WorkEstimator est({});
     Rng rng(7);
-    AppList list;
-    for (auto& a : apps) list.push_back(a.get());
-    SchedulerContext ctx(0.0, &cluster, &est, 20.0, &list, &rng);
     ThemisPolicy policy;
-    policy.Schedule(cluster.FreeGpus(), ctx);
+    RoundHarness(cluster, est, rng).SyncAndRun(policy, apps);
     std::vector<std::vector<GpuId>> out;
     for (auto& a : apps) out.push_back(cluster.GpusHeldBy(a->id));
     return out;
