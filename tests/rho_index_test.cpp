@@ -2,21 +2,26 @@
 // ThemisPolicy::SelectParticipants:
 //   - a per-round oracle: before every round of whole contended runs
 //     (preloaded, streamed, under failures, on mixed generations, with the
-//     short-app tie-break off, both engines), the indexed participant cut
-//     must equal the literal probe-everything filter (tests/literal_filter.h)
-//     id for id, and the checks must leave the run's result unchanged;
+//     short-app tie-break off, with a parallel probe, at f = 0 and f = 1,
+//     under epsilon batching; both engines where they apply), the indexed
+//     participant cut must equal the literal probe-everything filter
+//     (tests/literal_filter.h) id for id, and the checks must leave the
+//     run's result unchanged;
 //   - the invariant the index rests on: a gangless app probes to exactly
 //     kUnboundedRho without touching the estimator's RNG;
 //   - the index agrees with a from-scratch classification
 //     (ExpectIndexMatchesBruteForce, tests/round_audit.h) after arbitrary
 //     event sequences;
-//   - the cut follows the comparator's tie-break chain exactly.
+//   - the cut follows the comparator's tie-break chain exactly;
+//   - the cut's edges: nobody hungry, a sated holder, its size against f.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/rho_index.h"
@@ -102,11 +107,12 @@ ExperimentConfig ContendedConfig() {
   return config;
 }
 
-/// Runs `config` on both engines through the oracle and checks each run
+/// Runs `config` on each of `engines` through the oracle and checks each run
 /// against the plain RunExperiment / RunStreamingExperiment result.
-void ExpectOracleHolds(const ExperimentConfig& base, bool streamed = false) {
-  for (const SimEngine engine :
-       {SimEngine::kEventDriven, SimEngine::kPassStepped}) {
+void ExpectOracleHolds(const ExperimentConfig& base, bool streamed = false,
+                       std::initializer_list<SimEngine> engines = {
+                           SimEngine::kEventDriven, SimEngine::kPassStepped}) {
+  for (const SimEngine engine : engines) {
     ExperimentConfig config = base;
     config.sim.engine = engine;
     std::vector<AppSpec> apps = TraceGenerator(config.trace).Generate();
@@ -161,6 +167,36 @@ TEST(FilterOracle, HoldsEveryRoundWithShortAppTiebreakOff) {
   ExperimentConfig config = ContendedConfig();
   config.themis.short_app_tiebreak = false;
   ExpectOracleHolds(config);
+}
+
+// The holder probe fans out over the thread pool; its cut must still be the
+// serial literal scan's.
+TEST(FilterOracle, HoldsEveryRoundWithParallelProbe) {
+  ExperimentConfig config = ContendedConfig();
+  config.themis.auction_threads = 4;
+  ExpectOracleHolds(config);
+}
+
+// f = 0: the cut is every hungry app, so the whole merge order is checked.
+TEST(FilterOracle, HoldsEveryRoundWhenEveryHungryAppIsOffered) {
+  ExperimentConfig config = ContendedConfig();
+  config.themis.fairness_knob = 0.0;
+  ExpectOracleHolds(config);
+}
+
+// f = 1: the cut is clamped to the single worst-off app.
+TEST(FilterOracle, HoldsEveryRoundWhenOneAppIsOffered) {
+  ExperimentConfig config = ContendedConfig();
+  config.themis.fairness_knob = 1.0;
+  ExpectOracleHolds(config);
+}
+
+// Epsilon batching reclaims several leases per round (event engine only), so
+// more holders go gangless between two probes.
+TEST(FilterOracle, HoldsEveryRoundUnderEpsilonBatching) {
+  ExperimentConfig config = ContendedConfig();
+  config.sim.auction_epsilon_minutes = 5.0;
+  ExpectOracleHolds(config, /*streamed=*/false, {SimEngine::kEventDriven});
 }
 
 // ---------------------------------------------------------------------------
@@ -388,6 +424,59 @@ TEST(TiebreakExactness, ReleasedHolderRejoinsUnboundedClassFresh) {
   EXPECT_TRUE(index.holders().empty());
   ASSERT_EQ(index.num_unbounded(), 1u);
   EXPECT_EQ(app->last_rho, kUnboundedRho);
+}
+
+// ---------------------------------------------------------------------------
+// Cut edges, through the oracle-checked policy.
+// ---------------------------------------------------------------------------
+
+// No app is hungry: both filters return nothing and the round runs no
+// auction and stages no grant.
+TEST(FilterCut, EmptyWhenNoAppIsHungry) {
+  World world;
+  for (AppId id = 0; id < 4; ++id) {
+    world.AddApp(id, 3.0 + static_cast<double>(id));
+    world.apps.back()->jobs[0].parallelism_cap = 0;
+  }
+  const GrantSet grants = world.Schedule(ThemisConfig{});
+  EXPECT_FALSE(grants.diagnostics.auction_ran);
+  EXPECT_TRUE(grants.grants.empty());
+}
+
+// A holder whose demand is met is re-probed (its last_rho becomes bounded)
+// but is not a candidate, so it neither joins the cut nor counts toward N.
+TEST(FilterCut, SatedHolderIsProbedButNotOffered) {
+  World world;
+  for (AppId id = 0; id < 3; ++id)
+    world.AddApp(id, 4.0 + static_cast<double>(id));
+  AppState& sated = *world.apps[0];
+  world.cluster.Allocate(/*gpu=*/0, 0, 0, 20.0);
+  world.cluster.Allocate(/*gpu=*/1, 0, 0, 20.0);
+  sated.jobs[0].gpus = {0, 1};
+  sated.jobs[0].parallelism_cap = 2;  // one gang: already held
+  ASSERT_EQ(sated.UnmetDemand(), 0);
+  ThemisConfig cfg;
+  cfg.fairness_knob = 0.0;  // offer every candidate
+  const GrantSet grants = world.Schedule(cfg);
+  EXPECT_LT(sated.last_rho, kUnboundedRho);
+  EXPECT_EQ(grants.diagnostics.auction_participants, 2);
+  for (const Grant& grant : grants.grants) EXPECT_NE(grant.app, 0);
+}
+
+// The cut is max(1, ceil((1-f) N)) of the N hungry apps, here N = 7.
+TEST(FilterCut, SizeIsTheCeilingOfTheUnfairFraction) {
+  const std::pair<double, int> cases[] = {
+      {0.0, 7}, {0.2, 6}, {0.5, 4}, {0.8, 2}, {0.9, 1}, {1.0, 1}};
+  for (const auto& [knob, expected] : cases) {
+    World world;
+    for (AppId id = 0; id < 7; ++id)
+      world.AddApp(id, 2.0 + static_cast<double>(id));
+    ThemisConfig cfg;
+    cfg.fairness_knob = knob;
+    const GrantSet grants = world.Schedule(cfg);
+    EXPECT_EQ(grants.diagnostics.auction_participants, expected)
+        << "f = " << knob;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 //   - FreePool: ordered O(1)-removal view semantics.
 //   - Staging: RunRound never touches the cluster; ApplyGrants is the single
 //     lease-application path and rejects double application.
+//   - The context carries the round's RhoIndex, which the filter reads.
 //   - The simulator records every round's diagnostics and observes every
 //     applied grant.
 #include <gtest/gtest.h>
@@ -163,6 +164,31 @@ TEST(RoundProtocol, PoolViewsShrinkAsGrantsAreStaged) {
   EXPECT_EQ(grants.diagnostics.offered_gpus, 8);
   EXPECT_EQ(grants.diagnostics.granted_gpus, 3);
   EXPECT_EQ(grants.diagnostics.leftover_gpus, 5);
+}
+
+// The context hands the scheduler the round's RhoIndex itself, and Themis
+// filters from it rather than from the app list: an app the index does not
+// file is never offered the pool.
+TEST(RoundProtocol, ContextCarriesTheIndexItWasBuiltWith) {
+  Cluster cluster(ClusterSpec::Uniform(1, 2, 4, 2));
+  auto filed = RoundApp(0, {RoundJobSpec(40.0, 1, 2)});
+  auto unfiled = RoundApp(1, {RoundJobSpec(40.0, 1, 2)});
+  AppList list{filed.get(), unfiled.get()};
+  WorkEstimator est({});
+  Rng rng(1);
+  RhoIndex index;
+  index.Update(filed.get());
+  SchedulerContext ctx(MakeOffer(0, 0.0, 20.0, cluster), &cluster, &est,
+                       &list, index, &rng);
+  EXPECT_EQ(ctx.rho_index(), &index);
+
+  ThemisConfig config;
+  config.fairness_knob = 0.0;  // offer every candidate the index holds
+  const ThemisPolicy policy(config);
+  const Agent agent(&ctx.topology(), &ctx.estimator(), ctx.now());
+  const std::vector<AppState*> cut = policy.SelectParticipants(ctx, agent);
+  ASSERT_EQ(cut.size(), 1u);
+  EXPECT_EQ(cut[0], filed.get());
 }
 
 // ---------------------------------------------------------------------------
