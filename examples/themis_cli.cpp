@@ -67,7 +67,7 @@ using namespace themis;
                "          [--sensitive FRAC] [--trace-out FILE]\n"
                "          [--trace-in FILE] [--cdf]\n"
                "          [--stream-trace FILE] [--bounded-metrics]\n"
-               "          [--engine event|pass] [--epsilon MIN]\n"
+               "          [--epsilon MIN]\n"
                "          [--shards N] [--threads N]\n"
                "          [--sweep SCENARIOS.json] [--csv FILE]\n"
                "          [--connect HOST:PORT]\n",
@@ -311,7 +311,7 @@ int main(int argc, char** argv) {
     else if (arg == "--round-threads")
       // Fan the round's probe + bid-prep phases over N pool threads
       // (bit-identical to serial; see common/parallel.h).
-      config.sim.round_threads = std::atoi(next().c_str());
+      config.themis.auction_threads = std::atoi(next().c_str());
     else if (arg == "--theta") {
       config.sim.estimator.theta = std::atof(next().c_str());
       if (config.sim.estimator.theta > 0.0)
@@ -324,16 +324,6 @@ int main(int argc, char** argv) {
     else if (arg == "--trace-out") trace_out = next();
     else if (arg == "--stream-trace") stream_trace = next();
     else if (arg == "--bounded-metrics") config.sim.metrics.bounded_memory = true;
-    else if (arg == "--engine") {
-      const std::string name = next();
-      if (name == "event") config.sim.engine = SimEngine::kEventDriven;
-      else if (name == "pass") config.sim.engine = SimEngine::kPassStepped;
-      else {
-        std::fprintf(stderr, "--engine must be event or pass (got %s)\n",
-                     name.c_str());
-        return 2;
-      }
-    }
     else if (arg == "--epsilon")
       config.sim.auction_epsilon_minutes = std::atof(next().c_str());
     else if (arg == "--connect") {

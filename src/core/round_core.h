@@ -92,9 +92,6 @@ class RoundCore {
 
   // --- Rounds -------------------------------------------------------------
 
-  /// Queue `app` for the next round's tuner walk (its views may have
-  /// changed). Progress accrual and admission already do this.
-  void MarkTunerDirty(AppState& app);
   /// First half of a round at `now`: reclaim expired leases, step the dirty
   /// tuners, and publish the offer. Returns no offer when the free pool or
   /// the active set is empty. Must be followed by FinishRound.
@@ -136,6 +133,9 @@ class RoundCore {
   /// Re-derive `app`'s holder membership (and its RhoIndex class) after a
   /// gang mutation. Every gang mutation funnels through here.
   void UpdateHolding(AppState& app);
+  /// Queue `app` for the next round's tuner walk (its views may have
+  /// changed): admission and progress accrual do this.
+  void MarkTunerDirty(AppState& app);
   void StepTuner(Time t, AppState& app);
   void CloseApp(Time t, AppState& app);
   /// The gang changed at `t`: invalidate the job's allocation epoch and

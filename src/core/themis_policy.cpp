@@ -2,12 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "common/parallel.h"
 #include "core/rho_index.h"
 
 namespace themis {
+
+void ThemisConfig::Validate() const {
+  if (auction_threads < 0)
+    throw std::invalid_argument(
+        "ThemisConfig: auction_threads must be >= 0 (got " +
+        std::to_string(auction_threads) + ")");
+}
 
 ThemisPolicy::ThemisPolicy(ThemisConfig config) : config_(config) {}
 

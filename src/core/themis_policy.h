@@ -55,9 +55,16 @@ struct ThemisConfig {
   /// >= 2 = run on the shared process pool (common/parallel.h). The parallel
   /// path engages only under the stateless kClairvoyant estimator; kNoisy /
   /// kCurveFit share RNG / fit state whose draw order the serial loop
-  /// defines, so those modes silently fall back to serial.
+  /// defines, so those modes silently fall back to serial. Baseline
+  /// policies ignore it. Set by themis_cli --round-threads and the scenario
+  /// key themis.auction_threads.
   int auction_threads = 0;
   PaConfig pa;
+
+  /// Throws std::invalid_argument when auction_threads < 0. The scenario
+  /// loader, the simulator runners and ArbiterCore call it for every policy
+  /// kind.
+  void Validate() const;
 };
 
 class ThemisPolicy final : public IRoundScheduler {

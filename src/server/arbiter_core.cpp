@@ -19,10 +19,7 @@ void ArbiterConfig::Validate() const {
     throw std::invalid_argument(
         "ArbiterConfig: restart_overhead_minutes must be >= 0 (got " +
         std::to_string(restart_overhead_minutes) + ")");
-  if (themis.auction_threads < 0)
-    throw std::invalid_argument(
-        "ArbiterConfig: themis.auction_threads must be >= 0 (got " +
-        std::to_string(themis.auction_threads) + ")");
+  themis.Validate();
 }
 
 ArbiterCore::ArbiterCore(const ArbiterConfig& config)

@@ -90,37 +90,23 @@ ExperimentResult SummarizeRun(const ExperimentConfig& config, SimResult run) {
   return result;
 }
 
-namespace {
-
-/// SimConfig::round_threads is the engine-level knob (what the CLI and
-/// scenario JSON set); ThemisConfig::auction_threads is what the policy
-/// reads. A non-zero engine knob wins so one setting configures the run.
-ThemisConfig FoldRoundThreads(const ExperimentConfig& config) {
-  ThemisConfig themis = config.themis;
-  if (config.sim.round_threads != 0)
-    themis.auction_threads = config.sim.round_threads;
-  return themis;
-}
-
-}  // namespace
-
 ExperimentResult RunExperimentWithApps(const ExperimentConfig& config,
                                        std::vector<AppSpec> apps,
                                        Simulator::RoundObserver round_observer) {
+  config.themis.Validate();
   Simulator sim(config.cluster, std::move(apps),
-                MakePolicy(config.policy, FoldRoundThreads(config)),
-                config.sim);
+                MakePolicy(config.policy, config.themis), config.sim);
   if (round_observer) sim.set_round_observer(std::move(round_observer));
   return SummarizeRun(config, sim.Run());
 }
 
 ExperimentResult RunStreamingExperiment(const ExperimentConfig& config,
                                         std::unique_ptr<TraceReader> trace) {
+  config.themis.Validate();
   SimConfig sim_config = config.sim;
   sim_config.retire_finished_apps = true;
   Simulator sim(config.cluster, std::move(trace),
-                MakePolicy(config.policy, FoldRoundThreads(config)),
-                sim_config);
+                MakePolicy(config.policy, config.themis), sim_config);
   return SummarizeRun(config, sim.Run());
 }
 

@@ -170,23 +170,11 @@ void ApplySim(const JsonValue& v, SimConfig& sim) {
   CheckKeys(v, "sim",
             {"seed", "lease_minutes", "restart_overhead_minutes", "max_time",
              "machine_mtbf_minutes", "machine_repair_minutes", "theta",
-             "engine", "auction_epsilon_minutes", "metrics_tick_minutes",
-             "round_threads"});
-  if (const JsonValue* engine = v.Find("engine")) {
-    const std::string name = engine->AsString();
-    if (name == "event")
-      sim.engine = SimEngine::kEventDriven;
-    else if (name == "pass")
-      sim.engine = SimEngine::kPassStepped;
-    else
-      throw std::runtime_error("scenario sim.engine must be \"event\" or "
-                               "\"pass\" (got \"" + name + "\")");
-  }
+             "auction_epsilon_minutes", "metrics_tick_minutes"});
   sim.auction_epsilon_minutes =
       v.NumberOr("auction_epsilon_minutes", sim.auction_epsilon_minutes);
   sim.metrics_tick_minutes =
       v.NumberOr("metrics_tick_minutes", sim.metrics_tick_minutes);
-  sim.round_threads = IntKnob(v, "round_threads", sim.round_threads, "sim");
   // See ApplyTrace: never round-trip the default seed through a double.
   if (const JsonValue* seed = v.Find("seed"))
     sim.seed = SeedFromJson(*seed, "sim");
@@ -207,12 +195,16 @@ void ApplySim(const JsonValue& v, SimConfig& sim) {
 
 void ApplyThemis(const JsonValue& v, ThemisConfig& themis) {
   CheckKeys(v, "themis",
-            {"fairness_knob", "max_bid_rows", "short_app_tiebreak"});
+            {"fairness_knob", "max_bid_rows", "short_app_tiebreak",
+             "auction_threads"});
   themis.fairness_knob = v.NumberOr("fairness_knob", themis.fairness_knob);
   themis.max_bid_rows = IntKnob(v, "max_bid_rows", themis.max_bid_rows,
                                 "themis");
   themis.short_app_tiebreak =
       v.BoolOr("short_app_tiebreak", themis.short_app_tiebreak);
+  themis.auction_threads =
+      IntKnob(v, "auction_threads", themis.auction_threads, "themis");
+  themis.Validate();
 }
 
 void ApplyScenarioObject(const JsonValue& v, ScenarioSpec& spec) {

@@ -37,18 +37,10 @@ void SimConfig::Validate() const {
     throw std::invalid_argument(
         "SimConfig: auction_epsilon_minutes must be >= 0 (got " +
         std::to_string(auction_epsilon_minutes) + ")");
-  if (auction_epsilon_minutes > 0.0 && engine != SimEngine::kEventDriven)
-    throw std::invalid_argument(
-        "SimConfig: auction_epsilon_minutes > 0 requires the event-driven "
-        "engine (epsilon batching deliberately reorders lease reclamation, "
-        "which the pass-stepped reference never does)");
   if (metrics_tick_minutes < 0.0)
     throw std::invalid_argument(
         "SimConfig: metrics_tick_minutes must be >= 0 (got " +
         std::to_string(metrics_tick_minutes) + ")");
-  if (round_threads < 0)
-    throw std::invalid_argument("SimConfig: round_threads must be >= 0 (got " +
-                                std::to_string(round_threads) + ")");
 }
 
 Simulator::Simulator(ClusterSpec cluster_spec, std::vector<AppSpec> specs,
@@ -57,8 +49,7 @@ Simulator::Simulator(ClusterSpec cluster_spec, std::vector<AppSpec> specs,
     : core_(std::move(cluster_spec), std::move(scheduler), config.lease_minutes,
             config.restart_overhead_minutes, config.estimator, config.seed),
       config_(config),
-      metrics_(config.metrics),
-      event_mode_(config.engine == SimEngine::kEventDriven) {
+      metrics_(config.metrics) {
   config_.Validate();
   for (AppSpec& spec : specs) InjectApp(std::move(spec));
   ScheduleFailures();
@@ -72,7 +63,6 @@ Simulator::Simulator(ClusterSpec cluster_spec,
             config.restart_overhead_minutes, config.estimator, config.seed),
       config_(config),
       metrics_(config.metrics),
-      event_mode_(config.engine == SimEngine::kEventDriven),
       reader_(std::move(trace)) {
   config_.Validate();
   have_pending_ = reader_->Next(pending_spec_);
@@ -168,13 +158,11 @@ void Simulator::ArmMetricsTick(Time t) {
 
 void Simulator::MaybeScheduleFinish(Time t, AppState& app, JobState& job) {
   if (!job.Running()) return;
-  // One projection per allocation epoch (event engine). The finish instant
-  // is analytic in the granted rate; recomputing it at later passes would
-  // yield the same instant only up to ulps, and pushing those
-  // near-duplicates would let whichever drifted earliest win the heap. The
-  // event engine therefore pins the *first* projection and invalidates it
-  // only on re-grant; the pass-stepped reference keeps the per-pass resweep
-  // (see SchedulingPass).
+  // One projection per allocation epoch. The finish instant is analytic in
+  // the granted rate; recomputing it at later passes would yield the same
+  // instant only up to ulps, and pushing those near-duplicates would let
+  // whichever drifted earliest win the heap. The *first* projection is
+  // pinned and invalidated only on re-grant.
   if (job.finish_projected_version == job.alloc_version) return;
   job.finish_projected_version = job.alloc_version;
   // Refreshes the per-epoch cache as a side effect, so the advances that
@@ -193,11 +181,7 @@ void Simulator::PushFinish(Time t, AppId app, const JobState& job,
 
 void Simulator::SchedulingPass(Time t) {
   // 1. The round's first half in the core: reclaim expired leases, step the
-  // dirty tuners, publish the offer. The pass-stepped reference re-steps
-  // every active app each pass; marking them all dirty makes the core's
-  // tuner walk exactly that brute-force walk.
-  if (!event_mode_)
-    for (AppState* app : core_.active_apps()) core_.MarkTunerDirty(*app);
+  // dirty tuners, publish the offer.
   const std::optional<ResourceOffer> offer = core_.BeginRound(t);
 
   // Track contention: total live demand (held + unmet) over capacity. The
@@ -222,25 +206,17 @@ void Simulator::SchedulingPass(Time t) {
   }
 
   // 3. Sample the allocation timeline (Fig. 8) — on change. An app whose
-  // held count is untouched since its last sample records nothing, so the
-  // event engine's walk over only the apps the core reports touched
-  // (ascending, like the reference's active-app walk) appends the identical
-  // sample stream.
-  const auto record_alloc = [&](AppState* app) {
+  // held count is untouched since its last sample would record nothing, so
+  // walking only the apps the core reports touched (ascending) appends the
+  // same samples as a walk over every active app.
+  for (AppId id : core_.round_touched_apps()) {
+    AppState* app = core_.FindApp(id);
+    if (app == nullptr || !app->arrived || app->finished) continue;
     const int held = app->GpusHeld();
     if (held != app->last_recorded_held) {
       metrics_.RecordAllocation(t, app->id, held);
       app->last_recorded_held = held;
     }
-  };
-  if (event_mode_) {
-    for (AppId id : core_.round_touched_apps()) {
-      AppState* app = core_.FindApp(id);
-      if (app == nullptr || !app->arrived || app->finished) continue;
-      record_alloc(app);
-    }
-  } else {
-    for (AppState* app : core_.active_apps()) record_alloc(app);
   }
 
   // 4. Schedule lease ticks + projected finish events. The expiry index
@@ -249,33 +225,10 @@ void Simulator::SchedulingPass(Time t) {
   // part of the contract: seq breaks ties at equal times.
   const Time next_expiry = cluster().NextExpiryAfter(t);
   if (std::isfinite(next_expiry)) PushLeaseTick(next_expiry);
-  if (event_mode_) {
-    for (AppId id : core_.round_touched_apps()) {
-      AppState* app = core_.FindApp(id);
-      if (app == nullptr || app->finished) continue;
-      for (JobState& job : app->jobs) MaybeScheduleFinish(t, *app, job);
-    }
-  } else {
-    // The pass-stepped reference derives every running job's finish from
-    // its granted rate each pass — the per-pass resweep (a Rate() call per
-    // job, with its placement walk) that the event engine's pinned
-    // projections remove; bench_event_core quantifies exactly this gap.
-    // Only the epoch's *first* derivation may enter the queue: a later
-    // recomputation reproduces it only up to ulps (progress accumulates in
-    // segments), and letting whichever drifted earliest win the heap would
-    // unpin the engines' shared event stream. The first derivation is
-    // computed at the same instant from the same state as
-    // MaybeScheduleFinish's, so the pushed floats are identical.
-    for (AppState* app : core_.active_apps()) {
-      for (JobState& job : app->jobs) {
-        if (!job.Running()) continue;
-        const double rate = job.Rate(cluster().topology());
-        if (rate <= 0.0 || job.finish_projected_version == job.alloc_version)
-          continue;
-        job.finish_projected_version = job.alloc_version;
-        PushFinish(t, app->id, job, rate);
-      }
-    }
+  for (AppId id : core_.round_touched_apps()) {
+    AppState* app = core_.FindApp(id);
+    if (app == nullptr || app->finished) continue;
+    for (JobState& job : app->jobs) MaybeScheduleFinish(t, *app, job);
   }
 }
 
@@ -288,14 +241,13 @@ SimResult Simulator::Run() {
     if (t > config_.max_time) break;
 
     bool saw_tick = false;
-    // Epsilon-batched auction rounds (event engine): when a lease tick
-    // fires, every lease expiring within the epsilon window is reclaimed by
-    // this one pass — the pass runs at the *latest* such expiry instant, so
-    // it publishes one larger ResourceOffer instead of several slivers
-    // (each merged lease effectively runs up to epsilon longer). The jump
-    // never passes a queued event or the next streamed arrival, so nothing
-    // is ever handled late.
-    if (event_mode_ && config_.auction_epsilon_minutes > 0.0 &&
+    // Epsilon-batched auction rounds: when a lease tick fires, every lease
+    // expiring within the epsilon window is reclaimed by this one pass —
+    // the pass runs at the *latest* such expiry instant, so it publishes one
+    // larger ResourceOffer instead of several slivers (each merged lease
+    // effectively runs up to epsilon longer). The jump never passes a queued
+    // event or the next streamed arrival, so nothing is ever handled late.
+    if (config_.auction_epsilon_minutes > 0.0 &&
         queue_.Top().type == EventType::kLeaseTick) {
       const Event tick = queue_.Pop();
       ++events_processed_;
@@ -310,15 +262,6 @@ SimResult Simulator::Run() {
       t = std::max(tick.time, cluster().LatestExpiryAtOrBefore(bound));
     }
 
-    // The core accrues through the per-epoch rate cache. The pass-stepped
-    // reference re-derives every held gang's rate and speed sum at each
-    // advance instead, as the seed loop did — the same pure functions, so
-    // the floats are identical, at the brute-force cost the event engine's
-    // cache removes.
-    if (!event_mode_ && t > core_.now())
-      for (AppState* app : core_.active_apps())
-        for (JobState& job : app->jobs)
-          if (!job.gpus.empty()) job.RefreshRateCache(cluster().topology());
     if (core_.AdvanceTo(t)) ++time_advances_;
 
     bool need_schedule = false;
@@ -402,9 +345,9 @@ SimResult Simulator::Run() {
     // A lease tick demands a pass only when a lease actually expired by
     // now. Stale ticks (their lease renewed or released since the tick was
     // pushed, or the last holder finished) advance virtual time and
-    // nothing else — the fix for pass-stepped tail walks on exhausted
-    // streams. The tick chain survives the skip: ticks are (re)pushed by
-    // passes, and only passes move expiries.
+    // nothing else, so an exhausted stream does not run passes out to its
+    // last stale tick. The tick chain survives the skip: ticks are
+    // (re)pushed by passes, and only passes move expiries.
     if (saw_tick && cluster().HasExpiredLease(t)) need_schedule = true;
     if (need_schedule) SchedulingPass(t);
   }

@@ -11,6 +11,13 @@
 // the app's finish time (Sec. 2.1) — at which point the remaining jobs are
 // terminated and their GPUs reclaimed.
 //
+// A pass walks only what the event stream implicates: the core steps the
+// dirty tuners, and the simulator samples the allocation timeline and
+// projects finishes for the apps the round touched. A job's rate is cached
+// and its finish projected once per allocation epoch, so no pass re-walks
+// the whole active set. AuditSimulatorWalks (tests/round_audit.h) checks
+// after every audited round that these walks missed nothing.
+//
 // Workloads arrive either as a preloaded vector (every AppState built up
 // front — the classic path, bit-identical to before) or through a
 // TraceReader: arrivals are injected as the stream advances, so the event
@@ -38,20 +45,6 @@
 #include "workload/trace_gen.h"
 
 namespace themis {
-
-/// Which main-loop implementation drives the run. Both are discrete-event
-/// engines over the same typed queue and produce bit-identical results
-/// (same events, same rounds, same floats); they differ only in per-pass
-/// cost. kEventDriven touches only state the event stream implicates
-/// (holder apps, dirty tuners, reallocated jobs) and pins one finish
-/// projection per allocation epoch; kPassStepped is the brute-force
-/// reference that re-walks every active app and re-derives every running
-/// job's finish from its granted rate each pass — the per-pass resweep
-/// the analytic projections remove (bench_event_core quantifies the gap).
-enum class SimEngine {
-  kEventDriven,
-  kPassStepped,
-};
 
 struct SimConfig {
   /// GPU lease duration (Sec. 8.2's sensitivity knob; default 20 min).
@@ -84,30 +77,19 @@ struct SimConfig {
   /// Metrics memory mode (exact by default; see MetricsConfig).
   MetricsConfig metrics;
 
-  /// Main-loop implementation (see SimEngine).
-  SimEngine engine = SimEngine::kEventDriven;
-  /// Epsilon-batched auction rounds (event engine only): when a lease tick
-  /// fires, every lease expiring within this window is reclaimed by that
-  /// one scheduling pass, run at the latest such expiry instant — one
-  /// larger ResourceOffer instead of several slivers. Merged leases
-  /// effectively run up to epsilon longer; the batch never reaches past a
-  /// queued event or a pending streamed arrival. 0 disables coalescing;
-  /// > 0 requires the event-driven engine (it deliberately trades
-  /// bit-exactness against the pass-stepped reference for fewer rounds).
+  /// Epsilon-batched auction rounds: when a lease tick fires, every lease
+  /// expiring within this window is reclaimed by that one scheduling pass,
+  /// run at the latest such expiry instant — one larger ResourceOffer
+  /// instead of several slivers. Merged leases effectively run up to
+  /// epsilon longer; the batch never reaches past a queued event or a
+  /// pending streamed arrival. 0 disables coalescing (the exact schedule);
+  /// > 0 trades that exactness for fewer rounds.
   Time auction_epsilon_minutes = 0.0;
   /// When > 0, kMetricsTick events sample every active app's held-GPU
   /// count into the allocation timeline at this period (the timeline
   /// otherwise records changes only). Ticks are armed while apps are live
   /// and never span idle stretches, so sparse traces still jump gaps.
   Time metrics_tick_minutes = 0.0;
-
-  /// Thread budget for the ARBITER round's data-parallel phases (probe and
-  /// bid preparation): 0 or 1 runs the round serially, >= 2 fans those
-  /// phases out over the shared process pool. Folded into
-  /// ThemisConfig::auction_threads by the experiment runners; results are
-  /// bit-identical at any value (see common/parallel.h). Baseline policies
-  /// ignore it. Negative values are rejected by Validate().
-  int round_threads = 0;
 
   /// Reject configurations that would silently produce nonsense runs
   /// (non-positive lease, negative overhead, ...). Throws
@@ -129,11 +111,11 @@ struct SimResult {
   /// Failure-injection accounting.
   int machine_failures = 0;
   int gpu_leases_revoked_by_failures = 0;
-  /// Event-vs-pass efficiency counters: typed events popped off the queue,
+  /// Event-core efficiency counters: typed events popped off the queue,
   /// ARBITER rounds actually run (RunRound invocations; a pass skips its
   /// round when the free pool or active set is empty), and distinct
-  /// virtual-time advances. With auction_epsilon_minutes = 0 both engines
-  /// process identical event streams, so all three match bit-for-bit.
+  /// virtual-time advances. They are deterministic for a given workload
+  /// and config, so bench/baselines/event_core.json pins them exactly.
   long long events_processed = 0;
   long long rounds_executed = 0;
   long long sim_time_advances = 0;
@@ -187,10 +169,9 @@ class Simulator {
   void FinishJob(Time t, AppState& app, JobState& job);
   /// Project `job`'s analytic finish time from its granted rate and push
   /// the kJobFinish event — at most once per allocation epoch (see
-  /// JobState::finish_projected_version). Event engine only; the
-  /// pass-stepped reference re-derives projections inline every pass with
-  /// the same arithmetic and the same push gate (SchedulingPass), so the
-  /// two must stay in sync.
+  /// JobState::finish_projected_version). The only projection path: a pass
+  /// projects the jobs of the apps it touched, and an untouched job's
+  /// projection is still current (tests/round_audit.h checks this).
   void MaybeScheduleFinish(Time t, AppState& app, JobState& job);
   /// Push `job`'s kJobFinish event at its analytic finish under `rate`
   /// (dropped past max_time).
@@ -222,7 +203,6 @@ class Simulator {
   MetricsCollector metrics_;
   std::set<Time> pushed_ticks_;
   double peak_contention_ = 0.0;
-  bool event_mode_ = true;
   long long events_processed_ = 0;
   long long rounds_executed_ = 0;
   long long time_advances_ = 0;

@@ -48,13 +48,13 @@ struct JobState {
 
   /// Per-epoch cache of the gang-derived constants (progress rate, gang
   /// speed sum). Within one allocation epoch the gang is fixed, so both
-  /// are fixed too: the event engine computes them once per epoch and
-  /// reuses them at every time advance, while the pass-stepped reference
-  /// re-derives them on each call exactly as the seed loop did. The cache
-  /// holds the same pure functions of (gang, topology), so reuse is
-  /// bitwise-neutral. Valid only between scheduling passes: a pass may
-  /// mutate the gang before bumping alloc_version, so mid-pass readers
-  /// must use Rate()/SpeedSum directly.
+  /// are fixed too: the simulator computes them once per epoch and reuses
+  /// them at every time advance. The cache holds the same pure functions of
+  /// (gang, topology), so reuse is bitwise-neutral; AuditSimulatorWalks
+  /// (tests/round_audit.h) checks every current entry after each audited
+  /// round. Valid only between scheduling passes: a pass may mutate the
+  /// gang before bumping alloc_version, so mid-pass readers must use
+  /// Rate()/SpeedSum directly.
   std::uint64_t rate_cache_version = ~0ull;
   double cached_rate = 0.0;
   double cached_speed_sum = 0.0;

@@ -1,10 +1,10 @@
-// Tests for the discrete-event simulator core: the event-driven engine must
-// be bit-identical to the pass-stepped reference (same floats, same event
-// stream, same counters) across policies, failures, streamed traces and
-// max_time cutoffs; stale lease ticks must not trigger scheduling passes;
-// event counts must be independent of lease-tick density on an idle
+// Tests for the discrete-event simulator core: a metrics tick must make the
+// allocation timeline denser; stale lease ticks must not trigger scheduling
+// passes; event counts must be independent of lease-tick density on an idle
 // cluster; and epsilon-batched rounds must reduce pass counts while still
-// finishing the same apps.
+// finishing the same apps. The loop's outputs are pinned by
+// golden_pins_test, and its incremental walks are audited there after every
+// round (tests/round_audit.h).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,37 +19,8 @@
 namespace themis {
 namespace {
 
-// Full bitwise comparison, including the event-core counters: with
-// auction_epsilon_minutes = 0 both engines process identical event streams,
-// so even events_processed/rounds_executed/sim_time_advances must match.
-void ExpectSameExperiment(const ExperimentResult& a, const ExperimentResult& b) {
-  EXPECT_EQ(a.max_fairness, b.max_fairness);
-  EXPECT_EQ(a.median_fairness, b.median_fairness);
-  EXPECT_EQ(a.min_fairness, b.min_fairness);
-  EXPECT_EQ(a.jains_index, b.jains_index);
-  EXPECT_EQ(a.avg_completion_time, b.avg_completion_time);
-  EXPECT_EQ(a.gpu_time, b.gpu_time);
-  EXPECT_EQ(a.peak_contention, b.peak_contention);
-  EXPECT_EQ(a.unfinished_apps, b.unfinished_apps);
-  EXPECT_EQ(a.machine_failures, b.machine_failures);
-  EXPECT_EQ(a.scheduling_passes, b.scheduling_passes);
-  EXPECT_EQ(a.events_processed, b.events_processed);
-  EXPECT_EQ(a.rounds_executed, b.rounds_executed);
-  EXPECT_EQ(a.sim_time_advances, b.sim_time_advances);
-  EXPECT_EQ(a.finished_apps, b.finished_apps);
-  EXPECT_EQ(a.rhos, b.rhos);
-  EXPECT_EQ(a.completion_times, b.completion_times);
-  EXPECT_EQ(a.placement_scores, b.placement_scores);
-  ASSERT_EQ(a.timeline.size(), b.timeline.size());
-  for (std::size_t i = 0; i < a.timeline.size(); ++i) {
-    EXPECT_EQ(a.timeline[i].time, b.timeline[i].time);
-    EXPECT_EQ(a.timeline[i].app, b.timeline[i].app);
-    EXPECT_EQ(a.timeline[i].gpus, b.timeline[i].gpus);
-  }
-}
-
 // A contended mixed workload: multi-job HyperBand apps, overlapping
-// lifetimes, restarts — everything that can make the two engines diverge.
+// lifetimes, restarts.
 ExperimentConfig ContendedConfig(PolicyKind policy) {
   ExperimentConfig config;
   config.cluster = ClusterSpec::Uniform(2, 4, 4, 2);
@@ -62,78 +33,14 @@ ExperimentConfig ContendedConfig(PolicyKind policy) {
   return config;
 }
 
-ExperimentResult RunWithEngine(ExperimentConfig config, SimEngine engine) {
-  config.sim.engine = engine;
-  return RunExperiment(config);
-}
-
-class EngineEquivalenceTest : public ::testing::TestWithParam<PolicyKind> {};
-
-TEST_P(EngineEquivalenceTest, EventMatchesPassBitForBit) {
-  const ExperimentConfig config = ContendedConfig(GetParam());
-  const ExperimentResult event = RunWithEngine(config, SimEngine::kEventDriven);
-  const ExperimentResult pass = RunWithEngine(config, SimEngine::kPassStepped);
-  ExpectSameExperiment(event, pass);
-  EXPECT_EQ(event.unfinished_apps, 0);
-  EXPECT_GT(event.events_processed, 0);
-  EXPECT_GT(event.rounds_executed, 0);
-}
-
-INSTANTIATE_TEST_SUITE_P(Policies, EngineEquivalenceTest,
-                         ::testing::Values(PolicyKind::kThemis,
-                                           PolicyKind::kGandiva,
-                                           PolicyKind::kTiresias,
-                                           PolicyKind::kSlaq,
-                                           PolicyKind::kDrf));
-
-TEST(EngineEquivalence, HoldsUnderMachineFailures) {
+// The periodic sampler makes the timeline strictly denser than the
+// change-only record.
+TEST(MetricsTick, SamplingMakesTheTimelineDenser) {
   ExperimentConfig config = ContendedConfig(PolicyKind::kThemis);
-  config.sim.machine_mtbf_minutes = 300.0;
-  config.sim.machine_repair_minutes = 45.0;
-  const ExperimentResult event = RunWithEngine(config, SimEngine::kEventDriven);
-  const ExperimentResult pass = RunWithEngine(config, SimEngine::kPassStepped);
-  EXPECT_GT(event.machine_failures, 0);
-  ExpectSameExperiment(event, pass);
-}
-
-TEST(EngineEquivalence, HoldsOnStreamedTraces) {
-  const ExperimentConfig base = ContendedConfig(PolicyKind::kThemis);
-  const auto apps = TraceGenerator(base.trace).Generate();
-  auto run = [&](SimEngine engine) {
-    ExperimentConfig config = base;
-    config.sim.engine = engine;
-    config.sim.arrival_lookahead_minutes = 30.0;
-    return RunStreamingExperiment(config,
-                                  std::make_unique<VectorTraceReader>(apps));
-  };
-  const ExperimentResult event = run(SimEngine::kEventDriven);
-  const ExperimentResult pass = run(SimEngine::kPassStepped);
-  ExpectSameExperiment(event, pass);
-  EXPECT_EQ(event.total_apps, apps.size());
-}
-
-TEST(EngineEquivalence, HoldsPastMaxTimeCutoff) {
-  ExperimentConfig config = ContendedConfig(PolicyKind::kThemis);
-  config.sim.max_time = 120.0;
-  const ExperimentResult event = RunWithEngine(config, SimEngine::kEventDriven);
-  const ExperimentResult pass = RunWithEngine(config, SimEngine::kPassStepped);
-  EXPECT_GT(event.unfinished_apps, 0);
-  ExpectSameExperiment(event, pass);
-}
-
-TEST(EngineEquivalence, MetricsTickSamplingMatchesAcrossEngines) {
-  ExperimentConfig config = ContendedConfig(PolicyKind::kThemis);
+  const ExperimentResult sparse = RunExperiment(config);
   config.sim.metrics_tick_minutes = 7.0;
-  const ExperimentResult event = RunWithEngine(config, SimEngine::kEventDriven);
-  const ExperimentResult pass = RunWithEngine(config, SimEngine::kPassStepped);
-  ExpectSameExperiment(event, pass);
-
-  // The periodic sampler makes the timeline strictly denser than the
-  // change-only record.
-  ExperimentConfig no_tick = ContendedConfig(PolicyKind::kThemis);
-  const ExperimentResult sparse =
-      RunWithEngine(no_tick, SimEngine::kEventDriven);
-  EXPECT_GT(event.timeline.size(), sparse.timeline.size());
+  const ExperimentResult ticked = RunExperiment(config);
+  EXPECT_GT(ticked.timeline.size(), sparse.timeline.size());
 }
 
 // --------------------------------------------------------------------------
@@ -159,12 +66,10 @@ AppSpec TinyApp(Time arrival, double work) {
   return app;
 }
 
-SimResult RunTinyPair(SimEngine engine, Time lease_minutes,
-                      Time second_arrival = 10000.0) {
+SimResult RunTinyPair(Time lease_minutes, Time second_arrival = 10000.0) {
   SimConfig cfg;
   cfg.lease_minutes = lease_minutes;
   cfg.restart_overhead_minutes = 0.75;
-  cfg.engine = engine;
   // Two 1-minute jobs far apart: each finishes within its first lease, so
   // no lease ever actually expires and every tick that fires is stale.
   Simulator sim(ClusterSpec::Uniform(1, 1, 4, 4),
@@ -181,15 +86,8 @@ TEST(StaleTickGating, ExhaustedStreamRunsNoTailPasses) {
   config.cluster = ClusterSpec::Uniform(1, 1, 4, 4);
   config.policy = PolicyKind::kThemis;
   std::vector<AppSpec> apps{TinyApp(0.0, 4.0), TinyApp(30.0, 4.0)};
-  auto run = [&](SimEngine engine) {
-    ExperimentConfig c = config;
-    c.sim.engine = engine;
-    return RunStreamingExperiment(c,
-                                  std::make_unique<VectorTraceReader>(apps));
-  };
-  const ExperimentResult event = run(SimEngine::kEventDriven);
-  const ExperimentResult pass = run(SimEngine::kPassStepped);
-  ExpectSameExperiment(event, pass);
+  const ExperimentResult event = RunStreamingExperiment(
+      config, std::make_unique<VectorTraceReader>(apps));
   EXPECT_EQ(event.unfinished_apps, 0);
   // Exactly: 2 arrival passes + 2 finish passes. The first app's stale
   // lease tick fires (advancing time, no pass); the second app's never
@@ -204,19 +102,15 @@ TEST(StaleTickGating, EventCountIndependentOfLeaseDensityWhenIdle) {
   // Property: on a cluster that is idle between two far-apart tiny apps,
   // the number of events, passes, rounds and time advances is invariant
   // under lease-tick density — shrinking the lease 100x must not add work.
-  const SimResult baseline = RunTinyPair(SimEngine::kEventDriven, 20.0);
+  const SimResult baseline = RunTinyPair(20.0);
   for (Time lease : {2.0, 5.0, 200.0}) {
-    const SimResult r = RunTinyPair(SimEngine::kEventDriven, lease);
+    const SimResult r = RunTinyPair(lease);
     EXPECT_EQ(r.events_processed, baseline.events_processed) << lease;
     EXPECT_EQ(r.scheduling_passes, baseline.scheduling_passes) << lease;
     EXPECT_EQ(r.rounds_executed, baseline.rounds_executed) << lease;
     EXPECT_EQ(r.sim_time_advances, baseline.sim_time_advances) << lease;
     EXPECT_TRUE(r.unfinished.empty()) << lease;
   }
-  // And the pass-stepped engine counts the very same stream.
-  const SimResult pass = RunTinyPair(SimEngine::kPassStepped, 2.0);
-  EXPECT_EQ(pass.events_processed, baseline.events_processed);
-  EXPECT_EQ(pass.scheduling_passes, baseline.scheduling_passes);
 }
 
 // --------------------------------------------------------------------------
@@ -226,11 +120,10 @@ TEST(StaleTickGating, EventCountIndependentOfLeaseDensityWhenIdle) {
 TEST(EpsilonBatching, CoalescedRoundsFinishSameAppsWithFewerPasses) {
   ExperimentConfig config = ContendedConfig(PolicyKind::kThemis);
   config.trace.mean_interarrival = 2.0;  // scatter lease expiries densely
-  const ExperimentResult exact = RunWithEngine(config, SimEngine::kEventDriven);
+  const ExperimentResult exact = RunExperiment(config);
 
   config.sim.auction_epsilon_minutes = 5.0;
-  const ExperimentResult batched =
-      RunWithEngine(config, SimEngine::kEventDriven);
+  const ExperimentResult batched = RunExperiment(config);
 
   EXPECT_LT(batched.scheduling_passes, exact.scheduling_passes);
   EXPECT_EQ(batched.unfinished_apps, 0);
@@ -238,12 +131,9 @@ TEST(EpsilonBatching, CoalescedRoundsFinishSameAppsWithFewerPasses) {
   EXPECT_EQ(batched.finished_apps, exact.finished_apps);
 }
 
-TEST(EpsilonBatching, ValidateRejectsEpsilonOnPassEngine) {
+TEST(EpsilonBatching, ValidateRejectsNegativeWindows) {
   SimConfig cfg;
-  cfg.engine = SimEngine::kPassStepped;
   cfg.auction_epsilon_minutes = 1.0;
-  EXPECT_THROW(cfg.Validate(), std::invalid_argument);
-  cfg.engine = SimEngine::kEventDriven;
   EXPECT_NO_THROW(cfg.Validate());
   cfg.auction_epsilon_minutes = -0.5;
   EXPECT_THROW(cfg.Validate(), std::invalid_argument);
@@ -256,38 +146,33 @@ TEST(EpsilonBatching, ValidateRejectsEpsilonOnPassEngine) {
 // Scenario JSON knobs.
 // --------------------------------------------------------------------------
 
-TEST(Scenario, EngineAndEpsilonKnobsParse) {
+TEST(Scenario, EpsilonAndMetricsTickKnobsParse) {
   const std::string json = R"({
     "scenarios": [
-      { "name": "reference", "sim": { "engine": "pass" } },
       { "name": "batched",
-        "sim": { "engine": "event", "auction_epsilon_minutes": 2.5,
-                 "metrics_tick_minutes": 10 } }
+        "sim": { "auction_epsilon_minutes": 2.5, "metrics_tick_minutes": 10 } }
     ]
   })";
   const auto specs = LoadScenarios(json);
-  ASSERT_EQ(specs.size(), 2u);
-  EXPECT_EQ(specs[0].config.sim.engine, SimEngine::kPassStepped);
-  EXPECT_EQ(specs[1].config.sim.engine, SimEngine::kEventDriven);
-  EXPECT_DOUBLE_EQ(specs[1].config.sim.auction_epsilon_minutes, 2.5);
-  EXPECT_DOUBLE_EQ(specs[1].config.sim.metrics_tick_minutes, 10.0);
+  ASSERT_EQ(specs.size(), 1u);
+  EXPECT_DOUBLE_EQ(specs[0].config.sim.auction_epsilon_minutes, 2.5);
+  EXPECT_DOUBLE_EQ(specs[0].config.sim.metrics_tick_minutes, 10.0);
 }
 
-TEST(Scenario, UnknownEngineNameThrows) {
+// "engine" is not a sim key: a scenario file that selects an engine fails
+// to load instead of running with the key ignored.
+TEST(Scenario, EngineKeyIsRejectedAsUnknown) {
   const std::string json = R"({
-    "scenarios": [ { "name": "bad", "sim": { "engine": "turbo" } } ]
+    "scenarios": [ { "name": "old", "sim": { "engine": "event" } } ]
   })";
-  EXPECT_THROW(LoadScenarios(json), std::runtime_error);
-}
-
-TEST(Scenario, EpsilonOnPassEngineThrowsAtLoad) {
-  const std::string json = R"({
-    "scenarios": [
-      { "name": "bad",
-        "sim": { "engine": "pass", "auction_epsilon_minutes": 3 } }
-    ]
-  })";
-  EXPECT_THROW(LoadScenarios(json), std::invalid_argument);
+  try {
+    LoadScenarios(json);
+    ADD_FAILURE() << "sim.engine was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown key \"engine\""),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // --------------------------------------------------------------------------

@@ -1,17 +1,18 @@
 // Golden pins: a content hash of the full ExperimentResult for every policy
 // on one contended workload, run preloaded, streamed and under machine
-// failures, on both simulator engines. Themis is pinned under three more
-// settings that move its filter step: noisy estimation (theta = 0.15),
-// heterogeneous GPU generations, and the short-app tie-break turned off. It
-// is pinned under two that move the event loop: a max_time cutoff at 120
-// minutes that leaves apps unfinished, and a 7-minute metrics tick.
+// failures. Themis is pinned under three more settings that move its filter
+// step: noisy estimation (theta = 0.15), heterogeneous GPU generations, and
+// the short-app tie-break turned off. It is pinned under two that move the
+// event loop: a max_time cutoff at 120 minutes that leaves apps unfinished,
+// and a 7-minute metrics tick.
 //
-// The equivalence suites compare two paths inside one build (event vs pass,
-// streamed vs preloaded, parallel vs serial), so a change that moves both
-// sides of a comparison the same way passes them all. These pins compare
-// against constants instead, which makes bit-identity a property of the
-// tree's history: a refactor that claims "outputs unchanged" must leave
-// every hash below as it is.
+// The equivalence suites compare two paths inside one build (streamed vs
+// preloaded, parallel vs serial), so a change that moves both sides of a
+// comparison the same way passes them all. These pins compare against
+// constants instead, which makes bit-identity a property of the tree's
+// history: a refactor that claims "outputs unchanged" must leave every hash
+// below as it is. The audited runs also check the simulator's incremental
+// walks after every round (AuditSimulatorWalks), on every platform.
 //
 // The constants were captured with GCC on x86-64 (the CI platform), where
 // Debug and Release builds produce identical floats. Other platforms may
@@ -123,9 +124,8 @@ const char* ModeName(Mode mode) {
   return "?";
 }
 
-ExperimentConfig ModeConfig(PolicyKind policy, Mode mode, SimEngine engine) {
+ExperimentConfig ModeConfig(PolicyKind policy, Mode mode) {
   ExperimentConfig config = ContendedConfig(policy);
-  config.sim.engine = engine;
   switch (mode) {
     case Mode::kFailures:
       config.sim.machine_mtbf_minutes = 300.0;
@@ -154,8 +154,8 @@ ExperimentConfig ModeConfig(PolicyKind policy, Mode mode, SimEngine engine) {
   return config;
 }
 
-ExperimentResult RunMode(PolicyKind policy, Mode mode, SimEngine engine) {
-  const ExperimentConfig config = ModeConfig(policy, mode, engine);
+ExperimentResult RunMode(PolicyKind policy, Mode mode) {
+  const ExperimentConfig config = ModeConfig(policy, mode);
   if (mode == Mode::kStreamed)
     return RunStreamingExperiment(
         config, std::make_unique<VectorTraceReader>(
@@ -203,20 +203,16 @@ class GoldenPins : public ::testing::TestWithParam<Pin> {};
 
 TEST_P(GoldenPins, ResultHashIsPinned) {
   const Pin& pin = GetParam();
-  const ExperimentResult event =
-      RunMode(pin.policy, pin.mode, SimEngine::kEventDriven);
-  const ExperimentResult pass =
-      RunMode(pin.policy, pin.mode, SimEngine::kPassStepped);
+  const ExperimentResult result = RunMode(pin.policy, pin.mode);
   if (pin.mode == Mode::kCutoff) {
-    EXPECT_GT(event.unfinished_apps, 0);
+    EXPECT_GT(result.unfinished_apps, 0);
   } else {
-    EXPECT_EQ(event.unfinished_apps, 0);
+    EXPECT_EQ(result.unfinished_apps, 0);
   }
   if (pin.mode == Mode::kFailures) {
-    EXPECT_GT(event.machine_failures, 0);
+    EXPECT_GT(result.machine_failures, 0);
   }
-  const std::uint64_t hash = HashResult(event);
-  EXPECT_EQ(HashResult(pass), hash) << "engines diverged";
+  const std::uint64_t hash = HashResult(result);
 #if defined(__x86_64__)
   EXPECT_EQ(hash, pin.hash) << std::hex << "0x" << hash;
 #else
@@ -225,11 +221,10 @@ TEST_P(GoldenPins, ResultHashIsPinned) {
 }
 
 // The same runs with the Simulator driven directly, auditing the round
-// state after every round: the audit must hold throughout and the result
-// must still hash to the pin.
-ExperimentResult RunModeAudited(PolicyKind policy, Mode mode,
-                                SimEngine engine) {
-  ExperimentConfig config = ModeConfig(policy, mode, engine);
+// state and the simulator's walks after every round: the audits must hold
+// throughout and the result must still hash to the pin.
+ExperimentResult RunModeAudited(PolicyKind policy, Mode mode) {
+  ExperimentConfig config = ModeConfig(policy, mode);
   std::vector<AppSpec> apps = TraceGenerator(config.trace).Generate();
   std::unique_ptr<Simulator> sim;
   if (mode == Mode::kStreamed) {
@@ -245,6 +240,7 @@ ExperimentResult RunModeAudited(PolicyKind policy, Mode mode,
   long long audited = 0;
   sim->set_round_observer([&](const ResourceOffer&, const GrantSet&) {
     AuditRoundCore(sim->round_core());
+    AuditSimulatorWalks(sim->round_core());
     ++audited;
   });
   ExperimentResult result = SummarizeRun(config, sim->Run());
@@ -254,13 +250,9 @@ ExperimentResult RunModeAudited(PolicyKind policy, Mode mode,
 
 TEST_P(GoldenPins, AuditedRunsHoldInvariantsAndMatchPin) {
   const Pin& pin = GetParam();
-  const std::uint64_t event =
-      HashResult(RunModeAudited(pin.policy, pin.mode, SimEngine::kEventDriven));
-  const std::uint64_t pass =
-      HashResult(RunModeAudited(pin.policy, pin.mode, SimEngine::kPassStepped));
-  EXPECT_EQ(pass, event) << "engines diverged";
+  const std::uint64_t hash = HashResult(RunModeAudited(pin.policy, pin.mode));
 #if defined(__x86_64__)
-  EXPECT_EQ(event, pin.hash) << std::hex << "0x" << event;
+  EXPECT_EQ(hash, pin.hash) << std::hex << "0x" << hash;
 #else
   GTEST_SKIP() << "golden constants are pinned on x86-64 only";
 #endif

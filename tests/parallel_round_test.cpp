@@ -1,11 +1,11 @@
 // Tests for common/parallel.h and the parallel ARBITER round phases behind
-// ThemisConfig::auction_threads / SimConfig::round_threads: parallel rounds
-// must be pinned bit-identical to the serial loop (results, fingerprints,
-// grant streams, diagnostics) across every policy, both engines, failures,
-// heterogeneous generations and streamed traces; the stateful estimator
-// modes must silently fall back to the serial path with identical RNG
-// streams; and the ThreadPool itself must honor its chunking, exception and
-// reuse contracts.
+// ThemisConfig::auction_threads: parallel rounds must be pinned
+// bit-identical to the serial loop (results, fingerprints, grant streams,
+// diagnostics) across every policy, failures, heterogeneous generations and
+// streamed traces; the stateful estimator modes must silently fall back to
+// the serial path with identical RNG streams; the ThreadPool itself must
+// honor its chunking, exception and reuse contracts; and a negative thread
+// budget is rejected at every entry point.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,9 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "server/arbiter_core.h"
 #include "sim/experiment.h"
+#include "sim/scenario.h"
 #include "workload/trace_gen.h"
 #include "workload/trace_io.h"
 
@@ -169,17 +171,16 @@ ExperimentConfig ContendedConfig(PolicyKind policy) {
   return config;
 }
 
-ExperimentResult RunWithThreads(ExperimentConfig config, int round_threads) {
-  config.sim.round_threads = round_threads;
+ExperimentResult RunWithThreads(ExperimentConfig config, int threads) {
+  config.themis.auction_threads = threads;
   return RunExperiment(config);
 }
 
 class ParallelRoundEquivalenceTest
-    : public ::testing::TestWithParam<std::tuple<PolicyKind, SimEngine>> {};
+    : public ::testing::TestWithParam<PolicyKind> {};
 
 TEST_P(ParallelRoundEquivalenceTest, ThreadCountsMatchSerialBitForBit) {
-  ExperimentConfig config = ContendedConfig(std::get<0>(GetParam()));
-  config.sim.engine = std::get<1>(GetParam());
+  const ExperimentConfig config = ContendedConfig(GetParam());
   const ExperimentResult serial = RunWithThreads(config, 0);
   EXPECT_EQ(serial.unfinished_apps, 0);
   EXPECT_GT(serial.rounds_executed, 0);
@@ -189,14 +190,12 @@ TEST_P(ParallelRoundEquivalenceTest, ThreadCountsMatchSerialBitForBit) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    PoliciesTimesEngines, ParallelRoundEquivalenceTest,
-    ::testing::Combine(::testing::Values(PolicyKind::kThemis,
-                                         PolicyKind::kGandiva,
-                                         PolicyKind::kTiresias,
-                                         PolicyKind::kSlaq, PolicyKind::kDrf),
-                       ::testing::Values(SimEngine::kEventDriven,
-                                         SimEngine::kPassStepped)));
+INSTANTIATE_TEST_SUITE_P(Policies, ParallelRoundEquivalenceTest,
+                         ::testing::Values(PolicyKind::kThemis,
+                                           PolicyKind::kGandiva,
+                                           PolicyKind::kTiresias,
+                                           PolicyKind::kSlaq,
+                                           PolicyKind::kDrf));
 
 TEST(ParallelRoundEquivalence, HoldsUnderMachineFailures) {
   ExperimentConfig config = ContendedConfig(PolicyKind::kThemis);
@@ -220,9 +219,9 @@ TEST(ParallelRoundEquivalence, HoldsOnHeterogeneousGenerations) {
 TEST(ParallelRoundEquivalence, HoldsOnStreamedTraces) {
   const ExperimentConfig base = ContendedConfig(PolicyKind::kThemis);
   const auto apps = TraceGenerator(base.trace).Generate();
-  auto run = [&](int round_threads) {
+  auto run = [&](int threads) {
     ExperimentConfig config = base;
-    config.sim.round_threads = round_threads;
+    config.themis.auction_threads = threads;
     config.sim.arrival_lookahead_minutes = 30.0;
     config.sim.retire_finished_apps = true;
     return RunStreamingExperiment(config,
@@ -243,7 +242,7 @@ TEST(ParallelRoundFallback, NoisyEstimatorFallsBackToSerialExactly) {
   // call *sequence* is part of the result. A parallel thread budget must
   // change nothing: the round silently takes the serial path, and every
   // downstream random decision — hence the whole experiment — is
-  // bit-identical to round_threads = 0.
+  // bit-identical to auction_threads = 0.
   ExperimentConfig config = ContendedConfig(PolicyKind::kThemis);
   config.sim.estimator.mode = EstimationMode::kNoisy;
   config.sim.estimator.theta = 0.15;
@@ -266,10 +265,40 @@ TEST(ParallelRoundFallback, CurveFitEstimatorFallsBackToSerialExactly) {
 // Config plumbing and validation.
 // ---------------------------------------------------------------------------
 
-TEST(ParallelRoundConfig, NegativeRoundThreadsIsRejected) {
-  ExperimentConfig config = ContendedConfig(PolicyKind::kThemis);
-  config.sim.round_threads = -1;
-  EXPECT_THROW(RunExperiment(config), std::invalid_argument);
+// One check on ThemisConfig covers every entry point and every policy kind.
+TEST(ParallelRoundConfig, NegativeAuctionThreadsIsRejected) {
+  ThemisConfig themis;
+  themis.auction_threads = -1;
+  EXPECT_THROW(themis.Validate(), std::invalid_argument);
+  for (const PolicyKind kind : {PolicyKind::kThemis, PolicyKind::kTiresias}) {
+    ExperimentConfig config = ContendedConfig(kind);
+    config.themis = themis;
+    EXPECT_THROW(RunExperiment(config), std::invalid_argument);
+    EXPECT_THROW(RunStreamingExperiment(
+                     config, std::make_unique<VectorTraceReader>(
+                                 TraceGenerator(config.trace).Generate())),
+                 std::invalid_argument);
+  }
+  server::ArbiterConfig arbiter;
+  arbiter.themis = themis;
+  EXPECT_THROW(server::ArbiterCore core(arbiter), std::invalid_argument);
+}
+
+TEST(ParallelRoundConfig, ScenarioKeyIsThemisAuctionThreads) {
+  const auto specs = LoadScenarios(R"({
+    "scenarios": [ { "name": "t", "themis": { "auction_threads": 4 } } ]
+  })");
+  ASSERT_EQ(specs.size(), 1u);
+  EXPECT_EQ(specs[0].config.themis.auction_threads, 4);
+  EXPECT_THROW(LoadScenarios(R"({
+    "scenarios": [ { "name": "t", "themis": { "auction_threads": -2 } } ]
+  })"),
+               std::invalid_argument);
+  // The thread budget is a themis key only; under sim it fails the load.
+  EXPECT_THROW(LoadScenarios(R"({
+    "scenarios": [ { "name": "t", "sim": { "round_threads": 4 } } ]
+  })"),
+               std::runtime_error);
 }
 
 TEST(ParallelRoundConfig, SweepRunnerStaysBitIdenticalOnTheSharedPool) {

@@ -3,10 +3,9 @@
 //   - a per-round oracle: before every round of whole contended runs
 //     (preloaded, streamed, under failures, on mixed generations, with the
 //     short-app tie-break off, with a parallel probe, at f = 0 and f = 1,
-//     under epsilon batching; both engines where they apply), the indexed
-//     participant cut must equal the literal probe-everything filter
-//     (tests/literal_filter.h) id for id, and the checks must leave the
-//     run's result unchanged;
+//     under epsilon batching), the indexed participant cut must equal the
+//     literal probe-everything filter (tests/literal_filter.h) id for id,
+//     and the checks must leave the run's result unchanged;
 //   - the invariant the index rests on: a gangless app probes to exactly
 //     kUnboundedRho without touching the estimator's RNG;
 //   - the index agrees with a from-scratch classification
@@ -107,38 +106,32 @@ ExperimentConfig ContendedConfig() {
   return config;
 }
 
-/// Runs `config` on each of `engines` through the oracle and checks each run
-/// against the plain RunExperiment / RunStreamingExperiment result.
-void ExpectOracleHolds(const ExperimentConfig& base, bool streamed = false,
-                       std::initializer_list<SimEngine> engines = {
-                           SimEngine::kEventDriven, SimEngine::kPassStepped}) {
-  for (const SimEngine engine : engines) {
-    ExperimentConfig config = base;
-    config.sim.engine = engine;
-    std::vector<AppSpec> apps = TraceGenerator(config.trace).Generate();
-    int checked = 0;
-    auto oracle = std::make_unique<FilterOracleScheduler>(config.themis,
-                                                          &checked);
-    ExperimentResult plain;
-    std::unique_ptr<Simulator> sim;
-    if (streamed) {
-      config.sim.arrival_lookahead_minutes = 30.0;
-      config.sim.retire_finished_apps = true;
-      plain = RunStreamingExperiment(
-          config, std::make_unique<VectorTraceReader>(apps));
-      sim = std::make_unique<Simulator>(
-          config.cluster, std::make_unique<VectorTraceReader>(std::move(apps)),
-          std::move(oracle), config.sim);
-    } else {
-      plain = RunExperiment(config);
-      sim = std::make_unique<Simulator>(config.cluster, std::move(apps),
-                                        std::move(oracle), config.sim);
-    }
-    const ExperimentResult checked_run = SummarizeRun(config, sim->Run());
-    EXPECT_GT(checked, 0);
-    EXPECT_EQ(checked_run.unfinished_apps, 0);
-    ExpectSameExperiment(checked_run, plain);
+/// Runs `config` through the oracle and checks the run against the plain
+/// RunExperiment / RunStreamingExperiment result.
+void ExpectOracleHolds(ExperimentConfig config, bool streamed = false) {
+  std::vector<AppSpec> apps = TraceGenerator(config.trace).Generate();
+  int checked = 0;
+  auto oracle = std::make_unique<FilterOracleScheduler>(config.themis,
+                                                        &checked);
+  ExperimentResult plain;
+  std::unique_ptr<Simulator> sim;
+  if (streamed) {
+    config.sim.arrival_lookahead_minutes = 30.0;
+    config.sim.retire_finished_apps = true;
+    plain = RunStreamingExperiment(config,
+                                   std::make_unique<VectorTraceReader>(apps));
+    sim = std::make_unique<Simulator>(
+        config.cluster, std::make_unique<VectorTraceReader>(std::move(apps)),
+        std::move(oracle), config.sim);
+  } else {
+    plain = RunExperiment(config);
+    sim = std::make_unique<Simulator>(config.cluster, std::move(apps),
+                                      std::move(oracle), config.sim);
   }
+  const ExperimentResult checked_run = SummarizeRun(config, sim->Run());
+  EXPECT_GT(checked, 0);
+  EXPECT_EQ(checked_run.unfinished_apps, 0);
+  ExpectSameExperiment(checked_run, plain);
 }
 
 TEST(FilterOracle, HoldsEveryRoundPreloaded) {
@@ -191,12 +184,12 @@ TEST(FilterOracle, HoldsEveryRoundWhenOneAppIsOffered) {
   ExpectOracleHolds(config);
 }
 
-// Epsilon batching reclaims several leases per round (event engine only), so
-// more holders go gangless between two probes.
+// Epsilon batching reclaims several leases per round, so more holders go
+// gangless between two probes.
 TEST(FilterOracle, HoldsEveryRoundUnderEpsilonBatching) {
   ExperimentConfig config = ContendedConfig();
   config.sim.auction_epsilon_minutes = 5.0;
-  ExpectOracleHolds(config, /*streamed=*/false, {SimEngine::kEventDriven});
+  ExpectOracleHolds(config);
 }
 
 // ---------------------------------------------------------------------------

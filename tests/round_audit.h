@@ -10,6 +10,18 @@
 //     exactly the gangless hungry apps in comparator order, each with
 //     last_rho pinned to kUnboundedRho (ExpectIndexMatchesBruteForce).
 //
+// AuditSimulatorWalks checks that the simulator's incremental walks miss
+// nothing a walk over every active app would catch. Call it from a round
+// observer, where FinishRound has settled but the simulator has not yet
+// sampled or projected the round's touched apps:
+//
+//   - every job whose rate cache is current for its allocation epoch holds
+//     exactly Rate() and SpeedSum() of its gang, bitwise;
+//   - every active app the round did not touch has its held-GPU count
+//     recorded in the allocation timeline already;
+//   - every running job with a positive rate in an untouched active app has
+//     its finish projected for its current allocation epoch.
+//
 // Failures are reported through gtest with the offending ids.
 #pragma once
 
@@ -108,6 +120,33 @@ inline void AuditRoundCore(const RoundCore& core) {
   EXPECT_EQ(AppIds(core.rho_index().holders()), holders);
   ExpectIndexMatchesBruteForce(core.rho_index(), core.apps(),
                                core.rho_index().short_app_tiebreak());
+}
+
+inline void AuditSimulatorWalks(const RoundCore& core) {
+  const Topology& topo = core.cluster().topology();
+  for (const auto& slot : core.apps()) {
+    if (slot == nullptr) continue;
+    for (const JobState& job : slot->jobs) {
+      if (job.rate_cache_version != job.alloc_version) continue;
+      EXPECT_EQ(job.cached_rate, job.Rate(topo))
+          << "stale cached rate, app " << slot->id << " job " << job.id;
+      EXPECT_EQ(job.cached_speed_sum, topo.SpeedSum(job.gpus))
+          << "stale cached speed sum, app " << slot->id << " job " << job.id;
+    }
+  }
+
+  const std::vector<AppId>& touched = core.round_touched_apps();
+  for (const AppState* app : core.active_apps()) {
+    if (std::binary_search(touched.begin(), touched.end(), app->id)) continue;
+    EXPECT_EQ(app->last_recorded_held, app->GpusHeld())
+        << "untouched app " << app->id << " has an unrecorded holding";
+    for (const JobState& job : app->jobs) {
+      if (!job.Running() || !(job.Rate(topo) > 0.0)) continue;
+      EXPECT_EQ(job.finish_projected_version, job.alloc_version)
+          << "untouched app " << app->id << " job " << job.id
+          << " has no finish projected for its allocation";
+    }
+  }
 }
 
 }  // namespace themis
