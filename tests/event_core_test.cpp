@@ -2,15 +2,20 @@
 // allocation timeline denser; stale lease ticks must not trigger scheduling
 // passes; event counts must be independent of lease-tick density on an idle
 // cluster; and epsilon-batched rounds must reduce pass counts while still
-// finishing the same apps. The loop's outputs are pinned by
-// golden_pins_test, and its incremental walks are audited there after every
-// round (tests/round_audit.h).
+// finishing the same apps, with the round state and the simulator's
+// incremental walks audited after every coalesced round (tests/round_audit.h)
+// for every policy, under failures, streamed traces, a max_time cutoff and a
+// metrics tick. The exact loop's outputs are pinned, and audited the same
+// way, by golden_pins_test.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
+#include "round_audit.h"
 #include "sim/experiment.h"
 #include "sim/scenario.h"
 #include "workload/trace_gen.h"
@@ -129,6 +134,99 @@ TEST(EpsilonBatching, CoalescedRoundsFinishSameAppsWithFewerPasses) {
   EXPECT_EQ(batched.unfinished_apps, 0);
   EXPECT_EQ(exact.unfinished_apps, 0);
   EXPECT_EQ(batched.finished_apps, exact.finished_apps);
+}
+
+// Coalescing moves rounds off the event that triggered them, so the walks
+// that only visit a round's touched apps must still leave every untouched
+// app recorded and projected. Drive the Simulator directly with
+// ContendedConfig at a 5-minute epsilon and audit after every round.
+ExperimentConfig BatchedConfig(PolicyKind policy) {
+  ExperimentConfig config = ContendedConfig(policy);
+  config.trace.mean_interarrival = 2.0;
+  config.sim.auction_epsilon_minutes = 5.0;
+  return config;
+}
+
+ExperimentResult RunBatchedAudited(ExperimentConfig config,
+                                   bool streamed = false) {
+  std::vector<AppSpec> apps = TraceGenerator(config.trace).Generate();
+  std::unique_ptr<Simulator> sim;
+  if (streamed) {
+    config.sim.retire_finished_apps = true;
+    config.sim.arrival_lookahead_minutes = 30.0;
+    sim = std::make_unique<Simulator>(
+        config.cluster, std::make_unique<VectorTraceReader>(std::move(apps)),
+        MakePolicy(config.policy, config.themis), config.sim);
+  } else {
+    sim = std::make_unique<Simulator>(config.cluster, std::move(apps),
+                                      MakePolicy(config.policy, config.themis),
+                                      config.sim);
+  }
+  long long audited = 0;
+  sim->set_round_observer([&](const ResourceOffer&, const GrantSet&) {
+    AuditRoundCore(sim->round_core());
+    AuditSimulatorWalks(sim->round_core());
+    ++audited;
+  });
+  ExperimentResult result = SummarizeRun(config, sim->Run());
+  EXPECT_GT(audited, 0);
+  EXPECT_EQ(result.rounds_executed, audited);
+  return result;
+}
+
+class BatchedAuditTest : public ::testing::TestWithParam<PolicyKind> {};
+
+TEST_P(BatchedAuditTest, WalksHoldAfterEveryCoalescedRound) {
+  const ExperimentConfig config = BatchedConfig(GetParam());
+  const ExperimentResult batched = RunBatchedAudited(config);
+  EXPECT_EQ(batched.unfinished_apps, 0);
+  EXPECT_GT(batched.events_processed, 0);
+  // The observer changes nothing: the audited run is the plain run.
+  const ExperimentResult plain = RunExperiment(config);
+  EXPECT_EQ(batched.scheduling_passes, plain.scheduling_passes);
+  EXPECT_EQ(batched.events_processed, plain.events_processed);
+  EXPECT_EQ(batched.rhos, plain.rhos);
+  EXPECT_EQ(batched.completion_times, plain.completion_times);
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, BatchedAuditTest,
+                         ::testing::Values(PolicyKind::kThemis,
+                                           PolicyKind::kGandiva,
+                                           PolicyKind::kTiresias,
+                                           PolicyKind::kSlaq,
+                                           PolicyKind::kDrf));
+
+TEST(BatchedAudit, HoldsUnderMachineFailures) {
+  ExperimentConfig config = BatchedConfig(PolicyKind::kThemis);
+  config.sim.machine_mtbf_minutes = 300.0;
+  config.sim.machine_repair_minutes = 45.0;
+  const ExperimentResult result = RunBatchedAudited(config);
+  EXPECT_GT(result.machine_failures, 0);
+  EXPECT_EQ(result.unfinished_apps, 0);
+}
+
+TEST(BatchedAudit, HoldsOnStreamedTraces) {
+  const ExperimentConfig config = BatchedConfig(PolicyKind::kThemis);
+  const ExperimentResult result = RunBatchedAudited(config, /*streamed=*/true);
+  EXPECT_EQ(result.total_apps,
+            static_cast<std::size_t>(config.trace.num_apps));
+  EXPECT_EQ(result.unfinished_apps, 0);
+}
+
+TEST(BatchedAudit, HoldsPastMaxTimeCutoff) {
+  ExperimentConfig config = BatchedConfig(PolicyKind::kThemis);
+  config.sim.max_time = 120.0;
+  const ExperimentResult result = RunBatchedAudited(config);
+  EXPECT_GT(result.unfinished_apps, 0);
+}
+
+TEST(BatchedAudit, HoldsWithMetricsTick) {
+  ExperimentConfig config = BatchedConfig(PolicyKind::kThemis);
+  const ExperimentResult sparse = RunBatchedAudited(config);
+  config.sim.metrics_tick_minutes = 7.0;
+  const ExperimentResult ticked = RunBatchedAudited(config);
+  EXPECT_EQ(ticked.unfinished_apps, 0);
+  EXPECT_GT(ticked.timeline.size(), sparse.timeline.size());
 }
 
 TEST(EpsilonBatching, ValidateRejectsNegativeWindows) {
