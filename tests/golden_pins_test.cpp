@@ -6,6 +6,11 @@
 // event loop: a max_time cutoff at 120 minutes that leaves apps unfinished,
 // and a 7-minute metrics tick.
 //
+// A second pin hashes the Partial Allocation solver directly: every field
+// of PartialAllocation's result over ~2000 seeded random auctions, at node
+// budgets small enough to cut the branch-and-bound short. A solver rewrite
+// must keep the search order, not just the optimum, to leave it unchanged.
+//
 // The equivalence suites compare two paths inside one build (streamed vs
 // preloaded, parallel vs serial), so a change that moves both sides of a
 // comparison the same way passes them all. These pins compare against
@@ -20,11 +25,14 @@
 // skipped there rather than failed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <string>
 
+#include "auction/partial_allocation.h"
+#include "common/rng.h"
 #include "round_audit.h"
 #include "sim/experiment.h"
 #include "workload/trace_gen.h"
@@ -260,6 +268,95 @@ TEST_P(GoldenPins, AuditedRunsHoldInvariantsAndMatchPin) {
 
 INSTANTIATE_TEST_SUITE_P(ContendedConfig, GoldenPins,
                          ::testing::ValuesIn(kPins), PinName);
+
+/// A random auction shaped like the simulator's: 1-12 machines with 0-4
+/// free GPUs each, 1-24 bidders, up to 7 rows per table, each non-zero row
+/// touching 1-3 machines. Bidder and row counts are skewed toward small
+/// tables: an auction that exhausts the default budget costs 200k nodes per
+/// re-solve, and uniform counts make hundreds of those (minutes under the
+/// sanitizers) where ten already pin that path. Some rows repeat an earlier
+/// row's value exactly, so tie-breaking is pinned too.
+struct PaInstance {
+  std::vector<int> offered;
+  std::vector<BidTable> tables;
+};
+
+PaInstance RandomPaInstance(Rng& rng) {
+  PaInstance inst;
+  const int machines = rng.UniformInt(1, 12);
+  for (int m = 0; m < machines; ++m) inst.offered.push_back(rng.UniformInt(0, 4));
+  const int bidders = rng.UniformInt(1, rng.UniformInt(1, 24));
+  for (int b = 0; b < bidders; ++b) {
+    BidTable t;
+    t.app = static_cast<AppId>(100 + b);
+    const double rho0 = rng.Uniform(1.0, 40.0);
+    BidRow zero;
+    zero.gpus_per_machine.assign(machines, 0);
+    zero.rho = rho0;
+    t.rows.push_back(zero);
+    const int rows = rng.UniformInt(0, rng.UniformInt(0, 6));
+    for (int r = 0; r < rows; ++r) {
+      BidRow row;
+      row.gpus_per_machine.assign(machines, 0);
+      const int touched = rng.UniformInt(1, std::min(3, machines));
+      for (int k = 0; k < touched; ++k) {
+        const int m = rng.UniformInt(0, machines - 1);
+        if (inst.offered[m] > 0)
+          row.gpus_per_machine[m] = rng.UniformInt(1, inst.offered[m]);
+      }
+      const int total = row.TotalGpus();
+      row.rho = rng.UniformInt(0, 3) == 0
+                    ? rho0 / (1.0 + total)  // equal totals tie exactly
+                    : rho0 / (1.0 + total * rng.Uniform(0.2, 1.5));
+      t.rows.push_back(row);
+    }
+    inst.tables.push_back(std::move(t));
+  }
+  return inst;
+}
+
+TEST(PaDigest, SolverOutputIsPinned) {
+  const std::int64_t budgets[] = {0, 37, 500, PaConfig{}.max_nodes};
+  Rng rng(20241017);
+  ResultHash h;
+  int cut_at_37 = 0;
+  int cut_at_500 = 0;
+  int cut_at_default = 0;
+  for (int n = 0; n < 2000; ++n) {
+    const PaInstance inst = RandomPaInstance(rng);
+    std::vector<const BidTable*> bids;
+    for (const BidTable& t : inst.tables) bids.push_back(&t);
+    for (const std::int64_t budget : budgets) {
+      for (const bool hidden : {true, false}) {
+        PaConfig cfg;
+        cfg.max_nodes = budget;
+        cfg.hidden_payments = hidden;
+        const PaResult r = PartialAllocation(bids, inst.offered, cfg);
+        for (const PaWinner& w : r.winners) {
+          h.Add(static_cast<std::uint64_t>(w.app));
+          h.Add(w.row);
+          h.Add(w.c);
+          for (int g : w.granted) h.Add(g);
+        }
+        for (int g : r.leftover) h.Add(g);
+        h.Add(r.log_welfare);
+        h.Add(static_cast<std::uint64_t>(r.exact));
+        if (!r.exact && budget == 37) ++cut_at_37;
+        if (!r.exact && budget == 500) ++cut_at_500;
+        if (!r.exact && budget == PaConfig{}.max_nodes) ++cut_at_default;
+      }
+    }
+  }
+  // The budget-cut path must really be pinned, not just the exact one.
+  EXPECT_GT(cut_at_37, 0);
+  EXPECT_GT(cut_at_500, 0);
+  EXPECT_GT(cut_at_default, 0);
+#if defined(__x86_64__)
+  EXPECT_EQ(h.value(), 0xff55a2a697ff2917ull) << std::hex << "0x" << h.value();
+#else
+  GTEST_SKIP() << "golden constants are pinned on x86-64 only";
+#endif
+}
 
 }  // namespace
 }  // namespace themis
