@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "auction/partial_allocation.h"
 #include "common/rng.h"
+#include "pa_oracle.h"
 
 namespace themis {
 namespace {
@@ -260,6 +262,99 @@ TEST(PartialAllocation, ParetoEfficiencyOfProportionalFairStage) {
 TEST(PartialAllocation, ThrowsOnInvalidBid) {
   const BidTable bad = Table(1, {Row({9}, 1.0)});
   EXPECT_THROW(PartialAllocation({&bad}, {4}), std::invalid_argument);
+}
+
+TEST(PartialAllocation, ValidatesTheLastOfSeveralTables) {
+  // The tables are validated once, at the entry; the hidden-payment
+  // re-solves trust them. So a bad table must be caught wherever it sits,
+  // here behind two good ones, by both entry points.
+  const std::vector<int> offered{2, 2};
+  const BidTable a = Table(1, {Row({0, 0}, 6.0), Row({2, 0}, 3.0)});
+  const BidTable b = Table(2, {Row({0, 0}, 6.0), Row({0, 2}, 3.0)});
+  const BidTable wrong_dims =
+      Table(3, {Row({0, 0}, 6.0), Row({1, 0}, 4.0), Row({1, 1, 0}, 3.0)});
+  const BidTable over_offer = Table(3, {Row({0, 0}, 6.0), Row({0, 3}, 2.0)});
+  const BidTable no_zero_row = Table(3, {Row({1, 0}, 4.0), Row({2, 0}, 3.0)});
+  const std::vector<std::vector<const BidTable*>> bad_markets{
+      {&a, &b, nullptr},
+      {&a, &b, &wrong_dims},
+      {&a, &b, &over_offer},
+      {&a, &b, &no_zero_row},
+  };
+  for (const auto& bids : bad_markets) {
+    EXPECT_THROW(PartialAllocation(bids, offered), std::invalid_argument);
+    PaConfig no_payments;
+    no_payments.hidden_payments = false;
+    EXPECT_THROW(PartialAllocation(bids, offered, no_payments),
+                 std::invalid_argument);
+    EXPECT_THROW(SolveProportionalFair(bids, offered), std::invalid_argument);
+  }
+  EXPECT_NO_THROW(PartialAllocation({&a, &b}, offered));
+}
+
+/// A tiny random auction the exhaustive oracle can enumerate: 1-4
+/// machines, 1-5 apps, 1-4 rows per table (row 0 the zero row).
+std::vector<BidTable> TinyAuction(Rng& rng, std::vector<int>& offered) {
+  offered.assign(rng.UniformInt(1, 4), 0);
+  for (int& o : offered) o = rng.UniformInt(0, 3);
+  std::vector<BidTable> tables;
+  const int apps = rng.UniformInt(1, 5);
+  for (int i = 0; i < apps; ++i) {
+    const double rho0 = rng.Uniform(1.0, 20.0);
+    BidTable t = Table(static_cast<AppId>(i),
+                       {Row(std::vector<int>(offered.size(), 0), rho0)});
+    const int rows = rng.UniformInt(0, 3);
+    for (int r = 0; r < rows; ++r) {
+      std::vector<int> ask(offered.size(), 0);
+      for (std::size_t m = 0; m < offered.size(); ++m)
+        if (rng.UniformInt(0, 1) == 1) ask[m] = rng.UniformInt(0, offered[m]);
+      int total = 0;
+      for (int g : ask) total += g;
+      t.rows.push_back(Row(ask, rho0 / (1.0 + total * rng.Uniform(0.1, 2.0))));
+    }
+    tables.push_back(std::move(t));
+  }
+  return tables;
+}
+
+TEST(PaOracle, MatchesExhaustiveEnumeration) {
+  Rng rng(4242);
+  int contested = 0;  // winners whose hidden payment withheld something
+  for (int n = 0; n < 3000; ++n) {
+    std::vector<int> offered;
+    const std::vector<BidTable> tables = TinyAuction(rng, offered);
+    const std::vector<const BidTable*> bids = Borrow(tables);
+    SCOPED_TRACE("instance " + std::to_string(n));
+
+    const PfSolution pf = SolveProportionalFair(bids, offered);
+    ASSERT_TRUE(pf.exact);
+    ASSERT_NEAR(pf.log_welfare, OracleMaxLogWelfare(bids, offered), 1e-9);
+
+    const PaResult r = PartialAllocation(bids, offered);
+    ASSERT_TRUE(r.exact);
+    std::vector<int> rows;
+    for (const PaWinner& w : r.winners) rows.push_back(w.row);
+    ASSERT_NEAR(OracleLogWelfare(bids, rows), OracleMaxLogWelfare(bids, offered),
+                1e-9);
+    std::vector<int> leftover = offered;
+    for (std::size_t i = 0; i < bids.size(); ++i) {
+      const PaWinner& w = r.winners[i];
+      const BidRow& row = bids[i]->rows[w.row];
+      if (row.IsZero()) {
+        ASSERT_EQ(w.c, 1.0);
+      } else {
+        ASSERT_NEAR(w.c, OracleRetention(bids, offered, rows, i), 1e-9);
+      }
+      if (w.c < 1.0) ++contested;
+      for (std::size_t m = 0; m < offered.size(); ++m) {
+        ASSERT_EQ(w.granted[m],
+                  static_cast<int>(std::floor(w.c * row.gpus_per_machine[m] + 1e-9)));
+        leftover[m] -= w.granted[m];
+      }
+    }
+    ASSERT_EQ(r.leftover, leftover);
+  }
+  EXPECT_GT(contested, 100);  // the ratio is exercised, not just c = 1
 }
 
 TEST(PartialAllocation, GreedyFallbackStaysFeasible) {
