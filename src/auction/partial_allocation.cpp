@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 
 namespace themis {
@@ -17,80 +18,117 @@ void Validate(const std::vector<const BidTable*>& bids,
   }
 }
 
-/// Precomputed log-valuations; rows sorted by descending value per app so the
-/// branch-and-bound explores promising rows first.
+/// No app skipped: the full market.
+constexpr std::size_t kNoSkip = static_cast<std::size_t>(-1);
+
+/// One nonzero entry of a bid row.
+struct Ask {
+  int machine = 0;
+  int gpus = 0;
+};
+
+/// One auction in the form the search reads, built once per auction and
+/// shared by the stage-1 solve and every hidden-payment re-solve. Rows are
+/// flattened across apps: app i owns flat rows first_row[i] ..
+/// first_row[i + 1] - 1, and flat row g asks for asks[first_ask[g]] ..
+/// asks[first_ask[g + 1] - 1], its nonzero machines only, since a row
+/// touches a few machines of the offer.
 struct Problem {
-  const std::vector<const BidTable*>* bids = nullptr;
   std::vector<int> offered;
-  /// log V for bids[i]->rows[r].
-  std::vector<std::vector<double>> log_value;
-  /// Row visit order per app (descending log value).
-  std::vector<std::vector<int>> row_order;
+  std::vector<std::size_t> first_row;
+  /// log V per flat row.
+  std::vector<double> log_value;
+  /// Per app, its row indices in visit order: descending log value, ties in
+  /// table order, so the branch-and-bound explores promising rows first.
+  std::vector<int> row_order;
   /// Best (max) log value per app, for optimistic pruning bounds.
   std::vector<double> best_log;
+  /// Apps by descending gain of their best row over their zero row, ties in
+  /// input order: the greedy incumbent's order.
+  std::vector<std::size_t> greedy_order;
+  std::vector<std::size_t> first_ask;
+  std::vector<Ask> asks;
+
+  std::size_t apps() const { return best_log.size(); }
+  double Log(std::size_t i, int r) const { return log_value[first_row[i] + r]; }
+  std::span<const int> Order(std::size_t i) const {
+    return {row_order.data() + first_row[i], row_order.data() + first_row[i + 1]};
+  }
 };
 
 Problem BuildProblem(const std::vector<const BidTable*>& bids,
                      const std::vector<int>& offered) {
   Problem p;
-  p.bids = &bids;
   p.offered = offered;
-  p.log_value.resize(bids.size());
-  p.row_order.resize(bids.size());
   p.best_log.resize(bids.size());
+  p.first_row.push_back(0);
+  p.first_ask.push_back(0);
   for (std::size_t i = 0; i < bids.size(); ++i) {
     const auto& rows = bids[i]->rows;
-    p.log_value[i].resize(rows.size());
-    p.row_order[i].resize(rows.size());
+    const std::size_t base = p.log_value.size();
     double best = -1e18;
     for (std::size_t r = 0; r < rows.size(); ++r) {
-      p.log_value[i][r] = std::log(rows[r].Value());
-      p.row_order[i][r] = static_cast<int>(r);
-      best = std::max(best, p.log_value[i][r]);
+      p.log_value.push_back(std::log(rows[r].Value()));
+      p.row_order.push_back(static_cast<int>(r));
+      best = std::max(best, p.log_value.back());
+      const auto& gpus = rows[r].gpus_per_machine;
+      for (std::size_t m = 0; m < gpus.size(); ++m)
+        if (gpus[m] != 0) p.asks.push_back({static_cast<int>(m), gpus[m]});
+      p.first_ask.push_back(p.asks.size());
     }
-    std::stable_sort(p.row_order[i].begin(), p.row_order[i].end(),
-                     [&](int a, int b) { return p.log_value[i][a] > p.log_value[i][b]; });
+    std::stable_sort(p.row_order.begin() + base, p.row_order.end(),
+                     [&](int a, int b) {
+                       return p.log_value[base + a] > p.log_value[base + b];
+                     });
     p.best_log[i] = best;
+    p.first_row.push_back(p.log_value.size());
   }
+  p.greedy_order.resize(bids.size());
+  for (std::size_t i = 0; i < bids.size(); ++i) p.greedy_order[i] = i;
+  std::stable_sort(p.greedy_order.begin(), p.greedy_order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return p.best_log[a] - p.Log(a, 0) >
+                            p.best_log[b] - p.Log(b, 0);
+                   });
   return p;
 }
 
-bool Fits(const BidRow& row, const std::vector<int>& remaining) {
-  for (std::size_t m = 0; m < remaining.size(); ++m)
-    if (row.gpus_per_machine[m] > remaining[m]) return false;
+// Validation puts every zero row within the offer and rejects negative asks,
+// so the remaining capacity never drops below zero: a row's zero entries
+// always fit, and only its asks need checking.
+bool Fits(const Problem& p, std::size_t i, int r,
+          const std::vector<int>& remaining) {
+  const std::size_t g = p.first_row[i] + r;
+  for (std::size_t k = p.first_ask[g]; k < p.first_ask[g + 1]; ++k)
+    if (p.asks[k].gpus > remaining[p.asks[k].machine]) return false;
   return true;
 }
 
-void Consume(const BidRow& row, std::vector<int>& remaining, int sign) {
-  for (std::size_t m = 0; m < remaining.size(); ++m)
-    remaining[m] -= sign * row.gpus_per_machine[m];
+void Consume(const Problem& p, std::size_t i, int r,
+             std::vector<int>& remaining, int sign) {
+  const std::size_t g = p.first_row[i] + r;
+  for (std::size_t k = p.first_ask[g]; k < p.first_ask[g + 1]; ++k)
+    remaining[p.asks[k].machine] -= sign * p.asks[k].gpus;
 }
 
-double TotalLog(const Problem& p, const std::vector<int>& rows) {
+double TotalLog(const Problem& p, const std::vector<std::size_t>& apps,
+                const std::vector<int>& rows) {
   double total = 0.0;
-  for (std::size_t i = 0; i < rows.size(); ++i) total += p.log_value[i][rows[i]];
+  for (std::size_t i : apps) total += p.Log(i, rows[i]);
   return total;
 }
 
-/// Greedy incumbent: apps ordered by how much they stand to gain (best row
-/// vs. zero row), each taking its best feasible row. Deterministic.
-std::vector<int> GreedySolve(const Problem& p) {
-  const auto& bids = *p.bids;
-  std::vector<std::size_t> order(bids.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const double gain_a = p.best_log[a] - p.log_value[a][0];
-    const double gain_b = p.best_log[b] - p.log_value[b][0];
-    return gain_a > gain_b;
-  });
-
-  std::vector<int> rows(bids.size(), 0);
+/// Greedy incumbent: apps in greedy order, each taking its best feasible
+/// row. Deterministic.
+std::vector<int> GreedySolve(const Problem& p, std::size_t skip) {
+  std::vector<int> rows(p.apps(), 0);
   std::vector<int> remaining = p.offered;
-  for (std::size_t i : order) {
-    for (int r : p.row_order[i]) {
-      if (Fits(bids[i]->rows[r], remaining)) {
+  for (std::size_t i : p.greedy_order) {
+    if (i == skip) continue;
+    for (int r : p.Order(i)) {
+      if (Fits(p, i, r, remaining)) {
         rows[i] = r;
-        Consume(bids[i]->rows[r], remaining, +1);
+        Consume(p, i, r, remaining, +1);
         break;
       }
     }
@@ -101,24 +139,23 @@ std::vector<int> GreedySolve(const Problem& p) {
 /// One improvement pass: for each app, try every alternative row holding the
 /// others fixed; accept the best strictly improving switch. Repeats up to
 /// `passes` times or until a fixed point.
-void LocalSearch(const Problem& p, std::vector<int>& rows, int passes) {
-  const auto& bids = *p.bids;
+void LocalSearch(const Problem& p, const std::vector<std::size_t>& apps,
+                 std::vector<int>& rows, int passes) {
   std::vector<int> remaining = p.offered;
-  for (std::size_t i = 0; i < rows.size(); ++i)
-    Consume(bids[i]->rows[rows[i]], remaining, +1);
+  for (std::size_t i : apps) Consume(p, i, rows[i], remaining, +1);
 
   for (int pass = 0; pass < passes; ++pass) {
     bool improved = false;
-    for (std::size_t i = 0; i < rows.size(); ++i) {
+    for (std::size_t i : apps) {
       // Free app i's current row, then look for the best feasible row.
-      Consume(bids[i]->rows[rows[i]], remaining, -1);
+      Consume(p, i, rows[i], remaining, -1);
       int best_row = rows[i];
-      double best_log = p.log_value[i][rows[i]];
-      for (int r : p.row_order[i]) {
-        if (p.log_value[i][r] <= best_log) break;  // sorted: no better rows left
-        if (Fits(bids[i]->rows[r], remaining)) {
+      double best_log = p.Log(i, rows[i]);
+      for (int r : p.Order(i)) {
+        if (p.Log(i, r) <= best_log) break;  // sorted: no better rows left
+        if (Fits(p, i, r, remaining)) {
           best_row = r;
-          best_log = p.log_value[i][r];
+          best_log = p.Log(i, r);
           break;
         }
       }
@@ -126,7 +163,7 @@ void LocalSearch(const Problem& p, std::vector<int>& rows, int passes) {
         rows[i] = best_row;
         improved = true;
       }
-      Consume(bids[i]->rows[rows[i]], remaining, +1);
+      Consume(p, i, rows[i], remaining, +1);
     }
     if (!improved) break;
   }
@@ -144,18 +181,21 @@ struct BnbState {
 // 32-byte code boundaries (measured on an Intel Xeon, perfbench sim-burst),
 // enough to move whole-round cost by ~20%. Pinning their alignment keeps
 // that cost independent of the code laid out before them.
-[[gnu::aligned(32)]] void Bnb(const Problem& p, std::size_t i,
-                              std::vector<int>& rows,
+//
+// `apps` lists the apps in the market in input order; depth d assigns a
+// row to apps[d].
+[[gnu::aligned(32)]] void Bnb(const Problem& p,
+                              const std::vector<std::size_t>& apps,
+                              std::size_t d, std::vector<int>& rows,
                               std::vector<int>& remaining, double log_so_far,
-                              double* suffix_best, std::int64_t max_nodes,
+                              const double* suffix_best, std::int64_t max_nodes,
                               BnbState& state) {
   if (state.nodes >= max_nodes) {
     state.exhausted = false;
     return;
   }
   ++state.nodes;
-  const auto& bids = *p.bids;
-  if (i == bids.size()) {
+  if (d == apps.size()) {
     if (log_so_far > state.best_log) {
       state.best_log = log_so_far;
       state.best_rows = rows;
@@ -163,41 +203,48 @@ struct BnbState {
     return;
   }
   // Optimistic bound: remaining apps all take their best row (capacity-free).
-  if (log_so_far + suffix_best[i] <= state.best_log) return;
+  if (log_so_far + suffix_best[d] <= state.best_log) return;
 
-  for (int r : p.row_order[i]) {
-    if (!Fits(bids[i]->rows[r], remaining)) continue;
+  const std::size_t i = apps[d];
+  for (int r : p.Order(i)) {
+    if (!Fits(p, i, r, remaining)) continue;
     rows[i] = r;
-    Consume(bids[i]->rows[r], remaining, +1);
-    Bnb(p, i + 1, rows, remaining, log_so_far + p.log_value[i][r], suffix_best,
+    Consume(p, i, r, remaining, +1);
+    Bnb(p, apps, d + 1, rows, remaining, log_so_far + p.Log(i, r), suffix_best,
         max_nodes, state);
-    Consume(bids[i]->rows[r], remaining, -1);
+    Consume(p, i, r, remaining, -1);
   }
   rows[i] = 0;
 }
 
-[[gnu::aligned(32)]] PfSolution Solve(const Problem& p,
+/// Proportional-fair rows for the market of every app but `skip` (kNoSkip:
+/// all of them). The result's rows are indexed by app; rows[skip] is 0.
+[[gnu::aligned(32)]] PfSolution Solve(const Problem& p, std::size_t skip,
                                       const PaConfig& config) {
-  const auto& bids = *p.bids;
   PfSolution sol;
-  if (bids.empty()) return sol;
+  std::vector<std::size_t> apps;
+  apps.reserve(p.apps());
+  for (std::size_t i = 0; i < p.apps(); ++i)
+    if (i != skip) apps.push_back(i);
+  if (apps.empty()) return sol;
 
-  std::vector<int> rows = GreedySolve(p);
-  LocalSearch(p, rows, config.local_search_passes);
+  std::vector<int> rows = GreedySolve(p, skip);
+  LocalSearch(p, apps, rows, config.local_search_passes);
 
-  // suffix_best[i] = sum of best logs over apps i..end.
-  std::vector<double> suffix(bids.size() + 1, 0.0);
-  for (std::size_t i = bids.size(); i-- > 0;)
-    suffix[i] = suffix[i + 1] + p.best_log[i];
+  // suffix_best[d] = sum of best logs over apps[d..end].
+  std::vector<double> suffix(apps.size() + 1, 0.0);
+  for (std::size_t d = apps.size(); d-- > 0;)
+    suffix[d] = suffix[d + 1] + p.best_log[apps[d]];
 
   BnbState state;
   state.best_rows = rows;
-  state.best_log = TotalLog(p, rows);
-  std::vector<int> work_rows(bids.size(), 0);
+  state.best_log = TotalLog(p, apps, rows);
+  std::vector<int> work_rows(p.apps(), 0);
   std::vector<int> remaining = p.offered;
-  Bnb(p, 0, work_rows, remaining, 0.0, suffix.data(), config.max_nodes, state);
+  Bnb(p, apps, 0, work_rows, remaining, 0.0, suffix.data(), config.max_nodes,
+      state);
 
-  sol.rows = state.best_rows;
+  sol.rows = std::move(state.best_rows);
   sol.log_welfare = state.best_log;
   sol.exact = state.exhausted;
   return sol;
@@ -209,8 +256,7 @@ PfSolution SolveProportionalFair(const std::vector<const BidTable*>& bids,
                                  const std::vector<int>& offered,
                                  const PaConfig& config) {
   Validate(bids, offered, "SolveProportionalFair");
-  const Problem p = BuildProblem(bids, offered);
-  return Solve(p, config);
+  return Solve(BuildProblem(bids, offered), kNoSkip, config);
 }
 
 PaResult PartialAllocation(const std::vector<const BidTable*>& bids,
@@ -223,14 +269,12 @@ PaResult PartialAllocation(const std::vector<const BidTable*>& bids,
   if (bids.empty()) return result;
 
   const Problem p = BuildProblem(bids, offered);
-  const PfSolution pf = Solve(p, config);
+  const PfSolution pf = Solve(p, kNoSkip, config);
   result.log_welfare = pf.log_welfare;
   result.exact = pf.exact;
 
   // Hidden payments: compare the others' welfare with and without each app.
   result.winners.resize(bids.size());
-  std::vector<const BidTable*> others;
-  others.reserve(bids.size() - 1);
   for (std::size_t i = 0; i < bids.size(); ++i) {
     PaWinner& w = result.winners[i];
     w.app = bids[i]->app;
@@ -250,15 +294,12 @@ PaResult PartialAllocation(const std::vector<const BidTable*>& bids,
       continue;
     }
 
-    // Market without app i — borrowed pointers, no table copies.
-    others.clear();
-    for (std::size_t j = 0; j < bids.size(); ++j)
-      if (j != i) others.push_back(bids[j]);
-    const PfSolution without = SolveProportionalFair(others, offered, config);
+    // Market without app i: the same problem, searched with i skipped.
+    const PfSolution without = Solve(p, i, config);
     if (!without.exact) result.exact = false;
 
     // Others' log-welfare inside the full optimum.
-    double with_log = pf.log_welfare - p.log_value[i][w.row];
+    const double with_log = pf.log_welfare - p.Log(i, w.row);
     // c_i = exp(with - without) <= 1 (removing i frees resources). Clamp to
     // guard against approximate subproblem solutions.
     w.c = std::clamp(std::exp(with_log - without.log_welfare), 0.0, 1.0);
