@@ -1,5 +1,5 @@
-// Ablation bench (DESIGN.md design-choice index): isolates the contribution
-// of THEMIS's individual mechanisms by disabling them one at a time on the
+// Ablation bench: the paper argues for each of THEMIS's mechanisms, so this
+// bench measures what each one buys by disabling them one at a time on the
 // same contended workload:
 //   - hidden payments off  -> plain proportional fairness, no truthfulness
 //     incentive and no leftover pool from payments

@@ -9,8 +9,10 @@
 // are kept until the app completes).
 //
 // The mechanism needs a "higher is better" valuation that is homogeneous of
-// degree one; we use V = 1 / rho (see DESIGN.md): scaling an allocation k-fold
-// on the same machines divides rho by k and therefore multiplies V by k.
+// degree one, since PA's truthfulness guarantee assumes it. We use V = 1 / rho,
+// which the AGENT already computes and which has both properties: scaling an
+// allocation k-fold on the same machines divides rho by k and therefore
+// multiplies V by k.
 #pragma once
 
 #include <string>

@@ -3,10 +3,11 @@
 //
 // Stage 1 (proportional fairness): choose one row per bidding app maximizing
 // the product of valuations Prod_i V_i subject to the per-machine capacity of
-// the offer. The paper solves this with Gurobi; we use a deterministic
-// branch-and-bound over the (small) bid tables seeded by a greedy incumbent,
-// falling back to greedy + pairwise local search when the search space
-// exceeds a node budget (DESIGN.md substitution #3).
+// the offer. The paper solves this with Gurobi. We use a deterministic
+// branch-and-bound instead, which needs no commercial solver and is exact on
+// the small tables AGENTs send (a handful of rows per app). It is seeded by
+// a greedy + local-search incumbent, and when the search space exceeds a
+// node budget it returns the best answer found so far, marked inexact.
 //
 // Stage 2 (hidden payments / truth-telling): each app i keeps only a fraction
 //     c_i = Prod_{j!=i} V_j(R_pf) / Prod_{j!=i} V_j(R_pf^{-i})
@@ -14,6 +15,12 @@
 // market without app i. Removing a bidder can only help the others, so
 // c_i <= 1; the withheld (1 - c_i) share is the hidden payment that makes
 // truthful reporting of V a dominant strategy for homogeneous valuations.
+//
+// Stage 1 and the N stage-2 re-solves all search one problem, built once per
+// auction: the tables are validated, their logs taken and their rows sorted
+// once, and a re-solve skips app i by index. Each row is kept sparse, as the
+// list of machines it asks for, since a row touches a few machines of an
+// offer that may span dozens.
 //
 // Stage 3 (leftovers): hidden payments may leave GPUs unallocated — at most a
 // 1/e fraction in the worst case — which the ARBITER later hands out work-
@@ -44,7 +51,12 @@ struct PaWinner {
   AppId app = kNoApp;
   /// Index of the winning row in the app's bid table (0 == zero row).
   int row = 0;
-  /// Hidden-payment retention fraction c_i in (0, 1].
+  /// Hidden-payment retention fraction c_i, clamped into [0, 1]. It is 1
+  /// for a zero-row winner and with hidden payments off. The upper clamp
+  /// only acts when a re-solve cut short by the node budget undershoots the
+  /// market without i. c is 0 only where exp underflows: i's presence costs
+  /// the others more than ~745 in log welfare. A small positive c can still
+  /// floor every machine's grant to zero.
   double c = 1.0;
   /// Final granted GPUs per machine: floor(c * row), elementwise.
   std::vector<int> granted;

@@ -1,5 +1,5 @@
-// Synthetic enterprise-trace generator (substitute for the proprietary trace
-// of Sec. 8.1; see DESIGN.md substitution #2).
+// Synthetic enterprise-trace generator. The trace of Sec. 8.1 is proprietary,
+// so we generate one from the marginals the paper publishes.
 //
 // The paper publishes the trace's marginals, which we reproduce:
 //   - hyper-parameter exploration jobs per app: 1..98, median 23

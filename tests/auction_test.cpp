@@ -326,16 +326,30 @@ TEST(PaOracle, MatchesExhaustiveEnumeration) {
     const std::vector<const BidTable*> bids = Borrow(tables);
     SCOPED_TRACE("instance " + std::to_string(n));
 
+    // Welfare is compared, not rows: tied optima may pick different rows.
+    const double best = OracleMaxLogWelfare(bids, offered);
     const PfSolution pf = SolveProportionalFair(bids, offered);
     ASSERT_TRUE(pf.exact);
-    ASSERT_NEAR(pf.log_welfare, OracleMaxLogWelfare(bids, offered), 1e-9);
+    ASSERT_NEAR(pf.log_welfare, best, 1e-9);
+
+    // The greedy fallback (no search nodes) is feasible and no better.
+    PaConfig greedy_cfg;
+    greedy_cfg.max_nodes = 0;
+    const PfSolution greedy = SolveProportionalFair(bids, offered, greedy_cfg);
+    std::vector<int> used(offered.size(), 0);
+    for (std::size_t i = 0; i < bids.size(); ++i)
+      for (std::size_t m = 0; m < offered.size(); ++m)
+        used[m] += bids[i]->rows[greedy.rows[i]].gpus_per_machine[m];
+    for (std::size_t m = 0; m < offered.size(); ++m)
+      ASSERT_LE(used[m], offered[m]);
+    ASSERT_NEAR(greedy.log_welfare, OracleLogWelfare(bids, greedy.rows), 1e-9);
+    ASSERT_LE(greedy.log_welfare, best + 1e-9);
 
     const PaResult r = PartialAllocation(bids, offered);
     ASSERT_TRUE(r.exact);
     std::vector<int> rows;
     for (const PaWinner& w : r.winners) rows.push_back(w.row);
-    ASSERT_NEAR(OracleLogWelfare(bids, rows), OracleMaxLogWelfare(bids, offered),
-                1e-9);
+    ASSERT_NEAR(OracleLogWelfare(bids, rows), best, 1e-9);
     std::vector<int> leftover = offered;
     for (std::size_t i = 0; i < bids.size(); ++i) {
       const PaWinner& w = r.winners[i];
