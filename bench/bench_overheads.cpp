@@ -325,8 +325,13 @@ int RunFilterProbeSweep() {
 // parallel bid-prep phase the thread budget actually touches. Hidden
 // payments are ablated (the PaConfig knob) and the branch-and-bound node
 // budget kept small so the serial solver stage stays a sliver. The solver
-// borrows the 512 bid tables in place, so a round copies none of them (the
-// hidden-payments pass would otherwise copy 511 per bidder). Grant
+// borrows the 512 bid tables in place and builds one problem per auction
+// from them: each table validated, its logs taken and rows sorted once, and
+// each row kept as the sparse list of machines it asks for. With hidden
+// payments on, all 512 re-solves would search that same problem, each
+// skipping its own app by index (BM_PartialAllocation above: 24 bidders on
+// a 128-GPU offer take ~0.10 ms, against ~0.30 ms when every re-solve rebuilt
+// the problem and checked rows against every machine). Grant
 // streams are fingerprint-checked across thread counts for the
 // bit-identicality the pool contract promises; the process exits non-zero
 // only on an identity failure (a correctness bug), never on a throughput

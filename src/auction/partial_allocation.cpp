@@ -52,7 +52,8 @@ struct Problem {
   std::size_t apps() const { return best_log.size(); }
   double Log(std::size_t i, int r) const { return log_value[first_row[i] + r]; }
   std::span<const int> Order(std::size_t i) const {
-    return {row_order.data() + first_row[i], row_order.data() + first_row[i + 1]};
+    return {row_order.data() + first_row[i],
+            row_order.data() + first_row[i + 1]};
   }
 };
 

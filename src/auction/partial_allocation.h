@@ -53,9 +53,10 @@ struct PaWinner {
   int row = 0;
   /// Hidden-payment retention fraction c_i, clamped into [0, 1]. It is 1
   /// for a zero-row winner and with hidden payments off. The upper clamp
-  /// only acts when a re-solve cut short by the node budget undershoots the
-  /// market without i. c is 0 only where exp underflows: i's presence costs
-  /// the others more than ~745 in log welfare. A small positive c can still
+  /// absorbs rounding when i's absence does not help the others, and a
+  /// re-solve cut short by the node budget that undershoots the market
+  /// without i. c is 0 only where exp underflows: i's presence costs the
+  /// others more than ~745 in log welfare. A small positive c can still
   /// floor every machine's grant to zero.
   double c = 1.0;
   /// Final granted GPUs per machine: floor(c * row), elementwise.

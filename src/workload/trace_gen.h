@@ -1,7 +1,5 @@
 // Synthetic enterprise-trace generator. The trace of Sec. 8.1 is proprietary,
-// so we generate one from the marginals the paper publishes.
-//
-// The paper publishes the trace's marginals, which we reproduce:
+// so we generate one from the marginals the paper publishes:
 //   - hyper-parameter exploration jobs per app: 1..98, median 23
 //   - most tasks need 4 GPUs, a few need 2
 //   - task durations: mostly short (median 59 min) with a long tail

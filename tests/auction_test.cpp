@@ -361,8 +361,8 @@ TEST(PaOracle, MatchesExhaustiveEnumeration) {
       }
       if (w.c < 1.0) ++contested;
       for (std::size_t m = 0; m < offered.size(); ++m) {
-        ASSERT_EQ(w.granted[m],
-                  static_cast<int>(std::floor(w.c * row.gpus_per_machine[m] + 1e-9)));
+        const double share = w.c * row.gpus_per_machine[m];
+        ASSERT_EQ(w.granted[m], static_cast<int>(std::floor(share + 1e-9)));
         leftover[m] -= w.granted[m];
       }
     }

@@ -284,7 +284,8 @@ struct PaInstance {
 PaInstance RandomPaInstance(Rng& rng) {
   PaInstance inst;
   const int machines = rng.UniformInt(1, 12);
-  for (int m = 0; m < machines; ++m) inst.offered.push_back(rng.UniformInt(0, 4));
+  for (int m = 0; m < machines; ++m)
+    inst.offered.push_back(rng.UniformInt(0, 4));
   const int bidders = rng.UniformInt(1, rng.UniformInt(1, 24));
   for (int b = 0; b < bidders; ++b) {
     BidTable t;
