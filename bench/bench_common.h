@@ -143,8 +143,7 @@ inline void ChurnPrefill(Cluster& cluster, int apps) {
 }
 
 /// One scheduler-pass-shaped round: reclaim expired leases, rebuild the
-/// free views (offer vector + pool), probe every app's holdings, re-grant
-/// the pool. Returns a checksum of the query results so callers can keep
+/// free views (offer vector + pool), re-grant the pool. Returns a checksum of the query results so callers can keep
 /// the work observable to the optimizer.
 inline std::size_t ClusterPassChurnRound(Cluster& cluster, int apps,
                                          Time now) {
@@ -153,8 +152,6 @@ inline std::size_t ClusterPassChurnRound(Cluster& cluster, int apps,
   const std::vector<int> per_machine = cluster.FreeGpusPerMachine();
   const std::vector<GpuId> free = cluster.FreeGpus();
   sink += per_machine.size();
-  for (AppId a = 0; a < static_cast<AppId>(apps); ++a)
-    sink += cluster.GpusHeldBy(a).size();
   for (GpuId g : free)
     cluster.Allocate(g, g % apps, g % 4, now + 20.0 + (g * 7) % 200);
   const Time next = cluster.NextExpiryAfter(now);

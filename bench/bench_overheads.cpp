@@ -125,7 +125,7 @@ BENCHMARK(BM_FullSimulation)->Unit(benchmark::kMillisecond);
 
 /// Indexed-cluster churn at large topologies: one scheduler-pass-shaped
 /// round (bench::ClusterPassChurnRound — reclaim expired, rebuild free
-/// views, probe every app's holdings, re-grant; the same round
+/// views, re-grant; the same round
 /// bench_fig02_placement_throughput sweeps) on a cluster of `machines` x 8
 /// GPUs. The scan-based cluster was O(gpus) per query; the indexed one is
 /// O(result + log gpus).

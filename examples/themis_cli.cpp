@@ -8,6 +8,7 @@
 //              [--round-threads N]
 //              [--trace-out FILE] [--trace-in FILE] [--cdf]
 //              [--stream-trace FILE] [--bounded-metrics]
+//              [--epsilon MIN]
 //              [--shards N] [--threads N]
 //              [--sweep SCENARIOS.json] [--csv FILE]
 //              [--connect HOST:PORT]
@@ -20,6 +21,8 @@
 // (million-job) traces replay in memory bounded by peak concurrency —
 // add --bounded-metrics to also cap the metric-side memory (reservoir
 // samples + streaming quantiles instead of per-app vectors).
+// --epsilon MIN batches lease ticks: a round waits up to MIN minutes so the
+// leases expiring within the window are reclaimed and offered together.
 // With --shards N, the cluster's machines are partitioned across N federated
 // ARBITER shards (core/federation.h): apps are routed by the least-loaded
 // placement hint, the shards simulate in parallel (--threads), the merged

@@ -10,46 +10,14 @@ Cluster::Cluster(ClusterSpec spec)
       leases_(topo_.num_gpus()),
       machine_down_(topo_.num_machines(), false),
       free_on_machine_(topo_.num_machines()) {
-  for (MachineId m = 0; m < static_cast<MachineId>(topo_.num_machines()); ++m) {
+  for (MachineId m = 0; m < static_cast<MachineId>(topo_.num_machines()); ++m)
     free_on_machine_[m] = topo_.machine_gpus(m);  // ascending by construction
-    free_speed_total_ +=
-        topo_.machine_speed(m) * static_cast<double>(free_on_machine_[m].size());
-  }
-}
-
-void Cluster::TakeFromFreeList(GpuId gpu) {
-  const MachineId m = topo_.gpu(gpu).machine;
-  auto& free = free_on_machine_[m];
-  // The caller verified the GPU is free, so it must be listed.
-  free.erase(std::lower_bound(free.begin(), free.end(), gpu));
-  if (!machine_down_[m]) free_speed_total_ -= topo_.machine_speed(m);
-}
-
-void Cluster::ReturnToFreeList(GpuId gpu) {
-  const MachineId m = topo_.gpu(gpu).machine;
-  auto& free = free_on_machine_[m];
-  free.insert(std::lower_bound(free.begin(), free.end(), gpu), gpu);
-  if (!machine_down_[m]) free_speed_total_ += topo_.machine_speed(m);
 }
 
 std::vector<GpuId> Cluster::FreeGpus() const {
   std::vector<GpuId> out;
   out.reserve(num_gpus() - num_allocated_);
   for (MachineId m = 0; m < free_on_machine_.size(); ++m) {
-    if (machine_down_[m]) continue;
-    out.insert(out.end(), free_on_machine_[m].begin(),
-               free_on_machine_[m].end());
-  }
-  return out;
-}
-
-std::vector<GpuId> Cluster::FreeGpusBySpeed() const {
-  // Same ordering contract as FreePool::FirstNFastest: both concatenate in
-  // Topology::machines_by_speed() order (the single home of the speed
-  // tie-break), ascending GPU id within a machine.
-  std::vector<GpuId> out;
-  out.reserve(num_gpus() - num_allocated_);
-  for (MachineId m : topo_.machines_by_speed()) {
     if (machine_down_[m]) continue;
     out.insert(out.end(), free_on_machine_[m].begin(),
                free_on_machine_[m].end());
@@ -65,72 +33,28 @@ std::vector<int> Cluster::FreeGpusPerMachine() const {
   return out;
 }
 
-std::vector<GpuId> Cluster::FreeGpusOnMachine(MachineId m) const {
-  if (machine_down_[m]) return {};
-  return free_on_machine_[m];
-}
-
-std::vector<GpuId> Cluster::GpusHeldBy(AppId app) const {
-  std::vector<GpuId> out;
-  const auto it = holdings_.find(app);
-  if (it == holdings_.end()) return out;
-  for (const auto& [job, gpus] : it->second)
-    out.insert(out.end(), gpus.begin(), gpus.end());
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<GpuId> Cluster::GpusHeldBy(AppId app, JobId job) const {
-  const auto it = holdings_.find(app);
-  if (it == holdings_.end()) return {};
-  const auto jt = it->second.find(job);
-  if (jt == it->second.end()) return {};
-  return {jt->second.begin(), jt->second.end()};
-}
-
 void Cluster::Allocate(GpuId gpu, AppId app, JobId job, Time expiry) {
   if (gpu >= leases_.size()) throw std::out_of_range("Allocate: bad GPU id");
   if (leases_[gpu])
     throw std::logic_error("Allocate: GPU already leased (double allocation)");
-  if (machine_down_[topo_.gpu(gpu).machine])
-    throw std::logic_error("Allocate: machine is down");
+  const MachineId m = topo_.gpu(gpu).machine;
+  if (machine_down_[m]) throw std::logic_error("Allocate: machine is down");
   leases_[gpu] = Lease{app, job, expiry};
   ++num_allocated_;
-  TakeFromFreeList(gpu);
+  // The GPU was free, so its machine's free list holds it.
+  auto& free = free_on_machine_[m];
+  free.erase(std::lower_bound(free.begin(), free.end(), gpu));
   expiries_.emplace(expiry, gpu);
-  holdings_[app][job].insert(gpu);
-}
-
-void Cluster::ReleaseIndexed(GpuId gpu, const Lease& lease) {
-  expiries_.erase({lease.expiry, gpu});
-  const auto it = holdings_.find(lease.app);
-  if (it != holdings_.end()) {
-    const auto jt = it->second.find(lease.job);
-    if (jt != it->second.end()) {
-      jt->second.erase(gpu);
-      if (jt->second.empty()) it->second.erase(jt);
-    }
-    if (it->second.empty()) holdings_.erase(it);
-  }
-  leases_[gpu].reset();
-  --num_allocated_;
-  ReturnToFreeList(gpu);
 }
 
 void Cluster::Release(GpuId gpu) {
   if (gpu >= leases_.size()) throw std::out_of_range("Release: bad GPU id");
   if (!leases_[gpu]) throw std::logic_error("Release: GPU already free");
-  ReleaseIndexed(gpu, *leases_[gpu]);
-}
-
-void Cluster::ReleaseAll(AppId app) {
-  const auto it = holdings_.find(app);
-  if (it == holdings_.end()) return;
-  // Flatten first: ReleaseIndexed mutates the holdings map being walked.
-  std::vector<GpuId> held;
-  for (const auto& [job, gpus] : it->second)
-    held.insert(held.end(), gpus.begin(), gpus.end());
-  for (GpuId g : held) ReleaseIndexed(g, *leases_[g]);
+  expiries_.erase({leases_[gpu]->expiry, gpu});
+  leases_[gpu].reset();
+  --num_allocated_;
+  auto& free = free_on_machine_[topo_.gpu(gpu).machine];
+  free.insert(std::lower_bound(free.begin(), free.end(), gpu), gpu);
 }
 
 std::vector<GpuId> Cluster::ExpiredGpus(Time now) const {
@@ -148,25 +72,9 @@ Time Cluster::NextExpiryAfter(Time t) const {
   return it == expiries_.end() ? kInfiniteTime : it->first;
 }
 
-void Cluster::Renew(GpuId gpu, Time new_expiry) {
-  if (gpu >= leases_.size() || !leases_[gpu])
-    throw std::logic_error("Renew: GPU not leased");
-  expiries_.erase({leases_[gpu]->expiry, gpu});
-  leases_[gpu]->expiry = new_expiry;
-  expiries_.emplace(new_expiry, gpu);
-}
-
 void Cluster::SetMachineDown(MachineId machine, bool down) {
   if (machine >= machine_down_.size())
     throw std::out_of_range("SetMachineDown: bad machine id");
-  if (machine_down_[machine] != down) {
-    num_machines_down_ += down ? 1 : -1;
-    // The machine's free GPUs enter/leave the effective free pool with it.
-    const double free_speed =
-        topo_.machine_speed(machine) *
-        static_cast<double>(free_on_machine_[machine].size());
-    free_speed_total_ += down ? -free_speed : free_speed;
-  }
   machine_down_[machine] = down;
 }
 

@@ -4,24 +4,21 @@
 // for the lease duration; when the lease expires the GPU returns to the pool
 // the ARBITER auctions off. The Cluster class enforces the single-owner
 // invariant (a GPU is held by at most one app at a time) and provides the
-// free-GPU views the policies consume.
+// free-GPU views the round offers.
 //
 // State is *indexed*, not scanned: alongside the per-GPU lease table (the
 // ground truth) the cluster maintains
 //   - a per-machine sorted free-GPU list (free views in O(free + machines)),
 //   - an ordered set of (expiry, gpu) pairs (expiry queries and the next
 //     lease tick in O(log n)),
-//   - a per-(app, job) holdings map (holdings queries and ReleaseAll in time
-//     proportional to the app's holdings, not the cluster size).
-// Every mutation (Allocate / Release / ReleaseAll / Renew) keeps the indices
-// consistent with the lease table; the query API is unchanged from the
-// scan-based implementation and returns identically ordered results.
+//   - a down flag per machine (a down machine offers no free GPUs).
+// Allocate and Release keep the indices consistent with the lease table.
+// Who holds what per app lives in the jobs' gangs (JobState::gpus); the
+// round audit (tests/round_audit.h) checks that gangs and leases agree.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -50,36 +47,15 @@ class Cluster {
   /// All currently unallocated GPUs, in ascending GPU-id order.
   std::vector<GpuId> FreeGpus() const;
 
-  /// Free GPUs ordered fastest generation first (machines by descending
-  /// speed, ties ascending machine id; ascending GPU id within a machine).
-  /// With uniform speeds this equals FreeGpus(). Policies take fastest-first
-  /// from this view without scanning speeds themselves.
-  std::vector<GpuId> FreeGpusBySpeed() const;
-
-  /// Sum of generation speeds over the free pool (effective free capacity
-  /// in K80-equivalent GPUs); maintained incrementally, O(1). Machines that
-  /// are down contribute nothing, matching FreeGpus().
-  double FreeEffectiveGpus() const { return free_speed_total_; }
-
   /// Free GPU count per machine; index = MachineId. This is the resource
   /// vector R-> the ARBITER offers in auctions (one dimension per machine).
   std::vector<int> FreeGpusPerMachine() const;
-
-  /// Free GPUs hosted by one machine.
-  std::vector<GpuId> FreeGpusOnMachine(MachineId m) const;
-
-  /// GPUs currently held by an app (optionally restricted to one job).
-  std::vector<GpuId> GpusHeldBy(AppId app) const;
-  std::vector<GpuId> GpusHeldBy(AppId app, JobId job) const;
 
   /// Grant `gpu` to (app, job) until `expiry`. Throws if the GPU is taken.
   void Allocate(GpuId gpu, AppId app, JobId job, Time expiry);
 
   /// Release a GPU back to the free pool. Throws if it was already free.
   void Release(GpuId gpu);
-
-  /// Release every GPU held by the app (e.g., app finished).
-  void ReleaseAll(AppId app);
 
   /// GPUs whose lease expired at or before `now`, ascending GPU-id order.
   /// Does not release them; the simulator decides when reclaimed GPUs enter
@@ -106,51 +82,29 @@ class Cluster {
     return std::prev(it)->first;
   }
 
-  /// Extend the lease on a GPU already held by `app` (lease renewal when an
-  /// app wins back its own GPUs).
-  void Renew(GpuId gpu, Time new_expiry);
-
   /// Failure-domain support (Sec. 6 "Scheduling after failures"): a machine
   /// marked down contributes no free GPUs and rejects allocations. Releasing
   /// the GPUs an app held on the failed machine is the simulator's job.
   void SetMachineDown(MachineId machine, bool down);
   bool IsMachineDown(MachineId machine) const { return machine_down_[machine]; }
-  int num_machines_down() const { return num_machines_down_; }
 
   int num_allocated() const { return num_allocated_; }
   int num_free() const { return num_gpus() - num_allocated_; }
 
  private:
-  /// Remove `gpu` from the free list of its machine (on allocation).
-  void TakeFromFreeList(GpuId gpu);
-  /// Return `gpu` to the free list of its machine (on release).
-  void ReturnToFreeList(GpuId gpu);
-  /// Drop one GPU's lease plus every index entry derived from it.
-  void ReleaseIndexed(GpuId gpu, const Lease& lease);
-
   Topology topo_;
   /// Ground truth: per-GPU lease. The indices below are derived views.
   std::vector<std::optional<Lease>> leases_;
   std::vector<bool> machine_down_;
   int num_allocated_ = 0;
-  int num_machines_down_ = 0;
 
   /// Free GPUs per machine, each list sorted ascending. Machine GPU ids are
   /// contiguous, so concatenating the lists in machine order yields the
-  /// global ascending free list; concatenating in machines_by_speed order
-  /// yields the fastest-first list.
+  /// global ascending free list.
   std::vector<std::vector<GpuId>> free_on_machine_;
-
-  /// Sum of generation speeds over free GPUs on up machines; adjusted by
-  /// every free-list mutation and by SetMachineDown.
-  double free_speed_total_ = 0.0;
 
   /// (expiry, gpu) for every leased GPU; begin() is the earliest expiry.
   std::set<std::pair<Time, GpuId>> expiries_;
-
-  /// app -> job -> sorted GPUs held. Ascending iteration of the outer map is
-  /// not required (queries are per-app), so it hashes.
-  std::unordered_map<AppId, std::map<JobId, std::set<GpuId>>> holdings_;
 };
 
 }  // namespace themis

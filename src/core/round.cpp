@@ -57,7 +57,6 @@ FreePool::FreePool(const std::vector<GpuId>& gpus, const Topology& topo)
     prev_[g] = last;
     in_[g] = 1;
     ++per_machine_[topo.gpu(g).machine];
-    speed_total_ += topo.gpu_speed(g);
     last = g;
   }
   next_[last] = sentinel_;
@@ -75,7 +74,6 @@ void FreePool::Remove(GpuId g) {
   if (next_[sentinel_] == sentinel_) next_[sentinel_] = kNoGpu;
   in_[g] = 0;
   --per_machine_[topo_->gpu(g).machine];
-  speed_total_ -= topo_->gpu_speed(g);
   --size_;
 }
 

@@ -122,10 +122,6 @@ class FreePool {
   /// Free count per machine for the GPUs still in the pool.
   const std::vector<int>& per_machine() const { return per_machine_; }
 
-  /// Sum of generation speeds over the pooled GPUs (effective capacity),
-  /// maintained on removal. Equals size() on speed-1.0 clusters.
-  double speed_total() const { return speed_total_; }
-
   /// First pooled GPU (ascending), or kNoGpu when empty.
   GpuId First() const { return next_[sentinel_]; }
   /// Pooled GPU after `g` (ascending), or kNoGpu when `g` is the last.
@@ -156,7 +152,6 @@ class FreePool {
   std::vector<int> per_machine_;
   const Topology* topo_ = nullptr;
   int size_ = 0;
-  double speed_total_ = 0.0;
 };
 
 /// A round scheduler — the bottom level of the two-level architecture

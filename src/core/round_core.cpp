@@ -91,30 +91,13 @@ void RoundCore::DeactivateApp(AppId id) {
   if (it != active_apps_.end() && (*it)->id == id) active_apps_.erase(it);
 }
 
-void RoundCore::UpdateHolding(AppState& app) {
-  bool holds = false;
-  for (const JobState& job : app.jobs)
-    if (!job.gpus.empty()) {
-      holds = true;
-      break;
-    }
-  const auto it = FindSlot(holding_apps_, app.id);
-  const bool present = it != holding_apps_.end() && (*it)->id == app.id;
-  if (holds && !present)
-    holding_apps_.insert(it, &app);
-  else if (!holds && present)
-    holding_apps_.erase(it);
-  // The same call keeps the filter index's holder/candidate split current
-  // (finishes too: the app reads as inactive and leaves both sets).
-  rho_index_.Update(&app);
-}
-
 bool RoundCore::AdvanceTo(Time t) {
   if (t <= last_advance_) return false;
   const Topology& topo = cluster_.topology();
   // Only holders can accrue anything: an empty gang consumes no GPU-time
-  // and makes no progress.
-  for (AppState* app : holding_apps_) {
+  // and makes no progress. The RhoIndex holder class is exactly the active
+  // apps with a gang, in ascending id order.
+  for (AppState* app : rho_index_.holders()) {
     for (JobState& job : app->jobs) {
       if (job.gpus.empty()) continue;
       // Held GPUs consume GPU-time for the whole interval (they are leased),
@@ -182,7 +165,7 @@ void RoundCore::CloseApp(Time t, AppState& app) {
   app.cached_cap_demand = 0;
   for (JobState& job : app.jobs)
     if (job.alive && !job.finished) KillJob(job);
-  UpdateHolding(app);
+  rho_index_.Update(&app);
 }
 
 void RoundCore::ChargeRestart(Time t, JobState& job) {
@@ -204,7 +187,7 @@ int RoundCore::FailMachine(Time t, MachineId machine) {
       job.gpus.erase(std::remove(job.gpus.begin(), job.gpus.end(), g),
                      job.gpus.end());
       ChargeRestart(t, job);
-      UpdateHolding(*app);
+      rho_index_.Update(app);
       Touch(lease.app);
     }
   }
@@ -242,14 +225,10 @@ void RoundCore::StepTuner(Time t, AppState& app) {
   const long long demand = app.CapDemand();
   total_cap_demand_ += demand - app.cached_cap_demand;
   app.cached_cap_demand = demand;
-  if (killed) {
-    UpdateHolding(app);
-    Touch(app.id);
-  } else {
-    // Cap changes alone can flip UnmetDemand() and with it candidate
-    // membership; kills already reclassified through UpdateHolding.
-    rho_index_.Update(&app);
-  }
+  // Kills change the gangs; cap changes alone can flip UnmetDemand() and
+  // with it candidate membership.
+  rho_index_.Update(&app);
+  if (killed) Touch(app.id);
 }
 
 std::optional<ResourceOffer> RoundCore::BeginRound(Time now) {
@@ -272,7 +251,7 @@ std::optional<ResourceOffer> RoundCore::BeginRound(Time now) {
   }
   for (const auto& [key, gang] : reclaimed_before_) {
     (void)gang;
-    if (AppState* app = FindApp(key.first)) UpdateHolding(*app);
+    if (AppState* app = FindApp(key.first)) rho_index_.Update(app);
   }
 
   // 2. Per-app tuner step (kills and parallelism caps) for the apps whose
@@ -310,7 +289,7 @@ GrantSet RoundCore::FinishRound(const ResourceOffer* offer) {
     ApplyGrants(grants, cluster_);
     for (const Grant& grant : grants.grants)
       if (AppState* app = FindApp(grant.app)) {
-        UpdateHolding(*app);
+        rho_index_.Update(app);
         Touch(grant.app);
       }
   }

@@ -3,13 +3,15 @@
 // the themis_arbiterd service (server/ArbiterCore).
 //
 // RoundCore owns everything a round reads or writes — the cluster and its
-// leases, the app store, the active and lease-holder sets, the maintained
-// RhoIndex, the work estimator and its RNG stream, and the round scheduler —
-// and keeps them consistent at every mutation. It never reads a clock:
-// every entry point takes the time from its caller, which decides only
-// *when* apps arrive, progress accrues, rounds run and jobs finish. Finish
-// detection stays with the caller (the simulator projects finish instants,
-// the daemon scans at round boundaries), through Converged and FinishJob.
+// leases, the app store, the active set, the maintained RhoIndex (whose
+// holder class is the lease-holder set), the work estimator and its RNG
+// stream, and the round scheduler — and keeps them consistent at every
+// mutation: each gang mutation re-files the app in the RhoIndex. It never
+// reads a clock: every entry point takes the time from its caller, which
+// decides only *when* apps arrive, progress accrues, rounds run and jobs
+// finish. Finish detection stays with the caller (the simulator projects
+// finish instants, the daemon scans at round boundaries), through Converged
+// and FinishJob.
 //
 // A round is split in two so a caller can fan the offer out and await bids
 // in between: BeginRound reclaims expired leases (remembering each touched
@@ -113,8 +115,6 @@ class RoundCore {
   const Cluster& cluster() const { return cluster_; }
   /// Arrived, unfinished apps, ascending AppId.
   const AppList& active_apps() const { return active_apps_; }
-  /// Active apps holding at least one leased GPU, ascending AppId.
-  const AppList& holding_apps() const { return holding_apps_; }
   const RhoIndex& rho_index() const { return rho_index_; }
   /// Rounds begun so far; the current round's id.
   std::uint64_t passes() const { return passes_; }
@@ -130,9 +130,6 @@ class RoundCore {
   void FinishApp(Time t, AppState& app);
   void ActivateApp(AppState& app);
   void DeactivateApp(AppId id);
-  /// Re-derive `app`'s holder membership (and its RhoIndex class) after a
-  /// gang mutation. Every gang mutation funnels through here.
-  void UpdateHolding(AppState& app);
   /// Queue `app` for the next round's tuner walk (its views may have
   /// changed): admission and progress accrual do this.
   void MarkTunerDirty(AppState& app);
@@ -154,7 +151,6 @@ class RoundCore {
   AppId apps_base_ = 0;
   AppId next_app_id_ = 0;
   AppList active_apps_;
-  AppList holding_apps_;
   RhoIndex rho_index_;
 
   /// Apps whose tuner views may have changed since their last Step

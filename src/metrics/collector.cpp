@@ -1,6 +1,5 @@
 #include "metrics/collector.h"
 
-#include <algorithm>
 #include <sstream>
 
 namespace themis {
@@ -43,16 +42,6 @@ void MetricsCollector::RecordAllocation(Time time, AppId app, int gpus) {
   }
 }
 
-void MetricsCollector::RecordAuction(int /*participants*/, int offered_gpus,
-                                     int /*granted_gpus*/, int leftover_gpus) {
-  ++auctions_;
-  if (offered_gpus > 0) {
-    leftover_fraction_sum_ +=
-        static_cast<double>(leftover_gpus) / static_cast<double>(offered_gpus);
-    ++leftover_samples_;
-  }
-}
-
 const std::vector<AppRecord>& MetricsCollector::apps() const {
   return config_.bounded_memory ? sample_.items() : apps_;
 }
@@ -81,20 +70,9 @@ std::vector<double> MetricsCollector::PlacementScores() const {
   return out;
 }
 
-double MetricsCollector::MaxFairness() const {
-  if (config_.bounded_memory) return rho_range_.count() ? rho_range_.max() : 0.0;
-  double worst = 0.0;
-  for (const AppRecord& a : apps_) worst = std::max(worst, a.Rho());
-  return worst;
-}
+double MetricsCollector::MaxFairness() const { return rho_range_.max(); }
 
-double MetricsCollector::MinFairness() const {
-  if (config_.bounded_memory) return rho_range_.count() ? rho_range_.min() : 0.0;
-  if (apps_.empty()) return 0.0;
-  double best = apps_.front().Rho();
-  for (const AppRecord& a : apps_) best = std::min(best, a.Rho());
-  return best;
-}
+double MetricsCollector::MinFairness() const { return rho_range_.min(); }
 
 double MetricsCollector::MedianFairness() const {
   if (config_.bounded_memory) return rho_median_.Value();
@@ -103,23 +81,10 @@ double MetricsCollector::MedianFairness() const {
 }
 
 double MetricsCollector::JainsFairnessIndex() const {
-  if (config_.bounded_memory) return rho_moments_.JainsIndex();
-  const auto rhos = Rhos();
-  return JainsIndex(rhos);
+  return rho_moments_.JainsIndex();
 }
 
-double MetricsCollector::AverageCompletionTime() const {
-  if (config_.bounded_memory) return act_.mean();
-  if (apps_.empty()) return 0.0;
-  double sum = 0.0;
-  for (const AppRecord& a : apps_) sum += a.CompletionTime();
-  return sum / static_cast<double>(apps_.size());
-}
-
-double MetricsCollector::MeanLeftoverFraction() const {
-  if (leftover_samples_ == 0) return 0.0;
-  return leftover_fraction_sum_ / static_cast<double>(leftover_samples_);
-}
+double MetricsCollector::AverageCompletionTime() const { return act_.mean(); }
 
 std::string MetricsCollector::SummaryString() const {
   std::ostringstream os;

@@ -6,13 +6,13 @@
 //   - App Completion Time (ACT): finish - arrival per app
 // The simulator feeds the collector; benches and tests read the summaries.
 //
-// Two memory modes:
-//   - exact (default): every AppRecord is kept; summaries are computed from
-//     the full vector exactly as they always were.
+// Max/min/mean/Jain come from O(1) running aggregates in both memory modes;
+// they are *exact* (the same additions in the same order as a pass over
+// every record). The modes differ in what they keep per app:
+//   - exact (default): every AppRecord is kept, and the median is the exact
+//     percentile of the full vector.
 //   - bounded: per-app records go into a fixed-capacity reservoir sample and
-//     summaries come from O(1) running aggregates (max/min/mean/Jain are
-//     *exact* — same additions in the same order as the vector form — and
-//     the median is a P² streaming estimate). Memory no longer grows with
+//     the median is a P² streaming estimate. Memory no longer grows with
 //     the number of finished apps, which is what lets a million-job trace
 //     replay in constant metric memory.
 // In both modes the Fig. 8-style allocation timeline is capped at
@@ -69,8 +69,6 @@ class MetricsCollector {
   void RecordAppFinish(const AppRecord& record);
   void RecordGpuTime(Work gpu_minutes) { gpu_time_ += gpu_minutes; }
   void RecordAllocation(Time time, AppId app, int gpus);
-  void RecordAuction(int participants, int offered_gpus, int granted_gpus,
-                     int leftover_gpus);
 
   /// All finished apps in exact mode; the reservoir sample in bounded mode.
   const std::vector<AppRecord>& apps() const;
@@ -94,9 +92,6 @@ class MetricsCollector {
   std::vector<double> PlacementScores() const;
   Work TotalGpuTime() const { return gpu_time_; }
 
-  int auctions_run() const { return auctions_; }
-  double MeanLeftoverFraction() const;
-
   const MetricsConfig& config() const { return config_; }
 
   std::string SummaryString() const;
@@ -108,7 +103,8 @@ class MetricsCollector {
   Reservoir<AppRecord> sample_;       // bounded mode only
   std::size_t finished_apps_ = 0;
 
-  // Running aggregates, updated in both modes (O(1) each).
+  // Running aggregates, updated in both modes (O(1) each); the median
+  // estimate is read in bounded mode only.
   Summary rho_range_;
   MomentAccumulator rho_moments_;
   P2Quantile rho_median_{0.5};
@@ -119,9 +115,6 @@ class MetricsCollector {
   std::size_t allocation_seen_ = 0;
 
   Work gpu_time_ = 0.0;
-  int auctions_ = 0;
-  double leftover_fraction_sum_ = 0.0;
-  int leftover_samples_ = 0;
 };
 
 }  // namespace themis

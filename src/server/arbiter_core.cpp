@@ -64,11 +64,11 @@ RoundStart ArbiterCore::BeginRound() {
   // Finish detection at the round boundary: the first job of an app to
   // reach the target accuracy is its best model; the app is done and its
   // remaining jobs are terminated (Sec. 2.1). Only lease holders progress,
-  // so only they can converge. Ascending-id walk over a snapshot —
-  // FinishJob edits the holder set.
+  // so only they can converge. Ascending-id walk over a snapshot of the
+  // RhoIndex holder class — FinishJob edits it.
   RoundStart start;
   start.time = t;
-  const AppList holders = core_.holding_apps();
+  const AppList holders = core_.rho_index().holders();
   for (AppState* app : holders) {
     for (JobState& job : app->jobs) {
       if (job.Running() && RoundCore::Converged(job)) {

@@ -197,11 +197,6 @@ void Simulator::SchedulingPass(Time t) {
   const GrantSet grants = core_.FinishRound(offer ? &*offer : nullptr);
   if (offer) {
     ++rounds_executed_;
-    if (grants.diagnostics.auction_ran)
-      metrics_.RecordAuction(grants.diagnostics.auction_participants,
-                             grants.diagnostics.offered_gpus,
-                             grants.diagnostics.granted_gpus,
-                             grants.diagnostics.leftover_gpus);
     if (round_observer_) round_observer_(*offer, grants);
   }
 

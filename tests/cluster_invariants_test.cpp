@@ -1,9 +1,9 @@
 // Property test for the indexed Cluster: drives long random sequences of
-// Allocate / Release / ReleaseAll / Renew / failure-revoke / machine up-down
+// Allocate / Release / expiry reclaim / failure-revoke / machine up-down
 // transitions and asserts after every step that the maintained indices
-// (per-machine free lists, expiry set, holdings map) agree with a
-// brute-force rescan of the per-GPU lease table — the ground truth the old
-// scan-based implementation read directly.
+// (per-machine free lists, expiry set) agree with a brute-force rescan of
+// the per-GPU lease table — the ground truth the old scan-based
+// implementation read directly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,11 +21,8 @@ namespace {
 struct Rescan {
   std::vector<GpuId> free;
   std::vector<int> free_per_machine;
-  std::vector<std::vector<GpuId>> free_on_machine;
 
-  explicit Rescan(const Cluster& c)
-      : free_per_machine(c.num_machines(), 0),
-        free_on_machine(c.num_machines()) {
+  explicit Rescan(const Cluster& c) : free_per_machine(c.num_machines(), 0) {
     for (GpuId g = 0; g < static_cast<GpuId>(c.num_gpus()); ++g) {
       if (!c.IsFree(g)) continue;
       const MachineId m = c.topology().gpu(g).machine;
@@ -33,24 +30,8 @@ struct Rescan {
       if (!c.IsMachineDown(m)) {
         free.push_back(g);
         ++free_per_machine[m];
-        free_on_machine[m].push_back(g);
       }
     }
-  }
-
-  static std::vector<GpuId> HeldBy(const Cluster& c, AppId app) {
-    std::vector<GpuId> out;
-    for (GpuId g = 0; g < static_cast<GpuId>(c.num_gpus()); ++g)
-      if (!c.IsFree(g) && c.lease(g)->app == app) out.push_back(g);
-    return out;
-  }
-
-  static std::vector<GpuId> HeldBy(const Cluster& c, AppId app, JobId job) {
-    std::vector<GpuId> out;
-    for (GpuId g = 0; g < static_cast<GpuId>(c.num_gpus()); ++g)
-      if (!c.IsFree(g) && c.lease(g)->app == app && c.lease(g)->job == job)
-        out.push_back(g);
-    return out;
   }
 
   static std::vector<GpuId> Expired(const Cluster& c, Time now) {
@@ -69,19 +50,10 @@ struct Rescan {
   }
 };
 
-void ExpectIndicesMatchRescan(const Cluster& c, Time now, int apps, int jobs) {
+void ExpectIndicesMatchRescan(const Cluster& c, Time now) {
   const Rescan ref(c);
   ASSERT_EQ(c.FreeGpus(), ref.free);
   ASSERT_EQ(c.FreeGpusPerMachine(), ref.free_per_machine);
-  for (MachineId m = 0; m < static_cast<MachineId>(c.num_machines()); ++m)
-    ASSERT_EQ(c.FreeGpusOnMachine(m), ref.free_on_machine[m]) << "machine " << m;
-
-  for (AppId a = 0; a < static_cast<AppId>(apps); ++a) {
-    ASSERT_EQ(c.GpusHeldBy(a), Rescan::HeldBy(c, a)) << "app " << a;
-    for (JobId j = 0; j < static_cast<JobId>(jobs); ++j)
-      ASSERT_EQ(c.GpusHeldBy(a, j), Rescan::HeldBy(c, a, j))
-          << "app " << a << " job " << j;
-  }
 
   for (Time probe : {now - 7.0, now, now + 13.0}) {
     ASSERT_EQ(c.ExpiredGpus(probe), Rescan::Expired(c, probe)) << "t=" << probe;
@@ -123,16 +95,10 @@ TEST(ClusterInvariants, RandomOperationSequencesMatchBruteForce) {
         if (!cluster.IsFree(g)) held.push_back(g);
       if (!held.empty())
         cluster.Release(held[rng.UniformInt(0, static_cast<int>(held.size()) - 1)]);
-    } else if (op < 78) {
-      cluster.ReleaseAll(rng.UniformInt(0, kApps - 1));
     } else if (op < 85) {
-      // Renew a random held GPU.
-      std::vector<GpuId> held;
-      for (GpuId g = 0; g < static_cast<GpuId>(cluster.num_gpus()); ++g)
-        if (!cluster.IsFree(g)) held.push_back(g);
-      if (!held.empty())
-        cluster.Renew(held[rng.UniformInt(0, static_cast<int>(held.size()) - 1)],
-                      now + rng.Uniform(1.0, 40.0));
+      // Reclaim every expired lease, the sequence RoundCore::BeginRound
+      // performs at the start of a round.
+      for (GpuId g : cluster.ExpiredGpus(now)) cluster.Release(g);
     } else if (op < 92) {
       // Failure-revoke: machine goes down and its leases are released, the
       // sequence the simulator performs on kMachineFail.
@@ -146,9 +112,9 @@ TEST(ClusterInvariants, RandomOperationSequencesMatchBruteForce) {
                              false);
     }
 
-    if (step % 10 == 0) ExpectIndicesMatchRescan(cluster, now, kApps, kJobs);
+    if (step % 10 == 0) ExpectIndicesMatchRescan(cluster, now);
   }
-  ExpectIndicesMatchRescan(cluster, now, kApps, kJobs);
+  ExpectIndicesMatchRescan(cluster, now);
 }
 
 TEST(ClusterInvariants, ReclaimLoopNeverLeavesStaleExpiries) {
@@ -169,7 +135,7 @@ TEST(ClusterInvariants, ReclaimLoopNeverLeavesStaleExpiries) {
         cluster.Allocate(g, rng.UniformInt(0, 2), 0, now + rng.Uniform(1.0, 9.0));
     }
     ASSERT_TRUE(cluster.ExpiredGpus(now).empty());
-    ExpectIndicesMatchRescan(cluster, now, 3, 1);
+    ExpectIndicesMatchRescan(cluster, now);
   }
 }
 
@@ -181,7 +147,8 @@ TEST(ClusterInvariants, NextExpiryAfterIsStrict) {
   EXPECT_DOUBLE_EQ(cluster.NextExpiryAfter(0.0), 10.0);
   EXPECT_DOUBLE_EQ(cluster.NextExpiryAfter(10.0), 30.0);  // strictly after
   EXPECT_EQ(cluster.NextExpiryAfter(30.0), kInfiniteTime);
-  cluster.Renew(0, 50.0);
+  cluster.Release(0);
+  cluster.Allocate(0, 1, 0, 50.0);
   EXPECT_DOUBLE_EQ(cluster.NextExpiryAfter(30.0), 50.0);
 }
 

@@ -206,8 +206,11 @@ TEST_P(LoopbackEquivalence, DaemonMatchesInProcessCore) {
   for (const server::AgentScript& s : scripts)
     for (const AppSpec& spec : s.apps) audited.RegisterApp(spec);
   while (audited.rounds_run() < fleet.last_round_seen) {
-    audited.RunOneRound();
+    server::RoundStart start;
+    const GrantSet grants = audited.RunOneRound(&start);
     AuditRoundCore(audited.round_core());
+    if (start.have_offer)
+      AuditRoundGrants(audited.round_core(), start.offer, grants);
   }
   EXPECT_TRUE(audited.digest() == reference.digest());
 }

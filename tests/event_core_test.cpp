@@ -163,8 +163,10 @@ ExperimentResult RunBatchedAudited(ExperimentConfig config,
                                       config.sim);
   }
   long long audited = 0;
-  sim->set_round_observer([&](const ResourceOffer&, const GrantSet&) {
+  sim->set_round_observer([&](const ResourceOffer& offer,
+                              const GrantSet& grants) {
     AuditRoundCore(sim->round_core());
+    AuditRoundGrants(sim->round_core(), offer, grants);
     AuditSimulatorWalks(sim->round_core());
     ++audited;
   });

@@ -1,12 +1,14 @@
 // Tests for core/federation.h: cluster partitioning, app routing, the
 // federated run, and its cross-shard invariants (no GPU granted twice
 // across shards; the merge preserves per-app holdings and app order;
-// --shards=1 reproduces the unsharded simulator exactly).
+// --shards=1 reproduces the unsharded simulator exactly; each shard's run
+// passes the round audits).
 #include <gtest/gtest.h>
 
 #include <numeric>
 
 #include "core/federation.h"
+#include "round_audit.h"
 
 namespace themis {
 namespace {
@@ -211,6 +213,51 @@ TEST(ShardedArbiter, ParallelShardRunsMatchSerialOnes) {
   EXPECT_EQ(serial.merged.completion_times, parallel.merged.completion_times);
   EXPECT_EQ(serial.total_granted_gpus, parallel.total_granted_gpus);
   EXPECT_EQ(serial.granted_per_app, parallel.granted_per_app);
+}
+
+// Each shard is an ordinary simulator run over the apps routed to it: the
+// round audits hold after every one of its rounds, and the audited run
+// reproduces the shard's entry in the federated result.
+TEST(ShardedArbiter, EachShardIsAnAuditedSimulatorRun) {
+  const ExperimentConfig config = FederationTestConfig(42, 40);
+  const std::vector<AppSpec> apps =
+      TraceGenerator(config.trace).Generate();
+  const ShardedArbiter arbiter(config.cluster, 4);
+  const FederationRouting routing = arbiter.Route(apps);
+  const FederationResult fed = arbiter.Run(config, apps);
+  ASSERT_EQ(fed.per_shard.size(), 4u);
+
+  for (int s = 0; s < arbiter.num_shards(); ++s) {
+    // The shard's config, derived as ShardedArbiter::Run derives it.
+    ExperimentConfig shard_config = config;
+    shard_config.cluster = arbiter.shards()[s].spec;
+    shard_config.sim.seed =
+        s == 0 ? config.sim.seed : DeriveScenarioSeed(config.sim.seed, s);
+    Simulator sim(shard_config.cluster, routing.shard_apps[s],
+                  MakePolicy(shard_config.policy, shard_config.themis),
+                  shard_config.sim);
+    long long audited = 0;
+    sim.set_round_observer([&](const ResourceOffer& offer,
+                               const GrantSet& grants) {
+      AuditRoundCore(sim.round_core());
+      AuditRoundGrants(sim.round_core(), offer, grants);
+      ++audited;
+    });
+    const ExperimentResult got = SummarizeRun(shard_config, sim.Run());
+    const ExperimentResult& want = fed.per_shard[s];
+    EXPECT_GT(audited, 0) << "shard " << s;
+    EXPECT_EQ(got.rounds_executed, audited) << "shard " << s;
+    EXPECT_EQ(got.finished_apps, want.finished_apps) << "shard " << s;
+    EXPECT_EQ(got.rhos, want.rhos) << "shard " << s;
+    EXPECT_EQ(got.completion_times, want.completion_times) << "shard " << s;
+    EXPECT_EQ(got.placement_scores, want.placement_scores) << "shard " << s;
+    EXPECT_EQ(got.unfinished_apps, want.unfinished_apps) << "shard " << s;
+    EXPECT_EQ(got.scheduling_passes, want.scheduling_passes) << "shard " << s;
+    EXPECT_EQ(got.rounds_executed, want.rounds_executed) << "shard " << s;
+    EXPECT_EQ(got.events_processed, want.events_processed) << "shard " << s;
+    EXPECT_EQ(got.gpu_time, want.gpu_time) << "shard " << s;
+    EXPECT_EQ(got.jains_index, want.jains_index) << "shard " << s;
+  }
 }
 
 }  // namespace

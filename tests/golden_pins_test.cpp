@@ -16,8 +16,10 @@
 // comparison the same way passes them all. These pins compare against
 // constants instead, which makes bit-identity a property of the tree's
 // history: a refactor that claims "outputs unchanged" must leave every hash
-// below as it is. The audited runs also check the simulator's incremental
-// walks after every round (AuditSimulatorWalks), on every platform.
+// below as it is. The audited runs also check, after every round and on
+// every platform, the round state (AuditRoundCore), the round's grants
+// against its offer (AuditRoundGrants) and the simulator's incremental
+// walks (AuditSimulatorWalks).
 //
 // The constants were captured with GCC on x86-64 (the CI platform), where
 // Debug and Release builds produce identical floats. Other platforms may
@@ -246,8 +248,10 @@ ExperimentResult RunModeAudited(PolicyKind policy, Mode mode) {
                                       config.sim);
   }
   long long audited = 0;
-  sim->set_round_observer([&](const ResourceOffer&, const GrantSet&) {
+  sim->set_round_observer([&](const ResourceOffer& offer,
+                              const GrantSet& grants) {
     AuditRoundCore(sim->round_core());
+    AuditRoundGrants(sim->round_core(), offer, grants);
     AuditSimulatorWalks(sim->round_core());
     ++audited;
   });

@@ -1,14 +1,15 @@
 // Tests for the heterogeneous GPU-generation resource model.
 //
 //   - Generation table and mix parsing (cluster/topology.h).
-//   - Topology / Cluster / FreePool speed resolution and the fastest-first
-//     free views.
+//   - Topology / FreePool speed resolution and the fastest-first pick.
 //   - The min-speed gang rule: one slow straggler GPU drags the whole gang
 //     (placement/placement_model.h, workload/job_spec.h).
 //   - T_ID on a mixed cluster assumes the fastest generation, so rho prices
 //     effective GPU-hours.
 //   - Property: mixed-generation scheduling never grants a gang whose
 //     EffectiveJobRate is 0, for all five policies.
+//   - Audited mixed-generation runs: the round-state and grant audits
+//     (tests/round_audit.h) hold after every round, for all five policies.
 //   - Homogeneous equivalence suite: with every speed pinned to 1.0, all
 //     five policies reproduce the generation-unaware decisions bit-for-bit
 //     (the guarantee that the resource-model refactor preserved today's
@@ -19,6 +20,7 @@
 #include <sstream>
 
 #include "core/federation.h"
+#include "round_audit.h"
 #include "sim/experiment.h"
 #include "workload/trace_io.h"
 
@@ -149,40 +151,13 @@ TEST(HeteroTopology, MixedPresetsKeepShapeAndAddSpeeds) {
       EXPECT_EQ(m.generation.name, m.num_gpus >= 4 ? "K80" : "M60");
 }
 
-TEST(HeteroCluster, FreeViewsAreSpeedAware) {
-  Cluster cluster(SmallMixed());  // machines: 0=K80 1=V100 2=A100 3=K80
-  EXPECT_DOUBLE_EQ(cluster.FreeEffectiveGpus(), 2.0 * (1 + 3 + 6 + 1));
-  // Fastest-first: machine 2's GPUs (4,5), then 1's (2,3), then 0's, then 3's.
-  EXPECT_EQ(cluster.FreeGpusBySpeed(),
-            (std::vector<GpuId>{4, 5, 2, 3, 0, 1, 6, 7}));
-
-  cluster.Allocate(4, 0, 0, 10.0);
-  EXPECT_DOUBLE_EQ(cluster.FreeEffectiveGpus(), 22.0 - 6.0);
-  EXPECT_EQ(cluster.FreeGpusBySpeed(),
-            (std::vector<GpuId>{5, 2, 3, 0, 1, 6, 7}));
-  cluster.Release(4);
-  EXPECT_DOUBLE_EQ(cluster.FreeEffectiveGpus(), 22.0);
-
-  // A downed machine leaves the effective pool with its free GPUs.
-  cluster.SetMachineDown(2, true);
-  EXPECT_DOUBLE_EQ(cluster.FreeEffectiveGpus(), 22.0 - 12.0);
-  EXPECT_EQ(cluster.FreeGpusBySpeed(), (std::vector<GpuId>{2, 3, 0, 1, 6, 7}));
-  cluster.SetMachineDown(2, false);
-  EXPECT_DOUBLE_EQ(cluster.FreeEffectiveGpus(), 22.0);
-
-  // Uniform-speed clusters: fastest-first equals ascending ids.
-  Cluster uniform(ClusterSpec::Uniform(2, 2, 2, 2));
-  EXPECT_EQ(uniform.FreeGpusBySpeed(), uniform.FreeGpus());
-  EXPECT_DOUBLE_EQ(uniform.FreeEffectiveGpus(), 8.0);
-}
-
 TEST(HeteroFreePool, FirstNFastestTakesFastMachinesFirst) {
   const Topology topo(SmallMixed());
   FreePool pool({0, 1, 2, 3, 4, 5, 6, 7}, topo);
-  EXPECT_DOUBLE_EQ(pool.speed_total(), 22.0);
+  // Fastest-first: machine 2's GPUs (4,5), then 1's (2,3), then 0's, then 3's.
+  EXPECT_EQ(pool.FirstNFastest(8), (std::vector<GpuId>{4, 5, 2, 3, 0, 1, 6, 7}));
   EXPECT_EQ(pool.FirstNFastest(3), (std::vector<GpuId>{4, 5, 2}));
   pool.Remove(4);
-  EXPECT_DOUBLE_EQ(pool.speed_total(), 16.0);
   EXPECT_EQ(pool.FirstNFastest(3), (std::vector<GpuId>{5, 2, 3}));
   EXPECT_EQ(pool.FirstNFastest(99).size(), 7u);
 }
@@ -297,6 +272,40 @@ TEST(HeteroProperty, MixedGenerationGrantsAlwaysMakeProgress) {
     EXPECT_GT(grants_seen, 0) << ToString(kind);
   }
 }
+
+// The golden pins audit the mixed cluster for Themis only; every policy's
+// rounds must keep leases, gangs and the RhoIndex in agreement, and grant
+// within each machine's offered GPUs.
+class MixedClusterAuditTest : public ::testing::TestWithParam<PolicyKind> {};
+
+TEST_P(MixedClusterAuditTest, RoundAuditsHoldAfterEveryRound) {
+  const PolicyKind kind = GetParam();
+  ExperimentConfig config = SimScaleConfig(kind, 42, 25);
+  config.trace.contention_factor = 2.0;
+  Simulator sim(ClusterSpec::Simulation256Mixed(),
+                TraceGenerator(config.trace).Generate(),
+                MakePolicy(kind, config.themis), config.sim);
+  long long audited = 0;
+  sim.set_round_observer([&](const ResourceOffer& offer,
+                             const GrantSet& grants) {
+    AuditRoundCore(sim.round_core());
+    AuditRoundGrants(sim.round_core(), offer, grants);
+    ++audited;
+  });
+  const SimResult run = sim.Run();
+  EXPECT_TRUE(run.unfinished.empty());
+  EXPECT_GT(audited, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, MixedClusterAuditTest,
+                         ::testing::Values(PolicyKind::kThemis,
+                                           PolicyKind::kGandiva,
+                                           PolicyKind::kTiresias,
+                                           PolicyKind::kSlaq,
+                                           PolicyKind::kDrf),
+                         [](const auto& info) {
+                           return std::string(ToString(info.param));
+                         });
 
 // ---------------------------------------------------------------------------
 // Homogeneous equivalence: speed 1.0 everywhere == generation-unaware runs.

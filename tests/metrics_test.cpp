@@ -69,14 +69,6 @@ TEST(Metrics, TimelineOrderPreserved) {
   EXPECT_EQ(c.timeline()[1].gpus, 8);
 }
 
-TEST(Metrics, AuctionLeftoverFraction) {
-  MetricsCollector c;
-  c.RecordAuction(3, 10, 8, 2);
-  c.RecordAuction(2, 10, 6, 4);
-  EXPECT_EQ(c.auctions_run(), 2);
-  EXPECT_NEAR(c.MeanLeftoverFraction(), 0.3, 1e-12);
-}
-
 TEST(Metrics, SummaryStringMentionsKeyFields) {
   MetricsCollector c;
   c.RecordAppFinish(Record(0, 0.0, 10.0, 10.0));

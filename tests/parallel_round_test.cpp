@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/parallel.h"
+#include "round_audit.h"
 #include "server/arbiter_core.h"
 #include "sim/experiment.h"
 #include "sim/scenario.h"
@@ -231,6 +232,26 @@ TEST(ParallelRoundEquivalence, HoldsOnStreamedTraces) {
   const ExperimentResult parallel = run(8);
   ExpectSameExperiment(serial, parallel);
   EXPECT_EQ(serial.total_apps, apps.size());
+}
+
+// The round audits hold after every round of a parallel run, and the
+// audited run is still the serial one bit for bit.
+TEST(ParallelRoundEquivalence, RoundAuditsHoldAtEightThreads) {
+  ExperimentConfig config = ContendedConfig(PolicyKind::kThemis);
+  config.themis.auction_threads = 8;
+  Simulator sim(config.cluster, TraceGenerator(config.trace).Generate(),
+                MakePolicy(config.policy, config.themis), config.sim);
+  long long audited = 0;
+  sim.set_round_observer([&](const ResourceOffer& offer,
+                             const GrantSet& grants) {
+    AuditRoundCore(sim.round_core());
+    AuditRoundGrants(sim.round_core(), offer, grants);
+    ++audited;
+  });
+  const ExperimentResult parallel = SummarizeRun(config, sim.Run());
+  EXPECT_GT(audited, 0);
+  EXPECT_EQ(parallel.rounds_executed, audited);
+  ExpectSameExperiment(RunWithThreads(config, 0), parallel);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,24 @@
-// Test-only invariant audit of the shared round state machine, through its
-// read accessors only. Call it between rounds (after FinishRound settles):
+// Test-only invariant audits of the shared round state machine, through its
+// read accessors only.
+//
+// AuditRoundCore checks the round state between rounds (after FinishRound
+// settles). The cluster's lease table and the jobs' gangs (JobState::gpus)
+// are the only two records of who holds what, so it checks that they agree:
 //
 //   - every GPU in a job's gang is leased by the cluster to that (app, job),
-//     and every leased GPU sits in exactly one gang — leases and
-//     JobState::gpus agree, and no GPU is held twice;
-//   - the holder set is exactly the active apps with a non-empty gang (so
-//     no finished or retired app keeps a GPU);
-//   - RhoIndex::holders() is the holder set, and its unbounded class is
+//     and every leased GPU sits in exactly one gang — no GPU is held twice;
+//   - the apps with a non-empty gang are exactly the active apps holding
+//     GPUs (so no finished or retired app keeps a GPU);
+//   - RhoIndex::holders() is that holder set, and its unbounded class is
 //     exactly the gangless hungry apps in comparator order, each with
 //     last_rho pinned to kUnboundedRho (ExpectIndexMatchesBruteForce).
+//
+// AuditRoundGrants checks one settled round against the offer it answered:
+//
+//   - no GPU is granted twice;
+//   - the GPUs granted on each machine are at most the offer's
+//     free_per_machine entry (the auction never oversubscribes a machine);
+//   - the cluster's free pool is the offer's pool minus the granted GPUs.
 //
 // AuditSimulatorWalks checks that the simulator's incremental walks miss
 // nothing a walk over every active app would catch. Call it from a round
@@ -114,12 +124,39 @@ inline void AuditRoundCore(const RoundCore& core) {
   std::vector<AppId> active_with_gang;
   for (const AppState* app : core.active_apps())
     if (app->GpusHeld() > 0) active_with_gang.push_back(app->id);
-  const std::vector<AppId> holders = AppIds(core.holding_apps());
-  EXPECT_EQ(holders, active_with_gang);
   EXPECT_EQ(gang_owners, active_with_gang) << "an inactive app holds GPUs";
-  EXPECT_EQ(AppIds(core.rho_index().holders()), holders);
+  EXPECT_EQ(AppIds(core.rho_index().holders()), active_with_gang);
   ExpectIndexMatchesBruteForce(core.rho_index(), core.apps(),
                                core.rho_index().short_app_tiebreak());
+}
+
+inline void AuditRoundGrants(const RoundCore& core, const ResourceOffer& offer,
+                             const GrantSet& grants) {
+  const Cluster& cluster = core.cluster();
+  const Topology& topo = cluster.topology();
+  std::vector<int> times_granted(static_cast<std::size_t>(cluster.num_gpus()),
+                                 0);
+  std::vector<int> granted_on_machine(offer.free_per_machine.size(), 0);
+  for (const Grant& grant : grants.grants) {
+    for (GpuId g : grant.gpus) {
+      ASSERT_LT(g, static_cast<GpuId>(cluster.num_gpus()));
+      EXPECT_EQ(++times_granted[g], 1)
+          << "round " << offer.round_id << " grants GPU " << g << " twice";
+      const MachineId m = topo.gpu(g).machine;
+      ASSERT_LT(m, granted_on_machine.size());
+      ++granted_on_machine[m];
+    }
+  }
+  for (MachineId m = 0; m < granted_on_machine.size(); ++m)
+    EXPECT_LE(granted_on_machine[m], offer.free_per_machine[m])
+        << "round " << offer.round_id << " oversubscribes machine " << m;
+
+  std::vector<GpuId> want_free;
+  for (GpuId g : offer.gpus)
+    if (times_granted[g] == 0) want_free.push_back(g);
+  EXPECT_EQ(cluster.FreeGpus(), want_free)
+      << "round " << offer.round_id
+      << ": free pool is not the offer minus the grants";
 }
 
 inline void AuditSimulatorWalks(const RoundCore& core) {

@@ -6,12 +6,14 @@
 //   - The context carries the round's RhoIndex, which the filter reads.
 //   - The simulator records every round's diagnostics and observes every
 //     applied grant.
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/rho_index.h"
 #include "core/themis_policy.h"
+#include "round_audit.h"
 #include "sim/experiment.h"
 
 namespace themis {
@@ -196,16 +198,71 @@ TEST(RoundProtocol, ContextCarriesTheIndexItWasBuiltWith) {
 // ---------------------------------------------------------------------------
 
 TEST(RoundProtocol, SimulatorRecordsAuctionDiagnostics) {
-  // The per-round diagnostics feed MetricsCollector::RecordAuction — the
-  // per-run home of what used to be stateful ThemisPolicy counters.
+  // Each round's GrantSet carries its own diagnostics — the per-round home
+  // of what used to be stateful ThemisPolicy counters — and the round
+  // observer sees them for every round the simulator runs.
   ExperimentConfig config = SimScaleConfig(PolicyKind::kThemis, 42, 10);
   TraceGenerator gen(config.trace);
   Simulator sim(config.cluster, gen.Generate(),
                 MakePolicy(config.policy, config.themis), config.sim);
-  const SimResult run = sim.Run();
-  EXPECT_GT(run.metrics.auctions_run(), 0);
-  EXPECT_GE(run.metrics.MeanLeftoverFraction(), 0.0);
-  EXPECT_LE(run.metrics.MeanLeftoverFraction(), 1.0);
+  long long rounds = 0;
+  long long auctions = 0;
+  sim.set_round_observer(
+      [&](const ResourceOffer& offer, const GrantSet& grants) {
+        ++rounds;
+        const RoundDiagnostics& diag = grants.diagnostics;
+        EXPECT_EQ(diag.offered_gpus, offer.TotalGpus());
+        EXPECT_EQ(diag.offered_gpus, diag.granted_gpus + diag.leftover_gpus)
+            << "round " << offer.round_id;
+        EXPECT_EQ(diag.granted_gpus, grants.TotalGpus());
+        if (diag.auction_ran) ++auctions;
+      });
+  sim.Run();
+  EXPECT_GT(rounds, 0);
+  EXPECT_GT(auctions, 0);
+}
+
+// The grant audit is not vacuous: it passes the round the simulator really
+// ran, and fails the same round with a GPU granted twice, a grant the
+// cluster never leased, or a machine granted more than it offered.
+TEST(RoundProtocol, GrantAuditFlagsBrokenRounds) {
+  ExperimentConfig config = SimScaleConfig(PolicyKind::kThemis, 42, 10);
+  TraceGenerator gen(config.trace);
+  Simulator sim(config.cluster, gen.Generate(),
+                MakePolicy(config.policy, config.themis), config.sim);
+  int checked = 0;
+  sim.set_round_observer([&](const ResourceOffer& offer,
+                             const GrantSet& grants) {
+    if (checked > 0 || grants.grants.empty()) return;
+    ++checked;
+    auto failures = [&](const ResourceOffer& o, const GrantSet& g) {
+      ::testing::TestPartResultArray results;
+      {
+        const ::testing::ScopedFakeTestPartResultReporter reporter(
+            ::testing::ScopedFakeTestPartResultReporter::
+                INTERCEPT_ONLY_CURRENT_THREAD,
+            &results);
+        AuditRoundGrants(sim.round_core(), o, g);
+      }
+      return results.size();
+    };
+    EXPECT_EQ(failures(offer, grants), 0);
+
+    GrantSet twice = grants;
+    twice.grants.push_back(grants.grants.front());
+    EXPECT_GT(failures(offer, twice), 0);
+
+    GrantSet dropped = grants;
+    dropped.grants.pop_back();
+    EXPECT_GT(failures(offer, dropped), 0);
+
+    ResourceOffer shrunk = offer;
+    const GpuId g = grants.grants.front().gpus.front();
+    shrunk.free_per_machine[sim.cluster().topology().gpu(g).machine] = 0;
+    EXPECT_GT(failures(shrunk, grants), 0);
+  });
+  sim.Run();
+  EXPECT_EQ(checked, 1);
 }
 
 TEST(RoundProtocol, RoundObserverSeesEveryAppliedGrant) {

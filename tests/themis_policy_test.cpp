@@ -70,10 +70,15 @@ TEST_F(ThemisPolicyTest, GrantsAreLeasedToTheRightJob) {
   apps_.push_back(MakeApp(0, 0.0, {MakeJobSpec(40.0, 1, 4)}));
   ThemisPolicy policy;
   Schedule(policy);
-  const auto held = cluster_.GpusHeldBy(0, 0);
+  const std::vector<GpuId>& held = apps_[0]->jobs[0].gpus;
   EXPECT_EQ(held.size(), 4u);
-  for (GpuId g : held) EXPECT_EQ(cluster_.lease(g)->expiry, 20.0);
-  EXPECT_EQ(apps_[0]->jobs[0].gpus.size(), 4u);
+  for (GpuId g : held) {
+    ASSERT_TRUE(cluster_.lease(g).has_value());
+    EXPECT_EQ(cluster_.lease(g)->app, 0u);
+    EXPECT_EQ(cluster_.lease(g)->job, 0u);
+    EXPECT_EQ(cluster_.lease(g)->expiry, 20.0);
+  }
+  EXPECT_EQ(cluster_.num_allocated(), 4);
 }
 
 TEST_F(ThemisPolicyTest, WorstRhoAppWinsUnderContention) {
@@ -170,7 +175,8 @@ TEST_F(ThemisPolicyTest, DeterministicAcrossIdenticalRuns) {
     ThemisPolicy policy;
     RoundHarness(cluster, est, rng).SyncAndRun(policy, apps);
     std::vector<std::vector<GpuId>> out;
-    for (auto& a : apps) out.push_back(cluster.GpusHeldBy(a->id));
+    for (auto& a : apps)
+      for (const JobState& job : a->jobs) out.push_back(job.gpus);
     return out;
   };
   EXPECT_EQ(run_once(), run_once());
