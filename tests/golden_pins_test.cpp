@@ -11,6 +11,13 @@
 // budgets small enough to cut the branch-and-bound short. A solver rewrite
 // must keep the search order, not just the optimum, to leave it unchanged.
 //
+// A third pin hashes the AGENT alone: CurrentRho, every PrepareBid row and
+// its concrete GPUs, and DistributeToJobs, for seeded random apps under all
+// three estimators on the uniform and mixed-generation 256-GPU clusters. A
+// bid-kernel rewrite must keep the placement picks, the rho bits and the
+// estimator call sequence (the noisy estimator's draws) to leave it
+// unchanged.
+//
 // The equivalence suites compare two paths inside one build (streamed vs
 // preloaded, parallel vs serial), so a change that moves both sides of a
 // comparison the same way passes them all. These pins compare against
@@ -35,6 +42,7 @@
 
 #include "auction/partial_allocation.h"
 #include "common/rng.h"
+#include "core/agent.h"
 #include "round_audit.h"
 #include "sim/experiment.h"
 #include "workload/trace_gen.h"
@@ -358,6 +366,128 @@ TEST(PaDigest, SolverOutputIsPinned) {
   EXPECT_GT(cut_at_default, 0);
 #if defined(__x86_64__)
   EXPECT_EQ(h.value(), 0xff55a2a697ff2917ull) << std::hex << "0x" << h.value();
+#else
+  GTEST_SKIP() << "golden constants are pinned on x86-64 only";
+#endif
+}
+
+/// A random app for the bid digest: 1-5 jobs drawn from the trace
+/// generator, each re-shaped to a random gang size (1, 2 or 4), task count
+/// and placement constraint, with random progress, some jobs killed or
+/// finished, a tuner cap below the job's maximum, and gangs partly held on
+/// GPUs taken from the front of `held_pool`.
+std::unique_ptr<AppState> RandomBidApp(Rng& rng, AppId id, Time now,
+                                       std::vector<GpuId>& held_pool) {
+  TraceConfig trace;
+  trace.seed = rng.NextU64();
+  trace.num_apps = 1;
+  trace.jobs_per_app_median = 2.0;
+  trace.jobs_per_app_max = 5;
+  const AppSpec spec = TraceGenerator(trace).Generate().front();
+  auto app = std::make_unique<AppState>();
+  app->id = id;
+  app->spec = spec;
+  app->spec.arrival = rng.Uniform(0.0, now);
+  app->arrived = true;
+  const int gangs[] = {1, 2, 4};
+  const LocalityLevel spans[] = {LocalityLevel::kSlot, LocalityLevel::kMachine,
+                                 LocalityLevel::kRack,
+                                 LocalityLevel::kCrossRack};
+  JobId next = 0;
+  for (JobSpec& js : app->spec.jobs) {
+    js.gpus_per_task = gangs[rng.UniformInt(0, 2)];
+    js.num_tasks = rng.UniformInt(1, 4);
+    js.max_span = rng.UniformInt(0, 2) == 0 ? spans[rng.UniformInt(0, 3)]
+                                            : LocalityLevel::kCrossRack;
+    JobState job;
+    job.id = next++;
+    job.spec = js;
+    job.done = js.total_work * rng.Uniform(0.0, 0.9);
+    job.parallelism_cap =
+        js.gpus_per_task * rng.UniformInt(1, js.num_tasks);
+    const int fate = rng.UniformInt(0, 9);
+    if (fate == 0) job.alive = false;
+    if (fate == 1) job.finished = true;
+    // Hold 0..cap+1 GPUs: whole gangs, partial gangs, and over the cap.
+    const int held = rng.UniformInt(0, 2) == 0
+                         ? 0
+                         : rng.UniformInt(0, job.parallelism_cap + 1);
+    for (int k = 0; k < held && !held_pool.empty(); ++k) {
+      job.gpus.push_back(held_pool.back());
+      held_pool.pop_back();
+    }
+    app->jobs.push_back(std::move(job));
+  }
+  app->ideal_time = std::max(1e-9, app->spec.IdealRunningTime());
+  return app;
+}
+
+TEST(BidDigest, AgentOutputIsPinned) {
+  Rng rng(20261017);
+  ResultHash h;
+  int rows = 0;
+  int distributed = 0;
+  for (const bool mixed : {false, true}) {
+    const Topology topo(mixed ? ClusterSpec::Simulation256Mixed()
+                              : ClusterSpec::Simulation256());
+    for (const EstimationMode mode :
+         {EstimationMode::kClairvoyant, EstimationMode::kNoisy,
+          EstimationMode::kCurveFit}) {
+      EstimatorConfig est_cfg;
+      est_cfg.mode = mode;
+      est_cfg.theta = mode == EstimationMode::kNoisy ? 0.2 : 0.0;
+      est_cfg.seed = 91;
+      WorkEstimator est(est_cfg);
+      for (int n = 0; n < 150; ++n) {
+        // Held GPUs come from a shuffled cluster; the offer is a random
+        // subset of the rest, ascending like a real offer or shuffled.
+        std::vector<GpuId> all(topo.num_gpus());
+        for (GpuId g = 0; g < static_cast<GpuId>(all.size()); ++g) all[g] = g;
+        rng.Shuffle(all);
+        const Time now = rng.Uniform(1.0, 500.0);
+        const auto app = RandomBidApp(rng, static_cast<AppId>(n), now, all);
+        std::vector<GpuId> offered;
+        const double keep = rng.Uniform(0.02, 1.0);
+        for (GpuId g : all)
+          if (rng.NextDouble() < keep) offered.push_back(g);
+        std::sort(offered.begin(), offered.end());
+        if (rng.UniformInt(0, 3) == 0) rng.Shuffle(offered);
+        Agent agent(&topo, &est, now);
+        h.Add(agent.CurrentRho(*app));
+        const AgentBid bid =
+            agent.PrepareBid(*app, offered, rng.UniformInt(1, 8));
+        h.Add(static_cast<std::uint64_t>(bid.table.rows.size()));
+        for (std::size_t r = 0; r < bid.table.rows.size(); ++r) {
+          for (int c : bid.table.rows[r].gpus_per_machine) h.Add(c);
+          h.Add(bid.table.rows[r].rho);
+          h.Add(static_cast<std::uint64_t>(bid.row_gpus[r].size()));
+          for (GpuId g : bid.row_gpus[r]) h.Add(static_cast<std::uint64_t>(g));
+        }
+        rows += static_cast<int>(bid.table.rows.size()) - 1;
+        // A grant shaped like step 5's: one row's GPUs, then other offered
+        // GPUs in offer order.
+        const std::vector<GpuId>& row =
+            bid.row_gpus[rng.UniformInt(
+                0, static_cast<int>(bid.row_gpus.size()) - 1)];
+        std::vector<GpuId> granted = row;
+        for (GpuId g : offered)
+          if (rng.UniformInt(0, 2) == 0 &&
+              std::find(row.begin(), row.end(), g) == row.end())
+            granted.push_back(g);
+        for (const JobAssignment& a : agent.DistributeToJobs(*app, granted)) {
+          h.Add(a.job_index);
+          h.Add(static_cast<std::uint64_t>(a.gpus.size()));
+          for (GpuId g : a.gpus) h.Add(static_cast<std::uint64_t>(g));
+          ++distributed;
+        }
+      }
+    }
+  }
+  // The digest must cover real tables and real distributions.
+  EXPECT_GT(rows, 1000);
+  EXPECT_GT(distributed, 300);
+#if defined(__x86_64__)
+  EXPECT_EQ(h.value(), 0xdd8998c749fd618cull) << std::hex << "0x" << h.value();
 #else
   GTEST_SKIP() << "golden constants are pinned on x86-64 only";
 #endif
