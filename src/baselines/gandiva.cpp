@@ -8,12 +8,12 @@ namespace themis {
 
 GrantSet GandivaPolicy::RunRound(const ResourceOffer& /*offer*/,
                                  SchedulerContext& ctx) {
+  // One pool serves the whole round: only this round's grants shrink it,
+  // and each grant removes its GPUs from both pools.
+  GpuPool pool(ctx.free_pool().ToVector(), ctx.topology());
   bool progress = true;
-  while (progress && !ctx.free_pool().empty()) {
+  while (progress && !pool.empty()) {
     progress = false;
-    // The pool only shrinks when a grant ends the iteration, so one
-    // random-access snapshot serves every candidate this iteration.
-    const std::vector<GpuId> free = ctx.free_pool().ToVector();
 
     AppState* best_app = nullptr;
     int best_job = -1;
@@ -25,12 +25,12 @@ GrantSet GandivaPolicy::RunRound(const ResourceOffer& /*offer*/,
         JobState& job = app->jobs[j];
         if (job.UnmetGangs() <= 0) continue;
         const int gang = job.spec.gpus_per_task;
-        if (static_cast<int>(free.size()) < gang) continue;
+        if (pool.size() < gang) continue;
         // Speed-aware through the placement picker: at equal locality it
         // prefers machines of the fastest generation (no-op on uniform
         // clusters).
         std::vector<GpuId> pick =
-            PickBestPlacedNear(gang, free, job.gpus, ctx.topology());
+            PickBestPlacedNear(gang, pool, job.gpus, ctx.topology());
         if (static_cast<int>(pick.size()) < gang) continue;
         // Score the job's whole prospective gang, not just the increment:
         // Gandiva's introspection cares about the resulting locality.
@@ -48,6 +48,7 @@ GrantSet GandivaPolicy::RunRound(const ResourceOffer& /*offer*/,
     if (best_app == nullptr) break;
 
     ctx.Grant(*best_app, best_app->jobs[best_job], best_pick);
+    for (GpuId g : best_pick) pool.Remove(g);
     progress = true;
   }
   return ctx.TakeGrants();

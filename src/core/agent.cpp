@@ -12,17 +12,26 @@ int UsableGpus(const JobSpec& spec, int held) {
   return held - held % spec.gpus_per_task;
 }
 
-/// Would the job make progress on (held + extra)? False when the combined
-/// usable set violates the job's placement constraint (Sec. 6: such
-/// allocations have S = 0, i.e. infinite rho — never worth assigning).
-bool WouldProgress(const JobSpec& spec, const std::vector<GpuId>& held,
-                   const std::vector<GpuId>& extra, const Topology& topo) {
+/// Progress rate of a job on the usable prefix of `gpus`; 0 when no whole
+/// task fits. Copies only when a partial task must be cut off.
+double UsableRate(const JobSpec& spec, const std::vector<GpuId>& gpus,
+                  const Topology& topo) {
+  const int usable = UsableGpus(spec, static_cast<int>(gpus.size()));
+  if (usable <= 0) return 0.0;
+  if (usable == static_cast<int>(gpus.size()))
+    return EffectiveJobRate(spec, gpus, topo);
+  return EffectiveJobRate(
+      spec, std::vector<GpuId>(gpus.begin(), gpus.begin() + usable), topo);
+}
+
+/// The job's rate on (held + extra), or 0 when it would make no progress:
+/// the combined usable set violates the job's placement constraint (Sec. 6:
+/// such allocations have S = 0, i.e. infinite rho — never worth assigning).
+double RateWith(const JobSpec& spec, const std::vector<GpuId>& held,
+                const std::vector<GpuId>& extra, const Topology& topo) {
   std::vector<GpuId> combined = held;
   combined.insert(combined.end(), extra.begin(), extra.end());
-  const int usable = UsableGpus(spec, static_cast<int>(combined.size()));
-  if (usable <= 0) return false;
-  combined.resize(usable);
-  return EffectiveJobRate(spec, combined, topo) > 0.0;
+  return UsableRate(spec, combined, topo);
 }
 
 }  // namespace
@@ -38,20 +47,29 @@ std::vector<int> Agent::JobPriorityOrder(const AppState& app) const {
   return order;
 }
 
-double Agent::SharedRunningTime(
-    const AppState& app, const std::vector<std::vector<GpuId>>& gpus) const {
+std::vector<double> Agent::CurrentRates(const AppState& app) const {
+  std::vector<double> rates(app.jobs.size(), 0.0);
+  for (std::size_t j = 0; j < app.jobs.size(); ++j) {
+    const JobState& job = app.jobs[j];
+    if (job.alive && !job.finished)
+      rates[j] = UsableRate(job.spec, job.gpus, *topo_);
+  }
+  return rates;
+}
+
+double Agent::SharedRunningTime(const AppState& app,
+                                const std::vector<double>& rates) const {
+  // Work-left is asked for every rated active job, ascending, on every
+  // evaluation: the noisy estimator draws once per call, so this sequence
+  // is part of the bid's contract.
   const Time elapsed = std::max(0.0, now_ - app.arrival());
   double best = std::numeric_limits<double>::infinity();
-  for (int j : app.ActiveJobs()) {
+  for (std::size_t j = 0; j < app.jobs.size(); ++j) {
     const JobState& job = app.jobs[j];
-    const int usable = UsableGpus(job.spec, static_cast<int>(gpus[j].size()));
-    if (usable <= 0) continue;
-    std::vector<GpuId> used(gpus[j].begin(), gpus[j].begin() + usable);
-    const double rate = EffectiveJobRate(job.spec, used, *topo_);
-    if (rate <= 0.0) continue;
+    if (!job.alive || job.finished || rates[j] <= 0.0) continue;
     const Work left = estimator_->RemainingWork(job.spec, job.DoneIterations(),
                                                 app.spec.target_loss);
-    best = std::min(best, elapsed + left / rate);
+    best = std::min(best, elapsed + left / rates[j]);
   }
   return best;
 }
@@ -63,30 +81,28 @@ double Agent::RhoFromSharedTime(const AppState& app, double t_sh) const {
 }
 
 double Agent::CurrentRho(const AppState& app) const {
-  std::vector<std::vector<GpuId>> gpus(app.jobs.size());
-  for (std::size_t j = 0; j < app.jobs.size(); ++j) gpus[j] = app.jobs[j].gpus;
-  return RhoFromSharedTime(app, SharedRunningTime(app, gpus));
+  return RhoFromSharedTime(app, SharedRunningTime(app, CurrentRates(app)));
 }
 
 double Agent::HypotheticalRho(const AppState& app,
                               const std::vector<GpuId>& extra) const {
-  std::vector<std::vector<GpuId>> gpus(app.jobs.size());
-  for (std::size_t j = 0; j < app.jobs.size(); ++j) gpus[j] = app.jobs[j].gpus;
-  for (const JobAssignment& a : DistributeToJobs(app, extra))
-    gpus[a.job_index].insert(gpus[a.job_index].end(), a.gpus.begin(),
-                             a.gpus.end());
-  return RhoFromSharedTime(app, SharedRunningTime(app, gpus));
+  std::vector<double> rates = CurrentRates(app);
+  for (const JobAssignment& a : DistributeToJobs(app, extra)) {
+    const JobState& job = app.jobs[a.job_index];
+    rates[a.job_index] = RateWith(job.spec, job.gpus, a.gpus, *topo_);
+  }
+  return RhoFromSharedTime(app, SharedRunningTime(app, rates));
 }
 
 std::vector<JobAssignment> Agent::DistributeToJobs(
     const AppState& app, const std::vector<GpuId>& granted) const {
   std::vector<JobAssignment> out;
-  std::vector<GpuId> pool = granted;
+  GpuPool pool(granted, *topo_);
   for (int j : JobPriorityOrder(app)) {
     if (pool.empty()) break;
     const JobState& job = app.jobs[j];
     const int gang = job.spec.gpus_per_task;
-    int gangs = std::min(job.UnmetGangs(), static_cast<int>(pool.size()) / gang);
+    int gangs = std::min(job.UnmetGangs(), pool.size() / gang);
     if (gangs <= 0) continue;
     std::vector<GpuId> picked =
         PickBestPlacedNear(gangs * gang, pool, job.gpus, *topo_);
@@ -95,11 +111,11 @@ std::vector<JobAssignment> Agent::DistributeToJobs(
     picked.resize(usable);
     // Shrink until the combined set satisfies the job's placement
     // constraint; an assignment the job cannot run on is worthless.
-    while (!picked.empty() && !WouldProgress(job.spec, job.gpus, picked, *topo_))
+    while (!picked.empty() &&
+           RateWith(job.spec, job.gpus, picked, *topo_) <= 0.0)
       picked.resize(picked.size() - gang);
     if (picked.empty()) continue;
-    for (GpuId g : picked)
-      pool.erase(std::remove(pool.begin(), pool.end(), g), pool.end());
+    for (GpuId g : picked) pool.Remove(g);
     out.push_back({j, std::move(picked)});
   }
   return out;
@@ -118,7 +134,11 @@ AgentBid Agent::PrepareBid(const AppState& app,
     return v;
   };
 
-  const double current_rho = CurrentRho(app);
+  // The zero row's rates seed every cut: an increment changes only the
+  // grown job's rate.
+  std::vector<double> rates = CurrentRates(app);
+  const double current_rho =
+      RhoFromSharedTime(app, SharedRunningTime(app, rates));
   BidRow zero;
   zero.gpus_per_machine.assign(machines, 0);
   zero.rho = current_rho;
@@ -127,13 +147,14 @@ AgentBid Agent::PrepareBid(const AppState& app,
 
   // Build the cumulative gang increments: walk jobs in priority order, each
   // taking one gang at a time from the offered pool, placed near the GPUs
-  // already chosen for that job.
+  // already chosen for that job. Cut i bundles the first `size` GPUs of
+  // picked_all.
   struct Cut {
-    std::vector<GpuId> gpus;  // cumulative picked set
-    double rho;
+    std::size_t size;
+    double t_sh;
   };
   std::vector<Cut> cuts;
-  std::vector<GpuId> pool = offered;
+  GpuPool pool(offered, *topo_);
   std::vector<GpuId> picked_all;
   std::vector<std::vector<GpuId>> hypothetical(app.jobs.size());
   for (std::size_t j = 0; j < app.jobs.size(); ++j)
@@ -149,18 +170,19 @@ AgentBid Agent::PrepareBid(const AppState& app,
       const int cap = std::min(job.parallelism_cap, job.spec.MaxParallelism());
       const int held = static_cast<int>(hypothetical[j].size());
       if (held + gang > cap) continue;
-      if (static_cast<int>(pool.size()) < gang) continue;
+      if (pool.size() < gang) continue;
       std::vector<GpuId> inc =
           PickBestPlacedNear(gang, pool, hypothetical[j], *topo_);
       if (static_cast<int>(inc.size()) < gang) continue;
       // Never bid on bundles the job's placement constraint forbids
       // (Sec. 6: their rho would be infinite).
-      if (!WouldProgress(job.spec, hypothetical[j], inc, *topo_)) continue;
-      for (GpuId g : inc)
-        pool.erase(std::remove(pool.begin(), pool.end(), g), pool.end());
+      const double rate = RateWith(job.spec, hypothetical[j], inc, *topo_);
+      if (rate <= 0.0) continue;
+      for (GpuId g : inc) pool.Remove(g);
       hypothetical[j].insert(hypothetical[j].end(), inc.begin(), inc.end());
       picked_all.insert(picked_all.end(), inc.begin(), inc.end());
-      cuts.push_back({picked_all, SharedRunningTime(app, hypothetical)});
+      rates[j] = rate;
+      cuts.push_back({picked_all.size(), SharedRunningTime(app, rates)});
       progress = true;
     }
   }
@@ -178,13 +200,15 @@ AgentBid Agent::PrepareBid(const AppState& app,
   }
 
   for (std::size_t i : keep) {
+    std::vector<GpuId> gpus(picked_all.begin(),
+                            picked_all.begin() + cuts[i].size);
     BidRow row;
-    row.gpus_per_machine = row_vector(cuts[i].gpus);
-    row.rho = RhoFromSharedTime(app, cuts[i].rho);
+    row.gpus_per_machine = row_vector(gpus);
+    row.rho = RhoFromSharedTime(app, cuts[i].t_sh);
     // Monotonicity guard: extra GPUs never value worse than the current rho.
     row.rho = std::min(row.rho, current_rho);
     bid.table.rows.push_back(std::move(row));
-    bid.row_gpus.push_back(cuts[i].gpus);
+    bid.row_gpus.push_back(std::move(gpus));
   }
   return bid;
 }

@@ -11,6 +11,13 @@
 // where work-left W' comes from the app scheduler's estimator (clairvoyant,
 // noisy, or curve-fit — Sec. 8.1 / Fig. 11) and S captures placement
 // sensitivity. Apps holding no usable gang report the unbounded-rho cap.
+//
+// T_SH is computed from per-job rates (G_j * S_j * min gang speed), not from
+// gangs: a bid fills them once from the app's current gangs for the zero
+// row, and each cumulative increment updates only the grown job's rate. The
+// estimator is still asked for W'_j on every evaluation, for every active
+// job with a positive rate in ascending job order, so the noisy estimator's
+// draw sequence does not depend on how rates are kept.
 #pragma once
 
 #include <utility>
@@ -67,9 +74,12 @@ class Agent {
   std::vector<int> JobPriorityOrder(const AppState& app) const;
 
  private:
-  /// T_SH given per-job hypothetical GPU sets (indexed like app.jobs).
+  /// Per-job progress rates on the current gangs (indexed like app.jobs;
+  /// 0 for inactive jobs and gangs without a whole usable task).
+  std::vector<double> CurrentRates(const AppState& app) const;
+  /// T_SH given per-job progress rates (indexed like app.jobs).
   double SharedRunningTime(const AppState& app,
-                           const std::vector<std::vector<GpuId>>& gpus) const;
+                           const std::vector<double>& rates) const;
   double RhoFromSharedTime(const AppState& app, double t_sh) const;
 
   const Topology* topo_;

@@ -190,6 +190,9 @@ GrantSet ThemisPolicy::RunRound(const ResourceOffer& offer,
 void ThemisPolicy::AllocateLeftovers(
     SchedulerContext& ctx, const Agent& agent,
     const std::vector<AppState*>& participants) {
+  // An auction that took the whole pool leaves nothing to list apps for.
+  if (ctx.free_pool().empty()) return;
+
   // Participant lookups are O(log P) against a sorted id vector instead of
   // an O(P) find per candidate per iteration.
   std::vector<AppId> participant_ids;
@@ -217,47 +220,65 @@ void ThemisPolicy::AllocateLeftovers(
     return it->second;
   };
 
-  // Two rounds: first apps that did not participate in the auction (the
+  // One pool serves the whole stage: only this stage's grants shrink it,
+  // and each grant removes its GPUs from both pools.
+  GpuPool pool(ctx.free_pool().ToVector(), ctx.topology());
+
+  // An app's smallest gang among its jobs that can still grow, or 0 when
+  // none can.
+  auto smallest_gang = [](const AppState& app) {
+    int smallest = 0;
+    for (const JobState& job : app.jobs)
+      if (job.UnmetGangs() > 0 &&
+          (smallest == 0 || job.spec.gpus_per_task < smallest))
+        smallest = job.spec.gpus_per_task;
+    return smallest;
+  };
+  struct Hungry {
+    AppState* app;
+    int gang;  // smallest growable gang; 0 once the app is sated
+  };
+
+  // Two passes: first apps that did not participate in the auction (the
   // paper's rule — they cannot game leftovers), then, purely for work
   // conservation, anyone with unmet demand.
   for (const bool outsiders_only : {true, false}) {
+    if (pool.empty()) return;
+    // The pass's hungry apps in context order, listed once: within the pass
+    // only the winner's gangs change, so only its entry is refreshed.
+    std::vector<Hungry> hungry;
+    for (AppState* app : ctx.apps()) {
+      if (outsiders_only && is_participant(app)) continue;
+      const int gang = smallest_gang(*app);
+      if (gang > 0) hungry.push_back({app, gang});
+    }
+
+    std::vector<Hungry*> candidates;
     bool progress = true;
     while (progress) {
       progress = false;
-      std::vector<GpuId> free = ctx.free_pool().ToVector();
-      if (free.empty()) return;
-
       // Candidates that can absorb at least one whole gang.
-      std::vector<AppState*> candidates;
-      for (AppState* app : ctx.apps()) {
-        if (outsiders_only && is_participant(app)) continue;
-        if (app->UnmetDemand() <= 0) continue;
-        for (int j : app->ActiveJobs()) {
-          const JobState& job = app->jobs[j];
-          if (job.UnmetGangs() > 0 &&
-              job.spec.gpus_per_task <= static_cast<int>(free.size())) {
-            candidates.push_back(app);
-            break;
-          }
-        }
-      }
+      candidates.clear();
+      for (Hungry& h : hungry)
+        if (h.gang > 0 && h.gang <= pool.size()) candidates.push_back(&h);
       if (candidates.empty()) break;
 
       // Paper: "when many such candidate apps exist for a GPU, one of the
       // apps is picked at random"; prefer apps already placed on machines
       // with free GPUs.
-      std::vector<AppState*> anchored;
-      for (AppState* app : candidates) {
-        const std::vector<bool>& on_machines = app_machines(app);
-        for (GpuId g : free)
-          if (on_machines[ctx.topology().gpu(g).machine]) {
-            anchored.push_back(app);
+      std::vector<Hungry*> anchored;
+      for (Hungry* h : candidates) {
+        const std::vector<bool>& on_machines = app_machines(h->app);
+        for (const GpuPool::Bucket& b : pool.buckets())
+          if (on_machines[b.machine]) {
+            anchored.push_back(h);
             break;
           }
       }
       auto& pick_from = anchored.empty() ? candidates : anchored;
-      AppState* app = pick_from[ctx.rng().UniformInt(
+      Hungry& winner = *pick_from[ctx.rng().UniformInt(
           0, static_cast<int>(pick_from.size()) - 1)];
+      AppState* app = winner.app;
 
       // Give its highest-priority job one gang, placed near its gang.
       for (int j : agent.JobPriorityOrder(*app)) {
@@ -265,7 +286,7 @@ void ThemisPolicy::AllocateLeftovers(
         if (job.UnmetGangs() <= 0) continue;
         const int gang = job.spec.gpus_per_task;
         std::vector<GpuId> picked =
-            PickBestPlacedNear(gang, free, job.gpus, ctx.topology());
+            PickBestPlacedNear(gang, pool, job.gpus, ctx.topology());
         if (static_cast<int>(picked.size()) < gang) continue;
         // Respect placement constraints: a gang the job cannot run on
         // (S = 0) would hold the lease without making progress.
@@ -276,7 +297,9 @@ void ThemisPolicy::AllocateLeftovers(
             EffectiveJobRate(job.spec, combined, ctx.topology()) <= 0.0)
           continue;
         ctx.Grant(*app, job, picked);
+        for (GpuId g : picked) pool.Remove(g);
         machine_cache.erase(app->id);  // its gang just grew
+        winner.gang = smallest_gang(*app);
         progress = true;
         break;
       }

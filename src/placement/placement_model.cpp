@@ -1,7 +1,8 @@
 #include "placement/placement_model.h"
 
 #include <algorithm>
-#include <map>
+#include <stdexcept>
+#include <utility>
 
 namespace themis {
 
@@ -42,128 +43,173 @@ double EffectiveRate(const ModelProfile& model, const std::vector<GpuId>& gpus,
          topo.MinSpeed(gpus);
 }
 
+GpuPool::GpuPool(const std::vector<GpuId>& gpus, const Topology& topo)
+    : topo_(&topo) {
+  const auto by_machine = [&](GpuId a, GpuId b) {
+    return topo.gpu(a).machine < topo.gpu(b).machine;
+  };
+  if (std::is_sorted(gpus.begin(), gpus.end(), by_machine)) {
+    Build(gpus);
+    return;
+  }
+  // Not grouped by machine: group a copy, keeping input order within each
+  // machine.
+  std::vector<GpuId> grouped = gpus;
+  std::stable_sort(grouped.begin(), grouped.end(), by_machine);
+  Build(grouped);
+}
+
+void GpuPool::Build(const std::vector<GpuId>& gpus) {
+  gpus_.reserve(gpus.size());
+  for (GpuId g : gpus) {
+    const MachineId m = topo_->gpu(g).machine;
+    if (buckets_.empty() || m != buckets_.back().machine)
+      buckets_.push_back({m, topo_->gpu(g).rack, topo_->machine_speed(m),
+                          static_cast<int>(gpus_.size()), 0});
+    ++buckets_.back().size;
+    gpus_.push_back(g);
+  }
+  size_ = static_cast<int>(gpus_.size());
+}
+
+void GpuPool::Remove(GpuId g) {
+  const MachineId m = topo_->gpu(g).machine;
+  const auto b = std::lower_bound(
+      buckets_.begin(), buckets_.end(), m,
+      [](const Bucket& x, MachineId id) { return x.machine < id; });
+  if (b != buckets_.end() && b->machine == m) {
+    GpuId* first = gpus_.data() + b->offset;
+    GpuId* last = first + b->size;
+    GpuId* at = std::find(first, last, g);
+    if (at != last) {
+      std::copy(at + 1, last, at);
+      --size_;
+      if (--b->size == 0) buckets_.erase(b);
+      return;
+    }
+  }
+  throw std::logic_error("GpuPool::Remove: GPU not pooled");
+}
+
 namespace {
 
-// Free GPUs grouped by machine, machines ordered by descending free count so
-// that whole-machine fills come first, with rack as a secondary grouping key
-// and generation speed preferring faster machines at equal locality.
-struct MachineGroup {
-  MachineId machine;
-  RackId rack;
-  double speed;
-  std::vector<GpuId> gpus;  // ascending; ascending slot order by construction
-};
-
-std::vector<MachineGroup> GroupByMachine(const std::vector<GpuId>& free,
-                                         const Topology& topo) {
-  std::map<MachineId, MachineGroup> by_machine;
-  for (GpuId g : free) {
-    const GpuCoord& c = topo.gpu(g);
-    auto& grp = by_machine[c.machine];
-    grp.machine = c.machine;
-    grp.rack = c.rack;
-    grp.speed = topo.machine_speed(c.machine);
-    grp.gpus.push_back(g);
-  }
-  std::vector<MachineGroup> out;
-  out.reserve(by_machine.size());
-  for (auto& [m, grp] : by_machine) out.push_back(std::move(grp));
-  return out;
-}
-
-}  // namespace
-
-std::vector<GpuId> PickBestPlaced(int count, const std::vector<GpuId>& free,
-                                  const Topology& topo) {
+// Appends GPUs bucket by bucket, in the given bucket order, up to `count`.
+std::vector<GpuId> FillInOrder(int count, const GpuPool& pool,
+                               const std::vector<const GpuPool::Bucket*>& order) {
   std::vector<GpuId> picked;
-  if (count <= 0 || free.empty()) return picked;
-
-  auto groups = GroupByMachine(free, topo);
-
-  // First preference: a single machine that fits the whole request; among
-  // those, the fastest generation first (a whole gang on one machine runs at
-  // that machine's speed), then the *tightest* fit to avoid fragmenting big
-  // machines. With uniform speeds this is the original tightest-fit rule.
-  const MachineGroup* best_fit = nullptr;
-  for (const auto& g : groups) {
-    if (static_cast<int>(g.gpus.size()) >= count) {
-      if (!best_fit || g.speed > best_fit->speed ||
-          (g.speed == best_fit->speed && g.gpus.size() < best_fit->gpus.size()))
-        best_fit = &g;
-    }
-  }
-  if (best_fit) {
-    picked.assign(best_fit->gpus.begin(), best_fit->gpus.begin() + count);
-    return picked;
-  }
-
-  // Otherwise fill machine-by-machine, largest group first, preferring to
-  // stay within the rack that holds the most free GPUs.
-  std::map<RackId, int> rack_free;
-  for (const auto& g : groups) rack_free[g.rack] += static_cast<int>(g.gpus.size());
-  RackId best_rack = groups.front().rack;
-  int best_rack_free = -1;
-  for (const auto& [rack, cnt] : rack_free)
-    if (cnt > best_rack_free) {
-      best_rack = rack;
-      best_rack_free = cnt;
-    }
-
-  std::stable_sort(groups.begin(), groups.end(),
-                   [&](const MachineGroup& a, const MachineGroup& b) {
-                     const bool ar = a.rack == best_rack;
-                     const bool br = b.rack == best_rack;
-                     if (ar != br) return ar;  // preferred rack first
-                     // Faster machines first at equal locality (no-op on
-                     // uniform-speed clusters).
-                     if (a.speed != b.speed) return a.speed > b.speed;
-                     return a.gpus.size() > b.gpus.size();
-                   });
-  for (const auto& g : groups) {
-    for (GpuId id : g.gpus) {
-      if (static_cast<int>(picked.size()) == count) return picked;
-      picked.push_back(id);
-    }
-  }
-  return picked;  // fewer than count available
-}
-
-std::vector<GpuId> PickBestPlacedNear(int count, const std::vector<GpuId>& free,
-                                      const std::vector<GpuId>& anchor,
-                                      const Topology& topo) {
-  if (count <= 0 || free.empty()) return {};
-  if (anchor.empty()) return PickBestPlaced(count, free, topo);
-
-  std::map<MachineId, int> anchor_machines;
-  std::map<RackId, int> anchor_racks;
-  for (GpuId g : anchor) {
-    const GpuCoord& c = topo.gpu(g);
-    ++anchor_machines[c.machine];
-    ++anchor_racks[c.rack];
-  }
-
-  auto groups = GroupByMachine(free, topo);
-  std::stable_sort(groups.begin(), groups.end(),
-                   [&](const MachineGroup& a, const MachineGroup& b) {
-                     const bool am = anchor_machines.count(a.machine) > 0;
-                     const bool bm = anchor_machines.count(b.machine) > 0;
-                     if (am != bm) return am;  // same machine as anchor first
-                     const bool ar = anchor_racks.count(a.rack) > 0;
-                     const bool br = anchor_racks.count(b.rack) > 0;
-                     if (ar != br) return ar;  // then same rack
-                     // Locality beats speed (the anchor's generation paces
-                     // the gang anyway); at equal locality prefer faster.
-                     if (a.speed != b.speed) return a.speed > b.speed;
-                     return a.gpus.size() > b.gpus.size();
-                   });
-  std::vector<GpuId> picked;
-  for (const auto& g : groups) {
-    for (GpuId id : g.gpus) {
+  picked.reserve(static_cast<std::size_t>(std::min(count, pool.size())));
+  for (const GpuPool::Bucket* b : order) {
+    for (GpuId id : pool.gpus(*b)) {
       if (static_cast<int>(picked.size()) == count) return picked;
       picked.push_back(id);
     }
   }
   return picked;
+}
+
+}  // namespace
+
+std::vector<GpuId> PickBestPlaced(int count, const GpuPool& pool,
+                                  const Topology& /*topo*/) {
+  if (count <= 0 || pool.empty()) return {};
+  using Bucket = GpuPool::Bucket;
+  const std::vector<Bucket>& buckets = pool.buckets();
+
+  // First preference: a single machine that fits the whole request; among
+  // those, the fastest generation first (a whole gang on one machine runs at
+  // that machine's speed), then the *tightest* fit to avoid fragmenting big
+  // machines. With uniform speeds this is the original tightest-fit rule.
+  const Bucket* best_fit = nullptr;
+  for (const Bucket& b : buckets) {
+    if (b.size >= count) {
+      if (!best_fit || b.speed > best_fit->speed ||
+          (b.speed == best_fit->speed && b.size < best_fit->size))
+        best_fit = &b;
+    }
+  }
+  if (best_fit) {
+    const std::span<const GpuId> gpus = pool.gpus(*best_fit);
+    return {gpus.begin(), gpus.begin() + count};
+  }
+
+  // Otherwise fill machine-by-machine, largest bucket first, preferring to
+  // stay within the rack that holds the most pooled GPUs (lowest rack id on
+  // ties).
+  std::vector<std::pair<RackId, int>> rack_free;
+  for (const Bucket& b : buckets) {
+    auto it = std::find_if(rack_free.begin(), rack_free.end(),
+                           [&](const auto& r) { return r.first == b.rack; });
+    if (it == rack_free.end())
+      rack_free.emplace_back(b.rack, b.size);
+    else
+      it->second += b.size;
+  }
+  RackId best_rack = rack_free.front().first;
+  int best_rack_free = -1;
+  for (const auto& [rack, cnt] : rack_free)
+    if (cnt > best_rack_free || (cnt == best_rack_free && rack < best_rack)) {
+      best_rack = rack;
+      best_rack_free = cnt;
+    }
+
+  std::vector<const Bucket*> order;
+  order.reserve(buckets.size());
+  for (const Bucket& b : buckets) order.push_back(&b);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](const Bucket* a, const Bucket* b) {
+                     const bool ar = a->rack == best_rack;
+                     const bool br = b->rack == best_rack;
+                     if (ar != br) return ar;  // preferred rack first
+                     // Faster machines first at equal locality (no-op on
+                     // uniform-speed clusters).
+                     if (a->speed != b->speed) return a->speed > b->speed;
+                     return a->size > b->size;
+                   });
+  return FillInOrder(count, pool, order);  // fewer than count if scarce
+}
+
+std::vector<GpuId> PickBestPlacedNear(int count, const GpuPool& pool,
+                                      const std::vector<GpuId>& anchor,
+                                      const Topology& topo) {
+  if (count <= 0 || pool.empty()) return {};
+  if (anchor.empty()) return PickBestPlaced(count, pool, topo);
+
+  // An anchor is one job's gang, so a sorted vector beats a tree.
+  std::vector<MachineId> anchor_machines;
+  std::vector<RackId> anchor_racks;
+  anchor_machines.reserve(anchor.size());
+  anchor_racks.reserve(anchor.size());
+  for (GpuId g : anchor) {
+    const GpuCoord& c = topo.gpu(g);
+    anchor_machines.push_back(c.machine);
+    anchor_racks.push_back(c.rack);
+  }
+  for (auto* ids : {&anchor_machines, &anchor_racks}) {
+    std::sort(ids->begin(), ids->end());
+    ids->erase(std::unique(ids->begin(), ids->end()), ids->end());
+  }
+  const auto has = [](const auto& ids, auto id) {
+    return std::binary_search(ids.begin(), ids.end(), id);
+  };
+
+  using Bucket = GpuPool::Bucket;
+  std::vector<const Bucket*> order;
+  order.reserve(pool.buckets().size());
+  for (const Bucket& b : pool.buckets()) order.push_back(&b);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](const Bucket* a, const Bucket* b) {
+                     const bool am = has(anchor_machines, a->machine);
+                     const bool bm = has(anchor_machines, b->machine);
+                     if (am != bm) return am;  // same machine as anchor first
+                     const bool ar = has(anchor_racks, a->rack);
+                     const bool br = has(anchor_racks, b->rack);
+                     if (ar != br) return ar;  // then same rack
+                     // Locality beats speed (the anchor's generation paces
+                     // the gang anyway); at equal locality prefer faster.
+                     if (a->speed != b->speed) return a->speed > b->speed;
+                     return a->size > b->size;
+                   });
+  return FillInOrder(count, pool, order);
 }
 
 }  // namespace themis

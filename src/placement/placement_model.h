@@ -6,9 +6,11 @@
 // spans: time = serialTime / (G * S). This module computes S for a concrete
 // GPU set, the paper's 4-level placement *score* (Sec. 8.1 metrics), and
 // greedy locality-aware GPU selection used by agents when they turn a
-// per-machine allocation vector into concrete GPUs.
+// per-machine allocation vector into concrete GPUs. The pickers read a
+// GpuPool, the candidate GPUs bucketed by machine once per bid or round.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -36,15 +38,61 @@ double PlacementScore(const std::vector<GpuId>& gpus, const Topology& topo);
 double EffectiveRate(const ModelProfile& model, const std::vector<GpuId>& gpus,
                      const Topology& topo);
 
-/// Pick `count` GPUs from `free` (ids into the topology) greedily maximizing
-/// locality: prefer filling whole slots, then whole machines, then one rack.
-/// Returns fewer than `count` if not enough free GPUs. Deterministic.
-std::vector<GpuId> PickBestPlaced(int count, const std::vector<GpuId>& free,
+/// A set of GPUs bucketed by machine, the pool the pickers choose from.
+/// Buckets run in ascending machine id; each keeps its GPUs in input order
+/// (callers that hand over a bid row's GPUs first and then other free GPUs
+/// rely on this: the row's GPUs stay first on their machines). Building is
+/// O(pool) when the input is already grouped by machine (an ascending-id
+/// free list is) and O(pool log pool) otherwise; it never touches the rest
+/// of the cluster. Callers build one pool per bid, grant or round and
+/// Remove what they pick, instead of regrouping a vector on every pick.
+class GpuPool {
+ public:
+  struct Bucket {
+    MachineId machine;
+    RackId rack;
+    double speed;
+    int offset;  // first slot in the pool's GPU array
+    int size;    // GPUs still pooled on this machine
+  };
+
+  GpuPool(const std::vector<GpuId>& gpus, const Topology& topo);
+
+  int size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  /// Non-empty buckets, ascending machine id.
+  const std::vector<Bucket>& buckets() const { return buckets_; }
+  /// A bucket's GPUs, in input order.
+  std::span<const GpuId> gpus(const Bucket& b) const {
+    return {gpus_.data() + b.offset, static_cast<std::size_t>(b.size)};
+  }
+
+  /// Remove a picked GPU, keeping the order of the rest; an emptied bucket
+  /// is dropped. Throws std::logic_error if `g` is not pooled.
+  void Remove(GpuId g);
+
+ private:
+  /// Fills the buckets from GPUs already grouped by machine.
+  void Build(const std::vector<GpuId>& gpus);
+
+  const Topology* topo_;
+  std::vector<GpuId> gpus_;  // bucket-contiguous
+  std::vector<Bucket> buckets_;
+  int size_ = 0;
+};
+
+/// Pick `count` GPUs from `pool` greedily maximizing locality: prefer one
+/// machine that fits the whole request (fastest, then tightest), otherwise
+/// fill machine by machine inside the rack with the most pooled GPUs.
+/// Returns fewer than `count` if the pool is smaller. Deterministic; does
+/// not modify the pool.
+std::vector<GpuId> PickBestPlaced(int count, const GpuPool& pool,
                                   const Topology& topo);
 
-/// Same, but anchored: prefer machines where `anchor` GPUs already live
-/// (used for leftover allocation, Sec. 5.1 step 3, and job growth).
-std::vector<GpuId> PickBestPlacedNear(int count, const std::vector<GpuId>& free,
+/// Same, but anchored: prefer machines where `anchor` GPUs already live,
+/// then their racks (used for leftover allocation, Sec. 5.1 step 3, and job
+/// growth). An empty anchor falls back to PickBestPlaced.
+std::vector<GpuId> PickBestPlacedNear(int count, const GpuPool& pool,
                                       const std::vector<GpuId>& anchor,
                                       const Topology& topo);
 

@@ -1,9 +1,15 @@
 // Tests for placement/: model profiles, slowdown arithmetic, placement
-// scores, greedy locality-aware GPU picking.
+// scores, greedy locality-aware GPU picking and its GpuPool, checked
+// against the map-grouping oracle in placement_oracle.h.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+
+#include "common/rng.h"
 #include "placement/model_profile.h"
 #include "placement/placement_model.h"
+#include "placement_oracle.h"
 
 namespace themis {
 namespace {
@@ -90,7 +96,7 @@ TEST_F(PlacementFixture, MachineLocalBeatsSpreadForVgg) {
 }
 
 TEST_F(PlacementFixture, PickBestPlacedFitsInOneMachine) {
-  const std::vector<GpuId> free{0, 1, 2, 3, 4, 5};
+  const GpuPool free({0, 1, 2, 3, 4, 5}, topo_);
   const auto picked = PickBestPlaced(4, free, topo_);
   ASSERT_EQ(picked.size(), 4u);
   EXPECT_EQ(topo_.SpanLevel(picked), LocalityLevel::kMachine);
@@ -99,30 +105,30 @@ TEST_F(PlacementFixture, PickBestPlacedFitsInOneMachine) {
 TEST_F(PlacementFixture, PickBestPlacedPrefersTightestFit) {
   // Machine 0 has 2 free, machine 1 has 4 free: a 2-GPU request should take
   // machine 0's pair and leave the larger block intact.
-  const std::vector<GpuId> free{0, 1, 4, 5, 6, 7};
+  const GpuPool free({0, 1, 4, 5, 6, 7}, topo_);
   const auto picked = PickBestPlaced(2, free, topo_);
   EXPECT_EQ(picked, (std::vector<GpuId>{0, 1}));
 }
 
 TEST_F(PlacementFixture, PickBestPlacedSpansWithinPreferredRack) {
   // 6 GPUs can't fit one machine (4 max); should stay within one rack.
-  const std::vector<GpuId> free{0, 1, 2, 3, 4, 5, 8, 9};
+  const GpuPool free({0, 1, 2, 3, 4, 5, 8, 9}, topo_);
   const auto picked = PickBestPlaced(6, free, topo_);
   ASSERT_EQ(picked.size(), 6u);
   EXPECT_EQ(topo_.SpanLevel(picked), LocalityLevel::kRack);
 }
 
 TEST_F(PlacementFixture, PickBestPlacedReturnsAllWhenScarce) {
-  const std::vector<GpuId> free{0, 9};
+  const GpuPool free({0, 9}, topo_);
   EXPECT_EQ(PickBestPlaced(5, free, topo_).size(), 2u);
   EXPECT_EQ(PickBestPlaced(0, free, topo_).size(), 0u);
-  EXPECT_EQ(PickBestPlaced(3, {}, topo_).size(), 0u);
+  EXPECT_EQ(PickBestPlaced(3, GpuPool({}, topo_), topo_).size(), 0u);
 }
 
 TEST_F(PlacementFixture, PickBestPlacedNearPrefersAnchorMachine) {
   // Anchor on machine 1 (gpu 4); free GPUs on machines 0 and 1: the pick
   // must co-locate with the anchor even though machine 0 has more free.
-  const std::vector<GpuId> free{0, 1, 2, 5, 6};
+  const GpuPool free({0, 1, 2, 5, 6}, topo_);
   const auto picked = PickBestPlacedNear(2, free, {4}, topo_);
   ASSERT_EQ(picked.size(), 2u);
   EXPECT_EQ(picked, (std::vector<GpuId>{5, 6}));
@@ -131,7 +137,7 @@ TEST_F(PlacementFixture, PickBestPlacedNearPrefersAnchorMachine) {
 TEST_F(PlacementFixture, PickBestPlacedNearFallsBackToAnchorRack) {
   // Anchor on machine 0 (rack 0); no free GPUs there, but machine 1 shares
   // the rack while machine 2 does not.
-  const std::vector<GpuId> free{8, 9, 4, 5};
+  const GpuPool free({8, 9, 4, 5}, topo_);
   const auto picked = PickBestPlacedNear(2, free, {0}, topo_);
   ASSERT_EQ(picked.size(), 2u);
   EXPECT_EQ(topo_.gpu(picked[0]).rack, 0u);
@@ -139,9 +145,111 @@ TEST_F(PlacementFixture, PickBestPlacedNearFallsBackToAnchorRack) {
 }
 
 TEST_F(PlacementFixture, PickBestPlacedNearWithEmptyAnchorEqualsPlain) {
-  const std::vector<GpuId> free{0, 1, 2, 3, 4};
+  const GpuPool free({0, 1, 2, 3, 4}, topo_);
   EXPECT_EQ(PickBestPlacedNear(3, free, {}, topo_),
             PickBestPlaced(3, free, topo_));
+}
+
+std::vector<GpuId> PoolContents(const GpuPool& pool) {
+  std::vector<GpuId> out;
+  for (const GpuPool::Bucket& b : pool.buckets())
+    for (GpuId g : pool.gpus(b)) out.push_back(g);
+  return out;
+}
+
+TEST_F(PlacementFixture, GpuPoolBucketsByMachineKeepingInputOrder) {
+  // Machines 2, 0 and 1 interleaved, descending inside machine 0.
+  const GpuPool pool({9, 3, 1, 8, 4, 0}, topo_);
+  EXPECT_EQ(pool.size(), 6);
+  ASSERT_EQ(pool.buckets().size(), 3u);
+  EXPECT_EQ(pool.buckets()[0].machine, 0u);
+  EXPECT_EQ(pool.buckets()[1].machine, 1u);
+  EXPECT_EQ(pool.buckets()[2].machine, 2u);
+  EXPECT_EQ(PoolContents(pool), (std::vector<GpuId>{3, 1, 0, 4, 9, 8}));
+}
+
+TEST_F(PlacementFixture, GpuPoolRemoveKeepsOrderAndDropsEmptyBuckets) {
+  GpuPool pool({0, 1, 2, 4, 8}, topo_);
+  pool.Remove(1);
+  EXPECT_EQ(PoolContents(pool), (std::vector<GpuId>{0, 2, 4, 8}));
+  EXPECT_EQ(pool.size(), 4);
+  pool.Remove(4);
+  ASSERT_EQ(pool.buckets().size(), 2u);  // machine 1 emptied
+  EXPECT_EQ(pool.buckets()[1].machine, 2u);
+  EXPECT_THROW(pool.Remove(4), std::logic_error);   // already removed
+  EXPECT_THROW(pool.Remove(12), std::logic_error);  // machine never pooled
+  EXPECT_EQ(pool.size(), 3);
+  for (GpuId g : {0, 2, 8}) pool.Remove(g);
+  EXPECT_TRUE(pool.empty());
+  EXPECT_TRUE(pool.buckets().empty());
+}
+
+// GpuPool picks must equal the map-grouping oracle's, pick for pick, over
+// random pools (ascending, grouped but unordered within a machine, and
+// shuffled), random anchors, every count from 0 to size + 2, and
+// pick-then-Remove sequences that shrink the pool the way a bid does.
+TEST(PlacementOracle, GpuPoolPicksMatchMapGrouping) {
+  Rng rng(4242);
+  int compared = 0;
+  for (const ClusterSpec& spec :
+       {ClusterSpec::Simulation256(), ClusterSpec::Simulation256Mixed(),
+        ClusterSpec::Uniform(2, 2, 4, 2)}) {
+    const Topology topo(spec);
+    for (int trial = 0; trial < 25; ++trial) {
+      std::vector<GpuId> free;
+      const double keep = rng.Uniform(0.0, 1.0);
+      for (GpuId g = 0; g < static_cast<GpuId>(topo.num_gpus()); ++g)
+        if (rng.NextDouble() < keep) free.push_back(g);
+      switch (rng.UniformInt(0, 2)) {
+        case 0: break;  // ascending, like an offer
+        case 1:         // grouped by machine, shuffled within each
+          rng.Shuffle(free);
+          std::stable_sort(free.begin(), free.end(), [&](GpuId a, GpuId b) {
+            return topo.gpu(a).machine < topo.gpu(b).machine;
+          });
+          break;
+        default: rng.Shuffle(free); break;
+      }
+      GpuPool pool(free, topo);
+      ASSERT_EQ(pool.size(), static_cast<int>(free.size()));
+      bool full_sweep = true;  // every count on the fresh pool
+      for (int step = 0; step < 30; ++step) {
+        std::vector<GpuId> anchor;
+        const int anchored = rng.UniformInt(0, 6);
+        for (int k = 0; k < anchored; ++k)
+          anchor.push_back(
+              static_cast<GpuId>(rng.UniformInt(0, topo.num_gpus() - 1)));
+        std::vector<int> counts;
+        const int n = pool.size();
+        if (full_sweep) {
+          for (int count = 0; count <= n + 2; ++count) counts.push_back(count);
+        } else {
+          counts = {0, 1, 2, 3, 4, 6, rng.UniformInt(0, n + 2), n - 1, n,
+                    n + 1, n + 2};
+        }
+        full_sweep = false;
+        for (int count : counts) {
+          ASSERT_EQ(PickBestPlaced(count, pool, topo),
+                    oracle::PickBestPlaced(count, free, topo))
+              << "count " << count;
+          ASSERT_EQ(PickBestPlacedNear(count, pool, anchor, topo),
+                    oracle::PickBestPlacedNear(count, free, anchor, topo))
+              << "count " << count;
+          ++compared;
+        }
+        if (free.empty()) break;
+        // Take one gang-sized pick out of both, as a bid increment does.
+        const std::vector<GpuId> taken = PickBestPlacedNear(
+            rng.UniformInt(1, 4), pool, anchor, topo);
+        for (GpuId g : taken) {
+          pool.Remove(g);
+          free.erase(std::find(free.begin(), free.end(), g));
+        }
+        ASSERT_EQ(PoolContents(pool), PoolContents(GpuPool(free, topo)));
+      }
+    }
+  }
+  EXPECT_GT(compared, 10000);
 }
 
 class SlowdownLevelTest
