@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 
 #include "common/parallel.h"
 #include "core/rho_index.h"
@@ -16,6 +15,17 @@ void ThemisConfig::Validate() const {
     throw std::invalid_argument(
         "ThemisConfig: auction_threads must be >= 0 (got " +
         std::to_string(auction_threads) + ")");
+  // Written so that NaN fails too: the participant cut converts
+  // ceil((1 - f) N) to int, which is undefined for NaN.
+  if (!(fairness_knob >= 0.0 && fairness_knob <= 1.0))
+    throw std::invalid_argument(
+        "ThemisConfig: fairness_knob must be in [0, 1] (got " +
+        std::to_string(fairness_knob) + ")");
+  // With no non-zero row every bid would be the zero row.
+  if (max_bid_rows < 1)
+    throw std::invalid_argument(
+        "ThemisConfig: max_bid_rows must be >= 1 (got " +
+        std::to_string(max_bid_rows) + ")");
 }
 
 ThemisPolicy::ThemisPolicy(ThemisConfig config) : config_(config) {}
@@ -193,39 +203,27 @@ void ThemisPolicy::AllocateLeftovers(
   // An auction that took the whole pool leaves nothing to list apps for.
   if (ctx.free_pool().empty()) return;
 
-  // Participant lookups are O(log P) against a sorted id vector instead of
-  // an O(P) find per candidate per iteration.
+  // Participant lookups are O(log P) against a sorted id vector.
   std::vector<AppId> participant_ids;
   participant_ids.reserve(participants.size());
   for (const AppState* app : participants) participant_ids.push_back(app->id);
   std::sort(participant_ids.begin(), participant_ids.end());
-  auto is_participant = [&](const AppState* app) {
-    return std::binary_search(participant_ids.begin(), participant_ids.end(),
-                              app->id);
-  };
-
-  // Per-app machine bitmaps survive across iterations: a candidate's gangs
-  // only change when it wins a grant, so only the winner's entry is
-  // invalidated. The bitmaps feed pure set intersections, so reuse is
-  // result-neutral.
-  std::unordered_map<AppId, std::vector<bool>> machine_cache;
-  auto app_machines = [&](const AppState* app) -> const std::vector<bool>& {
-    auto [it, inserted] = machine_cache.try_emplace(app->id);
-    if (inserted) {
-      it->second.assign(ctx.topology().num_machines(), false);
-      for (const JobState& job : app->jobs)
-        for (GpuId g : job.gpus)
-          it->second[ctx.topology().gpu(g).machine] = true;
-    }
-    return it->second;
-  };
 
   // One pool serves the whole stage: only this stage's grants shrink it,
   // and each grant removes its GPUs from both pools.
   GpuPool pool(ctx.free_pool().ToVector(), ctx.topology());
 
-  // An app's smallest gang among its jobs that can still grow, or 0 when
-  // none can.
+  // The hungry apps in context order, listed once for both passes: during
+  // the stage only a winner's gangs change (its demand shrinks, its
+  // machines grow), so only the winner's entry is refreshed, and an app
+  // that starts sated stays sated.
+  struct Hungry {
+    AppState* app;
+    bool participant;
+    int gang;  // smallest gang among jobs that can grow; 0 once sated
+    std::vector<MachineId> machines;  // where it holds GPUs, ascending
+    bool machines_known;
+  };
   auto smallest_gang = [](const AppState& app) {
     int smallest = 0;
     for (const JobState& job : app.jobs)
@@ -234,47 +232,59 @@ void ThemisPolicy::AllocateLeftovers(
         smallest = job.spec.gpus_per_task;
     return smallest;
   };
-  struct Hungry {
-    AppState* app;
-    int gang;  // smallest growable gang; 0 once the app is sated
+  std::vector<Hungry> hungry;
+  for (AppState* app : ctx.apps()) {
+    const int gang = smallest_gang(*app);
+    if (gang > 0)
+      hungry.push_back({app,
+                        std::binary_search(participant_ids.begin(),
+                                           participant_ids.end(), app->id),
+                        gang, {}, false});
+  }
+  // Does the app hold a GPU on a machine that still has pooled GPUs? A
+  // merge of two ascending machine lists.
+  auto anchored_in_pool = [&](Hungry& h) {
+    if (!h.machines_known) {
+      h.machines.clear();
+      for (const JobState& job : h.app->jobs)
+        for (GpuId g : job.gpus)
+          h.machines.push_back(ctx.topology().gpu(g).machine);
+      std::sort(h.machines.begin(), h.machines.end());
+      h.machines_known = true;
+    }
+    auto m = h.machines.begin();
+    for (const GpuPool::Bucket& b : pool.buckets()) {
+      while (m != h.machines.end() && *m < b.machine) ++m;
+      if (m == h.machines.end()) return false;
+      if (*m == b.machine) return true;
+    }
+    return false;
   };
 
   // Two passes: first apps that did not participate in the auction (the
   // paper's rule — they cannot game leftovers), then, purely for work
   // conservation, anyone with unmet demand.
+  std::vector<Hungry*> candidates;
+  std::vector<Hungry*> anchored;
   for (const bool outsiders_only : {true, false}) {
-    if (pool.empty()) return;
-    // The pass's hungry apps in context order, listed once: within the pass
-    // only the winner's gangs change, so only its entry is refreshed.
-    std::vector<Hungry> hungry;
-    for (AppState* app : ctx.apps()) {
-      if (outsiders_only && is_participant(app)) continue;
-      const int gang = smallest_gang(*app);
-      if (gang > 0) hungry.push_back({app, gang});
-    }
-
-    std::vector<Hungry*> candidates;
     bool progress = true;
     while (progress) {
       progress = false;
+      if (pool.empty()) return;
       // Candidates that can absorb at least one whole gang.
       candidates.clear();
       for (Hungry& h : hungry)
-        if (h.gang > 0 && h.gang <= pool.size()) candidates.push_back(&h);
+        if (h.gang > 0 && h.gang <= pool.size() &&
+            !(outsiders_only && h.participant))
+          candidates.push_back(&h);
       if (candidates.empty()) break;
 
       // Paper: "when many such candidate apps exist for a GPU, one of the
       // apps is picked at random"; prefer apps already placed on machines
       // with free GPUs.
-      std::vector<Hungry*> anchored;
-      for (Hungry* h : candidates) {
-        const std::vector<bool>& on_machines = app_machines(h->app);
-        for (const GpuPool::Bucket& b : pool.buckets())
-          if (on_machines[b.machine]) {
-            anchored.push_back(h);
-            break;
-          }
-      }
+      anchored.clear();
+      for (Hungry* h : candidates)
+        if (anchored_in_pool(*h)) anchored.push_back(h);
       auto& pick_from = anchored.empty() ? candidates : anchored;
       Hungry& winner = *pick_from[ctx.rng().UniformInt(
           0, static_cast<int>(pick_from.size()) - 1)];
@@ -298,8 +308,8 @@ void ThemisPolicy::AllocateLeftovers(
           continue;
         ctx.Grant(*app, job, picked);
         for (GpuId g : picked) pool.Remove(g);
-        machine_cache.erase(app->id);  // its gang just grew
         winner.gang = smallest_gang(*app);
+        winner.machines_known = false;  // its gang just grew
         progress = true;
         break;
       }

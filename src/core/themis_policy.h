@@ -61,7 +61,8 @@ struct ThemisConfig {
   int auction_threads = 0;
   PaConfig pa;
 
-  /// Throws std::invalid_argument when auction_threads < 0. The scenario
+  /// Throws std::invalid_argument when auction_threads < 0, fairness_knob
+  /// is outside [0, 1] (NaN included) or max_bid_rows < 1. The scenario
   /// loader, the simulator runners and ArbiterCore call it for every policy
   /// kind.
   void Validate() const;

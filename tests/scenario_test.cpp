@@ -6,8 +6,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "common/json.h"
+#include "server/arbiter_core.h"
 #include "sim/scenario.h"
 #include "workload/trace_gen.h"
 #include "workload/trace_io.h"
@@ -101,6 +105,33 @@ TEST(Scenario, LoadsSpecsWithDefaultsMerged) {
   EXPECT_DOUBLE_EQ(specs[2].config.trace.contention_factor, 4.0);
   EXPECT_EQ(specs[2].config.trace.num_apps, 12);
   EXPECT_EQ(specs[2].config.policy, PolicyKind::kThemis);
+}
+
+// The loader and ArbiterConfig share ThemisConfig::Validate: a knob outside
+// [0, 1] (NaN included, which `--knob nan` reaches through atof) or fewer
+// than one bid row is rejected before any round runs.
+TEST(Scenario, ThemisKnobAndBidRowsAreRangeChecked) {
+  auto load = [](const std::string& themis) {
+    return LoadScenarios(R"({"scenarios": [{"name": "t", "themis": )" +
+                         themis + "}]}");
+  };
+  EXPECT_NO_THROW(load(R"({"fairness_knob": 0.0, "max_bid_rows": 1})"));
+  EXPECT_NO_THROW(load(R"({"fairness_knob": 1.0})"));
+  EXPECT_THROW(load(R"({"fairness_knob": 1.5})"), std::invalid_argument);
+  EXPECT_THROW(load(R"({"fairness_knob": -0.1})"), std::invalid_argument);
+  EXPECT_THROW(load(R"({"max_bid_rows": 0})"), std::invalid_argument);
+  EXPECT_THROW(load(R"({"max_bid_rows": -3})"), std::invalid_argument);
+
+  server::ArbiterConfig arbiter;
+  EXPECT_NO_THROW(arbiter.Validate());
+  for (const double knob : {std::numeric_limits<double>::quiet_NaN(), -1e-9,
+                            1.0 + 1e-9, std::numeric_limits<double>::infinity()}) {
+    arbiter.themis.fairness_knob = knob;
+    EXPECT_THROW(arbiter.Validate(), std::invalid_argument) << knob;
+  }
+  arbiter.themis.fairness_knob = 0.8;
+  arbiter.themis.max_bid_rows = 0;
+  EXPECT_THROW(arbiter.Validate(), std::invalid_argument);
 }
 
 TEST(Scenario, BaseSeedDerivesPerScenarioSeeds) {

@@ -9,6 +9,7 @@
 #include <memory>
 #include <sstream>
 
+#include "round_audit.h"
 #include "sim/experiment.h"
 #include "sim/scenario.h"
 #include "workload/trace_gen.h"
@@ -227,6 +228,51 @@ INSTANTIATE_TEST_SUITE_P(Policies, StreamedEquivalenceTest,
                                            PolicyKind::kGandiva,
                                            PolicyKind::kTiresias,
                                            PolicyKind::kDrf));
+
+// A streamed run audited after every round: the round state
+// (AuditRoundCore), the grants against the offer (AuditRoundGrants: no
+// machine oversubscribed, no GPU granted twice, free pool = offer - grants)
+// and the simulator's walks (AuditSimulatorWalks). Streaming retires apps
+// and rebuilds the app list between rounds, so the leftover stage and
+// Gandiva's pool see a population that changes under them. The audited
+// result must equal the unaudited one.
+class StreamedAuditTest : public ::testing::TestWithParam<PolicyKind> {};
+
+TEST_P(StreamedAuditTest, EveryRoundHoldsInvariants) {
+  ExperimentConfig config = SmallConfig(GetParam());
+  config.sim.machine_mtbf_minutes = 300.0;
+  const auto apps = TraceGenerator(config.trace).Generate();
+  std::stringstream csv;
+  WriteTraceCsv(csv, apps);
+  const std::string text = csv.str();
+
+  SimConfig sim_config = config.sim;
+  sim_config.retire_finished_apps = true;
+  std::stringstream in(text);
+  Simulator sim(config.cluster, std::make_unique<StreamingCsvTraceReader>(in),
+                MakePolicy(config.policy, config.themis), sim_config);
+  long long audited = 0;
+  sim.set_round_observer([&](const ResourceOffer& offer,
+                             const GrantSet& grants) {
+    AuditRoundCore(sim.round_core());
+    AuditRoundGrants(sim.round_core(), offer, grants);
+    AuditSimulatorWalks(sim.round_core());
+    ++audited;
+  });
+  const ExperimentResult result = SummarizeRun(config, sim.Run());
+  EXPECT_GT(audited, 50);
+  EXPECT_GT(result.machine_failures, 0);
+
+  std::stringstream again(text);
+  ExpectSameResult(result,
+                   RunStreamingExperiment(
+                       config, std::make_unique<StreamingCsvTraceReader>(again)));
+}
+
+INSTANTIATE_TEST_SUITE_P(Policies, StreamedAuditTest,
+                         ::testing::Values(PolicyKind::kThemis,
+                                           PolicyKind::kGandiva,
+                                           PolicyKind::kTiresias));
 
 TEST(StreamedEquivalence, CsvStreamMatchesPreloaded) {
   const ExperimentConfig config = SmallConfig(PolicyKind::kThemis);
