@@ -12,7 +12,13 @@
 //      scheduler spread it over constituent jobs, and
 //   6. stage leftover GPUs work-conservingly for apps outside the auction,
 //      one gang at a time, preferring machines those apps already occupy
-//      (Sec. 5.1 "Leftover Allocation").
+//      (Sec. 5.1 "Leftover Allocation"). The stage builds one GpuPool
+//      from what the auction left and lists the hungry apps once, each with
+//      its smallest growable gang; every iteration filters that list by the
+//      pool's size, and a grant refreshes only the winner's entry (its
+//      gangs are the only ones that changed, and the pool only shrinks).
+//      A round whose auction took the whole pool skips the stage before
+//      listing anything.
 // The returned GrantSet carries the round's auction diagnostics (offered /
 // granted / leftover counts, participant count); applying the leases is the
 // caller's job via ApplyGrants.
@@ -86,7 +92,8 @@ class ThemisPolicy final : public IRoundScheduler {
  private:
   /// Thread budget for the round's data-parallel phases (probe, bid prep).
   int RoundThreads(SchedulerContext& ctx) const;
-  /// Stage 6: hand out whatever is still in the pool after the auction.
+  /// Stage 6: hand out whatever is still in the pool after the auction,
+  /// first to non-participants, then to anyone still hungry.
   void AllocateLeftovers(SchedulerContext& ctx, const Agent& agent,
                          const std::vector<AppState*>& participants);
 

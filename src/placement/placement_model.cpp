@@ -109,8 +109,7 @@ std::vector<GpuId> FillInOrder(int count, const GpuPool& pool,
 
 }  // namespace
 
-std::vector<GpuId> PickBestPlaced(int count, const GpuPool& pool,
-                                  const Topology& /*topo*/) {
+std::vector<GpuId> PickBestPlaced(int count, const GpuPool& pool) {
   if (count <= 0 || pool.empty()) return {};
   using Bucket = GpuPool::Bucket;
   const std::vector<Bucket>& buckets = pool.buckets();
@@ -172,7 +171,7 @@ std::vector<GpuId> PickBestPlacedNear(int count, const GpuPool& pool,
                                       const std::vector<GpuId>& anchor,
                                       const Topology& topo) {
   if (count <= 0 || pool.empty()) return {};
-  if (anchor.empty()) return PickBestPlaced(count, pool, topo);
+  if (anchor.empty()) return PickBestPlaced(count, pool);
 
   // An anchor is one job's gang, so a sorted vector beats a tree.
   std::vector<MachineId> anchor_machines;
@@ -192,18 +191,24 @@ std::vector<GpuId> PickBestPlacedNear(int count, const GpuPool& pool,
     return std::binary_search(ids.begin(), ids.end(), id);
   };
 
+  // Locality rank per bucket, computed once: 0 on an anchor machine, 1 in
+  // an anchor rack, 2 elsewhere.
   using Bucket = GpuPool::Bucket;
+  const std::vector<Bucket>& buckets = pool.buckets();
+  std::vector<int> rank(buckets.size());
   std::vector<const Bucket*> order;
-  order.reserve(pool.buckets().size());
-  for (const Bucket& b : pool.buckets()) order.push_back(&b);
+  order.reserve(buckets.size());
+  for (std::size_t i = 0; i < buckets.size(); ++i) {
+    rank[i] = has(anchor_machines, buckets[i].machine) ? 0
+              : has(anchor_racks, buckets[i].rack)     ? 1
+                                                       : 2;
+    order.push_back(&buckets[i]);
+  }
   std::stable_sort(order.begin(), order.end(),
                    [&](const Bucket* a, const Bucket* b) {
-                     const bool am = has(anchor_machines, a->machine);
-                     const bool bm = has(anchor_machines, b->machine);
-                     if (am != bm) return am;  // same machine as anchor first
-                     const bool ar = has(anchor_racks, a->rack);
-                     const bool br = has(anchor_racks, b->rack);
-                     if (ar != br) return ar;  // then same rack
+                     const int ra = rank[a - buckets.data()];
+                     const int rb = rank[b - buckets.data()];
+                     if (ra != rb) return ra < rb;  // anchor machine, rack
                      // Locality beats speed (the anchor's generation paces
                      // the gang anyway); at equal locality prefer faster.
                      if (a->speed != b->speed) return a->speed > b->speed;

@@ -86,8 +86,7 @@ class GpuPool {
 /// fill machine by machine inside the rack with the most pooled GPUs.
 /// Returns fewer than `count` if the pool is smaller. Deterministic; does
 /// not modify the pool.
-std::vector<GpuId> PickBestPlaced(int count, const GpuPool& pool,
-                                  const Topology& topo);
+std::vector<GpuId> PickBestPlaced(int count, const GpuPool& pool);
 
 /// Same, but anchored: prefer machines where `anchor` GPUs already live,
 /// then their racks (used for leftover allocation, Sec. 5.1 step 3, and job

@@ -97,7 +97,7 @@ TEST_F(PlacementFixture, MachineLocalBeatsSpreadForVgg) {
 
 TEST_F(PlacementFixture, PickBestPlacedFitsInOneMachine) {
   const GpuPool free({0, 1, 2, 3, 4, 5}, topo_);
-  const auto picked = PickBestPlaced(4, free, topo_);
+  const auto picked = PickBestPlaced(4, free);
   ASSERT_EQ(picked.size(), 4u);
   EXPECT_EQ(topo_.SpanLevel(picked), LocalityLevel::kMachine);
 }
@@ -106,23 +106,23 @@ TEST_F(PlacementFixture, PickBestPlacedPrefersTightestFit) {
   // Machine 0 has 2 free, machine 1 has 4 free: a 2-GPU request should take
   // machine 0's pair and leave the larger block intact.
   const GpuPool free({0, 1, 4, 5, 6, 7}, topo_);
-  const auto picked = PickBestPlaced(2, free, topo_);
+  const auto picked = PickBestPlaced(2, free);
   EXPECT_EQ(picked, (std::vector<GpuId>{0, 1}));
 }
 
 TEST_F(PlacementFixture, PickBestPlacedSpansWithinPreferredRack) {
   // 6 GPUs can't fit one machine (4 max); should stay within one rack.
   const GpuPool free({0, 1, 2, 3, 4, 5, 8, 9}, topo_);
-  const auto picked = PickBestPlaced(6, free, topo_);
+  const auto picked = PickBestPlaced(6, free);
   ASSERT_EQ(picked.size(), 6u);
   EXPECT_EQ(topo_.SpanLevel(picked), LocalityLevel::kRack);
 }
 
 TEST_F(PlacementFixture, PickBestPlacedReturnsAllWhenScarce) {
   const GpuPool free({0, 9}, topo_);
-  EXPECT_EQ(PickBestPlaced(5, free, topo_).size(), 2u);
-  EXPECT_EQ(PickBestPlaced(0, free, topo_).size(), 0u);
-  EXPECT_EQ(PickBestPlaced(3, GpuPool({}, topo_), topo_).size(), 0u);
+  EXPECT_EQ(PickBestPlaced(5, free).size(), 2u);
+  EXPECT_EQ(PickBestPlaced(0, free).size(), 0u);
+  EXPECT_EQ(PickBestPlaced(3, GpuPool({}, topo_)).size(), 0u);
 }
 
 TEST_F(PlacementFixture, PickBestPlacedNearPrefersAnchorMachine) {
@@ -147,7 +147,7 @@ TEST_F(PlacementFixture, PickBestPlacedNearFallsBackToAnchorRack) {
 TEST_F(PlacementFixture, PickBestPlacedNearWithEmptyAnchorEqualsPlain) {
   const GpuPool free({0, 1, 2, 3, 4}, topo_);
   EXPECT_EQ(PickBestPlacedNear(3, free, {}, topo_),
-            PickBestPlaced(3, free, topo_));
+            PickBestPlaced(3, free));
 }
 
 std::vector<GpuId> PoolContents(const GpuPool& pool) {
@@ -229,7 +229,7 @@ TEST(PlacementOracle, GpuPoolPicksMatchMapGrouping) {
         }
         full_sweep = false;
         for (int count : counts) {
-          ASSERT_EQ(PickBestPlaced(count, pool, topo),
+          ASSERT_EQ(PickBestPlaced(count, pool),
                     oracle::PickBestPlaced(count, free, topo))
               << "count " << count;
           ASSERT_EQ(PickBestPlacedNear(count, pool, anchor, topo),
