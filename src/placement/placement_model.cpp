@@ -191,24 +191,18 @@ std::vector<GpuId> PickBestPlacedNear(int count, const GpuPool& pool,
     return std::binary_search(ids.begin(), ids.end(), id);
   };
 
-  // Locality rank per bucket, computed once: 0 on an anchor machine, 1 in
-  // an anchor rack, 2 elsewhere.
   using Bucket = GpuPool::Bucket;
-  const std::vector<Bucket>& buckets = pool.buckets();
-  std::vector<int> rank(buckets.size());
   std::vector<const Bucket*> order;
-  order.reserve(buckets.size());
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    rank[i] = has(anchor_machines, buckets[i].machine) ? 0
-              : has(anchor_racks, buckets[i].rack)     ? 1
-                                                       : 2;
-    order.push_back(&buckets[i]);
-  }
+  order.reserve(pool.buckets().size());
+  for (const Bucket& b : pool.buckets()) order.push_back(&b);
   std::stable_sort(order.begin(), order.end(),
                    [&](const Bucket* a, const Bucket* b) {
-                     const int ra = rank[a - buckets.data()];
-                     const int rb = rank[b - buckets.data()];
-                     if (ra != rb) return ra < rb;  // anchor machine, rack
+                     const bool am = has(anchor_machines, a->machine);
+                     const bool bm = has(anchor_machines, b->machine);
+                     if (am != bm) return am;  // same machine as anchor first
+                     const bool ar = has(anchor_racks, a->rack);
+                     const bool br = has(anchor_racks, b->rack);
+                     if (ar != br) return ar;  // then same rack
                      // Locality beats speed (the anchor's generation paces
                      // the gang anyway); at equal locality prefer faster.
                      if (a->speed != b->speed) return a->speed > b->speed;
