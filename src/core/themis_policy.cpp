@@ -147,9 +147,10 @@ GrantSet ThemisPolicy::RunRound(const ResourceOffer& offer,
   // Per-machine preference buckets, allocated once and reused across
   // winners; only the machines a winner's bid row touched are cleared
   // between iterations, so the per-winner hot path allocates nothing.
-  // Within a bucket the bid row's GPU order is preserved and machines are
-  // visited ascending by the granted loop — the same visit order the old
-  // per-winner std::map produced.
+  // Within a bucket the bid row's GPU order is preserved. A winner's grant
+  // is a scaled copy of its row (granted[m] <= row[m]), so only the row's
+  // machines can be granted anything: the loop visits those, ascending, not
+  // every machine of the offer.
   std::vector<std::vector<GpuId>> preferred(ctx.topology().num_machines());
   std::vector<MachineId> touched;
   touched.reserve(ctx.topology().num_machines());
@@ -168,7 +169,8 @@ GrantSet ThemisPolicy::RunRound(const ResourceOffer& offer,
     }
 
     std::vector<GpuId> concrete;
-    for (MachineId m = 0; m < static_cast<MachineId>(w.granted.size()); ++m) {
+    std::sort(touched.begin(), touched.end());
+    for (MachineId m : touched) {
       int need = w.granted[m];
       if (need <= 0) continue;
       auto take = [&](GpuId g) {
