@@ -18,6 +18,10 @@
 // estimator call sequence (the noisy estimator's draws) to leave it
 // unchanged.
 //
+// Two more pin the surfaces around the simulator: the in-process ARBITER
+// core the daemon wraps (its GrantDigest after 30 rounds) and a 4-shard
+// federation (its merged result), for every policy.
+//
 // The equivalence suites compare two paths inside one build (streamed vs
 // preloaded, parallel vs serial), so a change that moves both sides of a
 // comparison the same way passes them all. These pins compare against
@@ -43,7 +47,9 @@
 #include "auction/partial_allocation.h"
 #include "common/rng.h"
 #include "core/agent.h"
+#include "core/federation.h"
 #include "round_audit.h"
+#include "server/arbiter_core.h"
 #include "sim/experiment.h"
 #include "workload/trace_gen.h"
 #include "workload/trace_io.h"
@@ -492,6 +498,99 @@ TEST(BidDigest, AgentOutputIsPinned) {
   GTEST_SKIP() << "golden constants are pinned on x86-64 only";
 #endif
 }
+
+// The in-process ARBITER core the daemon wraps, on daemon_test's small
+// cluster and sample apps: the digest of its grant stream after a fixed
+// number of rounds. LoopbackEquivalence checks the daemon against this core
+// inside one build; this pins the core itself across commits.
+struct DaemonPin {
+  PolicyKind policy;
+  std::uint64_t hash;
+  long long grants;
+  long long gpus;
+};
+
+// clang-format off
+const DaemonPin kDaemonPins[] = {
+    {PolicyKind::kThemis,   0x5a3f09cfc5938857ull,  77, 216},
+    {PolicyKind::kGandiva,  0x3a3b15b034c2dd2cull, 144, 288},
+    {PolicyKind::kTiresias, 0x87b138743f81d135ull,  93, 290},
+    {PolicyKind::kSlaq,     0x5675b7d96ef2c4dfull,  77, 256},
+    {PolicyKind::kDrf,      0x90cab5032eb12702ull,  85, 268},
+};
+// clang-format on
+
+class DaemonDigest : public ::testing::TestWithParam<DaemonPin> {};
+
+TEST_P(DaemonDigest, ArbiterCoreGrantStreamIsPinned) {
+  const DaemonPin& pin = GetParam();
+  server::ArbiterConfig config;
+  config.cluster = ClusterSpec::Uniform(2, 4, 4, 2);  // 32 GPUs
+  config.policy = pin.policy;
+  TraceConfig trace;
+  trace.num_apps = 12;
+  trace.seed = 7;
+  server::ArbiterCore core(config);
+  for (const AppSpec& spec : TraceGenerator(trace).Generate())
+    core.RegisterApp(spec);
+  for (int round = 0; round < 30; ++round) core.RunOneRound();
+  const net::GrantDigest& d = core.digest();
+  EXPECT_GT(d.grants, 0);
+#if defined(__x86_64__)
+  EXPECT_EQ(d.hash, pin.hash) << std::hex << "0x" << d.hash;
+  EXPECT_EQ(d.grants, pin.grants);
+  EXPECT_EQ(d.gpus, pin.gpus);
+#else
+  GTEST_SKIP() << "golden constants are pinned on x86-64 only";
+#endif
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPolicies, DaemonDigest,
+                         ::testing::ValuesIn(kDaemonPins),
+                         [](const auto& info) {
+                           return std::string(ToString(info.param.policy));
+                         });
+
+// A 4-shard federation of the contended workload: the hash of the merged
+// result, which stitches the shards' per-app vectors back into global
+// order.
+struct FederationPin {
+  PolicyKind policy;
+  std::uint64_t hash;
+};
+
+// clang-format off
+const FederationPin kFederationPins[] = {
+    {PolicyKind::kThemis,   0x7c9fdc538765f701ull},
+    {PolicyKind::kGandiva,  0x60cf0cf2fc8f4e20ull},
+    {PolicyKind::kTiresias, 0x68e4b15bd17623aaull},
+    {PolicyKind::kSlaq,     0xfbe9597a3e1ab215ull},
+    {PolicyKind::kDrf,      0x59dacc20c13ec6e1ull},
+};
+// clang-format on
+
+class FederationPins : public ::testing::TestWithParam<FederationPin> {};
+
+TEST_P(FederationPins, MergedResultHashIsPinned) {
+  const FederationPin& pin = GetParam();
+  const ExperimentConfig config = ContendedConfig(pin.policy);
+  const FederationResult fed = ShardedArbiter(config.cluster, 4).Run(
+      config, TraceGenerator(config.trace).Generate());
+  EXPECT_EQ(fed.cross_shard_double_grants, 0);
+  EXPECT_EQ(fed.merged.unfinished_apps, 0);
+  const std::uint64_t hash = HashResult(fed.merged);
+#if defined(__x86_64__)
+  EXPECT_EQ(hash, pin.hash) << std::hex << "0x" << hash;
+#else
+  GTEST_SKIP() << "golden constants are pinned on x86-64 only";
+#endif
+}
+
+INSTANTIATE_TEST_SUITE_P(ContendedConfig, FederationPins,
+                         ::testing::ValuesIn(kFederationPins),
+                         [](const auto& info) {
+                           return std::string(ToString(info.param.policy));
+                         });
 
 }  // namespace
 }  // namespace themis
