@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "placement/placement_model.h"
+
 namespace themis {
 
 GrantSet DrfPolicy::RunRound(const ResourceOffer& /*offer*/,
@@ -12,7 +14,7 @@ GrantSet DrfPolicy::RunRound(const ResourceOffer& /*offer*/,
   // counts — so an app holding two A100s is richer than one holding two
   // K80s; on uniform-speed clusters the weighted share equals the raw count
   // and the decisions are unchanged.
-  const FreePool& pool = ctx.free_pool();
+  const GpuPool& pool = ctx.free_pool();
   const Topology& topo = ctx.topology();
   while (!pool.empty()) {
     AppState* poorest = nullptr;
@@ -38,7 +40,7 @@ GrantSet DrfPolicy::RunRound(const ResourceOffer& /*offer*/,
     JobState& job = poorest->jobs[poorest_job];
     // Placement-unaware, speed-aware: fastest pooled GPUs first (the first
     // pooled ids on uniform-speed clusters).
-    ctx.Grant(*poorest, job, pool.FirstNFastest(job.spec.gpus_per_task));
+    ctx.Grant(*poorest, job, PickFastest(job.spec.gpus_per_task, pool));
   }
   return ctx.TakeGrants();
 }

@@ -8,9 +8,8 @@ namespace themis {
 
 GrantSet GandivaPolicy::RunRound(const ResourceOffer& /*offer*/,
                                  SchedulerContext& ctx) {
-  // One pool serves the whole round: only this round's grants shrink it,
-  // and each grant removes its GPUs from both pools.
-  GpuPool pool(ctx.free_pool().ToVector(), ctx.topology());
+  // The context's pool serves the whole round: each grant shrinks it.
+  const GpuPool& pool = ctx.free_pool();
   bool progress = true;
   while (progress && !pool.empty()) {
     progress = false;
@@ -48,7 +47,6 @@ GrantSet GandivaPolicy::RunRound(const ResourceOffer& /*offer*/,
     if (best_app == nullptr) break;
 
     ctx.Grant(*best_app, best_app->jobs[best_job], best_pick);
-    for (GpuId g : best_pick) pool.Remove(g);
     progress = true;
   }
   return ctx.TakeGrants();

@@ -26,7 +26,7 @@ double MarginalLossDecrease(const JobState& job, int gpus, Time lease,
 
 GrantSet SlaqPolicy::RunRound(const ResourceOffer& /*offer*/,
                               SchedulerContext& ctx) {
-  const FreePool& pool = ctx.free_pool();
+  const GpuPool& pool = ctx.free_pool();
   bool progress = true;
   while (progress && !pool.empty()) {
     progress = false;
@@ -62,7 +62,7 @@ GrantSet SlaqPolicy::RunRound(const ResourceOffer& /*offer*/,
     // Placement-unaware, speed-aware: fastest pooled GPUs first (identical
     // to the first-by-id pick on uniform-speed clusters). SLAQ's bids still
     // assume the ideal rate; actual progress pays the real speed.
-    ctx.Grant(*best_app, job, pool.FirstNFastest(job.spec.gpus_per_task));
+    ctx.Grant(*best_app, job, PickFastest(job.spec.gpus_per_task, pool));
     progress = true;
   }
   return ctx.TakeGrants();

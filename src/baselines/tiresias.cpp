@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "placement/placement_model.h"
+
 namespace themis {
 
 GrantSet TiresiasPolicy::RunRound(const ResourceOffer& /*offer*/,
@@ -23,7 +25,7 @@ GrantSet TiresiasPolicy::RunRound(const ResourceOffer& /*offer*/,
   // never changes mid-round, and the pool only shrinks, so an app with
   // nothing grantable now can be dropped: it cannot become grantable
   // later in the round.
-  const FreePool& pool = ctx.free_pool();
+  const GpuPool& pool = ctx.free_pool();
   if (pool.empty()) return ctx.TakeGrants();
 
   // Grantability scan shared by the fast path and the heap walk: one gang
@@ -34,7 +36,7 @@ GrantSet TiresiasPolicy::RunRound(const ResourceOffer& /*offer*/,
       if (job.UnmetGangs() <= 0) continue;
       const int gang = job.spec.gpus_per_task;
       if (pool.size() < gang) continue;
-      ctx.Grant(app, job, pool.FirstNFastest(gang));
+      ctx.Grant(app, job, PickFastest(gang, pool));
       return true;
     }
     return false;

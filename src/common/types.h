@@ -28,8 +28,6 @@ inline constexpr Time kInfiniteTime = std::numeric_limits<Time>::infinity();
 /// Sentinel used for "no app owns this resource".
 inline constexpr AppId kNoApp = std::numeric_limits<AppId>::max();
 inline constexpr JobId kNoJob = std::numeric_limits<JobId>::max();
-/// Sentinel GPU id ("no such GPU"); FreePool iteration ends on it.
-inline constexpr GpuId kNoGpu = std::numeric_limits<GpuId>::max();
 
 /// Cap used when a finish-time fairness estimate would be unbounded
 /// (an app holding zero GPUs). The paper notes the metric "becomes

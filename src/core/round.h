@@ -14,15 +14,14 @@
 // and a batching layer can coalesce several lease ticks into one bigger
 // offer without new interfaces.
 //
-// Policies consume the offer through a FreePool — an O(1)-membership,
-// O(1)-removal, ordered view of the offered GPUs — so the greedy baselines
-// no longer erase from free vectors with O(n) std::remove.
+// Policies consume the offer through the context's GpuPool
+// (placement/placement_model.h): the offered GPUs bucketed by machine, which
+// every staged grant shrinks, so all five policies pick from one pool.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "cluster/topology.h"
 #include "common/types.h"
 
 namespace themis {
@@ -50,8 +49,6 @@ struct ResourceOffer {
   std::vector<double> machine_speeds;
 
   int TotalGpus() const { return static_cast<int>(gpus.size()); }
-  /// Offered capacity in effective (speed-weighted) GPUs.
-  double TotalEffectiveGpus() const;
 };
 
 /// Snapshot the cluster's free pool into an offer.
@@ -102,64 +99,11 @@ struct GrantSet {
 /// grant the same GPU) fails loudly. Returns the number of GPUs leased.
 int ApplyGrants(const GrantSet& grants, Cluster& cluster);
 
-/// Ordered mutable view of an offer's free pool. Membership and removal are
-/// O(1) (intrusive doubly-linked list over GPU ids + a bitmap); ascending
-/// iteration is O(pool size); per-machine counts are maintained on removal.
-class FreePool {
- public:
-  FreePool() = default;
-  FreePool(const std::vector<GpuId>& gpus, const Topology& topo);
-
-  int size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  bool Contains(GpuId g) const {
-    return g < in_.size() && in_[g] != 0;
-  }
-
-  /// Remove a GPU from the pool (it was granted). O(1); `g` must be present.
-  void Remove(GpuId g);
-
-  /// Free count per machine for the GPUs still in the pool.
-  const std::vector<int>& per_machine() const { return per_machine_; }
-
-  /// First pooled GPU (ascending), or kNoGpu when empty.
-  GpuId First() const { return next_[sentinel_]; }
-  /// Pooled GPU after `g` (ascending), or kNoGpu when `g` is the last.
-  GpuId Next(GpuId g) const {
-    const GpuId n = next_[g];
-    return n == sentinel_ ? kNoGpu : n;
-  }
-
-  /// The pool as an ascending vector (for placement helpers that want a
-  /// random-access view). O(pool size).
-  std::vector<GpuId> ToVector() const;
-
-  /// The first min(n, size()) pooled GPUs, ascending.
-  std::vector<GpuId> FirstN(int n) const;
-
-  /// The min(n, size()) fastest pooled GPUs: machines by descending
-  /// generation speed (ties ascending machine id), ascending GPU id within
-  /// a machine. On a uniform-speed topology this is exactly FirstN — the
-  /// deterministic speed-aware pick the greedy baselines take their gangs
-  /// from.
-  std::vector<GpuId> FirstNFastest(int n) const;
-
- private:
-  GpuId sentinel_ = 0;           // == num_gpus; list head/tail anchor
-  std::vector<GpuId> next_;      // size num_gpus + 1; next_[sentinel_] = head
-  std::vector<GpuId> prev_;
-  std::vector<unsigned char> in_;
-  std::vector<int> per_machine_;
-  const Topology* topo_ = nullptr;
-  int size_ = 0;
-};
-
 /// A round scheduler — the bottom level of the two-level architecture
 /// (Sec. 2.3) in protocol form. Given an offer it stages grants through the
-/// context (which keeps the pool, the per-machine counts, and the job gangs
-/// consistent as grants accumulate) and returns the finished GrantSet. It
-/// must not mutate the cluster: lease creation is the caller's job, through
-/// ApplyGrants.
+/// context (which keeps the pool and the job gangs consistent as grants
+/// accumulate) and returns the finished GrantSet. It must not mutate the
+/// cluster: lease creation is the caller's job, through ApplyGrants.
 class IRoundScheduler {
  public:
   virtual ~IRoundScheduler() = default;

@@ -181,9 +181,9 @@ GrantSet ThemisPolicy::RunRound(const ResourceOffer& offer,
         }
       };
       for (GpuId g : preferred[m]) take(g);
-      for (GpuId g : ctx.topology().machine_gpus(m)) {
+      for (GpuId g : ctx.free_pool().on_machine(m)) {
         if (need == 0) break;
-        if (ctx.free_pool().Contains(g)) take(g);
+        take(g);
       }
     }
     for (const JobAssignment& a : agent.DistributeToJobs(*app, concrete)) {
@@ -211,9 +211,8 @@ void ThemisPolicy::AllocateLeftovers(
   for (const AppState* app : participants) participant_ids.push_back(app->id);
   std::sort(participant_ids.begin(), participant_ids.end());
 
-  // One pool serves the whole stage: only this stage's grants shrink it,
-  // and each grant removes its GPUs from both pools.
-  GpuPool pool(ctx.free_pool().ToVector(), ctx.topology());
+  // The context's pool serves the whole stage: each grant shrinks it.
+  const GpuPool& pool = ctx.free_pool();
 
   // The hungry apps in context order, listed once for both passes: during
   // the stage only a winner's gangs change (its demand shrinks, its
@@ -309,7 +308,6 @@ void ThemisPolicy::AllocateLeftovers(
             EffectiveJobRate(job.spec, combined, ctx.topology()) <= 0.0)
           continue;
         ctx.Grant(*app, job, picked);
-        for (GpuId g : picked) pool.Remove(g);
         winner.gang = smallest_gang(*app);
         winner.machines_known = false;  // its gang just grew
         progress = true;

@@ -72,19 +72,36 @@ void GpuPool::Build(const std::vector<GpuId>& gpus) {
   size_ = static_cast<int>(gpus_.size());
 }
 
-void GpuPool::Remove(GpuId g) {
-  const MachineId m = topo_->gpu(g).machine;
+int GpuPool::Find(MachineId m) const {
   const auto b = std::lower_bound(
       buckets_.begin(), buckets_.end(), m,
       [](const Bucket& x, MachineId id) { return x.machine < id; });
-  if (b != buckets_.end() && b->machine == m) {
-    GpuId* first = gpus_.data() + b->offset;
-    GpuId* last = first + b->size;
+  if (b == buckets_.end() || b->machine != m) return -1;
+  return static_cast<int>(b - buckets_.begin());
+}
+
+std::span<const GpuId> GpuPool::on_machine(MachineId m) const {
+  const int i = Find(m);
+  if (i < 0) return {};
+  return gpus(buckets_[i]);
+}
+
+bool GpuPool::Contains(GpuId g) const {
+  const std::span<const GpuId> on = on_machine(topo_->gpu(g).machine);
+  return std::find(on.begin(), on.end(), g) != on.end();
+}
+
+void GpuPool::Remove(GpuId g) {
+  const int i = Find(topo_->gpu(g).machine);
+  if (i >= 0) {
+    Bucket& b = buckets_[i];
+    GpuId* first = gpus_.data() + b.offset;
+    GpuId* last = first + b.size;
     GpuId* at = std::find(first, last, g);
     if (at != last) {
       std::copy(at + 1, last, at);
       --size_;
-      if (--b->size == 0) buckets_.erase(b);
+      if (--b.size == 0) buckets_.erase(buckets_.begin() + i);
       return;
     }
   }
@@ -165,6 +182,19 @@ std::vector<GpuId> PickBestPlaced(int count, const GpuPool& pool) {
                      return a->size > b->size;
                    });
   return FillInOrder(count, pool, order);  // fewer than count if scarce
+}
+
+std::vector<GpuId> PickFastest(int count, const GpuPool& pool) {
+  if (count <= 0 || pool.empty()) return {};
+  std::vector<const GpuPool::Bucket*> order;
+  order.reserve(pool.buckets().size());
+  for (const GpuPool::Bucket& b : pool.buckets()) order.push_back(&b);
+  // Stable: equal-speed machines keep ascending machine id.
+  std::stable_sort(order.begin(), order.end(),
+                   [](const GpuPool::Bucket* a, const GpuPool::Bucket* b) {
+                     return a->speed > b->speed;
+                   });
+  return FillInOrder(count, pool, order);
 }
 
 std::vector<GpuId> PickBestPlacedNear(int count, const GpuPool& pool,

@@ -7,7 +7,9 @@
 // GPU set, the paper's 4-level placement *score* (Sec. 8.1 metrics), and
 // greedy locality-aware GPU selection used by agents when they turn a
 // per-machine allocation vector into concrete GPUs. The pickers read a
-// GpuPool, the candidate GPUs bucketed by machine once per bid or round.
+// GpuPool, the candidate GPUs bucketed by machine once per bid or round;
+// a round's SchedulerContext keeps its free pool in one, so every policy
+// picks from the pool its grants shrink.
 #pragma once
 
 #include <span>
@@ -44,8 +46,9 @@ double EffectiveRate(const ModelProfile& model, const std::vector<GpuId>& gpus,
 /// rely on this: the row's GPUs stay first on their machines). Building is
 /// O(pool) when the input is already grouped by machine (an ascending-id
 /// free list is) and O(pool log pool) otherwise; it never touches the rest
-/// of the cluster. Callers build one pool per bid, grant or round and
-/// Remove what they pick, instead of regrouping a vector on every pick.
+/// of the cluster, and the pool holds no cluster-sized state, so a per-bid
+/// pool stays O(pool). Callers build one pool per bid or round and Remove
+/// what they pick, instead of regrouping a vector on every pick.
 class GpuPool {
  public:
   struct Bucket {
@@ -66,12 +69,20 @@ class GpuPool {
   std::span<const GpuId> gpus(const Bucket& b) const {
     return {gpus_.data() + b.offset, static_cast<std::size_t>(b.size)};
   }
+  /// The pooled GPUs on machine `m`, in input order; empty if none.
+  /// O(log buckets).
+  std::span<const GpuId> on_machine(MachineId m) const;
+  /// Is `g` pooled? A search of its machine's bucket.
+  bool Contains(GpuId g) const;
 
   /// Remove a picked GPU, keeping the order of the rest; an emptied bucket
   /// is dropped. Throws std::logic_error if `g` is not pooled.
   void Remove(GpuId g);
 
  private:
+  /// Index of machine `m`'s bucket, or -1 when none is pooled.
+  int Find(MachineId m) const;
+
   /// Fills the buckets from GPUs already grouped by machine.
   void Build(const std::vector<GpuId>& gpus);
 
@@ -88,7 +99,14 @@ class GpuPool {
 /// not modify the pool.
 std::vector<GpuId> PickBestPlaced(int count, const GpuPool& pool);
 
-/// Same, but anchored: prefer machines where `anchor` GPUs already live,
+/// The `count` fastest pooled GPUs, placement-unaware: machines by
+/// descending generation speed (ties ascending machine id), each machine's
+/// GPUs in pool order. On a uniform-speed cluster with an ascending pool
+/// this is the first `count` pooled ids — the greedy baselines' pick.
+/// Returns fewer than `count` if the pool is smaller; does not modify it.
+std::vector<GpuId> PickFastest(int count, const GpuPool& pool);
+
+/// Same as PickBestPlaced, but anchored: prefer machines where `anchor` GPUs already live,
 /// then their racks (used for leftover allocation, Sec. 5.1 step 3, and job
 /// growth). An empty anchor falls back to PickBestPlaced.
 std::vector<GpuId> PickBestPlacedNear(int count, const GpuPool& pool,

@@ -16,17 +16,18 @@
 #include "common/rng.h"
 #include "core/round.h"
 #include "estimator/work_estimator.h"
+#include "placement/placement_model.h"
 #include "sim/state.h"
 
 namespace themis {
 
 class RhoIndex;
 
-/// Staging area for one round. Construction snapshots the offer into a
-/// FreePool; every Grant() moves GPUs from the pool onto the job's gang and
-/// into the pending GrantSet, so mid-round reads (pool membership,
-/// per-machine counts, JobState::gpus) see every grant staged so far without
-/// any cluster mutation. One context runs exactly one round.
+/// Staging area for one round. Construction buckets the offer's GPUs into a
+/// GpuPool; every Grant() moves GPUs from the pool onto the job's gang and
+/// into the pending GrantSet, so mid-round reads (the pool's membership and
+/// buckets, JobState::gpus) see every grant staged so far without any
+/// cluster mutation. One context runs exactly one round.
 class SchedulerContext {
  public:
   /// The context adopts the offer's pool and lease terms. `offer` must
@@ -52,15 +53,10 @@ class SchedulerContext {
   /// staging grants (grants change holdings the index has not seen yet).
   RhoIndex* rho_index() const { return rho_index_; }
 
-  /// The offer's pool, shrunk by every grant staged so far. Policies read
-  /// this instead of recounting the cluster's free state.
-  const FreePool& free_pool() const { return pool_; }
-
-  /// Free GPU count per machine for the GPUs still in the pool. At round
-  /// start this equals the offer's resource vector R->.
-  const std::vector<int>& free_per_machine() const {
-    return pool_.per_machine();
-  }
+  /// The offer's pool, shrunk by every grant staged so far. Policies pick
+  /// from it directly (PickFastest, PickBestPlacedNear) instead of copying
+  /// it or recounting the cluster's free state.
+  const GpuPool& free_pool() const { return pool_; }
 
   /// Stage a grant: lease `gpus` to (app, job) until now + lease_duration.
   /// The GPUs must be in the pool; they leave it, the job records them
@@ -83,7 +79,7 @@ class SchedulerContext {
   AppList* apps_;
   RhoIndex* rho_index_;
   Rng* rng_;
-  FreePool pool_;
+  GpuPool pool_;
   GrantSet grants_;
   int offered_gpus_ = 0;
   int granted_gpus_ = 0;

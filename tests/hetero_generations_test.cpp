@@ -1,7 +1,7 @@
 // Tests for the heterogeneous GPU-generation resource model.
 //
 //   - Generation table and mix parsing (cluster/topology.h).
-//   - Topology / FreePool speed resolution and the fastest-first pick.
+//   - Topology speed resolution and the fastest-first pick (PickFastest).
 //   - The min-speed gang rule: one slow straggler GPU drags the whole gang
 //     (placement/placement_model.h, workload/job_spec.h).
 //   - T_ID on a mixed cluster assumes the fastest generation, so rho prices
@@ -16,10 +16,12 @@
 //     scheduling, checked by in-process fingerprints).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
 #include "core/federation.h"
+#include "placement/placement_model.h"
 #include "round_audit.h"
 #include "sim/experiment.h"
 #include "workload/trace_io.h"
@@ -98,7 +100,7 @@ TEST(GpuGenerations, ApplyGenerationMixRejectsSharesRoundingToZeroMachines) {
 }
 
 // ---------------------------------------------------------------------------
-// Topology / Cluster / FreePool speed resolution.
+// Topology / Cluster speed resolution and the fastest-first pick.
 // ---------------------------------------------------------------------------
 
 /// 2 racks x 2 machines x 2 GPUs with machine speeds 1 / 3 / 6 / 1.
@@ -151,22 +153,26 @@ TEST(HeteroTopology, MixedPresetsKeepShapeAndAddSpeeds) {
       EXPECT_EQ(m.generation.name, m.num_gpus >= 4 ? "K80" : "M60");
 }
 
-TEST(HeteroFreePool, FirstNFastestTakesFastMachinesFirst) {
+TEST(HeteroPool, PickFastestTakesFastMachinesFirst) {
   const Topology topo(SmallMixed());
-  FreePool pool({0, 1, 2, 3, 4, 5, 6, 7}, topo);
+  GpuPool pool({0, 1, 2, 3, 4, 5, 6, 7}, topo);
   // Fastest-first: machine 2's GPUs (4,5), then 1's (2,3), then 0's, then 3's.
-  EXPECT_EQ(pool.FirstNFastest(8), (std::vector<GpuId>{4, 5, 2, 3, 0, 1, 6, 7}));
-  EXPECT_EQ(pool.FirstNFastest(3), (std::vector<GpuId>{4, 5, 2}));
+  EXPECT_EQ(PickFastest(8, pool), (std::vector<GpuId>{4, 5, 2, 3, 0, 1, 6, 7}));
+  EXPECT_EQ(PickFastest(3, pool), (std::vector<GpuId>{4, 5, 2}));
   pool.Remove(4);
-  EXPECT_EQ(pool.FirstNFastest(3), (std::vector<GpuId>{5, 2, 3}));
-  EXPECT_EQ(pool.FirstNFastest(99).size(), 7u);
+  EXPECT_EQ(PickFastest(3, pool), (std::vector<GpuId>{5, 2, 3}));
+  EXPECT_EQ(PickFastest(99, pool).size(), 7u);
 }
 
-TEST(HeteroFreePool, FirstNFastestEqualsFirstNOnUniformSpeeds) {
+TEST(HeteroPool, PickFastestTakesThePrefixOnUniformSpeeds) {
   const Topology topo(ClusterSpec::Uniform(2, 4, 4, 2));
-  FreePool pool({1, 2, 5, 9, 17, 30, 31}, topo);
+  const std::vector<GpuId> ids = {1, 2, 5, 9, 17, 30, 31};
+  const GpuPool pool(ids, topo);
   for (int n : {0, 1, 3, 7, 12})
-    EXPECT_EQ(pool.FirstNFastest(n), pool.FirstN(n)) << n;
+    EXPECT_EQ(PickFastest(n, pool),
+              std::vector<GpuId>(ids.begin(),
+                                 ids.begin() + std::min<int>(n, 7)))
+        << n;
 }
 
 // ---------------------------------------------------------------------------

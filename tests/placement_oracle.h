@@ -1,5 +1,6 @@
 // Reference placement pickers: the map-grouping implementation that
-// PickBestPlaced / PickBestPlacedNear replaced with GpuPool buckets.
+// PickBestPlaced / PickBestPlacedNear replaced with GpuPool buckets, and the
+// speed-ordered walk over the whole topology that PickFastest replaced.
 //
 // Each call regroups a plain GPU vector by machine through a std::map and
 // sorts copies of the groups, which is exactly the selection rule with none
@@ -11,6 +12,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "cluster/topology.h"
@@ -125,6 +127,24 @@ inline std::vector<GpuId> PickBestPlacedNear(int count,
     for (GpuId id : g.gpus) {
       if (static_cast<int>(picked.size()) == count) return picked;
       picked.push_back(id);
+    }
+  }
+  return picked;
+}
+
+/// The greedy baselines' fastest-first pick as the context's old free pool
+/// took it: walk every machine of the topology by descending speed (ties
+/// ascending machine id) and take its still-pooled GPUs in ascending id.
+/// Offers list GPUs ascending, so for an ascending pool this is the order
+/// PickFastest must reproduce.
+inline std::vector<GpuId> PickFastest(int count, const std::vector<GpuId>& free,
+                                      const Topology& topo) {
+  const std::set<GpuId> pooled(free.begin(), free.end());
+  std::vector<GpuId> picked;
+  for (MachineId m : topo.machines_by_speed()) {
+    for (GpuId g : topo.machine_gpus(m)) {
+      if (static_cast<int>(picked.size()) >= count) return picked;
+      if (pooled.count(g) > 0) picked.push_back(g);
     }
   }
   return picked;

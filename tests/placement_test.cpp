@@ -1,9 +1,10 @@
 // Tests for placement/: model profiles, slowdown arithmetic, placement
-// scores, greedy locality-aware GPU picking and its GpuPool, checked
-// against the map-grouping oracle in placement_oracle.h.
+// scores, greedy locality-aware and fastest-first GPU picking and their
+// GpuPool, checked against the reference pickers in placement_oracle.h.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 
 #include "common/rng.h"
@@ -184,6 +185,36 @@ TEST_F(PlacementFixture, GpuPoolRemoveKeepsOrderAndDropsEmptyBuckets) {
   EXPECT_TRUE(pool.buckets().empty());
 }
 
+TEST_F(PlacementFixture, GpuPoolFindsGpusByMachine) {
+  GpuPool pool({0, 2, 3, 9, 8}, topo_);
+  EXPECT_EQ(std::vector<GpuId>(pool.on_machine(0).begin(),
+                               pool.on_machine(0).end()),
+            (std::vector<GpuId>{0, 2, 3}));
+  EXPECT_EQ(std::vector<GpuId>(pool.on_machine(2).begin(),
+                               pool.on_machine(2).end()),
+            (std::vector<GpuId>{9, 8}));  // input order
+  EXPECT_TRUE(pool.on_machine(1).empty());
+  EXPECT_TRUE(pool.on_machine(3).empty());
+  EXPECT_TRUE(pool.Contains(3));
+  EXPECT_FALSE(pool.Contains(1));
+  EXPECT_FALSE(pool.Contains(4));  // machine never pooled
+  pool.Remove(3);
+  EXPECT_FALSE(pool.Contains(3));
+  EXPECT_EQ(pool.on_machine(0).size(), 2u);
+  pool.Remove(9);
+  pool.Remove(8);
+  EXPECT_TRUE(pool.on_machine(2).empty());
+  EXPECT_FALSE(pool.Contains(8));
+}
+
+TEST_F(PlacementFixture, PickFastestTakesPoolOrderOnUniformSpeeds) {
+  const GpuPool pool({1, 2, 5, 9, 12, 14}, topo_);
+  EXPECT_EQ(PickFastest(0, pool), std::vector<GpuId>{});
+  EXPECT_EQ(PickFastest(3, pool), (std::vector<GpuId>{1, 2, 5}));
+  EXPECT_EQ(PickFastest(9, pool), (std::vector<GpuId>{1, 2, 5, 9, 12, 14}));
+  EXPECT_EQ(PickFastest(2, GpuPool({}, topo_)), std::vector<GpuId>{});
+}
+
 // GpuPool picks must equal the map-grouping oracle's, pick for pick, over
 // random pools (ascending, grouped but unordered within a machine, and
 // shuffled), random anchors, every count from 0 to size + 2, and
@@ -250,6 +281,85 @@ TEST(PlacementOracle, GpuPoolPicksMatchMapGrouping) {
     }
   }
   EXPECT_GT(compared, 10000);
+}
+
+/// 2 racks x 3 machines x 4 GPUs, speeds K80 / A100 / K80 | V100 / A100 /
+/// K80: equal speeds on non-adjacent machines, so the tie order shows.
+ClusterSpec SmallMixedSpec() {
+  ClusterSpec spec = ClusterSpec::Uniform(2, 3, 4, 2);
+  const char* gens[] = {"K80", "A100", "K80", "V100", "A100", "K80"};
+  int i = 0;
+  for (RackSpec& rack : spec.racks)
+    for (MachineSpec& m : rack.machines)
+      m.generation = GpuGenerationByName(gens[i++]);
+  return spec;
+}
+
+// PickFastest must equal the speed-ordered topology walk, pick for pick, on
+// random ascending pools (offers are ascending), every count from 0 to
+// size + 2, and sequences that remove either a fastest-first gang (as a
+// baseline's grant does) or random GPUs. The pool's membership and
+// per-machine views are checked against the same vector at every step.
+TEST(PlacementOracle, PickFastestMatchesSpeedOrderedWalk) {
+  Rng rng(2020);
+  int compared = 0;
+  for (const ClusterSpec& spec :
+       {ClusterSpec::Simulation256(), ClusterSpec::Simulation256Mixed(),
+        SmallMixedSpec()}) {
+    const Topology topo(spec);
+    for (int trial = 0; trial < 25; ++trial) {
+      std::vector<GpuId> free;
+      const double keep = rng.Uniform(0.0, 1.0);
+      for (GpuId g = 0; g < static_cast<GpuId>(topo.num_gpus()); ++g)
+        if (rng.NextDouble() < keep) free.push_back(g);
+      GpuPool pool(free, topo);
+      for (int step = 0; step < 30; ++step) {
+        const int n = pool.size();
+        std::vector<int> counts;
+        if (step == 0) {
+          for (int count = 0; count <= n + 2; ++count) counts.push_back(count);
+        } else {
+          counts = {0, 1, 2, 3, 4, 8, rng.UniformInt(0, n + 2), n - 1, n,
+                    n + 1, n + 2};
+        }
+        for (int count : counts) {
+          ASSERT_EQ(PickFastest(count, pool),
+                    oracle::PickFastest(count, free, topo))
+              << "count " << count;
+          ++compared;
+        }
+        for (MachineId m = 0; m < static_cast<MachineId>(topo.num_machines());
+             ++m) {
+          std::vector<GpuId> expected;
+          for (GpuId g : free)
+            if (topo.gpu(g).machine == m) expected.push_back(g);
+          const std::span<const GpuId> on = pool.on_machine(m);
+          ASSERT_EQ(std::vector<GpuId>(on.begin(), on.end()), expected);
+        }
+        for (GpuId g = 0; g < static_cast<GpuId>(topo.num_gpus()); ++g)
+          ASSERT_EQ(pool.Contains(g),
+                    std::binary_search(free.begin(), free.end(), g));
+        if (free.empty()) break;
+        std::vector<GpuId> taken;
+        if (rng.UniformInt(0, 1) == 0) {
+          taken = PickFastest(rng.UniformInt(1, 4), pool);
+        } else {
+          for (int k = rng.UniformInt(1, 3); k > 0; --k) {
+            const GpuId g = free[rng.UniformInt(
+                0, static_cast<int>(free.size()) - 1)];
+            if (std::find(taken.begin(), taken.end(), g) == taken.end())
+              taken.push_back(g);
+          }
+        }
+        for (GpuId g : taken) {
+          pool.Remove(g);
+          free.erase(std::find(free.begin(), free.end(), g));
+        }
+        ASSERT_EQ(pool.size(), static_cast<int>(free.size()));
+      }
+    }
+  }
+  EXPECT_GT(compared, 5000);
 }
 
 class SlowdownLevelTest

@@ -1,6 +1,5 @@
 // Tests for core/round.h: the offer/bid/grant round protocol.
 //
-//   - FreePool: ordered O(1)-removal view semantics.
 //   - Staging: RunRound never touches the cluster; ApplyGrants is the single
 //     lease-application path and rejects double application.
 //   - The context carries the round's RhoIndex, which the filter reads.
@@ -18,42 +17,6 @@
 
 namespace themis {
 namespace {
-
-TEST(FreePool, IteratesAscendingAndTracksPerMachine) {
-  Topology topo(ClusterSpec::Uniform(1, 2, 4, 2));  // 2 machines x 4 GPUs
-  FreePool pool({0, 2, 3, 5, 7}, topo);
-  EXPECT_EQ(pool.size(), 5);
-  EXPECT_EQ(pool.ToVector(), (std::vector<GpuId>{0, 2, 3, 5, 7}));
-  EXPECT_EQ(pool.per_machine(), (std::vector<int>{3, 2}));
-  EXPECT_TRUE(pool.Contains(3));
-  EXPECT_FALSE(pool.Contains(1));
-  EXPECT_FALSE(pool.Contains(kNoGpu));
-}
-
-TEST(FreePool, RemoveRelinksNeighborsAndCounts) {
-  Topology topo(ClusterSpec::Uniform(1, 2, 4, 2));
-  FreePool pool({0, 2, 3, 5, 7}, topo);
-  pool.Remove(3);
-  EXPECT_EQ(pool.ToVector(), (std::vector<GpuId>{0, 2, 5, 7}));
-  pool.Remove(0);  // head
-  EXPECT_EQ(pool.First(), 2u);
-  pool.Remove(7);  // tail
-  EXPECT_EQ(pool.ToVector(), (std::vector<GpuId>{2, 5}));
-  EXPECT_EQ(pool.per_machine(), (std::vector<int>{1, 1}));
-  EXPECT_THROW(pool.Remove(3), std::logic_error);
-  pool.Remove(2);
-  pool.Remove(5);
-  EXPECT_TRUE(pool.empty());
-  EXPECT_EQ(pool.First(), kNoGpu);
-  EXPECT_EQ(pool.FirstN(4), std::vector<GpuId>{});
-}
-
-TEST(FreePool, FirstNTakesThePrefix) {
-  Topology topo(ClusterSpec::Uniform(1, 1, 8, 2));
-  FreePool pool({1, 2, 4, 6}, topo);
-  EXPECT_EQ(pool.FirstN(3), (std::vector<GpuId>{1, 2, 4}));
-  EXPECT_EQ(pool.FirstN(9), (std::vector<GpuId>{1, 2, 4, 6}));
-}
 
 // ---------------------------------------------------------------------------
 // Staging semantics.
@@ -157,8 +120,10 @@ TEST(RoundProtocol, PoolViewsShrinkAsGrantsAreStaged) {
   EXPECT_EQ(ctx.free_pool().size(), 8);
   ctx.Grant(*app, app->jobs[0], {0, 1, 4});
   EXPECT_EQ(ctx.free_pool().size(), 5);
-  EXPECT_EQ(ctx.free_per_machine(), (std::vector<int>{2, 3}));
+  EXPECT_EQ(ctx.free_pool().on_machine(0).size(), 2u);
+  EXPECT_EQ(ctx.free_pool().on_machine(1).size(), 3u);
   EXPECT_FALSE(ctx.free_pool().Contains(4));
+  EXPECT_TRUE(ctx.free_pool().Contains(5));
   // The cluster still shows everything free: nothing was applied.
   EXPECT_EQ(cluster.num_free(), 8);
 
