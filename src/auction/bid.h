@@ -39,8 +39,6 @@ struct BidTable {
   /// Row 0 must be the zero allocation carrying the app's *current* rho; the
   /// mechanism uses it when the app wins nothing.
   std::vector<BidRow> rows;
-
-  const BidRow& ZeroRow() const { return rows.front(); }
 };
 
 /// Validation used at the ARBITER boundary: rows fit the offer, include a

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <sstream>
 #include <stdexcept>
 
 namespace themis {
@@ -287,16 +286,6 @@ LocalityLevel Topology::SpanLevel(const std::vector<GpuId>& gpus) const {
   if (same_machine) return LocalityLevel::kMachine;
   if (same_rack) return LocalityLevel::kRack;
   return LocalityLevel::kCrossRack;
-}
-
-std::string Topology::Describe() const {
-  std::ostringstream os;
-  os << num_racks() << " racks, " << num_machines() << " machines, "
-     << num_gpus() << " GPUs";
-  if (!uniform_speed_)
-    os << " (" << spec_.TotalEffectiveGpus() << " effective, mixed"
-       << " generations)";
-  return os.str();
 }
 
 }  // namespace themis

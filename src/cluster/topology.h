@@ -177,8 +177,6 @@ class Topology {
   /// set is kSlot: it cannot span any boundary.
   LocalityLevel SpanLevel(const std::vector<GpuId>& gpus) const;
 
-  std::string Describe() const;
-
  private:
   ClusterSpec spec_;
   std::vector<GpuCoord> gpus_;
