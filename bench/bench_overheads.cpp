@@ -178,6 +178,9 @@ std::unique_ptr<AppState> FilterProbeApp(AppId id) {
   return app;
 }
 
+/// GPUs of the filter-probe world; it needs at least one app per GPU.
+constexpr int kFilterProbeGpus = 128;
+
 struct FilterProbeWorld {
   Cluster cluster;
   WorkEstimator est;
@@ -189,7 +192,7 @@ struct FilterProbeWorld {
   int victim_cursor = 0;
 
   FilterProbeWorld(int num_apps, bool indexed)
-      : cluster(ClusterSpec::Uniform(2, 16, 4, 4)),  // 128 GPUs
+      : cluster(ClusterSpec::Uniform(2, 16, 4, 4)),  // kFilterProbeGpus
         est({}),
         rng(42),
         rebuild_index(!indexed) {
@@ -268,14 +271,27 @@ FilterProbeRun MeasureFilterProbe(int num_apps, bool indexed, int rounds) {
   return run;
 }
 
-int RunFilterProbeSweep() {
-  std::vector<int> populations{1000, 5000, 10000, 20000};
-  if (const char* only = std::getenv("THEMIS_BENCH_FILTER_APPS");
-      only && *only)
-    populations = {std::atoi(only)};
+/// The sweep's live-app populations: the default four, or the one
+/// $THEMIS_BENCH_FILTER_APPS names. The world saturates its GPUs with one
+/// single-GPU gang per low-id app, so a smaller population is rejected with
+/// a one-line error and an empty result.
+std::vector<int> FilterProbePopulations() {
+  const char* only = std::getenv("THEMIS_BENCH_FILTER_APPS");
+  if (!only || !*only) return {1000, 5000, 10000, 20000};
+  const int apps = std::atoi(only);
+  if (apps < kFilterProbeGpus) {
+    std::fprintf(stderr,
+                 "bench: THEMIS_BENCH_FILTER_APPS=%s is below the "
+                 "filter-probe world's %d GPUs (one app per GPU needed)\n",
+                 only, kFilterProbeGpus);
+    return {};
+  }
+  return {apps};
+}
 
+int RunFilterProbeSweep(const std::vector<int>& populations) {
   bench::BenchReport report("overheads");
-  report.Config("cluster_gpus", 128.0);
+  report.Config("cluster_gpus", static_cast<double>(kFilterProbeGpus));
   report.Config("rounds_shape", "single-lease-expiry");
   std::printf("\nBM_FilterProbe: one-expiry rounds/sec vs live apps\n");
   std::printf("%8s %12s %12s %9s %10s\n", "apps", "recompute/s", "indexed/s",
@@ -466,9 +482,11 @@ int RunParallelRoundSweep() {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  const std::vector<int> populations = themis::FilterProbePopulations();
+  if (populations.empty()) return 2;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  const int filter_rc = themis::RunFilterProbeSweep();
+  const int filter_rc = themis::RunFilterProbeSweep(populations);
   const int parallel_rc = themis::RunParallelRoundSweep();
   return filter_rc != 0 ? filter_rc : parallel_rc;
 }
