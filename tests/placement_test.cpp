@@ -207,14 +207,6 @@ TEST_F(PlacementFixture, GpuPoolFindsGpusByMachine) {
   EXPECT_FALSE(pool.Contains(8));
 }
 
-TEST_F(PlacementFixture, PickFastestTakesPoolOrderOnUniformSpeeds) {
-  const GpuPool pool({1, 2, 5, 9, 12, 14}, topo_);
-  EXPECT_EQ(PickFastest(0, pool), std::vector<GpuId>{});
-  EXPECT_EQ(PickFastest(3, pool), (std::vector<GpuId>{1, 2, 5}));
-  EXPECT_EQ(PickFastest(9, pool), (std::vector<GpuId>{1, 2, 5, 9, 12, 14}));
-  EXPECT_EQ(PickFastest(2, GpuPool({}, topo_)), std::vector<GpuId>{});
-}
-
 // GpuPool picks must equal the map-grouping oracle's, pick for pick, over
 // random pools (ascending, grouped but unordered within a machine, and
 // shuffled), random anchors, every count from 0 to size + 2, and
