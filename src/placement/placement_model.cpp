@@ -184,19 +184,6 @@ std::vector<GpuId> PickBestPlaced(int count, const GpuPool& pool) {
   return FillInOrder(count, pool, order);  // fewer than count if scarce
 }
 
-std::vector<GpuId> PickFastest(int count, const GpuPool& pool) {
-  if (count <= 0 || pool.empty()) return {};
-  std::vector<const GpuPool::Bucket*> order;
-  order.reserve(pool.buckets().size());
-  for (const GpuPool::Bucket& b : pool.buckets()) order.push_back(&b);
-  // Stable: equal-speed machines keep ascending machine id.
-  std::stable_sort(order.begin(), order.end(),
-                   [](const GpuPool::Bucket* a, const GpuPool::Bucket* b) {
-                     return a->speed > b->speed;
-                   });
-  return FillInOrder(count, pool, order);
-}
-
 std::vector<GpuId> PickBestPlacedNear(int count, const GpuPool& pool,
                                       const std::vector<GpuId>& anchor,
                                       const Topology& topo) {
@@ -237,6 +224,19 @@ std::vector<GpuId> PickBestPlacedNear(int count, const GpuPool& pool,
                      // the gang anyway); at equal locality prefer faster.
                      if (a->speed != b->speed) return a->speed > b->speed;
                      return a->size > b->size;
+                   });
+  return FillInOrder(count, pool, order);
+}
+
+std::vector<GpuId> PickFastest(int count, const GpuPool& pool) {
+  if (count <= 0 || pool.empty()) return {};
+  std::vector<const GpuPool::Bucket*> order;
+  order.reserve(pool.buckets().size());
+  for (const GpuPool::Bucket& b : pool.buckets()) order.push_back(&b);
+  // Stable: equal-speed machines keep ascending machine id.
+  std::stable_sort(order.begin(), order.end(),
+                   [](const GpuPool::Bucket* a, const GpuPool::Bucket* b) {
+                     return a->speed > b->speed;
                    });
   return FillInOrder(count, pool, order);
 }

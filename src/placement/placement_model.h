@@ -99,18 +99,18 @@ class GpuPool {
 /// not modify the pool.
 std::vector<GpuId> PickBestPlaced(int count, const GpuPool& pool);
 
+/// Same, but anchored: prefer machines where `anchor` GPUs already live,
+/// then their racks (used for leftover allocation, Sec. 5.1 step 3, and job
+/// growth). An empty anchor falls back to PickBestPlaced.
+std::vector<GpuId> PickBestPlacedNear(int count, const GpuPool& pool,
+                                      const std::vector<GpuId>& anchor,
+                                      const Topology& topo);
+
 /// The `count` fastest pooled GPUs, placement-unaware: machines by
 /// descending generation speed (ties ascending machine id), each machine's
 /// GPUs in pool order. On a uniform-speed cluster with an ascending pool
 /// this is the first `count` pooled ids — the greedy baselines' pick.
 /// Returns fewer than `count` if the pool is smaller; does not modify it.
 std::vector<GpuId> PickFastest(int count, const GpuPool& pool);
-
-/// Same as PickBestPlaced, but anchored: prefer machines where `anchor` GPUs already live,
-/// then their racks (used for leftover allocation, Sec. 5.1 step 3, and job
-/// growth). An empty anchor falls back to PickBestPlaced.
-std::vector<GpuId> PickBestPlacedNear(int count, const GpuPool& pool,
-                                      const std::vector<GpuId>& anchor,
-                                      const Topology& topo);
 
 }  // namespace themis
