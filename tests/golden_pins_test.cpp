@@ -22,6 +22,11 @@
 // core the daemon wraps (its GrantDigest after 30 rounds) and a 4-shard
 // federation (its merged result), for every policy.
 //
+// The last set runs every policy on the 88-machine Simulation256 cluster.
+// The pins above all use an 8-machine cluster, where a sort over machines
+// never leaves libstdc++'s insertion-sort range (16 elements), so a stable
+// sort swapped for an unstable one changes nothing there.
+//
 // The equivalence suites compare two paths inside one build (streamed vs
 // preloaded, parallel vs serial), so a change that moves both sides of a
 // comparison the same way passes them all. These pins compare against
@@ -588,6 +593,58 @@ TEST_P(FederationPins, MergedResultHashIsPinned) {
 
 INSTANTIATE_TEST_SUITE_P(ContendedConfig, FederationPins,
                          ::testing::ValuesIn(kFederationPins),
+                         [](const auto& info) {
+                           return std::string(ToString(info.param.policy));
+                         });
+
+// Every policy on the 88-machine Simulation256 cluster: 64 of its machines
+// share one speed, so the greedy baselines' speed-ordered picks sort far
+// more than 16 equal keys each round.
+ExperimentConfig LargeClusterConfig(PolicyKind policy) {
+  ExperimentConfig config;
+  config.cluster = ClusterSpec::Simulation256();
+  config.policy = policy;
+  config.trace.seed = 21;
+  config.trace.num_apps = 120;
+  config.trace.jobs_per_app_median = 6.0;
+  config.trace.jobs_per_app_max = 12;
+  config.trace.contention_factor = 4.0;
+  config.sim.seed = 21;
+  return config;
+}
+
+struct LargeClusterPin {
+  PolicyKind policy;
+  std::uint64_t hash;
+};
+
+// clang-format off
+const LargeClusterPin kLargeClusterPins[] = {
+    {PolicyKind::kThemis,   0x8b76a52c644d55b1ull},
+    {PolicyKind::kGandiva,  0xe5448acb345246c3ull},
+    {PolicyKind::kTiresias, 0xc71ae2db28e7b624ull},
+    {PolicyKind::kSlaq,     0xf7ef3eece161cee9ull},
+    {PolicyKind::kDrf,      0x8672f006cdcfbce1ull},
+};
+// clang-format on
+
+class LargeClusterPins : public ::testing::TestWithParam<LargeClusterPin> {};
+
+TEST_P(LargeClusterPins, ResultHashIsPinned) {
+  const LargeClusterPin& pin = GetParam();
+  const ExperimentResult result =
+      RunExperiment(LargeClusterConfig(pin.policy));
+  EXPECT_EQ(result.unfinished_apps, 0);
+  const std::uint64_t hash = HashResult(result);
+#if defined(__x86_64__)
+  EXPECT_EQ(hash, pin.hash) << std::hex << "0x" << hash;
+#else
+  GTEST_SKIP() << "golden constants are pinned on x86-64 only";
+#endif
+}
+
+INSTANTIATE_TEST_SUITE_P(Simulation256, LargeClusterPins,
+                         ::testing::ValuesIn(kLargeClusterPins),
                          [](const auto& info) {
                            return std::string(ToString(info.param.policy));
                          });
