@@ -65,6 +65,6 @@ int main() {
   std::printf("deviation note: our exact product-objective solver plus\n"
               "work-conserving leftovers track finish-time fairness tightly\n"
               "at every f, so the f-dependence is flatter than the paper's\n"
-              "(see EXPERIMENTS.md)\n");
+              "(see ROADMAP.md, open item 3)\n");
   return report.Write() ? 0 : 1;
 }

@@ -1,6 +1,5 @@
-// Example: declarative scenario sweeps.
-//
-//   scenario_sweep [scenarios.json] [--threads N] [--csv FILE]
+// Example: declarative scenario sweeps (`scenario_sweep --help` lists the
+// flags).
 //
 // Loads a JSON scenario file (examples/scenarios.json documents the shape:
 // a "defaults" object merged under every entry of a "scenarios" array, each
@@ -10,9 +9,9 @@
 // example works from any directory. --csv FILE additionally writes the
 // per-scenario metric rows (WriteSweepCsv) so grids feed plotting directly.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "common/knobs.h"
 #include "sim/experiment.h"
 #include "sim/scenario.h"
 
@@ -40,28 +39,14 @@ constexpr char kBuiltinScenarios[] = R"({
 int main(int argc, char** argv) {
   using namespace themis;
 
-  std::string path, csv;
+  std::string csv;
   int threads = 0;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--threads" && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-    } else if (arg == "--csv" && i + 1 < argc) {
-      csv = argv[++i];
-    } else if (arg == "--help" || arg == "-h") {
-      std::fprintf(stderr,
-                   "usage: %s [scenarios.json] [--threads N] [--csv FILE]\n",
-                   argv[0]);
-      return 2;
-    } else if (arg.rfind("-", 0) == 0) {
-      // Unknown (or valueless) flags must not be mistaken for a file path.
-      std::fprintf(stderr, "unknown flag: %s\nusage: %s [scenarios.json]"
-                   " [--threads N] [--csv FILE]\n", arg.c_str(), argv[0]);
-      return 2;
-    } else {
-      path = arg;
-    }
-  }
+  FlagSet flags("[scenarios.json]");
+  flags.Add(Knob::Field("", "--threads", &threads, "threads (0: all cores)"));
+  flags.Add(Knob::Field("", "--csv", &csv, "write the metric rows as CSV"));
+  flags.ParseOrExit(argc, argv);
+  const std::string path =
+      flags.operands().empty() ? std::string() : flags.operands().back();
 
   std::vector<ScenarioSpec> scenarios;
   try {

@@ -1,10 +1,6 @@
 // scripted_agents — replay a generated trace's apps as N concurrent socket
-// AGENTs against a running themis_arbiterd.
-//
-//   scripted_agents --connect HOST:PORT [--agents N] [--apps N] [--seed S]
-//                   [--contention C] [--mute-every K] [--verify-inprocess]
-//                   [--policy NAME] [--cluster SPEC] [--lease MIN]
-//                   [--round-interval MIN] [--arbiter-seed S] [--knob F]
+// AGENTs against a running themis_arbiterd. The flags come from the knob
+// tables; `scripted_agents --help` lists them.
 //
 // The trace's apps are partitioned contiguously across the AGENTs;
 // registration is sequential (HELLO waits for WELCOME) so the daemon's app
@@ -15,58 +11,19 @@
 // the daemon's), and the grant-stream digests must agree bit for bit —
 // exit 1 otherwise.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "server/arbiter_core.h"
 #include "server/client.h"
-#include "sim/experiment.h"
+#include "sim/scenario.h"
 #include "workload/trace_gen.h"
-
-namespace {
 
 using namespace themis;
 
-[[noreturn]] void Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --connect HOST:PORT [--agents N] [--apps N]\n"
-               "          [--seed S] [--contention C] [--mute-every K]\n"
-               "          [--verify-inprocess] [--policy NAME] [--cluster "
-               "SPEC]\n"
-               "          [--lease MIN] [--round-interval MIN]\n"
-               "          [--arbiter-seed S] [--knob F]\n",
-               argv0);
-  std::exit(2);
-}
-
-ClusterSpec ParseCluster(const std::string& name) {
-  if (name == "sim256") return ClusterSpec::Simulation256();
-  if (name == "testbed50") return ClusterSpec::Testbed50();
-  int racks = 0, machines = 0, gpus = 0;
-  if (std::sscanf(name.c_str(), "%dx%dx%d", &racks, &machines, &gpus) == 3 &&
-      racks > 0 && machines > 0 && gpus > 0) {
-    const int slot = (gpus % 2 == 0) ? 2 : 1;
-    return ClusterSpec::Uniform(racks, machines, gpus, slot);
-  }
-  std::fprintf(stderr, "unknown cluster: %s\n", name.c_str());
-  std::exit(2);
-}
-
-bool ParseHostPort(const std::string& s, std::string* host, int* port) {
-  const std::size_t colon = s.rfind(':');
-  if (colon == std::string::npos) return false;
-  *host = s.substr(0, colon);
-  *port = std::atoi(s.c_str() + colon + 1);
-  return *port > 0;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  std::string host;
-  int port = 0;
+  std::optional<HostPort> daemon;
   int num_agents = 8;
   int mute_every = 0;
   bool verify = false;
@@ -74,61 +31,30 @@ int main(int argc, char** argv) {
   trace.num_apps = 16;
   server::ArbiterConfig arbiter;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) Usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--connect") {
-      if (!ParseHostPort(next(), &host, &port)) {
-        std::fprintf(stderr, "--connect expects HOST:PORT\n");
-        return 2;
-      }
-    } else if (arg == "--agents")
-      num_agents = std::atoi(next().c_str());
-    else if (arg == "--apps") trace.num_apps = std::atoi(next().c_str());
-    else if (arg == "--seed")
-      trace.seed = std::strtoull(next().c_str(), nullptr, 10);
-    else if (arg == "--contention")
-      trace.contention_factor = std::atof(next().c_str());
-    else if (arg == "--mute-every") mute_every = std::atoi(next().c_str());
-    else if (arg == "--verify-inprocess") verify = true;
-    else if (arg == "--policy") {
-      try {
-        arbiter.policy = PolicyKindFromString(next());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
-      }
-    } else if (arg == "--cluster")
-      arbiter.cluster = ParseCluster(next());
-    else if (arg == "--lease")
-      arbiter.lease_minutes = std::atof(next().c_str());
-    else if (arg == "--round-interval")
-      arbiter.round_interval_minutes = std::atof(next().c_str());
-    else if (arg == "--arbiter-seed")
-      arbiter.seed = std::strtoull(next().c_str(), nullptr, 10);
-    else if (arg == "--knob")
-      arbiter.themis.fairness_knob = std::atof(next().c_str());
-    else if (arg == "--help" || arg == "-h") Usage(argv[0]);
-    else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      Usage(argv[0]);
-    }
-  }
-  if (host.empty()) {
-    std::fprintf(stderr, "--connect HOST:PORT is required\n");
-    Usage(argv[0]);
-  }
-  if (num_agents <= 0) num_agents = 1;
-  if (verify && mute_every > 0) {
+  FlagSet flags;
+  flags.Add(TraceKnobs(trace), {"num_apps", "seed", "contention_factor"});
+  flags.Add(ArbiterKnobs(arbiter),
+            {"policy", "cluster", "lease_minutes", "round_interval_minutes"});
+  flags.Add(ThemisKnobs(arbiter.themis), {"fairness_knob"});
+  flags.Add(KnobTable{"scripted_agents", {
+      Knob::Setter<HostPort>("", "--connect", "the daemon (required)",
+                             [&](HostPort hp) { daemon = hp; }),
+      Knob::Field("", "--agents", &num_agents, "AGENTs to split the apps"),
+      Knob::Field("", "--mute-every", &mute_every,
+                  "every Kth AGENT never bids (0: none)"),
+      Knob::Field("", "--verify-inprocess", &verify,
+                  "check the digest against an in-process run"),
+      Knob::Field("", "--arbiter-seed", &arbiter.seed, "the daemon's seed")}});
+  flags.ParseOrExit(argc, argv, [&] {
+    if (!daemon) throw std::invalid_argument("--connect HOST:PORT is required");
     // A muted AGENT is eventually evicted server-side; the in-process
     // reference does not model evictions, so the digests cannot agree.
-    std::fprintf(stderr,
-                 "--verify-inprocess cannot be combined with --mute-every\n");
-    return 2;
-  }
+    if (verify && mute_every > 0)
+      throw std::invalid_argument(
+          "--verify-inprocess cannot be combined with --mute-every");
+    arbiter.Validate();
+  });
+  if (num_agents <= 0) num_agents = 1;
 
   TraceGenerator gen(trace);
   const std::vector<AppSpec> apps = gen.Generate();
@@ -148,7 +74,8 @@ int main(int argc, char** argv) {
     scripts[i].name = "agent-" + std::to_string(i);
 
   const server::FleetResult fleet =
-      server::RunScriptedAgents(host, port, scripts, mute_every);
+      server::RunScriptedAgents(daemon->host, daemon->port, scripts,
+                                mute_every);
   if (!fleet.ok) {
     std::fprintf(stderr, "scripted_agents: %s\n", fleet.error.c_str());
     return 1;

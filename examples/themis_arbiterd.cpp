@@ -1,10 +1,5 @@
-// themis_arbiterd — the ARBITER as a network daemon.
-//
-//   themis_arbiterd [--host H] [--port P] [--policy NAME] [--cluster SPEC]
-//                   [--lease MIN] [--round-interval MIN] [--seed S]
-//                   [--knob F] [--min-agents N] [--rounds N]
-//                   [--bid-timeout-ms MS] [--hello-timeout-ms MS]
-//                   [--max-sessions N] [--print-port]
+// themis_arbiterd — the ARBITER as a network daemon. The flags come from
+// the knob tables; `themis_arbiterd --help` lists them.
 //
 // Binds HOST:PORT (port 0 = ephemeral; --print-port echoes the bound port
 // on stdout for scripts), serves the Offer/Bid/Grant protocol of net/wire.h
@@ -13,45 +8,16 @@
 // immediately (exit 130) — the escape hatch when a peer refuses to drain.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <unistd.h>
-#include <vector>
 
 #include "common/stats.h"
+#include "sim/scenario.h"
 #include "server/server.h"
-#include "sim/experiment.h"
 
 namespace {
 
 using namespace themis;
-
-[[noreturn]] void Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--host H] [--port P] [--policy "
-               "themis|gandiva|tiresias|slaq|drf]\n"
-               "          [--cluster sim256|testbed50|RxMxG] [--lease MIN]\n"
-               "          [--round-interval MIN] [--seed S] [--knob F]\n"
-               "          [--min-agents N] [--rounds N] [--bid-timeout-ms MS]\n"
-               "          [--hello-timeout-ms MS] [--max-sessions N] "
-               "[--print-port]\n",
-               argv0);
-  std::exit(2);
-}
-
-ClusterSpec ParseCluster(const std::string& name) {
-  if (name == "sim256") return ClusterSpec::Simulation256();
-  if (name == "testbed50") return ClusterSpec::Testbed50();
-  int racks = 0, machines = 0, gpus = 0;
-  if (std::sscanf(name.c_str(), "%dx%dx%d", &racks, &machines, &gpus) == 3 &&
-      racks > 0 && machines > 0 && gpus > 0) {
-    const int slot = (gpus % 2 == 0) ? 2 : 1;
-    return ClusterSpec::Uniform(racks, machines, gpus, slot);
-  }
-  std::fprintf(stderr, "unknown cluster: %s\n", name.c_str());
-  std::exit(2);
-}
 
 server::ArbiterServer* g_server = nullptr;
 volatile std::sig_atomic_t g_signal_count = 0;
@@ -68,48 +34,13 @@ int main(int argc, char** argv) {
   server::ServerConfig config;
   bool print_port = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) Usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--host") config.host = next();
-    else if (arg == "--port") config.port = std::atoi(next().c_str());
-    else if (arg == "--policy") {
-      try {
-        config.arbiter.policy = PolicyKindFromString(next());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
-      }
-    } else if (arg == "--cluster")
-      config.arbiter.cluster = ParseCluster(next());
-    else if (arg == "--lease")
-      config.arbiter.lease_minutes = std::atof(next().c_str());
-    else if (arg == "--round-interval")
-      config.arbiter.round_interval_minutes = std::atof(next().c_str());
-    else if (arg == "--seed")
-      config.arbiter.seed = std::strtoull(next().c_str(), nullptr, 10);
-    else if (arg == "--knob")
-      config.arbiter.themis.fairness_knob = std::atof(next().c_str());
-    else if (arg == "--min-agents")
-      config.min_agents = static_cast<std::size_t>(std::atoi(next().c_str()));
-    else if (arg == "--rounds")
-      config.max_rounds = std::strtoull(next().c_str(), nullptr, 10);
-    else if (arg == "--bid-timeout-ms")
-      config.bid_timeout_ms = std::atoi(next().c_str());
-    else if (arg == "--hello-timeout-ms")
-      config.hello_timeout_ms = std::atoi(next().c_str());
-    else if (arg == "--max-sessions")
-      config.max_sessions = static_cast<std::size_t>(std::atoi(next().c_str()));
-    else if (arg == "--print-port") print_port = true;
-    else if (arg == "--help" || arg == "-h") Usage(argv[0]);
-    else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      Usage(argv[0]);
-    }
-  }
+  FlagSet flags;
+  flags.Add(ServerKnobs(config));
+  flags.Add(ArbiterKnobs(config.arbiter));
+  flags.Add(ThemisKnobs(config.arbiter.themis), {"fairness_knob"});
+  flags.Add(Knob::Field("", "--print-port", &print_port,
+                        "print \"PORT N\" once bound"));
+  flags.ParseOrExit(argc, argv, [&] { config.arbiter.Validate(); });
 
   server::ArbiterServer srv(config);
   std::string err;

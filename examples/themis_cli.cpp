@@ -1,17 +1,5 @@
-// themis_cli — command-line driver for arbitrary experiments.
-//
-//   themis_cli [--policy themis|gandiva|tiresias|slaq|drf]
-//              [--cluster sim256|testbed50|RxMxG (e.g. 2x4x4)]
-//              [--generations SPEC (e.g. K80:0.25,V100:0.5,A100:0.25)]
-//              [--apps N] [--seed S] [--contention C] [--lease MIN]
-//              [--knob F] [--theta T] [--mtbf MIN] [--sensitive FRAC]
-//              [--round-threads N]
-//              [--trace-out FILE] [--trace-in FILE] [--cdf]
-//              [--stream-trace FILE] [--bounded-metrics]
-//              [--epsilon MIN]
-//              [--shards N] [--threads N]
-//              [--sweep SCENARIOS.json] [--csv FILE]
-//              [--connect HOST:PORT]
+// themis_cli — command-line driver for arbitrary experiments. The flags
+// come from the knob tables; `themis_cli --help` lists them.
 //
 // Generates (or loads) a trace, runs one simulation, prints the Sec. 8.1
 // metric summary, and optionally archives the trace as CSV for later
@@ -43,10 +31,11 @@
 // running themis_arbiterd and answers OFFER frames with BIDs until the
 // daemon CLOSEs the session (server/client.h).
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/stats.h"
 #include "core/federation.h"
@@ -58,33 +47,6 @@
 namespace {
 
 using namespace themis;
-
-[[noreturn]] void Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--policy themis|gandiva|tiresias|slaq|drf]\n"
-               "          [--cluster sim256|testbed50|RxMxG] [--apps N]\n"
-               "          [--generations NAME:FRAC,... (e.g. "
-               "K80:0.25,V100:0.5,A100:0.25)]\n"
-               "          [--seed S] [--contention C] [--lease MIN]\n"
-               "          [--knob F] [--theta T] [--mtbf MIN] [--round-threads N]\n"
-               "          [--sensitive FRAC] [--trace-out FILE]\n"
-               "          [--trace-in FILE] [--cdf]\n"
-               "          [--stream-trace FILE] [--bounded-metrics]\n"
-               "          [--epsilon MIN]\n"
-               "          [--shards N] [--threads N]\n"
-               "          [--sweep SCENARIOS.json] [--csv FILE]\n"
-               "          [--connect HOST:PORT]\n",
-               argv0);
-  std::exit(2);
-}
-
-bool ParseHostPort(const std::string& s, std::string* host, int* port) {
-  const std::size_t colon = s.rfind(':');
-  if (colon == std::string::npos) return false;
-  *host = s.substr(0, colon);
-  *port = std::atoi(s.c_str() + colon + 1);
-  return *port > 0;
-}
 
 /// AGENT mode: one blocking ArbiterClient serving `apps` until CLOSE.
 int RunAgent(const std::string& host, int port, std::vector<AppSpec> apps) {
@@ -165,15 +127,6 @@ int RunAgent(const std::string& host, int port, std::vector<AppSpec> apps) {
   }
 }
 
-PolicyKind ParsePolicy(const std::string& name) {
-  try {
-    return PolicyKindFromString(name);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    std::exit(2);
-  }
-}
-
 int RunSweep(const std::string& path, int threads, const std::string& csv,
              const std::vector<GenerationShare>& generations) {
   std::vector<ScenarioSpec> scenarios;
@@ -251,19 +204,6 @@ int RunSharded(const ExperimentConfig& config, std::vector<AppSpec> apps,
   return ok ? 0 : 1;
 }
 
-ClusterSpec ParseCluster(const std::string& name) {
-  if (name == "sim256") return ClusterSpec::Simulation256();
-  if (name == "testbed50") return ClusterSpec::Testbed50();
-  int racks = 0, machines = 0, gpus = 0;
-  if (std::sscanf(name.c_str(), "%dx%dx%d", &racks, &machines, &gpus) == 3 &&
-      racks > 0 && machines > 0 && gpus > 0) {
-    const int slot = (gpus % 2 == 0) ? 2 : 1;
-    return ClusterSpec::Uniform(racks, machines, gpus, slot);
-  }
-  std::fprintf(stderr, "unknown cluster: %s\n", name.c_str());
-  std::exit(2);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -271,184 +211,120 @@ int main(int argc, char** argv) {
   config.cluster = ClusterSpec::Simulation256();
   config.trace.num_apps = 60;
   std::string trace_in, trace_out, stream_trace, sweep_file, csv_file;
-  std::string connect_host;
-  int connect_port = 0;
+  std::optional<HostPort> connect;
   std::vector<GenerationShare> generations;
   int sweep_threads = 0;
   int shards = 0;
   bool print_cdf = false;
-  // Sweep mode takes every setting from the scenario file; reject
-  // single-run flags alongside --sweep instead of silently dropping them.
-  // --generations is exempt: it transforms whatever cluster each scenario
-  // chose rather than replacing a scenario setting.
-  const char* single_run_flag = nullptr;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) Usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg != "--sweep" && arg != "--threads" && arg != "--csv" &&
-        arg != "--generations" && arg != "--help" && arg != "-h")
-      single_run_flag = argv[i];
-    if (arg == "--policy") config.policy = ParsePolicy(next());
-    else if (arg == "--cluster") config.cluster = ParseCluster(next());
-    else if (arg == "--generations") {
-      try {
-        generations = ParseGenerationMix(next());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "--generations: %s\n", e.what());
-        return 2;
-      }
+  FlagSet flags;
+  flags.Add(PolicyKnob(&config.policy));
+  flags.Add(ClusterFlag(&config.cluster));
+  flags.Add(TraceKnobs(config.trace),
+            {"num_apps", "contention_factor", "frac_network_intensive"});
+  flags.Add(SimKnobs(config.sim), {"lease_minutes", "theta",
+                                   "machine_mtbf_minutes",
+                                   "auction_epsilon_minutes"});
+  flags.Add(ThemisKnobs(config.themis), {"fairness_knob", "auction_threads"});
+  flags.Add(KnobTable{"themis_cli", {
+      Knob::Setter<std::string>("", "--generations",
+                                "re-price by NAME:FRACTION,... (rack-major)",
+                                [&](const std::string& mix) {
+                                  generations = ParseGenerationMix(mix);
+                                }),
+      Knob::Setter<std::uint64_t>("", "--seed", "trace and simulator seed",
+                                  [&](std::uint64_t seed) {
+                                    config.trace.seed = seed;
+                                    config.sim.seed = seed;
+                                  }),
+      Knob::Field("", "--trace-in", &trace_in, "replay this trace CSV"),
+      Knob::Field("", "--trace-out", &trace_out, "archive the trace as CSV"),
+      Knob::Field("", "--stream-trace", &stream_trace,
+                  "stream this arrival-sorted trace CSV"),
+      Knob::Field("", "--bounded-metrics", &config.sim.metrics.bounded_memory,
+                  "constant-memory metrics"),
+      Knob::Field("", "--cdf", &print_cdf, "print the rho (and ACT) CDF"),
+      Knob::Field("", "--shards", &shards, "federate N ARBITER shards"),
+      Knob::Field("", "--threads", &sweep_threads,
+                  "threads for --sweep or --shards (0: all cores)"),
+      Knob::Field("", "--sweep", &sweep_file, "run this scenario file"),
+      Knob::Field("", "--csv", &csv_file, "write the --sweep rows as CSV"),
+      Knob::Setter<HostPort>("", "--connect", "serve the apps as an AGENT",
+                             [&](HostPort daemon) { connect = daemon; })}});
+  flags.ParseOrExit(argc, argv, [&] {
+    config.sim.Validate();
+    config.themis.Validate();
+    if (!sweep_file.empty()) {
+      // Sweep mode takes every setting from the scenario file; reject
+      // single-run flags alongside --sweep instead of silently dropping
+      // them. --generations is exempt: it transforms whatever cluster each
+      // scenario chose rather than replacing a scenario setting.
+      for (const std::string& flag : flags.given())
+        if (flag != "--sweep" && flag != "--threads" && flag != "--csv" &&
+            flag != "--generations")
+          throw std::invalid_argument(
+              "--sweep runs scenarios from the file and cannot be combined "
+              "with " + flag);
+      return;
     }
-    else if (arg == "--apps") config.trace.num_apps = std::atoi(next().c_str());
-    else if (arg == "--seed") {
-      config.trace.seed = std::strtoull(next().c_str(), nullptr, 10);
-      config.sim.seed = config.trace.seed;
-    } else if (arg == "--contention")
-      config.trace.contention_factor = std::atof(next().c_str());
-    else if (arg == "--lease") config.sim.lease_minutes = std::atof(next().c_str());
-    else if (arg == "--knob")
-      config.themis.fairness_knob = std::atof(next().c_str());
-    else if (arg == "--round-threads")
-      // Fan the round's probe + bid-prep phases over N pool threads
-      // (bit-identical to serial; see common/parallel.h).
-      config.themis.auction_threads = std::atoi(next().c_str());
-    else if (arg == "--theta") {
-      config.sim.estimator.theta = std::atof(next().c_str());
-      if (config.sim.estimator.theta > 0.0)
-        config.sim.estimator.mode = EstimationMode::kNoisy;
-    } else if (arg == "--mtbf")
-      config.sim.machine_mtbf_minutes = std::atof(next().c_str());
-    else if (arg == "--sensitive")
-      config.trace.frac_network_intensive = std::atof(next().c_str());
-    else if (arg == "--trace-in") trace_in = next();
-    else if (arg == "--trace-out") trace_out = next();
-    else if (arg == "--stream-trace") stream_trace = next();
-    else if (arg == "--bounded-metrics") config.sim.metrics.bounded_memory = true;
-    else if (arg == "--epsilon")
-      config.sim.auction_epsilon_minutes = std::atof(next().c_str());
-    else if (arg == "--connect") {
-      if (!ParseHostPort(next(), &connect_host, &connect_port)) {
-        std::fprintf(stderr, "--connect expects HOST:PORT\n");
-        return 2;
-      }
-    }
-    else if (arg == "--cdf") print_cdf = true;
-    else if (arg == "--sweep") sweep_file = next();
-    else if (arg == "--csv") csv_file = next();
-    else if (arg == "--shards") shards = std::atoi(next().c_str());
-    else if (arg == "--threads") sweep_threads = std::atoi(next().c_str());
-    else if (arg == "--help" || arg == "-h") Usage(argv[0]);
-    else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      Usage(argv[0]);
-    }
-  }
-
-  if (!sweep_file.empty()) {
-    if (single_run_flag != nullptr) {
-      std::fprintf(stderr,
-                   "--sweep runs scenarios from the file and cannot be "
-                   "combined with %s\n",
-                   single_run_flag);
-      return 2;
-    }
-    return RunSweep(sweep_file, sweep_threads, csv_file, generations);
-  }
-  if (!generations.empty()) {
-    try {
+    if (!generations.empty())
       ApplyGenerationMix(config.cluster, generations);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "--generations: %s\n", e.what());
-      return 2;
-    }
-  }
-  if (!csv_file.empty()) {
-    std::fprintf(stderr, "--csv only applies to --sweep runs\n");
-    return 2;
-  }
-  if (sweep_threads != 0 && shards == 0) {
-    std::fprintf(stderr,
-                 "--threads only applies to --sweep or --shards runs\n");
-    return 2;
-  }
-
-  if (!stream_trace.empty()) {
+    if (!csv_file.empty())
+      throw std::invalid_argument("--csv only applies to --sweep runs");
+    if (sweep_threads != 0 && shards == 0)
+      throw std::invalid_argument(
+          "--threads only applies to --sweep or --shards runs");
     // Streamed replay fixes the workload and owns the app lifecycle, so the
     // preload/archive/shard paths cannot compose with it.
-    if (!trace_in.empty() || !trace_out.empty() || shards != 0) {
-      std::fprintf(stderr,
-                   "--stream-trace cannot be combined with --trace-in, "
-                   "--trace-out, or --shards\n");
-      return 2;
-    }
-    ExperimentResult r;
-    try {
-      r = RunStreamingExperiment(
-          config, std::make_unique<StreamingCsvTraceReader>(stream_trace));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
-    }
-    std::printf("policy           : %s\n", r.policy_name.c_str());
-    std::printf("apps replayed    : %zu (%d unfinished, peak %zu live)\n",
-                r.total_apps, r.unfinished_apps, r.peak_live_apps);
-    std::printf("peak contention  : %.2f\n", r.peak_contention);
-    std::printf("max fairness     : %.2f\n", r.max_fairness);
-    std::printf("median fairness  : %.2f\n", r.median_fairness);
-    std::printf("Jain's index     : %.3f\n", r.jains_index);
-    std::printf("avg ACT          : %.1f min\n", r.avg_completion_time);
-    std::printf("GPU time         : %.0f GPU-min\n", r.gpu_time);
-    std::printf("event core       : %lld events, %lld rounds in %d passes, "
-                "%lld time advances\n",
-                r.events_processed, r.rounds_executed, r.scheduling_passes,
-                r.sim_time_advances);
-    if (r.machine_failures > 0)
-      std::printf("machine failures : %d\n", r.machine_failures);
-    if (print_cdf)
-      std::printf("\nrho CDF (sampled):\n%s",
-                  FormatCdf(Cdf(r.rhos), 15).c_str());
-    return r.unfinished_apps == 0 ? 0 : 1;
-  }
+    if (!stream_trace.empty() &&
+        (!trace_in.empty() || !trace_out.empty() || shards != 0))
+      throw std::invalid_argument(
+          "--stream-trace cannot be combined with --trace-in, --trace-out, "
+          "or --shards");
+    if (connect && shards != 0)
+      throw std::invalid_argument("--connect cannot be combined with --shards");
+  });
+  if (!sweep_file.empty())
+    return RunSweep(sweep_file, sweep_threads, csv_file, generations);
 
+  const bool streamed = !stream_trace.empty();
   std::vector<AppSpec> apps;
-  if (!trace_in.empty()) {
-    apps = ReadTraceCsvFile(trace_in);
-    std::printf("loaded %zu apps from %s\n", apps.size(), trace_in.c_str());
-  } else {
-    TraceGenerator gen(config.trace);
-    apps = gen.Generate();
-  }
-  if (!trace_out.empty()) {
-    WriteTraceCsvFile(trace_out, apps);
-    std::printf("wrote %zu apps to %s\n", apps.size(), trace_out.c_str());
-  }
-
-  if (!connect_host.empty()) {
-    if (shards != 0) {
-      std::fprintf(stderr, "--connect cannot be combined with --shards\n");
-      return 2;
+  if (!streamed) {
+    if (!trace_in.empty()) {
+      apps = ReadTraceCsvFile(trace_in);
+      std::printf("loaded %zu apps from %s\n", apps.size(), trace_in.c_str());
+    } else {
+      TraceGenerator gen(config.trace);
+      apps = gen.Generate();
     }
-    return RunAgent(connect_host, connect_port, std::move(apps));
+    if (!trace_out.empty()) {
+      WriteTraceCsvFile(trace_out, apps);
+      std::printf("wrote %zu apps to %s\n", apps.size(), trace_out.c_str());
+    }
+    if (connect) return RunAgent(connect->host, connect->port, std::move(apps));
+    if (shards != 0)
+      return RunSharded(config, std::move(apps), shards, sweep_threads,
+                        print_cdf);
   }
-
-  if (shards != 0)
-    return RunSharded(config, std::move(apps), shards, sweep_threads,
-                      print_cdf);
 
   ExperimentResult r;
   try {
-    r = RunExperimentWithApps(config, apps);
+    r = streamed ? RunStreamingExperiment(
+                       config,
+                       std::make_unique<StreamingCsvTraceReader>(stream_trace))
+                 : RunExperimentWithApps(config, apps);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
 
   std::printf("policy           : %s\n", r.policy_name.c_str());
-  std::printf("apps finished    : %zu (%d unfinished)\n", r.rhos.size(),
-              r.unfinished_apps);
+  if (streamed)
+    std::printf("apps replayed    : %zu (%d unfinished, peak %zu live)\n",
+                r.total_apps, r.unfinished_apps, r.peak_live_apps);
+  else
+    std::printf("apps finished    : %zu (%d unfinished)\n", r.rhos.size(),
+                r.unfinished_apps);
   std::printf("peak contention  : %.2f\n", r.peak_contention);
   std::printf("max fairness     : %.2f\n", r.max_fairness);
   std::printf("median fairness  : %.2f\n", r.median_fairness);
@@ -461,7 +337,9 @@ int main(int argc, char** argv) {
               r.sim_time_advances);
   if (r.machine_failures > 0)
     std::printf("machine failures : %d\n", r.machine_failures);
-  if (print_cdf) {
+  if (print_cdf && streamed) {
+    std::printf("\nrho CDF (sampled):\n%s", FormatCdf(Cdf(r.rhos), 15).c_str());
+  } else if (print_cdf) {
     std::printf("\nrho CDF:\n%s", FormatCdf(Cdf(r.rhos), 15).c_str());
     std::printf("\nACT CDF (min):\n%s",
                 FormatCdf(Cdf(r.completion_times), 15).c_str());

@@ -1,7 +1,5 @@
-// trace_gen — generate synthetic workload traces straight to CSV.
-//
-//   trace_gen --stream-out FILE [--apps N] [--jobs N] [--seed S]
-//             [--contention C] [--interarrival MIN] [--sensitive FRAC]
+// trace_gen — generate synthetic workload traces straight to CSV. The flags
+// come from the knob tables; `trace_gen --help` lists them.
 //
 // Emits the same CSV format `themis_cli --trace-out` archives, but through
 // StreamingTraceWriter: one row at a time, never the whole trace in memory,
@@ -10,96 +8,57 @@
 // stops once N jobs have been emitted even if fewer than --apps apps were
 // produced — the knob that pins fixture size for the scale bench.
 // Deterministic in --seed: same flags, same bytes.
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "sim/scenario.h"
 #include "workload/trace_gen.h"
 #include "workload/trace_io.h"
 
-namespace {
-
 using namespace themis;
-
-[[noreturn]] void Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s --stream-out FILE [--apps N] [--jobs N]\n"
-               "          [--seed S] [--contention C] [--interarrival MIN]\n"
-               "          [--sensitive FRAC] [--bursty N:GAP]\n"
-               "\n"
-               "  --bursty N:GAP  arrivals come in same-instant bursts of N\n"
-               "                  apps, bursts GAP minutes apart (replaces\n"
-               "                  the Poisson arrival model) — the sparse\n"
-               "                  shape the event-driven sim core targets\n",
-               argv0);
-  std::exit(2);
-}
-
-/// Parse "N:GAP" into the burst knobs; exits with usage on malformed input.
-void ParseBursty(const std::string& spec, const char* argv0,
-                 TraceConfig& config) {
-  const std::size_t colon = spec.find(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size())
-    Usage(argv0);
-  config.burst_size = std::atoi(spec.substr(0, colon).c_str());
-  config.burst_gap_minutes = std::atof(spec.substr(colon + 1).c_str());
-  if (config.burst_size <= 0 || config.burst_gap_minutes < 0.0) {
-    std::fprintf(stderr, "--bursty needs N > 0 and GAP >= 0 (got %s)\n",
-                 spec.c_str());
-    std::exit(2);
-  }
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   TraceConfig config;
   std::string out_path;
   long long max_jobs = 0;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) Usage(argv[0]);
-      return argv[++i];
-    };
-    if (arg == "--stream-out") out_path = next();
-    else if (arg == "--apps") config.num_apps = std::atoi(next().c_str());
-    else if (arg == "--jobs") max_jobs = std::atoll(next().c_str());
-    else if (arg == "--seed")
-      config.seed = std::strtoull(next().c_str(), nullptr, 10);
-    else if (arg == "--contention")
-      config.contention_factor = std::atof(next().c_str());
-    else if (arg == "--interarrival")
-      config.mean_interarrival = std::atof(next().c_str());
-    else if (arg == "--sensitive")
-      config.frac_network_intensive = std::atof(next().c_str());
-    else if (arg == "--bursty") ParseBursty(next(), argv[0], config);
-    else if (arg == "--help" || arg == "-h") Usage(argv[0]);
-    else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      Usage(argv[0]);
-    }
-  }
-  if (out_path.empty()) {
-    std::fprintf(stderr, "--stream-out FILE is required\n");
-    Usage(argv[0]);
-  }
-  // A --jobs cap bounds the trace; without it --apps must, and the default
-  // TraceConfig::num_apps (50) silently producing a tiny "million-job"
-  // fixture is the kind of surprise worth refusing.
-  if (max_jobs <= 0 && config.num_apps <= 0) {
-    std::fprintf(stderr, "need --apps N > 0 or --jobs N > 0\n");
-    return 2;
-  }
+  FlagSet flags;
+  flags.Add(TraceKnobs(config),
+            {"num_apps", "seed", "contention_factor", "mean_interarrival",
+             "frac_network_intensive"});
+  flags.Add(KnobTable{"trace_gen", {
+      Knob::Field("", "--stream-out", &out_path, "CSV to write (required)"),
+      Knob::Field("", "--jobs", &max_jobs, "stop after N jobs (0: no cap)"),
+      Knob::Setter<std::string>(
+          "", "--bursty", "N:GAP: bursts of N apps, GAP minutes apart",
+          [&config](const std::string& spec) {
+            const std::size_t colon = spec.find(':');
+            const auto size = ParseNumber<int>(spec.substr(0, colon));
+            const auto gap = colon == std::string::npos
+                                 ? std::nullopt
+                                 : ParseNumber<double>(spec.substr(colon + 1));
+            if (!size || !gap || *size <= 0 || *gap < 0.0)
+              throw std::runtime_error("expected N:GAP with N > 0 and GAP >= "
+                                       "0, got \"" + spec + "\"");
+            config.burst_size = *size;
+            config.burst_gap_minutes = *gap;
+          })}});
+  flags.ParseOrExit(argc, argv, [&] {
+    if (out_path.empty())
+      throw std::invalid_argument("--stream-out FILE is required");
+    // A --jobs cap bounds the trace; without it --apps must, and the
+    // default TraceConfig::num_apps (50) silently producing a tiny
+    // "million-job" fixture is the kind of surprise worth refusing.
+    if (max_jobs <= 0 && config.num_apps <= 0)
+      throw std::invalid_argument("need --apps N > 0 or --jobs N > 0");
+  });
   if (max_jobs > 0 && config.num_apps > 0) {
     // Let the job cap drive: give the generator effectively unbounded apps
     // unless the caller pinned --apps explicitly alongside.
-    bool apps_pinned = false;
-    for (int i = 1; i < argc; ++i)
-      if (std::strcmp(argv[i], "--apps") == 0) apps_pinned = true;
-    if (!apps_pinned) config.num_apps = 1 << 30;
+    const auto& given = flags.given();
+    if (std::find(given.begin(), given.end(), "--apps") == given.end())
+      config.num_apps = 1 << 30;
   }
 
   StreamedTraceStats stats;

@@ -4,6 +4,9 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string_view>
+
+#include "common/knobs.h"
 
 namespace themis {
 
@@ -44,15 +47,9 @@ std::vector<GenerationShare> ParseGenerationMix(const std::string& spec) {
           "\" is not NAME:FRACTION (e.g. K80:0.25,V100:0.5,A100:0.25)");
     GenerationShare share;
     share.generation = GpuGenerationByName(entry.substr(0, colon));
-    std::size_t parsed = 0;
     const std::string frac = entry.substr(colon + 1);
-    try {
-      share.fraction = std::stod(frac, &parsed);
-    } catch (const std::exception&) {
-      parsed = 0;
-    }
-    if (parsed != frac.size() || !(share.fraction > 0.0) ||
-        share.fraction > 1.0)
+    share.fraction = ParseNumber<double>(frac).value_or(0.0);
+    if (!(share.fraction > 0.0) || share.fraction > 1.0)
       throw std::invalid_argument("generation mix fraction \"" + frac +
                                   "\" must be a number in (0, 1]");
     total += share.fraction;
@@ -162,12 +159,10 @@ ClusterSpec ClusterSpec::Simulation256Mixed() {
 }
 
 ClusterSpec ClusterSpec::Testbed50() {
-  // 50 GPUs across 20 instances with 1/2/4 GPUs each, mirroring the paper's
+  // 50 GPUs across 18 instances with 1/2/4 GPUs each, mirroring the paper's
   // NC/NV-series Azure mixture, spread over two racks:
   //   rack A: 7x 4-GPU + 4x 2-GPU + 2x 1-GPU = 38 GPUs, 13 instances
   //   rack B: 2x 4-GPU + 1x 2-GPU + 2x 1-GPU = 12 GPUs,  5 instances
-  // plus 2 more 1-GPU boxes on rack B -> 50 GPUs... keep arithmetic explicit:
-  //   rack A: 7*4 + 4*2 + 2*1 = 38; rack B: 2*4 + 1*2 + 2*1 = 12; total 50.
   ClusterSpec spec;
   RackSpec a;
   for (int i = 0; i < 7; ++i) a.machines.push_back({4, 2});
@@ -192,6 +187,31 @@ ClusterSpec ClusterSpec::Testbed50Mixed() {
     for (MachineSpec& m : rack.machines)
       m.generation = m.num_gpus >= 4 ? k80 : m60;
   return spec;
+}
+
+std::optional<ClusterSpec> ClusterSpec::Preset(const std::string& name) {
+  if (name == "sim256") return Simulation256();
+  if (name == "sim256-mixed") return Simulation256Mixed();
+  if (name == "testbed50") return Testbed50();
+  if (name == "testbed50-mixed") return Testbed50Mixed();
+  return std::nullopt;
+}
+
+ClusterSpec ClusterSpec::FromName(const std::string& name) {
+  if (std::optional<ClusterSpec> preset = Preset(name)) return *preset;
+  const std::string_view s = name;
+  const std::size_t x1 = s.find('x'), x2 = s.find('x', x1 + 1);
+  if (x1 != s.npos && x2 != s.npos) {
+    const auto racks = ParseNumber<int>(s.substr(0, x1));
+    const auto machines = ParseNumber<int>(s.substr(x1 + 1, x2 - x1 - 1));
+    const auto gpus = ParseNumber<int>(s.substr(x2 + 1));
+    if (racks > 0 && machines > 0 && gpus > 0)
+      return Uniform(*racks, *machines, *gpus, *gpus % 2 == 0 ? 2 : 1);
+  }
+  throw std::invalid_argument(
+      "unknown cluster \"" + name +
+      "\" (expected sim256, sim256-mixed, testbed50, testbed50-mixed or "
+      "RxMxG, e.g. 2x4x4)");
 }
 
 ClusterSpec ClusterSpec::Uniform(int racks, int machines_per_rack,

@@ -11,6 +11,7 @@
 // All GPUs of one machine share its generation.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -107,7 +108,7 @@ struct ClusterSpec {
   /// rack (rack 0 K80, racks 1-2 V100, rack 3 A100).
   static ClusterSpec Simulation256Mixed();
 
-  /// The 50-GPU Azure testbed from Sec. 8.1: 20 instances with 1/2/4 GPUs
+  /// The 50-GPU Azure testbed from Sec. 8.1: 18 instances with 1/2/4 GPUs
   /// (NC- and NV-series).
   static ClusterSpec Testbed50();
 
@@ -118,6 +119,15 @@ struct ClusterSpec {
   /// Uniform cluster helper used by tests and microbenchmarks.
   static ClusterSpec Uniform(int racks, int machines_per_rack, int gpus_per_machine,
                              int gpus_per_slot);
+
+  /// The preset named "sim256", "sim256-mixed", "testbed50" or
+  /// "testbed50-mixed", or nullopt.
+  static std::optional<ClusterSpec> Preset(const std::string& name);
+
+  /// A preset, or "RxMxG": R racks of M machines with G GPUs each, in
+  /// 2-GPU slots when G is even. Throws std::invalid_argument naming the
+  /// accepted forms.
+  static ClusterSpec FromName(const std::string& name);
 };
 
 /// Fully resolved coordinates of a single GPU.

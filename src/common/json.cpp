@@ -302,22 +302,6 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
   return nullptr;
 }
 
-double JsonValue::NumberOr(const std::string& key, double fallback) const {
-  const JsonValue* v = Find(key);
-  return v != nullptr ? v->AsNumber() : fallback;
-}
-
-bool JsonValue::BoolOr(const std::string& key, bool fallback) const {
-  const JsonValue* v = Find(key);
-  return v != nullptr ? v->AsBool() : fallback;
-}
-
-std::string JsonValue::StringOr(const std::string& key,
-                                const std::string& fallback) const {
-  const JsonValue* v = Find(key);
-  return v != nullptr ? v->AsString() : fallback;
-}
-
 JsonValue JsonValue::MakeNull() { return JsonValue{}; }
 
 JsonValue JsonValue::MakeBool(bool b) {

@@ -67,11 +67,6 @@ class JsonValue {
   bool operator==(const JsonValue& other) const;
   bool operator!=(const JsonValue& other) const { return !(*this == other); }
 
-  /// Convenience lookups with defaults, for knob-style scenario fields.
-  double NumberOr(const std::string& key, double fallback) const;
-  bool BoolOr(const std::string& key, bool fallback) const;
-  std::string StringOr(const std::string& key, const std::string& fallback) const;
-
  private:
   friend class JsonParser;
 

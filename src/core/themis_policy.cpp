@@ -5,27 +5,22 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/knobs.h"
 #include "common/parallel.h"
 #include "core/rho_index.h"
 
 namespace themis {
 
 void ThemisConfig::Validate() const {
-  if (auction_threads < 0)
-    throw std::invalid_argument(
-        "ThemisConfig: auction_threads must be >= 0 (got " +
-        std::to_string(auction_threads) + ")");
-  // Written so that NaN fails too: the participant cut converts
-  // ceil((1 - f) N) to int, which is undefined for NaN.
-  if (!(fairness_knob >= 0.0 && fairness_knob <= 1.0))
-    throw std::invalid_argument(
-        "ThemisConfig: fairness_knob must be in [0, 1] (got " +
-        std::to_string(fairness_knob) + ")");
+  Require(auction_threads >= 0, "ThemisConfig: auction_threads must be >= 0",
+          auction_threads);
+  // NaN fails too: the participant cut converts ceil((1 - f) N) to int,
+  // which is undefined for NaN.
+  Require(fairness_knob >= 0.0 && fairness_knob <= 1.0,
+          "ThemisConfig: fairness_knob must be in [0, 1]", fairness_knob);
   // With no non-zero row every bid would be the zero row.
-  if (max_bid_rows < 1)
-    throw std::invalid_argument(
-        "ThemisConfig: max_bid_rows must be >= 1 (got " +
-        std::to_string(max_bid_rows) + ")");
+  Require(max_bid_rows >= 1, "ThemisConfig: max_bid_rows must be >= 1",
+          max_bid_rows);
 }
 
 ThemisPolicy::ThemisPolicy(ThemisConfig config) : config_(config) {}

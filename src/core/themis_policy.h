@@ -62,8 +62,7 @@ struct ThemisConfig {
   /// path engages only under the stateless kClairvoyant estimator; kNoisy /
   /// kCurveFit share RNG / fit state whose draw order the serial loop
   /// defines, so those modes silently fall back to serial. Baseline
-  /// policies ignore it. Set by themis_cli --round-threads and the scenario
-  /// key themis.auction_threads.
+  /// policies ignore it.
   int auction_threads = 0;
   PaConfig pa;
 

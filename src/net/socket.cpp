@@ -28,15 +28,22 @@ bool SetNoDelay(int fd) {
   return setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one) == 0;
 }
 
-bool ParseAddr(const std::string& host, int port, sockaddr_in* addr) {
+/// Fill `addr`, or set `*err` and return false. A port outside
+/// [0, 65535] is an error, not a cast: 70000 would bind 4464.
+bool ParseAddr(const std::string& host, int port, const std::string& what,
+               sockaddr_in* addr, std::string* err) {
   std::memset(addr, 0, sizeof *addr);
   addr->sin_family = AF_INET;
   addr->sin_port = htons(static_cast<std::uint16_t>(port));
-  if (host.empty() || host == "0.0.0.0") {
+  std::string problem;
+  if (port < 0 || port > 65535)
+    problem = what + " port " + std::to_string(port) + " is outside [0, 65535]";
+  else if (host.empty() || host == "0.0.0.0")
     addr->sin_addr.s_addr = INADDR_ANY;
-    return true;
-  }
-  return inet_pton(AF_INET, host.c_str(), &addr->sin_addr) == 1;
+  else if (inet_pton(AF_INET, host.c_str(), &addr->sin_addr) != 1)
+    problem = "invalid " + what + " address: " + host;
+  if (err != nullptr && !problem.empty()) *err = problem;
+  return problem.empty();
 }
 
 }  // namespace
@@ -49,10 +56,7 @@ bool SetNonBlocking(int fd) {
 int TcpListen(const std::string& host, int port, int backlog,
               std::string* err) {
   sockaddr_in addr;
-  if (!ParseAddr(host, port, &addr)) {
-    if (err != nullptr) *err = "invalid listen address: " + host;
-    return kBadFd;
-  }
+  if (!ParseAddr(host, port, "listen", &addr, err)) return kBadFd;
   const int fd = socket(AF_INET, SOCK_STREAM, 0);
   if (fd == kBadFd) {
     FormatError(err, "socket");
@@ -99,10 +103,9 @@ int TcpAccept(int listen_fd) {
 
 int TcpConnect(const std::string& host, int port, std::string* err) {
   sockaddr_in addr;
-  if (!ParseAddr(host.empty() ? "127.0.0.1" : host, port, &addr)) {
-    if (err != nullptr) *err = "invalid connect address: " + host;
+  if (!ParseAddr(host.empty() ? "127.0.0.1" : host, port, "connect", &addr,
+                 err))
     return kBadFd;
-  }
   const int fd = socket(AF_INET, SOCK_STREAM, 0);
   if (fd == kBadFd) {
     FormatError(err, "socket");

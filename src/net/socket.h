@@ -18,7 +18,7 @@ constexpr int kBadFd = -1;
 /// Create a nonblocking IPv4 listener on host:port (SO_REUSEADDR set,
 /// backlog as given). `port` 0 binds an ephemeral port — read it back with
 /// ListenPort. Returns the fd, or kBadFd with `*err` describing the failed
-/// syscall.
+/// syscall or the port outside [0, 65535].
 int TcpListen(const std::string& host, int port, int backlog,
               std::string* err);
 
@@ -32,7 +32,7 @@ int ListenPort(int listen_fd);
 int TcpAccept(int listen_fd);
 
 /// Blocking IPv4 client connect to host:port with TCP_NODELAY. Returns the
-/// fd, or kBadFd with `*err` set.
+/// fd, or kBadFd with `*err` set (a port outside [0, 65535] included).
 int TcpConnect(const std::string& host, int port, std::string* err);
 
 bool SetNonBlocking(int fd);

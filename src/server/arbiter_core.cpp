@@ -5,21 +5,30 @@
 #include <string>
 #include <utility>
 
+#include "sim/scenario.h"
+
 namespace themis::server {
 
 void ArbiterConfig::Validate() const {
-  if (!(lease_minutes > 0.0))
-    throw std::invalid_argument("ArbiterConfig: lease_minutes must be > 0 (got " +
-                                std::to_string(lease_minutes) + ")");
-  if (!(round_interval_minutes > 0.0))
-    throw std::invalid_argument(
-        "ArbiterConfig: round_interval_minutes must be > 0 (got " +
-        std::to_string(round_interval_minutes) + ")");
-  if (restart_overhead_minutes < 0.0)
-    throw std::invalid_argument(
-        "ArbiterConfig: restart_overhead_minutes must be >= 0 (got " +
-        std::to_string(restart_overhead_minutes) + ")");
+  Require(lease_minutes > 0.0, "ArbiterConfig: lease_minutes must be > 0",
+          lease_minutes);
+  Require(round_interval_minutes > 0.0,
+          "ArbiterConfig: round_interval_minutes must be > 0",
+          round_interval_minutes);
+  Require(restart_overhead_minutes >= 0.0,
+          "ArbiterConfig: restart_overhead_minutes must be >= 0",
+          restart_overhead_minutes);
   themis.Validate();
+}
+
+KnobTable ArbiterKnobs(ArbiterConfig& c) {
+  return {"arbiter", {
+      PolicyKnob(&c.policy), ClusterFlag(&c.cluster),
+      Knob::Field("lease_minutes", "--lease", &c.lease_minutes,
+                  "GPU lease, virtual minutes"),
+      Knob::Field("round_interval_minutes", "--round-interval",
+                  &c.round_interval_minutes, "virtual minutes between rounds"),
+      Knob::Field("seed", "--seed", &c.seed, "arbiter seed")}};
 }
 
 ArbiterCore::ArbiterCore(const ArbiterConfig& config)

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/knobs.h"
 #include "core/round_core.h"
 #include "core/themis_policy.h"
 #include "estimator/work_estimator.h"
@@ -55,6 +56,9 @@ struct ArbiterConfig {
   /// Throws std::invalid_argument naming the offending knob.
   void Validate() const;
 };
+
+/// The knobs of an ArbiterConfig; its ThemisConfig takes ThemisKnobs.
+KnobTable ArbiterKnobs(ArbiterConfig& config);
 
 /// The first half of a round: what the daemon fans out.
 struct RoundStart {

@@ -63,6 +63,22 @@ ArbiterServer::~ArbiterServer() {
   net::CloseFd(wake_write_);
 }
 
+KnobTable ServerKnobs(ServerConfig& c) {
+  return {"server", {
+      Knob::Field("host", "--host", &c.host, "address to listen on"),
+      Knob::Field("port", "--port", &c.port, "port (0: ephemeral)"),
+      Knob::Field("min_agents", "--min-agents", &c.min_agents,
+                  "AGENTs to wait for before the first round"),
+      Knob::Field("max_rounds", "--rounds", &c.max_rounds,
+                  "stop after this many rounds (0: no limit)"),
+      Knob::Field("bid_timeout_ms", "--bid-timeout-ms", &c.bid_timeout_ms,
+                  "per-round bid deadline, ms"),
+      Knob::Field("hello_timeout_ms", "--hello-timeout-ms", &c.hello_timeout_ms,
+                  "handshake deadline, ms (0: none)"),
+      Knob::Field("max_sessions", "--max-sessions", &c.max_sessions,
+                  "refuse connections beyond this many")}};
+}
+
 bool ArbiterServer::Start(std::string* err) {
   listen_fd_ =
       net::TcpListen(config_.host, config_.port, config_.accept_backlog, err);

@@ -70,6 +70,9 @@ struct ServerConfig {
   ArbiterConfig arbiter;
 };
 
+/// The knobs of a ServerConfig; its ArbiterConfig takes ArbiterKnobs.
+KnobTable ServerKnobs(ServerConfig& config);
+
 /// Bounded sample size for per-round latency percentiles. Exact while a run
 /// has at most this many rounds (every bench/test does); beyond it the
 /// reservoir keeps a uniform sample — a forever-running daemon

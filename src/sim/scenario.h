@@ -38,16 +38,32 @@
 // both "trace_csv" and "trace" knobs.
 // Unknown keys anywhere are an error — scenario files fail loudly, not by
 // silently ignoring a typo'd knob.
+//
+// The keys of "trace", "sim" and "themis" are the knob tables below
+// (common/knobs.h), which also carry the command-line flag a binary uses
+// for the same field: `--knob F` and `"themis": {"fairness_knob": F}` are
+// one declaration.
 #pragma once
 
 #include <string>
 #include <vector>
 
+#include "common/knobs.h"
 #include "sim/experiment.h"
 
 namespace themis {
 
-class JsonValue;
+/// The knobs of the "trace", "sim" and "themis" objects, bound to a config.
+KnobTable TraceKnobs(TraceConfig& trace);
+KnobTable SimKnobs(SimConfig& sim);
+KnobTable ThemisKnobs(ThemisConfig& themis);
+
+/// The scenario key "policy" and the --policy flag.
+Knob PolicyKnob(PolicyKind* policy);
+
+/// The --cluster flag: a name for ClusterSpec::FromName. It has no JSON
+/// form; a scenario spells its cluster as an object.
+Knob ClusterFlag(ClusterSpec* cluster);
 
 /// Parse scenario JSON text. Throws std::runtime_error (with a json line
 /// number where applicable) on malformed documents or unknown fields.
@@ -55,10 +71,5 @@ std::vector<ScenarioSpec> LoadScenarios(const std::string& json_text);
 
 /// Load and parse a scenario file.
 std::vector<ScenarioSpec> LoadScenariosFile(const std::string& path);
-
-/// Apply one scenario object (already parsed) on top of `base`; exposed for
-/// tests and embedding tools.
-ScenarioSpec ScenarioFromJson(const JsonValue& scenario,
-                              const ExperimentConfig& base);
 
 }  // namespace themis

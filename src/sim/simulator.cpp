@@ -6,41 +6,33 @@
 #include <stdexcept>
 #include <utility>
 
+#include "common/knobs.h"
+
 namespace themis {
 
 void SimConfig::Validate() const {
-  if (!(lease_minutes > 0.0))
-    throw std::invalid_argument(
-        "SimConfig: lease_minutes must be > 0 (got " +
-        std::to_string(lease_minutes) + ")");
-  if (restart_overhead_minutes < 0.0)
-    throw std::invalid_argument(
-        "SimConfig: restart_overhead_minutes must be >= 0 (got " +
-        std::to_string(restart_overhead_minutes) + ")");
-  if (!(max_time > 0.0))
-    throw std::invalid_argument("SimConfig: max_time must be > 0 (got " +
-                                std::to_string(max_time) + ")");
-  if (machine_mtbf_minutes < 0.0)
-    throw std::invalid_argument(
-        "SimConfig: machine_mtbf_minutes must be >= 0 (got " +
-        std::to_string(machine_mtbf_minutes) + ")");
-  if (machine_mtbf_minutes > 0.0 && !(machine_repair_minutes > 0.0))
-    throw std::invalid_argument(
-        "SimConfig: machine_repair_minutes must be > 0 when failure "
-        "injection is on (got " +
-        std::to_string(machine_repair_minutes) + ")");
-  if (arrival_lookahead_minutes < 0.0)
-    throw std::invalid_argument(
-        "SimConfig: arrival_lookahead_minutes must be >= 0 (got " +
-        std::to_string(arrival_lookahead_minutes) + ")");
-  if (auction_epsilon_minutes < 0.0)
-    throw std::invalid_argument(
-        "SimConfig: auction_epsilon_minutes must be >= 0 (got " +
-        std::to_string(auction_epsilon_minutes) + ")");
-  if (metrics_tick_minutes < 0.0)
-    throw std::invalid_argument(
-        "SimConfig: metrics_tick_minutes must be >= 0 (got " +
-        std::to_string(metrics_tick_minutes) + ")");
+  Require(lease_minutes > 0.0, "SimConfig: lease_minutes must be > 0",
+          lease_minutes);
+  Require(restart_overhead_minutes >= 0.0,
+          "SimConfig: restart_overhead_minutes must be >= 0",
+          restart_overhead_minutes);
+  Require(max_time > 0.0, "SimConfig: max_time must be > 0", max_time);
+  Require(machine_mtbf_minutes >= 0.0,
+          "SimConfig: machine_mtbf_minutes must be >= 0",
+          machine_mtbf_minutes);
+  Require(machine_mtbf_minutes <= 0.0 || machine_repair_minutes > 0.0,
+          "SimConfig: machine_repair_minutes must be > 0 when failure "
+          "injection is on",
+          machine_repair_minutes);
+  Require(arrival_lookahead_minutes >= 0.0,
+          "SimConfig: arrival_lookahead_minutes must be >= 0",
+          arrival_lookahead_minutes);
+  Require(auction_epsilon_minutes >= 0.0,
+          "SimConfig: auction_epsilon_minutes must be >= 0",
+          auction_epsilon_minutes);
+  Require(metrics_tick_minutes >= 0.0,
+          "SimConfig: metrics_tick_minutes must be >= 0",
+          metrics_tick_minutes);
 }
 
 Simulator::Simulator(ClusterSpec cluster_spec, std::vector<AppSpec> specs,

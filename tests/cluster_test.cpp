@@ -30,6 +30,25 @@ TEST(ClusterSpec, Testbed50HasExactly50Gpus) {
   EXPECT_EQ(static_cast<int>(spec.racks.size()), 2);
 }
 
+TEST(ClusterSpec, NamesResolvePresetsAndUniformShapes) {
+  EXPECT_EQ(ClusterSpec::FromName("sim256").TotalMachines(), 88);
+  EXPECT_GT(ClusterSpec::FromName("sim256-mixed").TotalEffectiveGpus(), 256.0);
+  EXPECT_EQ(ClusterSpec::FromName("testbed50").TotalMachines(), 18);
+  EXPECT_GT(ClusterSpec::FromName("testbed50-mixed").TotalEffectiveGpus(),
+            50.0);
+  const ClusterSpec shape = ClusterSpec::FromName("2x4x3");
+  EXPECT_EQ(shape.TotalMachines(), 8);
+  EXPECT_EQ(shape.TotalGpus(), 24);
+  EXPECT_EQ(shape.racks[0].machines[0].gpus_per_slot, 1);  // odd G
+  EXPECT_EQ(ClusterSpec::FromName("1x2x4").racks[0].machines[1].gpus_per_slot,
+            2);
+  for (const char* bad : {"", "sim", "2x4", "2x4x4x1", "2x0x4", "2x4x4 ",
+                          "ax4x4", "2x4x4.5", "-2x4x4"})
+    EXPECT_THROW(ClusterSpec::FromName(bad), std::invalid_argument) << bad;
+  // The scenario loader's "preset" takes the presets only.
+  EXPECT_FALSE(ClusterSpec::Preset("2x4x4"));
+}
+
 TEST(ClusterSpec, UniformCounts) {
   const ClusterSpec spec = ClusterSpec::Uniform(3, 4, 8, 4);
   EXPECT_EQ(spec.TotalGpus(), 96);

@@ -546,6 +546,22 @@ TEST(Daemon, AdmissionControlRefusesBeyondMaxSessions) {
   EXPECT_FALSE(second.ReadMessage(&msg, 2000, /*expect_eof=*/true));
 }
 
+// A port outside [0, 65535] must fail to bind, naming the port, instead of
+// being truncated to 16 bits (70000 would bind 4464, -1 would bind 65535).
+TEST(Daemon, PortOutsideRangeFailsToStart) {
+  for (const int port : {70000, -1}) {
+    server::ServerConfig config = SmallConfig();
+    config.port = port;
+    server::ArbiterServer srv(config);
+    std::string err;
+    EXPECT_FALSE(srv.Start(&err)) << port;
+    EXPECT_NE(err.find(std::to_string(port)), std::string::npos) << err;
+  }
+  std::string err;
+  EXPECT_EQ(net::TcpConnect("127.0.0.1", 70000, &err), net::kBadFd);
+  EXPECT_NE(err.find("70000"), std::string::npos) << err;
+}
+
 // ---------------------------------------------------------------------------
 // Graceful shutdown.
 // ---------------------------------------------------------------------------

@@ -4,13 +4,18 @@
 // running each experiment serially.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/json.h"
+#include "common/knobs.h"
 #include "server/arbiter_core.h"
 #include "sim/scenario.h"
 #include "workload/trace_gen.h"
@@ -283,6 +288,186 @@ TEST(Scenario, InvalidSimConfigRejectedAtLoadTime) {
   EXPECT_THROW(LoadScenarios(R"({"scenarios": [
       {"name": "a", "sim": {"restart_overhead_minutes": -1}}]})"),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Knob tables
+// ---------------------------------------------------------------------------
+
+TEST(Knobs, NumbersParseWholeTokensOnly) {
+  EXPECT_EQ(ParseNumber<int>("42"), 42);
+  EXPECT_EQ(ParseNumber<int>("-7"), -7);
+  for (const char* bad : {"", "abc", "1x", " 1", "1 ", "+1", "1.5", "1e3",
+                          "0x10", "2147483648"})
+    EXPECT_FALSE(ParseNumber<int>(bad)) << bad;
+  EXPECT_EQ(ParseNumber<std::uint64_t>("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_FALSE(ParseNumber<std::uint64_t>("18446744073709551616"));
+  EXPECT_FALSE(ParseNumber<std::uint64_t>("-1"));
+  EXPECT_EQ(ParseNumber<double>("0.6"), 0.6);
+  EXPECT_EQ(ParseNumber<double>("1e3"), 1000.0);
+  for (const char* bad : {"", "abc", "0.5x", " 0.5", "0.5 ", "1,5"})
+    EXPECT_FALSE(ParseNumber<double>(bad)) << bad;
+}
+
+TEST(Knobs, HostPortNeedsAPortInRange) {
+  const std::optional<HostPort> hp = ParseHostPort("127.0.0.1:8080");
+  ASSERT_TRUE(hp);
+  EXPECT_EQ(hp->host, "127.0.0.1");
+  EXPECT_EQ(hp->port, 8080);
+  EXPECT_EQ(ParseHostPort(":9")->host, "");
+  for (const char* bad : {"127.0.0.1", "127.0.0.1:", "127.0.0.1:80x",
+                          "h:0", "h:65536", "h:-1", "h: 80"})
+    EXPECT_FALSE(ParseHostPort(bad)) << bad;
+}
+
+TEST(Knobs, FlagSetRefusesWhatItCannotParse) {
+  int count = 0;
+  bool on = false;
+  FlagSet flags;
+  flags.Add(Knob::Field("", "--count", &count, "a count"));
+  flags.Add(Knob::Field("", "--on", &on, "a switch"));
+  auto parse = [&](std::vector<const char*> args) {
+    args.insert(args.begin(), "prog");
+    return flags.Parse(static_cast<int>(args.size()), args.data());
+  };
+  EXPECT_EQ(parse({"--count", "3", "--on"}), "");
+  EXPECT_EQ(count, 3);
+  EXPECT_TRUE(on);
+  EXPECT_EQ(flags.given(), (std::vector<std::string>{"--count", "--on"}));
+  EXPECT_EQ(parse({"--cont", "3"}), "unknown flag: --cont");
+  EXPECT_EQ(parse({"--count"}), "--count: missing value");
+  EXPECT_EQ(parse({"--count", "3.5"}), "--count: expected int, got \"3.5\"");
+  EXPECT_EQ(parse({"file.json"}), "unexpected argument: file.json");
+  EXPECT_EQ(count, 3);
+  const std::string help = flags.Help("prog");
+  EXPECT_NE(help.find("--count <int>"), std::string::npos) << help;
+  EXPECT_NE(help.find("--on "), std::string::npos) << help;
+  // Selecting a key the table lacks is a programming error.
+  TraceConfig trace;
+  EXPECT_THROW(flags.Add(TraceKnobs(trace), {"num_ap"}), std::logic_error);
+  EXPECT_THROW(flags.Add(TraceKnobs(trace), {"jobs_per_app_max"}),
+               std::logic_error);  // no flag
+}
+
+// Validate() is the one home of the range checks, and every check fails on
+// NaN (a flag can spell "nan"; from_chars accepts it).
+TEST(Knobs, ValidateRejectsNaNInEveryRangeCheckedField) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (double SimConfig::*field :
+       {&SimConfig::lease_minutes, &SimConfig::restart_overhead_minutes,
+        &SimConfig::max_time, &SimConfig::machine_mtbf_minutes,
+        &SimConfig::arrival_lookahead_minutes,
+        &SimConfig::auction_epsilon_minutes,
+        &SimConfig::metrics_tick_minutes}) {
+    SimConfig sim;
+    EXPECT_NO_THROW(sim.Validate());
+    sim.*field = nan;
+    EXPECT_THROW(sim.Validate(), std::invalid_argument);
+  }
+  SimConfig sim;
+  sim.machine_mtbf_minutes = 100.0;
+  sim.machine_repair_minutes = nan;
+  EXPECT_THROW(sim.Validate(), std::invalid_argument);
+  for (double server::ArbiterConfig::*field :
+       {&server::ArbiterConfig::lease_minutes,
+        &server::ArbiterConfig::round_interval_minutes,
+        &server::ArbiterConfig::restart_overhead_minutes}) {
+    server::ArbiterConfig arbiter;
+    EXPECT_NO_THROW(arbiter.Validate());
+    arbiter.*field = nan;
+    EXPECT_THROW(arbiter.Validate(), std::invalid_argument);
+  }
+}
+
+/// Every scalar of the configs the knob tables set, as raw bytes.
+std::string ConfigBits(const ExperimentConfig& c) {
+  std::string bits;
+  auto add = [&bits](const auto& v) {
+    bits.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  const TraceConfig& t = c.trace;
+  add(t.seed), add(t.num_apps), add(t.mean_interarrival),
+      add(t.contention_factor), add(t.burst_size), add(t.burst_gap_minutes),
+      add(t.jobs_per_app_median), add(t.jobs_per_app_sigma),
+      add(t.jobs_per_app_min), add(t.jobs_per_app_max),
+      add(t.short_duration_median), add(t.long_duration_median),
+      add(t.duration_sigma), add(t.frac_long), add(t.duration_scale),
+      add(t.frac_four_gpu_tasks), add(t.tasks_per_job),
+      add(t.frac_network_intensive), add(t.target_loss), add(t.min_decay),
+      add(t.max_decay), add(t.iters_per_minute);
+  const SimConfig& s = c.sim;
+  add(s.lease_minutes), add(s.restart_overhead_minutes), add(s.max_time),
+      add(s.estimator.mode), add(s.estimator.theta), add(s.estimator.seed),
+      add(s.seed), add(s.machine_mtbf_minutes), add(s.machine_repair_minutes),
+      add(s.retire_finished_apps), add(s.arrival_lookahead_minutes),
+      add(s.metrics.bounded_memory), add(s.auction_epsilon_minutes),
+      add(s.metrics_tick_minutes);
+  const ThemisConfig& th = c.themis;
+  add(th.fairness_knob), add(th.max_bid_rows), add(th.short_app_tiebreak),
+      add(th.auction_threads);
+  add(c.policy);
+  return bits;
+}
+
+// Walks the tables: every knob with both a JSON key and a flag must set the
+// same field to the same bits through LoadScenarios and through FlagSet,
+// and both forms must reject "abc", "1x" and "".
+TEST(Knobs, JsonAndFlagFormsSetTheSameBits) {
+  struct Home {
+    const char* object;  // nullptr: a key of the scenario object itself
+    std::function<KnobTable(ExperimentConfig&)> table;
+  };
+  const Home homes[] = {
+      {"trace", [](ExperimentConfig& c) { return TraceKnobs(c.trace); }},
+      {"sim", [](ExperimentConfig& c) { return SimKnobs(c.sim); }},
+      {"themis", [](ExperimentConfig& c) { return ThemisKnobs(c.themis); }},
+      {nullptr,
+       [](ExperimentConfig& c) {
+         return KnobTable{"scenario", {PolicyKnob(&c.policy)}};
+       }},
+  };
+  int walked = 0;
+  for (const Home& home : homes) {
+    ExperimentConfig probe;
+    for (const Knob& knob : home.table(probe).knobs) {
+      if (knob.key.empty() || knob.flag.empty()) continue;
+      ++walked;
+      auto load = [&](const std::string& json_value) {
+        std::string member = "\"" + knob.key + "\": " + json_value;
+        if (home.object != nullptr)
+          member = "\"" + std::string(home.object) + "\": {" + member + "}";
+        return LoadScenarios(R"({"scenarios": [{"name": "t", )" + member +
+                             "}]}")
+            .at(0)
+            .config;
+      };
+      auto parse = [&](const std::string& token, ExperimentConfig& out) {
+        FlagSet flags;
+        flags.Add(home.table(out), {knob.key});
+        const char* argv[] = {"test", knob.flag.c_str(), token.c_str()};
+        return flags.Parse(3, argv);
+      };
+      // The one string knob with both forms is "policy".
+      const bool is_string = knob.type == "string";
+      const std::string token =
+          is_string ? "drf" : knob.type == "number" ? "0.625" : "3";
+      const ExperimentConfig from_json =
+          load(is_string ? "\"" + token + "\"" : token);
+      ExperimentConfig from_flag;
+      ASSERT_EQ(parse(token, from_flag), "") << knob.flag;
+      EXPECT_EQ(ConfigBits(from_json), ConfigBits(from_flag)) << knob.key;
+      EXPECT_NE(ConfigBits(from_flag), ConfigBits(ExperimentConfig{}))
+          << knob.flag << " set nothing";
+      for (const std::string bad : {"abc", "1x", ""}) {
+        EXPECT_THROW(load("\"" + bad + "\""), std::runtime_error)
+            << knob.key << " = \"" << bad << "\"";
+        ExperimentConfig ignored;
+        EXPECT_NE(parse(bad, ignored), "") << knob.flag << " " << bad;
+      }
+    }
+  }
+  EXPECT_EQ(walked, 12);
 }
 
 // ---------------------------------------------------------------------------
