@@ -430,7 +430,8 @@ TEST(Knobs, JsonAndFlagFormsSetTheSameBits) {
   int walked = 0;
   for (const Home& home : homes) {
     ExperimentConfig probe;
-    for (const Knob& knob : home.table(probe).knobs) {
+    const KnobTable table = home.table(probe);
+    for (const Knob& knob : table.knobs) {
       if (knob.key.empty() || knob.flag.empty()) continue;
       ++walked;
       auto load = [&](const std::string& json_value) {
