@@ -57,7 +57,8 @@ struct ArbiterConfig {
   void Validate() const;
 };
 
-/// The knobs of an ArbiterConfig; its ThemisConfig takes ThemisKnobs.
+/// The knobs of an ArbiterConfig, for flags only (no file format reads
+/// one); its ThemisConfig takes ThemisKnobs.
 KnobTable ArbiterKnobs(ArbiterConfig& config);
 
 /// The first half of a round: what the daemon fans out.

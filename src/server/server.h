@@ -70,7 +70,8 @@ struct ServerConfig {
   ArbiterConfig arbiter;
 };
 
-/// The knobs of a ServerConfig; its ArbiterConfig takes ArbiterKnobs.
+/// The knobs of a ServerConfig, for flags only (no file format reads
+/// one); its ArbiterConfig takes ArbiterKnobs.
 KnobTable ServerKnobs(ServerConfig& config);
 
 /// Bounded sample size for per-round latency percentiles. Exact while a run
