@@ -14,9 +14,31 @@
 #include <utility>
 #include <vector>
 
+#include "common/knobs.h"
 #include "sim/experiment.h"
 
 namespace themis::bench {
+
+/// $name as a T (a number parsed whole, as flag values are, or the string),
+/// or `fallback` when it is unset or empty. A value that does not parse
+/// exits 2 naming the variable, before the bench prints anything.
+template <class T>
+T EnvKnob(const char* name, T fallback) {
+  const char* v = std::getenv(name);
+  if (!v || !*v) return fallback;
+  try {
+    return FromToken<T>(v);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench: %s: %s\n", name, e.what());
+    std::exit(2);
+  }
+}
+
+/// A positive $name, or `fallback` when it is unset, empty or not positive.
+inline int EnvPositive(const char* name, int fallback) {
+  const int v = EnvKnob(name, fallback);
+  return v > 0 ? v : fallback;
+}
 
 /// Sec. 8.2 / 8.4 simulations: 256-GPU heterogeneous cluster under heavy
 /// contention (the paper's macro experiment ran at a peak contention of

@@ -30,7 +30,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 
@@ -62,11 +61,6 @@ class JobCappedReader : public TraceReader {
   long long max_jobs_;
   long long* jobs_out_;
 };
-
-double EnvDouble(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  return (v && *v) ? std::atof(v) : fallback;
-}
 
 struct LoopRun {
   ExperimentResult result;
@@ -116,15 +110,15 @@ std::uint32_t HeadlineHash(const ExperimentResult& r) {
 
 int main() {
   const long long max_jobs =
-      static_cast<long long>(EnvDouble("THEMIS_BENCH_EVENT_JOBS", 20000));
-  const Time epsilon = EnvDouble("THEMIS_BENCH_EVENT_EPSILON", 3.0);
+      bench::EnvKnob<long long>("THEMIS_BENCH_EVENT_JOBS", 20000);
+  const Time epsilon = bench::EnvKnob("THEMIS_BENCH_EVENT_EPSILON", 3.0);
+  const std::string policy_name =
+      bench::EnvKnob<std::string>("THEMIS_BENCH_EVENT_POLICY", "tiresias");
 
-  const char* policy_name = std::getenv("THEMIS_BENCH_EVENT_POLICY");
   ExperimentConfig config;
   // 8 racks x 64 machines x 8 GPUs = 4096 GPUs.
   config.cluster = ClusterSpec::Uniform(8, 64, 8, 4);
-  config.policy = PolicyKindFromString(
-      (policy_name && *policy_name) ? policy_name : "tiresias");
+  config.policy = PolicyKindFromString(policy_name);
   config.sim.seed = 42;
   config.sim.metrics.bounded_memory = true;
 

@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_common.h"
 #include "cluster/cluster.h"
@@ -49,6 +48,9 @@ double MeasureClusterPasses(const ClusterSpec& spec, int apps) {
 }  // namespace
 
 int main() {
+  const int max_machines =
+      std::max(8, bench::EnvKnob("THEMIS_BENCH_MACHINES", 512));
+
   // Two 4-GPU servers in one rack.
   const Topology topo(ClusterSpec::Uniform(1, 2, 4, 2));
   const std::vector<GpuId> one_server{0, 1, 2, 3};
@@ -72,9 +74,6 @@ int main() {
   std::printf("\npaper reference: VGG16 ~2x faster on one server; ResNet50"
               " placement-insensitive\n");
 
-  int max_machines = 512;
-  if (const char* env = std::getenv("THEMIS_BENCH_MACHINES"); env && *env)
-    max_machines = std::max(8, std::atoi(env));
   report.Config("max_machines", static_cast<double>(max_machines));
 
   std::printf("\n=== Scheduling-state throughput vs cluster size ===\n");

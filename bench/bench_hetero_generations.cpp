@@ -14,7 +14,6 @@
 //   THEMIS_BENCH_APPS      trace size   (default 192 apps)
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -24,14 +23,6 @@ namespace {
 
 using namespace themis;
 
-int EnvInt(const char* name, int fallback) {
-  if (const char* v = std::getenv(name); v && *v) {
-    const int parsed = std::atoi(v);
-    if (parsed > 0) return parsed;
-  }
-  return fallback;
-}
-
 struct MixPoint {
   const char* tag;   // metric suffix + scenario name
   const char* spec;  // ParseGenerationMix syntax; nullptr = leave at default
@@ -40,8 +31,8 @@ struct MixPoint {
 }  // namespace
 
 int main() {
-  const int machines = EnvInt("THEMIS_BENCH_MACHINES", 512);
-  const int num_apps = EnvInt("THEMIS_BENCH_APPS", 192);
+  const int machines = bench::EnvPositive("THEMIS_BENCH_MACHINES", 512);
+  const int num_apps = bench::EnvPositive("THEMIS_BENCH_APPS", 192);
   const ClusterSpec base_topology = bench::ChurnSweepTopology(machines, 8);
 
   ExperimentConfig config;

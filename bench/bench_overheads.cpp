@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <memory>
 #include <string>
 
@@ -276,14 +275,14 @@ FilterProbeRun MeasureFilterProbe(int num_apps, bool indexed, int rounds) {
 /// single-GPU gang per low-id app, so a smaller population is rejected with
 /// a one-line error and an empty result.
 std::vector<int> FilterProbePopulations() {
-  const char* only = std::getenv("THEMIS_BENCH_FILTER_APPS");
-  if (!only || !*only) return {1000, 5000, 10000, 20000};
-  const int apps = std::atoi(only);
+  if (bench::EnvKnob<std::string>("THEMIS_BENCH_FILTER_APPS", "").empty())
+    return {1000, 5000, 10000, 20000};
+  const int apps = bench::EnvKnob("THEMIS_BENCH_FILTER_APPS", 0);
   if (apps < kFilterProbeGpus) {
     std::fprintf(stderr,
-                 "bench: THEMIS_BENCH_FILTER_APPS=%s is below the "
+                 "bench: THEMIS_BENCH_FILTER_APPS=%d is below the "
                  "filter-probe world's %d GPUs (one app per GPU needed)\n",
-                 only, kFilterProbeGpus);
+                 apps, kFilterProbeGpus);
     return {};
   }
   return {apps};
@@ -426,15 +425,13 @@ ParallelRoundRun MeasureParallelRound(int machines, int apps_count,
 }
 
 int RunParallelRoundSweep() {
-  int machines = 512;  // x8 GPUs = the 4096-GPU cluster
-  if (const char* env = std::getenv("THEMIS_BENCH_MACHINES"); env && *env)
-    machines = std::max(8, std::atoi(env));
+  // x8 GPUs = the 4096-GPU cluster
+  const int machines =
+      std::max(8, bench::EnvKnob("THEMIS_BENCH_MACHINES", 512));
   // One single-job app anchored per machine: 512 apps x 1 job x 2 tasks x
   // 4 GPUs of unmet demand = the 2048-GPU offer, valued gang by gang.
   const int apps = machines;
-  int rounds = 6;
-  if (const char* env = std::getenv("THEMIS_BENCH_ROUNDS"); env && *env)
-    rounds = std::max(1, std::atoi(env));
+  const int rounds = std::max(1, bench::EnvKnob("THEMIS_BENCH_ROUNDS", 6));
 
   bench::BenchReport report("parallel_rounds");
   report.Config("cluster_gpus", static_cast<double>(machines) * 8.0);

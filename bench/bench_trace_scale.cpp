@@ -20,7 +20,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
 #include "bench_common.h"
@@ -58,16 +57,13 @@ double PeakRssMb() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux: KiB
 }
 
-long long EnvLL(const char* name, long long fallback) {
-  const char* v = std::getenv(name);
-  return (v && *v) ? std::atoll(v) : fallback;
-}
-
 }  // namespace
 
 int main() {
-  const long long max_jobs = EnvLL("THEMIS_BENCH_TRACE_JOBS", 100000);
-  const char* trace_file = std::getenv("THEMIS_BENCH_TRACE_FILE");
+  const long long max_jobs =
+      bench::EnvKnob<long long>("THEMIS_BENCH_TRACE_JOBS", 100000);
+  const std::string trace_file =
+      bench::EnvKnob<std::string>("THEMIS_BENCH_TRACE_FILE", "");
 
   ExperimentConfig config;
   // 8 racks x 64 machines x 8 GPUs = 4096 GPUs.
@@ -85,7 +81,7 @@ int main() {
 
   long long jobs = 0;
   std::unique_ptr<TraceReader> source;
-  if (trace_file && *trace_file)
+  if (!trace_file.empty())
     source = std::make_unique<StreamingCsvTraceReader>(trace_file);
   else
     source = std::make_unique<GeneratorTraceReader>(trace);
@@ -109,7 +105,7 @@ int main() {
       wall_sec > 0.0 ? static_cast<double>(jobs) / wall_sec : 0.0;
 
   std::printf("trace scale replay: 4096 GPUs, streamed %s\n",
-              (trace_file && *trace_file) ? trace_file : "(generator)");
+              trace_file.empty() ? "(generator)" : trace_file.c_str());
   std::printf("%-18s %12lld\n", "jobs", jobs);
   std::printf("%-18s %12zu\n", "apps", r.total_apps);
   std::printf("%-18s %12zu\n", "peak live apps", r.peak_live_apps);
@@ -124,8 +120,7 @@ int main() {
   themis::bench::BenchReport report("trace_scale");
   report.Config("gpus", 4096.0);
   report.Config("jobs", static_cast<double>(max_jobs));
-  report.Config("source",
-                (trace_file && *trace_file) ? "file" : "generator");
+  report.Config("source", trace_file.empty() ? "generator" : "file");
   report.Metric("jobs", static_cast<double>(jobs));
   report.Metric("apps", static_cast<double>(r.total_apps));
   report.Metric("peak_live_apps", static_cast<double>(r.peak_live_apps));

@@ -31,8 +31,10 @@ for bench in "$build_dir"/bench_*; do
   echo "== $name"
   case "$name" in
     bench_overheads)
-      # google-benchmark binary: use its native JSON reporter.
-      if ! "$bench" --benchmark_out="$out_dir/BENCH_overheads.json" \
+      # google-benchmark binary: use its native JSON reporter, under a
+      # name of its own (the sweeps after the suite write
+      # BENCH_overheads.json and BENCH_parallel_rounds.json).
+      if ! "$bench" --benchmark_out="$out_dir/BENCH_overheads_suite.json" \
                     --benchmark_out_format=json \
                     >"$out_dir/$name.log" 2>&1; then
         echo "   FAILED (see $out_dir/$name.log)"

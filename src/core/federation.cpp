@@ -116,15 +116,6 @@ PlacementHint LeastLoadedPlacement() {
   };
 }
 
-PlacementHint RoundRobinPlacement() {
-  return [](const AppSpec&, const std::vector<ShardLoadView>& loads) {
-    int best = 0;
-    for (int s = 1; s < static_cast<int>(loads.size()); ++s)
-      if (loads[s].routed_apps < loads[best].routed_apps) best = s;
-    return best;
-  };
-}
-
 ShardedArbiter::ShardedArbiter(const ClusterSpec& global, int num_shards,
                                PlacementHint hint)
     : shards_(PartitionCluster(global, num_shards)), hint_(std::move(hint)) {
@@ -153,7 +144,6 @@ FederationRouting ShardedArbiter::Route(
     routing.shard_apps[s].push_back(apps[i]);
     routing.global_index[s].push_back(i);
     loads[s].routed_demand += AppDemand(apps[i]);
-    ++loads[s].routed_apps;
   }
   return routing;
 }

@@ -51,7 +51,6 @@ struct ShardLoadView {
   double capacity_effective_gpus = 0.0;
   /// Sum of max-parallelism GPU demand of apps routed so far.
   long long routed_demand = 0;
-  int routed_apps = 0;
 };
 
 /// Routes an arriving app: returns the target shard index. Called in app
@@ -67,9 +66,6 @@ using PlacementHint =
 /// speed-1.0 clusters effective capacity equals the GPU count and routing
 /// is unchanged.
 PlacementHint LeastLoadedPlacement();
-
-/// Round-robin by routed app count (min routed_apps, ties to lower index).
-PlacementHint RoundRobinPlacement();
 
 /// Outcome of routing a trace: per-shard app lists plus, for shard s and
 /// shard-local app l, the original submission index global_index[s][l] —

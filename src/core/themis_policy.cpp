@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -134,10 +135,8 @@ GrantSet ThemisPolicy::RunRound(const ResourceOffer& offer,
   // Step 5: stage grants. Each winner receives granted[m] GPUs on machine m,
   // preferring the concrete GPUs its own bid row picked. Bids were prepared
   // independently, so two rows may name the same GPU id even though the
-  // per-machine *counts* fit the offer; a shared free-set keeps
-  // materialization conflict-free.
-  std::vector<bool> still_free(ctx.topology().num_gpus(), false);
-  for (GpuId g : free_gpus) still_free[g] = true;
+  // per-machine *counts* fit the offer; taking only GPUs still in the
+  // context's pool keeps materialization conflict-free.
 
   // Per-machine preference buckets, allocated once and reused across
   // winners; only the machines a winner's bid row touched are cleared
@@ -168,25 +167,30 @@ GrantSet ThemisPolicy::RunRound(const ResourceOffer& offer,
     for (MachineId m : touched) {
       int need = w.granted[m];
       if (need <= 0) continue;
+      // The pool lists m's GPUs that no earlier winner was granted; the
+      // GPUs this winner takes stay listed until its grants are staged, so
+      // they are skipped by a look at what it took on m.
+      const std::span<const GpuId> pooled = ctx.free_pool().on_machine(m);
+      const std::size_t taken_on_m = concrete.size();
       auto take = [&](GpuId g) {
-        if (need > 0 && still_free[g]) {
-          still_free[g] = false;
+        if (need > 0 &&
+            std::find(pooled.begin(), pooled.end(), g) != pooled.end() &&
+            std::find(concrete.begin() + taken_on_m, concrete.end(), g) ==
+                concrete.end()) {
           concrete.push_back(g);
           --need;
         }
       };
       for (GpuId g : preferred[m]) take(g);
-      for (GpuId g : ctx.free_pool().on_machine(m)) {
+      for (GpuId g : pooled) {
         if (need == 0) break;
         take(g);
       }
     }
+    // GPUs Distribute leaves unassigned (no whole gang) stay in the pool.
     for (const JobAssignment& a : agent.DistributeToJobs(*app, concrete)) {
       ctx.Grant(*app, app->jobs[a.job_index], a.gpus);
     }
-    // GPUs Distribute left unassigned (no whole gang) return to the pool.
-    for (GpuId g : concrete)
-      if (ctx.free_pool().Contains(g)) still_free[g] = true;
   }
 
   // Step 6: leftover allocation (work conserving).

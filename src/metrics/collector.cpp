@@ -54,14 +54,6 @@ std::vector<double> MetricsCollector::Rhos() const {
   return out;
 }
 
-std::vector<double> MetricsCollector::CompletionTimes() const {
-  const auto& records = apps();
-  std::vector<double> out;
-  out.reserve(records.size());
-  for (const AppRecord& a : records) out.push_back(a.CompletionTime());
-  return out;
-}
-
 std::vector<double> MetricsCollector::PlacementScores() const {
   const auto& records = apps();
   std::vector<double> out;

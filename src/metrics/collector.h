@@ -87,7 +87,6 @@ class MetricsCollector {
   double MinFairness() const;
   double JainsFairnessIndex() const;
   double AverageCompletionTime() const;
-  std::vector<double> CompletionTimes() const;
   std::vector<double> Rhos() const;
   std::vector<double> PlacementScores() const;
   Work TotalGpuTime() const { return gpu_time_; }

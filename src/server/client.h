@@ -4,8 +4,8 @@
 // (HELLO -> WELCOME), then consume OFFER/GRANT/ERROR/CLOSE frames and
 // answer with BIDs. themis_cli --connect drives a single client
 // interactively; RunScriptedAgents drives a whole fleet of them through
-// one nonblocking poll loop for the loopback-equivalence test, the CI
-// smoke job, and bench_daemon_rounds.
+// one nonblocking poll loop for the daemon tests and for scripted_agents,
+// the CI smoke job's fleet.
 #pragma once
 
 #include <cstdint>

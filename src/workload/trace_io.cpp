@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/knobs.h"
+
 namespace themis {
 namespace {
 
@@ -25,6 +27,14 @@ std::vector<std::string> SplitCsvLine(const std::string& line) {
 [[noreturn]] void Fail(std::size_t line_no, const std::string& what) {
   throw std::runtime_error("trace csv line " + std::to_string(line_no) + ": " +
                            what);
+}
+
+/// The whole of `field` (header column `name`) as a T.
+template <class T>
+T Number(const std::string& field, const char* name, std::size_t line_no) {
+  if (const std::optional<T> v = ParseNumber<T>(field)) return *v;
+  Fail(line_no, std::string(name) + ": expected " + KnobType<T>() +
+                    ", got \"" + field + "\"");
 }
 
 void WriteAppRows(std::ostream& out, const AppSpec& app, std::size_t index) {
@@ -119,7 +129,7 @@ bool StreamingCsvTraceReader::Next(AppSpec& out) {
     if (f.size() != 14)
       Fail(line_no_, "expected 14 fields, got " + std::to_string(f.size()));
     try {
-      const long long app_index = std::stoll(f[0]);
+      const auto app_index = Number<long long>(f[0], "app_index", line_no_);
       const bool starts_app = app_index != current_index_;
       AppSpec next_app;
       if (starts_app) {
@@ -128,9 +138,9 @@ bool StreamingCsvTraceReader::Next(AppSpec& out) {
                              std::to_string(app_index) + " after " +
                              std::to_string(current_index_) + ")");
         next_app.name = f[1];
-        next_app.arrival = std::stod(f[2]);
+        next_app.arrival = Number<double>(f[2], "arrival", line_no_);
         next_app.tuner = TunerKindFromString(f[3]);
-        next_app.target_loss = std::stod(f[4]);
+        next_app.target_loss = Number<double>(f[4], "target_loss", line_no_);
         if (require_sorted_ && current_index_ >= 0 &&
             next_app.arrival < last_arrival_) {
           Fail(line_no_,
@@ -143,11 +153,13 @@ bool StreamingCsvTraceReader::Next(AppSpec& out) {
         }
       }
       JobSpec job;
-      job.num_tasks = std::stoi(f[5]);
-      job.gpus_per_task = std::stoi(f[6]);
-      job.total_work = std::stod(f[7]);
-      job.total_iterations = std::stod(f[8]);
-      job.loss = LossCurve(std::stod(f[9]), std::stod(f[10]), std::stod(f[11]));
+      job.num_tasks = Number<int>(f[5], "num_tasks", line_no_);
+      job.gpus_per_task = Number<int>(f[6], "gpus_per_task", line_no_);
+      job.total_work = Number<double>(f[7], "total_work", line_no_);
+      job.total_iterations = Number<double>(f[8], "total_iterations", line_no_);
+      job.loss = LossCurve(Number<double>(f[9], "loss_scale", line_no_),
+                           Number<double>(f[10], "loss_decay", line_no_),
+                           Number<double>(f[11], "loss_floor", line_no_));
       job.model = ModelByName(f[12]);
       job.max_span = LocalityLevelFromString(f[13]);
       if (job.num_tasks <= 0 || job.gpus_per_task <= 0 || job.total_work <= 0.0)

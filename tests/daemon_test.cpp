@@ -2,7 +2,8 @@
 //
 //   - Loopback equivalence: a daemon on 127.0.0.1 serving scripted AGENT
 //     fleets produces a grant stream bit-identical to the in-process
-//     ArbiterCore reference, for all five policies.
+//     ArbiterCore reference, for all five policies, and a parallel
+//     arbiter serves the serial one's grant stream.
 //   - Slow AGENTs: a session that never bids cannot stall rounds past the
 //     bid deadline, and consecutive misses evict it.
 //   - Hardening: garbage lines, oversized lines, unknown types, BIDs
@@ -224,6 +225,38 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, LoopbackEquivalence,
                          [](const auto& info) {
                            return std::string(ToString(info.param));
                          });
+
+// auction_threads > 1 fans the daemon's holder rho probe and bid prep over
+// the thread pool; the grants it serves must be the serial arbiter's.
+TEST(Daemon, ParallelArbiterServesTheSerialGrantStream) {
+  const int kAgents = 16;
+  server::ServerConfig config = SmallConfig();
+  config.arbiter.themis.auction_threads = 8;
+  config.min_agents = kAgents;
+  config.max_rounds = 30;
+
+  const std::vector<server::AgentScript> scripts =
+      Partition(SampleApps(32), kAgents);
+  DaemonHarness daemon(config);
+  ASSERT_TRUE(daemon.Start());
+  const server::FleetResult fleet =
+      server::RunScriptedAgents("127.0.0.1", daemon.srv.port(), scripts);
+  ASSERT_TRUE(fleet.ok) << fleet.error;
+  EXPECT_EQ(daemon.Join(), 0);
+  EXPECT_GT(fleet.grants_received, 0u);
+
+  server::ArbiterConfig serial = config.arbiter;
+  serial.themis.auction_threads = 1;
+  server::ArbiterCore reference(serial);
+  for (const server::AgentScript& s : scripts)
+    for (const AppSpec& spec : s.apps) reference.RegisterApp(spec);
+  while (reference.rounds_run() < fleet.last_round_seen)
+    reference.RunOneRound();
+  EXPECT_TRUE(reference.digest() == fleet.digest)
+      << "8-thread daemon " << fleet.digest.hash << "/" << fleet.digest.grants
+      << " vs serial in-process " << reference.digest().hash << "/"
+      << reference.digest().grants;
+}
 
 // The registration barrier's last handshake read can pull round 1's OFFER
 // in with the WELCOME. The fleet must answer that buffered OFFER at once:

@@ -103,6 +103,44 @@ TEST(StreamingCsvTraceReader, RejectsUnsortedArrivalsWithLineNumber) {
   }
 }
 
+// A number field must parse whole: a corrupted row fails naming its line
+// and column instead of loading the number's prefix.
+TEST(StreamingCsvTraceReader, RejectsTrailingJunkInNumbersWithLineAndField) {
+  std::stringstream ss;
+  WriteTraceCsv(ss, SmallTrace(3, 2));
+  std::string header, row, rest;
+  std::getline(ss, header);
+  std::getline(ss, row);  // line 2: the first app's first job
+  std::getline(ss, rest, '\0');
+
+  // Field 2 is arrival, field 6 gpus_per_task.
+  const auto corrupt = [&](std::size_t field, const std::string& value) {
+    std::vector<std::string> f;
+    std::stringstream fields(row);
+    for (std::string s; std::getline(fields, s, ',');) f.push_back(s);
+    f[field] = value;
+    std::string csv = header + "\n" + f[0];
+    for (std::size_t i = 1; i < f.size(); ++i) csv += "," + f[i];
+    return csv + "\n" + rest;
+  };
+  const std::pair<std::string, std::string> cases[] = {
+      {corrupt(2, "0junk"), "line 2: arrival: expected number, got \"0junk\""},
+      {corrupt(6, "4x"), "line 2: gpus_per_task: expected int, got \"4x\""}};
+  for (const auto& [csv, want] : cases) {
+    std::stringstream in(csv);
+    StreamingCsvTraceReader reader(in);
+    AppSpec spec;
+    try {
+      while (reader.Next(spec)) {
+      }
+      ADD_FAILURE() << "accepted a corrupted row, expected: " << want;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(StreamingCsvTraceReader, PermissiveModeAcceptsUnsorted) {
   auto apps = SmallTrace(3, 4);
   std::swap(apps[1].arrival, apps[2].arrival);
