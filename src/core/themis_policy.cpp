@@ -198,9 +198,8 @@ GrantSet ThemisPolicy::RunRound(const ResourceOffer& offer,
   return ctx.TakeGrants();
 }
 
-void ThemisPolicy::AllocateLeftovers(
-    SchedulerContext& ctx, const Agent& agent,
-    const std::vector<AppState*>& participants) {
+void AllocateLeftovers(SchedulerContext& ctx, const Agent& agent,
+                       const std::vector<AppState*>& participants) {
   // An auction that took the whole pool leaves nothing to list apps for.
   if (ctx.free_pool().empty()) return;
 

@@ -91,12 +91,14 @@ class ThemisPolicy final : public IRoundScheduler {
  private:
   /// Thread budget for the round's data-parallel phases (probe, bid prep).
   int RoundThreads(SchedulerContext& ctx) const;
-  /// Stage 6: hand out whatever is still in the pool after the auction,
-  /// first to non-participants, then to anyone still hungry.
-  void AllocateLeftovers(SchedulerContext& ctx, const Agent& agent,
-                         const std::vector<AppState*>& participants);
 
   ThemisConfig config_;
 };
+
+/// Step 6: hand out whatever is still in the context's pool after the
+/// auction, one gang at a time, first to apps outside `participants`, then
+/// to anyone still hungry. Draws the winner of each gang from ctx.rng().
+void AllocateLeftovers(SchedulerContext& ctx, const Agent& agent,
+                       const std::vector<AppState*>& participants);
 
 }  // namespace themis
