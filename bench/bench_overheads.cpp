@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <string>
 
@@ -93,6 +94,66 @@ void BM_PartialAllocation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PartialAllocation)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(24);
+
+/// One leftover stage (ThemisPolicy step 6) vs the GPUs left in the pool.
+/// The cluster has pool/4 machines of 8 GPUs, and one app holds 4 GPUs on
+/// every machine through satisfied jobs of 8 tasks x 4 GPUs, each spanning
+/// 8 machines. Its pool/4 hungry single-gang jobs soak the other 4 GPUs of
+/// every machine, one leftover gang at a time, so each gang goes to an app
+/// that already holds 4096 GPUs or more at the largest point. A stage that
+/// re-reads everything the winner holds after each grant pays for all of
+/// it on every gang here; what is left per gang is the app's job order
+/// (one estimate and a sort over its jobs) and the pick from the pool.
+void BM_LeftoverStage(benchmark::State& state) {
+  const int pool_gpus = static_cast<int>(state.range(0));
+  const int machines = pool_gpus / 4;
+  WorkEstimator est({});
+  std::int64_t gangs = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    Cluster cluster(ClusterSpec::Uniform(/*racks=*/8, machines / 8,
+                                         /*gpus=*/8, /*slot=*/4));
+    AppState app;
+    app.arrived = true;
+    app.spec.target_loss = 0.1;
+    const int soaked = machines / 8;
+    for (int j = 0; j < soaked + machines; ++j) {
+      JobState job;
+      job.id = static_cast<JobId>(j);
+      job.spec = j < soaked ? BenchJobSpec(500.0, 8, 4)
+                            : BenchJobSpec(60.0 + j, 1, 4);
+      job.parallelism_cap = job.spec.MaxParallelism();
+      if (j < soaked)
+        for (int m = 8 * j; m < 8 * j + 8; ++m)
+          for (int k = 0; k < 4; ++k) {
+            const auto g = static_cast<GpuId>(8 * m + k);
+            cluster.Allocate(g, app.id, job.id, /*expiry=*/1.0e9);
+            job.gpus.push_back(g);
+          }
+      app.spec.jobs.push_back(job.spec);
+      app.jobs.push_back(std::move(job));
+    }
+    app.ideal_time = std::max(1e-9, app.spec.IdealRunningTime());
+    AppList apps{&app};
+    RhoIndex index;
+    index.Update(&app);
+    Rng rng(5);
+    const ResourceOffer offer = MakeOffer(0, 10.0, 20.0, cluster);
+    SchedulerContext ctx(offer, &cluster, &est, &apps, index, &rng);
+    const Agent agent(&cluster.topology(), &est, 10.0);
+    state.ResumeTiming();
+    AllocateLeftovers(ctx, agent, /*participants=*/{});
+    state.PauseTiming();
+    const GrantSet grants = ctx.TakeGrants();
+    if (grants.TotalGpus() != pool_gpus) state.SkipWithError("pool not soaked");
+    gangs += static_cast<std::int64_t>(grants.grants.size());
+    state.ResumeTiming();
+  }
+  state.counters["gangs"] = benchmark::Counter(
+      static_cast<double>(gangs), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_LeftoverStage)->Arg(256)->Arg(1024)->Arg(4096)
+    ->Unit(benchmark::kMicrosecond);
 
 /// One full ARBITER scheduling pass (probe + offer + auction + leftovers).
 void BM_ThemisSchedulingPass(benchmark::State& state) {

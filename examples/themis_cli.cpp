@@ -290,16 +290,24 @@ int main(int argc, char** argv) {
   const bool streamed = !stream_trace.empty();
   std::vector<AppSpec> apps;
   if (!streamed) {
-    if (!trace_in.empty()) {
-      apps = ReadTraceCsvFile(trace_in);
-      std::printf("loaded %zu apps from %s\n", apps.size(), trace_in.c_str());
-    } else {
-      TraceGenerator gen(config.trace);
-      apps = gen.Generate();
-    }
-    if (!trace_out.empty()) {
-      WriteTraceCsvFile(trace_out, apps);
-      std::printf("wrote %zu apps to %s\n", apps.size(), trace_out.c_str());
+    // A malformed --trace-in CSV or an unwritable --trace-out path is
+    // refused like a bad --stream-trace file: the error, then exit 2.
+    try {
+      if (!trace_in.empty()) {
+        apps = ReadTraceCsvFile(trace_in);
+        std::printf("loaded %zu apps from %s\n", apps.size(),
+                    trace_in.c_str());
+      } else {
+        TraceGenerator gen(config.trace);
+        apps = gen.Generate();
+      }
+      if (!trace_out.empty()) {
+        WriteTraceCsvFile(trace_out, apps);
+        std::printf("wrote %zu apps to %s\n", apps.size(), trace_out.c_str());
+      }
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      return 2;
     }
     if (connect) return RunAgent(connect->host, connect->port, std::move(apps));
     if (shards != 0)

@@ -36,15 +36,19 @@ double RateWith(const JobSpec& spec, const std::vector<GpuId>& held,
 
 }  // namespace
 
-std::vector<int> Agent::JobPriorityOrder(const AppState& app) const {
-  std::vector<int> order = app.ActiveJobs();
-  std::vector<double> remaining(app.jobs.size(), 0.0);
-  for (int j : order)
-    remaining[j] = estimator_->RemainingWork(
-        app.jobs[j].spec, app.jobs[j].DoneIterations(), app.spec.target_loss);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](int a, int b) { return remaining[a] < remaining[b]; });
-  return order;
+void Agent::JobPriorityOrder(const AppState& app,
+                             std::vector<std::pair<Work, int>>& order) const {
+  order.clear();
+  for (std::size_t j = 0; j < app.jobs.size(); ++j) {
+    const JobState& job = app.jobs[j];
+    if (!job.alive || job.finished) continue;
+    order.emplace_back(estimator_->RemainingWork(job.spec, job.DoneIterations(),
+                                                 app.spec.target_loss),
+                       static_cast<int>(j));
+  }
+  // Job indices are distinct, so the pairs sort into the one permutation a
+  // stable sort of the indices by remaining work gives.
+  std::sort(order.begin(), order.end());
 }
 
 std::vector<double> Agent::CurrentRates(const AppState& app) const {
@@ -98,7 +102,9 @@ std::vector<JobAssignment> Agent::DistributeToJobs(
     const AppState& app, const std::vector<GpuId>& granted) const {
   std::vector<JobAssignment> out;
   GpuPool pool(granted, *topo_);
-  for (int j : JobPriorityOrder(app)) {
+  std::vector<std::pair<Work, int>> order;
+  JobPriorityOrder(app, order);
+  for (const auto& [left, j] : order) {
     if (pool.empty()) break;
     const JobState& job = app.jobs[j];
     const int gang = job.spec.gpus_per_task;
@@ -160,11 +166,12 @@ AgentBid Agent::PrepareBid(const AppState& app,
   for (std::size_t j = 0; j < app.jobs.size(); ++j)
     hypothetical[j] = app.jobs[j].gpus;
 
-  const std::vector<int> order = JobPriorityOrder(app);
+  std::vector<std::pair<Work, int>> order;
+  JobPriorityOrder(app, order);
   bool progress = true;
   while (progress) {
     progress = false;
-    for (int j : order) {
+    for (const auto& [left, j] : order) {
       const JobState& job = app.jobs[j];
       const int gang = job.spec.gpus_per_task;
       const int cap = std::min(job.parallelism_cap, job.spec.MaxParallelism());

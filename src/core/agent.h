@@ -69,9 +69,13 @@ class Agent {
   std::vector<JobAssignment> DistributeToJobs(
       const AppState& app, const std::vector<GpuId>& granted) const;
 
-  /// Jobs ordered by estimated remaining work ascending — the job driving
-  /// the min() in T_SH first.
-  std::vector<int> JobPriorityOrder(const AppState& app) const;
+  /// Active jobs by estimated remaining work ascending, equal work in job
+  /// order — the job driving the min() in T_SH first. Fills `order` with
+  /// sorted (remaining work, job index) pairs, asking the estimator once
+  /// per active job in ascending job order; the caller owns the buffer, so
+  /// a loop reuses its capacity.
+  void JobPriorityOrder(const AppState& app,
+                        std::vector<std::pair<Work, int>>& order) const;
 
  private:
   /// Per-job progress rates on the current gangs (indexed like app.jobs;

@@ -220,8 +220,14 @@ void AllocateLeftovers(SchedulerContext& ctx, const Agent& agent,
     AppState* app;
     bool participant;
     int gang;  // smallest gang among jobs that can grow; 0 once sated
-    std::vector<MachineId> machines;  // where it holds GPUs, ascending
+    // The distinct machines it holds GPUs on, ascending: listed the first
+    // time the app is a candidate, then grown by each gang it is granted.
+    std::vector<MachineId> machines;
     bool machines_known;
+    // machines[0, drained) have no pooled GPU left. The pool only shrinks,
+    // so a drained machine stays drained and the anchored check resumes
+    // where it stopped; only a grant can add a machine below `drained`.
+    std::size_t drained;
   };
   auto smallest_gang = [](const AppState& app) {
     int smallest = 0;
@@ -238,26 +244,23 @@ void AllocateLeftovers(SchedulerContext& ctx, const Agent& agent,
       hungry.push_back({app,
                         std::binary_search(participant_ids.begin(),
                                            participant_ids.end(), app->id),
-                        gang, {}, false});
+                        gang, {}, false, 0});
   }
-  // Does the app hold a GPU on a machine that still has pooled GPUs? A
-  // merge of two ascending machine lists.
+  const Topology& topo = ctx.topology();
+  // Does the app hold a GPU on a machine that still has pooled GPUs?
   auto anchored_in_pool = [&](Hungry& h) {
     if (!h.machines_known) {
-      h.machines.clear();
       for (const JobState& job : h.app->jobs)
-        for (GpuId g : job.gpus)
-          h.machines.push_back(ctx.topology().gpu(g).machine);
+        for (GpuId g : job.gpus) h.machines.push_back(topo.gpu(g).machine);
       std::sort(h.machines.begin(), h.machines.end());
+      h.machines.erase(std::unique(h.machines.begin(), h.machines.end()),
+                       h.machines.end());
       h.machines_known = true;
     }
-    auto m = h.machines.begin();
-    for (const GpuPool::Bucket& b : pool.buckets()) {
-      while (m != h.machines.end() && *m < b.machine) ++m;
-      if (m == h.machines.end()) return false;
-      if (*m == b.machine) return true;
-    }
-    return false;
+    while (h.drained < h.machines.size() &&
+           pool.on_machine(h.machines[h.drained]).empty())
+      ++h.drained;
+    return h.drained < h.machines.size();
   };
 
   // Two passes: first apps that did not participate in the auction (the
@@ -265,6 +268,7 @@ void AllocateLeftovers(SchedulerContext& ctx, const Agent& agent,
   // conservation, anyone with unmet demand.
   std::vector<Hungry*> candidates;
   std::vector<Hungry*> anchored;
+  std::vector<std::pair<Work, int>> order;
   for (const bool outsiders_only : {true, false}) {
     bool progress = true;
     while (progress) {
@@ -290,12 +294,13 @@ void AllocateLeftovers(SchedulerContext& ctx, const Agent& agent,
       AppState* app = winner.app;
 
       // Give its highest-priority job one gang, placed near its gang.
-      for (int j : agent.JobPriorityOrder(*app)) {
+      agent.JobPriorityOrder(*app, order);
+      for (const auto& [left, j] : order) {
         JobState& job = app->jobs[j];
         if (job.UnmetGangs() <= 0) continue;
         const int gang = job.spec.gpus_per_task;
         std::vector<GpuId> picked =
-            PickBestPlacedNear(gang, pool, job.gpus, ctx.topology());
+            PickBestPlacedNear(gang, pool, job.gpus, topo);
         if (static_cast<int>(picked.size()) < gang) continue;
         // Respect placement constraints: a gang the job cannot run on
         // (S = 0) would hold the lease without making progress.
@@ -303,11 +308,20 @@ void AllocateLeftovers(SchedulerContext& ctx, const Agent& agent,
         combined.insert(combined.end(), picked.begin(), picked.end());
         combined.resize(combined.size() - combined.size() % gang);
         if (combined.empty() ||
-            EffectiveJobRate(job.spec, combined, ctx.topology()) <= 0.0)
+            EffectiveJobRate(job.spec, combined, topo) <= 0.0)
           continue;
         ctx.Grant(*app, job, picked);
         winner.gang = smallest_gang(*app);
-        winner.machines_known = false;  // its gang just grew
+        // The winner was a candidate, so its machine list is known.
+        for (GpuId g : picked) {
+          std::vector<MachineId>& held = winner.machines;
+          const MachineId m = topo.gpu(g).machine;
+          const auto at = std::lower_bound(held.begin(), held.end(), m);
+          if (at != held.end() && *at == m) continue;
+          winner.drained = std::min(
+              winner.drained, static_cast<std::size_t>(at - held.begin()));
+          held.insert(at, m);
+        }
         progress = true;
         break;
       }

@@ -12,11 +12,15 @@
 //      scheduler spread it over constituent jobs, and
 //   6. stage leftover GPUs work-conservingly for apps outside the auction,
 //      one gang at a time, preferring machines those apps already occupy
-//      (Sec. 5.1 "Leftover Allocation"). The stage builds one GpuPool
-//      from what the auction left and lists the hungry apps once, each with
-//      its smallest growable gang; every iteration filters that list by the
-//      pool's size, and a grant refreshes only the winner's entry (its
-//      gangs are the only ones that changed, and the pool only shrinks).
+//      (Sec. 5.1 "Leftover Allocation"). The stage picks from the
+//      context's pool, shrunk by the auction's grants, and lists the hungry
+//      apps once, each with its smallest growable gang; every iteration
+//      filters that list by the pool's size. An app's distinct machines are
+//      listed the first time it is a candidate, and a grant merges the
+//      gang's machines into the winner's list and refreshes only the
+//      winner's entry (its gangs are the only ones that changed, and the
+//      pool only shrinks). So a gang costs its pick, the winner's job order
+//      and the candidate checks, never a pass over all the winner holds.
 //      A round whose auction took the whole pool skips the stage before
 //      listing anything.
 // The returned GrantSet carries the round's auction diagnostics (offered /

@@ -37,6 +37,18 @@ T Number(const std::string& field, const char* name, std::size_t line_no) {
                     ", got \"" + field + "\"");
 }
 
+/// `parse(field)` for header column `name`, its error prefixed with the line
+/// and the column.
+template <class Parse>
+auto Parsed(const std::string& field, const char* name, std::size_t line_no,
+            Parse parse) {
+  try {
+    return parse(field);
+  } catch (const std::exception& e) {
+    Fail(line_no, std::string(name) + ": " + e.what());
+  }
+}
+
 void WriteAppRows(std::ostream& out, const AppSpec& app, std::size_t index) {
   for (const JobSpec& job : app.jobs) {
     out << index << ',' << app.name << ',' << app.arrival << ','
@@ -139,7 +151,7 @@ bool StreamingCsvTraceReader::Next(AppSpec& out) {
                              std::to_string(current_index_) + ")");
         next_app.name = f[1];
         next_app.arrival = Number<double>(f[2], "arrival", line_no_);
-        next_app.tuner = TunerKindFromString(f[3]);
+        next_app.tuner = Parsed(f[3], "tuner", line_no_, TunerKindFromString);
         next_app.target_loss = Number<double>(f[4], "target_loss", line_no_);
         if (require_sorted_ && current_index_ >= 0 &&
             next_app.arrival < last_arrival_) {
@@ -161,7 +173,8 @@ bool StreamingCsvTraceReader::Next(AppSpec& out) {
                            Number<double>(f[10], "loss_decay", line_no_),
                            Number<double>(f[11], "loss_floor", line_no_));
       job.model = ModelByName(f[12]);
-      job.max_span = LocalityLevelFromString(f[13]);
+      job.max_span =
+          Parsed(f[13], "max_span", line_no_, LocalityLevelFromString);
       if (job.num_tasks <= 0 || job.gpus_per_task <= 0 || job.total_work <= 0.0)
         Fail(line_no_, "non-positive job shape");
 

@@ -162,9 +162,10 @@ TEST_F(AgentTest, ZeroDemandAppBidsOnlyZeroRow) {
 TEST_F(AgentTest, DistributePrefersShortestRemainingJob) {
   auto app = MakeApp(0, 0.0, {MakeJobSpec(80.0, 1, 2), MakeJobSpec(20.0, 1, 2)});
   Agent agent(&topo_, &est_, 0.0);
-  const auto order = agent.JobPriorityOrder(*app);
+  std::vector<std::pair<Work, int>> order;
+  agent.JobPriorityOrder(*app, order);
   ASSERT_EQ(order.size(), 2u);
-  EXPECT_EQ(order[0], 1);  // 20 < 80
+  EXPECT_EQ(order[0].second, 1);  // 20 < 80
 
   const auto assignments = agent.DistributeToJobs(*app, {0, 1});
   ASSERT_EQ(assignments.size(), 1u);

@@ -141,6 +141,49 @@ TEST(StreamingCsvTraceReader, RejectsTrailingJunkInNumbersWithLineAndField) {
   }
 }
 
+/// The error a trace fails with once field `field` of line 3 — the first
+/// row of its second app — reads `value`; empty if it loads.
+std::string ErrorWithLine3Field(std::size_t field, const std::string& value) {
+  std::vector<AppSpec> apps = SmallTrace(3, 2);
+  apps[0].jobs.resize(1);  // line 2 is all of app 0
+  std::stringstream ss;
+  WriteTraceCsv(ss, apps);
+  std::string csv;
+  int line_no = 0;
+  for (std::string line; std::getline(ss, line);) {
+    if (++line_no == 3) {
+      std::vector<std::string> f;
+      std::stringstream fields(line);
+      for (std::string s; std::getline(fields, s, ',');) f.push_back(s);
+      f[field] = value;
+      line = f[0];
+      for (std::size_t i = 1; i < f.size(); ++i) line += "," + f[i];
+    }
+    csv += line + "\n";
+  }
+  std::stringstream in(csv);
+  StreamingCsvTraceReader reader(in);
+  AppSpec spec;
+  try {
+    while (reader.Next(spec)) {
+    }
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Name fields fail like number fields: with the line and the column.
+TEST(StreamingCsvTraceReader, RejectsUnknownTunerWithLineAndField) {
+  EXPECT_EQ(ErrorWithLine3Field(3, "hyperbandx"),
+            "trace csv line 3: tuner: unknown tuner kind: hyperbandx");
+}
+
+TEST(StreamingCsvTraceReader, RejectsUnknownLocalityWithLineAndField) {
+  EXPECT_EQ(ErrorWithLine3Field(13, "rackx"),
+            "trace csv line 3: max_span: unknown locality level: rackx");
+}
+
 TEST(StreamingCsvTraceReader, PermissiveModeAcceptsUnsorted) {
   auto apps = SmallTrace(3, 4);
   std::swap(apps[1].arrival, apps[2].arrival);
