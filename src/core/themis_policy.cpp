@@ -313,8 +313,8 @@ void AllocateLeftovers(SchedulerContext& ctx, const Agent& agent,
         ctx.Grant(*app, job, picked);
         winner.gang = smallest_gang(*app);
         // The winner was a candidate, so its machine list is known.
+        std::vector<MachineId>& held = winner.machines;
         for (GpuId g : picked) {
-          std::vector<MachineId>& held = winner.machines;
           const MachineId m = topo.gpu(g).machine;
           const auto at = std::lower_bound(held.begin(), held.end(), m);
           if (at != held.end() && *at == m) continue;
