@@ -14,7 +14,9 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/agent.h"
@@ -22,6 +24,8 @@
 #include "core/themis_policy.h"
 #include "round_harness.h"
 #include "sim/experiment.h"
+#include "workload/trace_gen.h"
+#include "workload/trace_io.h"
 
 namespace themis {
 namespace {
@@ -202,6 +206,54 @@ void BM_ClusterPassChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_ClusterPassChurn)->Arg(64)->Arg(512)->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
+
+/// The trace the CSV benches write and read: sim-steady's shape (Poisson
+/// arrivals at contention 4), 300 apps, about 9k rows and 1.5 MB.
+const std::vector<AppSpec>& CsvBenchTrace() {
+  static const std::vector<AppSpec> apps = [] {
+    TraceConfig cfg;
+    cfg.seed = 12;
+    cfg.num_apps = 300;
+    cfg.contention_factor = 4.0;
+    return TraceGenerator(cfg).Generate();
+  }();
+  return apps;
+}
+
+/// WriteTraceCsv of the bench trace into memory: number formatting and
+/// row assembly, with no file system in the loop.
+void BM_TraceCsvWrite(benchmark::State& state) {
+  const std::vector<AppSpec>& apps = CsvBenchTrace();
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    std::ostringstream out;
+    WriteTraceCsv(out, apps);
+    bytes += out.str().size();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_TraceCsvWrite)->Unit(benchmark::kMicrosecond);
+
+/// StreamingCsvTraceReader over the bench trace's CSV held in memory:
+/// line splitting, number parsing and row checks, one app at a time.
+void BM_TraceCsvRead(benchmark::State& state) {
+  std::ostringstream written;
+  WriteTraceCsv(written, CsvBenchTrace());
+  const std::string csv = written.str();
+  std::size_t apps = 0;
+  for (auto _ : state) {
+    std::istringstream in(csv);
+    StreamingCsvTraceReader reader(in);
+    AppSpec app;
+    while (reader.Next(app)) benchmark::DoNotOptimize(app);
+    apps += reader.apps_read();
+  }
+  if (apps != state.iterations() * CsvBenchTrace().size())
+    state.SkipWithError("trace read back short");
+  state.SetBytesProcessed(static_cast<std::int64_t>(csv.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_TraceCsvRead)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // BM_FilterProbe: ARBITER filter+probe cost vs live-app population, one

@@ -6,8 +6,12 @@
 // AppStates track peak concurrency instead of trace length.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "round_audit.h"
 #include "sim/experiment.h"
@@ -248,6 +252,130 @@ TEST(WriteGeneratedTrace, JobCapStopsEarly) {
   EXPECT_GE(stats.jobs, 100);  // overshoots by at most the last app
   EXPECT_LT(stats.apps, 1000);
   EXPECT_EQ(writer.jobs_written(), static_cast<std::size_t>(stats.jobs));
+}
+
+// --------------------------------------------------------------------------
+// TraceCsvPins: the CSV bytes themselves. Every number is printf "%.17g" in
+// the classic locale, which reads back to the same double, so a change to
+// the writer must leave these bytes as they are and a change to the reader
+// must load every field bit for bit.
+// --------------------------------------------------------------------------
+
+std::uint64_t Fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xCBF29CE484222325ull;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001B3ull;
+  }
+  return hash;
+}
+
+/// The sim-steady trace shape (Poisson arrivals at contention 4), smaller.
+TraceConfig PinnedTraceConfig() {
+  TraceConfig cfg;
+  cfg.seed = 12;
+  cfg.num_apps = 300;
+  cfg.contention_factor = 4.0;
+  return cfg;
+}
+
+/// One app whose numbers sit on the edges of %.17g: values with no short
+/// exact decimal form, large and small exponents, an integral double at 17
+/// digits and the smallest denormal.
+AppSpec EdgeApp() {
+  AppSpec app;
+  app.name = "edge";
+  app.arrival = 0.1;
+  app.tuner = TunerKind::kHyperDrive;
+  app.target_loss = 1.0 / 3.0;
+  JobSpec a;
+  a.num_tasks = 2147483647;
+  a.gpus_per_task = 1;
+  a.total_work = 1e-5;
+  a.total_iterations = 1e17;
+  a.loss = LossCurve(1e300, 5e-324, 0.0);
+  a.model = ModelByName("VGG16");
+  a.max_span = LocalityLevel::kSlot;
+  JobSpec b;
+  b.num_tasks = 3;
+  b.gpus_per_task = 8;
+  b.total_work = 1e300;
+  b.total_iterations = 1e16;
+  b.loss = LossCurve(5e-324, 123456789.0, 1.0 / 3.0);
+  b.model = ModelByName("ResNet50");
+  b.max_span = LocalityLevel::kMachine;
+  app.jobs = {a, b};
+  return app;
+}
+
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void ExpectBitExact(const AppSpec& got, const AppSpec& want) {
+  EXPECT_EQ(got.name, want.name);
+  EXPECT_EQ(Bits(got.arrival), Bits(want.arrival));
+  EXPECT_EQ(got.tuner, want.tuner);
+  EXPECT_EQ(Bits(got.target_loss), Bits(want.target_loss));
+  ASSERT_EQ(got.jobs.size(), want.jobs.size());
+  for (std::size_t j = 0; j < want.jobs.size(); ++j) {
+    const JobSpec& g = got.jobs[j];
+    const JobSpec& w = want.jobs[j];
+    EXPECT_EQ(g.num_tasks, w.num_tasks);
+    EXPECT_EQ(g.gpus_per_task, w.gpus_per_task);
+    EXPECT_EQ(Bits(g.total_work), Bits(w.total_work));
+    EXPECT_EQ(Bits(g.total_iterations), Bits(w.total_iterations));
+    EXPECT_EQ(Bits(g.loss.scale()), Bits(w.loss.scale()));
+    EXPECT_EQ(Bits(g.loss.decay()), Bits(w.loss.decay()));
+    EXPECT_EQ(Bits(g.loss.floor()), Bits(w.loss.floor()));
+    EXPECT_EQ(g.model.name, w.model.name);
+    EXPECT_EQ(g.max_span, w.max_span);
+  }
+}
+
+TEST(TraceCsvPins, GeneratedTraceBytesArePinned) {
+  std::stringstream ss;
+  WriteTraceCsv(ss, TraceGenerator(PinnedTraceConfig()).Generate());
+  const std::string csv = ss.str();
+  // The generator's draws go through libm, so the trace itself is pinned
+  // where the golden pins are.
+#if defined(__x86_64__)
+  EXPECT_EQ(csv.size(), 1496562u);
+  EXPECT_EQ(Fnv1a(csv), 0xb5408c4bea0966e8ull);
+#else
+  GTEST_SKIP() << "generated trace bytes are pinned on x86-64 only";
+#endif
+}
+
+TEST(TraceCsvPins, EdgeDoublesAreWrittenAsPrintf17g) {
+  std::stringstream ss;
+  WriteTraceCsv(ss, {EdgeApp()});
+  std::string rows = ss.str();
+  rows.erase(0, rows.find('\n') + 1);
+  EXPECT_EQ(rows,
+            "0,edge,0.10000000000000001,hyperdrive,0.33333333333333331,"
+            "2147483647,1,1.0000000000000001e-05,1e+17,"
+            "1.0000000000000001e+300,4.9406564584124654e-324,0,VGG16,slot\n"
+            "0,edge,0.10000000000000001,hyperdrive,0.33333333333333331,"
+            "3,8,1.0000000000000001e+300,10000000000000000,"
+            "4.9406564584124654e-324,123456789,0.33333333333333331,ResNet50,"
+            "machine\n");
+}
+
+TEST(TraceCsvPins, RoundTripIsBitExactForEveryField) {
+  std::vector<AppSpec> apps = TraceGenerator(PinnedTraceConfig()).Generate();
+  apps.push_back(EdgeApp());
+  apps.back().arrival = apps[apps.size() - 2].arrival;  // keep it sorted
+  std::stringstream ss;
+  WriteTraceCsv(ss, apps);
+
+  StreamingCsvTraceReader reader(ss);
+  AppSpec spec;
+  std::size_t i = 0;
+  while (reader.Next(spec)) {
+    ASSERT_LT(i, apps.size());
+    ExpectBitExact(spec, apps[i]);
+    ++i;
+  }
+  EXPECT_EQ(i, apps.size());
 }
 
 // --------------------------------------------------------------------------
