@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/knobs.h"
+#include "common/number_format.h"
 #include "sim/experiment.h"
 
 namespace themis::bench {
@@ -266,9 +267,9 @@ class BenchReport {
 
   static std::string Number(double v) {
     if (!std::isfinite(v)) return "null";
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    return buf;
+    std::string out;
+    AppendNumber(out, v);
+    return out;
   }
 
   std::string name_;

@@ -224,13 +224,15 @@ const std::vector<AppSpec>& CsvBenchTrace() {
 /// row assembly, with no file system in the loop.
 void BM_TraceCsvWrite(benchmark::State& state) {
   const std::vector<AppSpec>& apps = CsvBenchTrace();
-  std::size_t bytes = 0;
+  std::int64_t bytes = 0;
   for (auto _ : state) {
     std::ostringstream out;
     WriteTraceCsv(out, apps);
-    bytes += out.str().size();
+    benchmark::DoNotOptimize(&out);
+    benchmark::ClobberMemory();
+    bytes += static_cast<std::int64_t>(out.tellp());
   }
-  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+  state.SetBytesProcessed(bytes);
 }
 BENCHMARK(BM_TraceCsvWrite)->Unit(benchmark::kMicrosecond);
 

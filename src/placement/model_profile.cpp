@@ -29,10 +29,10 @@ const std::vector<ModelProfile>& CanonicalModels() {
   return kModels;
 }
 
-const ModelProfile& ModelByName(const std::string& name) {
+const ModelProfile& ModelByName(std::string_view name) {
   for (const auto& m : CanonicalModels())
     if (m.name == name) return m;
-  throw std::out_of_range("unknown model: " + name);
+  throw std::out_of_range("unknown model: " + std::string(name));
 }
 
 const ModelProfile& SensitiveModel() { return ModelByName("VGG16"); }

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace themis {
@@ -44,7 +45,7 @@ struct ModelProfile {
 const std::vector<ModelProfile>& CanonicalModels();
 
 /// Lookup by name; throws std::out_of_range on unknown model.
-const ModelProfile& ModelByName(const std::string& name);
+const ModelProfile& ModelByName(std::string_view name);
 
 /// The placement-sensitive family used by the workload mix (VGG-like).
 const ModelProfile& SensitiveModel();

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "common/number_format.h"
 #include "common/parallel.h"
 #include "baselines/drf.h"
 #include "baselines/gandiva.h"
@@ -225,12 +226,6 @@ std::string CsvField(const std::string& value) {
   return out + "\"";
 }
 
-std::string CsvNumber(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 }  // namespace
 
 std::string SweepCsv(const std::vector<ScenarioRun>& runs) {
@@ -241,12 +236,14 @@ std::string SweepCsv(const std::vector<ScenarioRun>& runs) {
   for (const ScenarioRun& run : runs) {
     const ExperimentResult& r = run.result;
     out += CsvField(run.name) + ',' + CsvField(r.policy_name) + ',' +
-           (run.ok ? "1" : "0") + ',' + CsvNumber(r.max_fairness) + ',' +
-           CsvNumber(r.median_fairness) + ',' + CsvNumber(r.min_fairness) +
-           ',' + CsvNumber(r.jains_index) + ',' +
-           CsvNumber(r.avg_completion_time) + ',' + CsvNumber(r.gpu_time) +
-           ',' + CsvNumber(r.peak_contention) + ',' +
-           std::to_string(r.unfinished_apps) + ',' +
+           (run.ok ? "1" : "0");
+    for (const double v : {r.max_fairness, r.median_fairness, r.min_fairness,
+                           r.jains_index, r.avg_completion_time, r.gpu_time,
+                           r.peak_contention}) {
+      out += ',';
+      AppendNumber(out, v);
+    }
+    out += ',' + std::to_string(r.unfinished_apps) + ',' +
            std::to_string(r.machine_failures) + ',' +
            std::to_string(r.scheduling_passes) + ',' + CsvField(run.error) +
            '\n';

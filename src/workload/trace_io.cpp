@@ -1,10 +1,13 @@
 #include "workload/trace_io.h"
 
+#include <array>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 
 #include "common/knobs.h"
+#include "common/number_format.h"
 
 namespace themis {
 namespace {
@@ -13,15 +16,19 @@ constexpr char kHeader[] =
     "app_index,app_name,arrival,tuner,target_loss,num_tasks,gpus_per_task,"
     "total_work,total_iterations,loss_scale,loss_decay,loss_floor,model,"
     "max_span";
+constexpr std::size_t kFields = 14;
 
-std::vector<std::string> SplitCsvLine(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string field;
-  std::istringstream ss(line);
-  while (std::getline(ss, field, ',')) fields.push_back(field);
-  // A trailing comma yields an empty final field that getline drops; the
-  // format never emits one, so nothing to handle.
-  return fields;
+/// Splits `line` at every comma, keeps the first kFields fields in `fields`
+/// and returns how many the line has: one more than its commas, so a
+/// trailing comma counts as an empty last field.
+std::size_t SplitCsvLine(std::string_view line,
+                         std::array<std::string_view, kFields>& fields) {
+  for (std::size_t n = 0;; ++n) {
+    const std::size_t comma = line.find(',');
+    if (n < kFields) fields[n] = line.substr(0, comma);
+    if (comma == std::string_view::npos) return n + 1;
+    line.remove_prefix(comma + 1);
+  }
 }
 
 [[noreturn]] void Fail(std::size_t line_no, const std::string& what) {
@@ -31,16 +38,16 @@ std::vector<std::string> SplitCsvLine(const std::string& line) {
 
 /// The whole of `field` (header column `name`) as a T.
 template <class T>
-T Number(const std::string& field, const char* name, std::size_t line_no) {
+T Number(std::string_view field, const char* name, std::size_t line_no) {
   if (const std::optional<T> v = ParseNumber<T>(field)) return *v;
   Fail(line_no, std::string(name) + ": expected " + KnobType<T>() +
-                    ", got \"" + field + "\"");
+                    ", got \"" + std::string(field) + "\"");
 }
 
 /// `parse(field)` for header column `name`, its error prefixed with the line
 /// and the column.
 template <class Parse>
-auto Parsed(const std::string& field, const char* name, std::size_t line_no,
+auto Parsed(std::string_view field, const char* name, std::size_t line_no,
             Parse parse) {
   try {
     return parse(field);
@@ -49,15 +56,31 @@ auto Parsed(const std::string& field, const char* name, std::size_t line_no,
   }
 }
 
-void WriteAppRows(std::ostream& out, const AppSpec& app, std::size_t index) {
+template <class T>
+void AppendField(std::string& out, const T& value) {
+  if constexpr (std::is_arithmetic_v<T>) AppendNumber(out, value);
+  else out += value;
+}
+
+/// Appends each of `fields` followed by `end`.
+template <class... Fields>
+void AppendFields(std::string& out, char end, const Fields&... fields) {
+  ((AppendField(out, fields), out += ','), ...);
+  out.back() = end;
+}
+
+/// Appends the rows of `app` to `out`, which must be empty. The app's five
+/// columns open every row, so they are formatted once and copied.
+void AppendAppRows(std::string& out, const AppSpec& app, std::size_t index) {
+  if (app.jobs.empty()) return;
+  AppendFields(out, ',', index, app.name, app.arrival, ToString(app.tuner),
+               app.target_loss);
+  const std::size_t app_columns = out.size();
   for (const JobSpec& job : app.jobs) {
-    out << index << ',' << app.name << ',' << app.arrival << ','
-        << ToString(app.tuner) << ',' << app.target_loss << ','
-        << job.num_tasks << ',' << job.gpus_per_task << ','
-        << job.total_work << ',' << job.total_iterations << ','
-        << job.loss.scale() << ',' << job.loss.decay() << ','
-        << job.loss.floor() << ',' << job.model.name << ','
-        << ToString(job.max_span) << '\n';
+    if (&job != &app.jobs.front()) out.append(out, 0, app_columns);
+    AppendFields(out, '\n', job.num_tasks, job.gpus_per_task, job.total_work,
+                 job.total_iterations, job.loss.scale(), job.loss.decay(),
+                 job.loss.floor(), job.model.name, ToString(job.max_span));
   }
 }
 
@@ -72,19 +95,19 @@ const char* ToString(TunerKind kind) {
   return "none";
 }
 
-TunerKind TunerKindFromString(const std::string& name) {
+TunerKind TunerKindFromString(std::string_view name) {
   if (name == "none") return TunerKind::kNone;
   if (name == "hyperband") return TunerKind::kHyperBand;
   if (name == "hyperdrive") return TunerKind::kHyperDrive;
-  throw std::runtime_error("unknown tuner kind: " + name);
+  throw std::runtime_error("unknown tuner kind: " + std::string(name));
 }
 
-LocalityLevel LocalityLevelFromString(const std::string& name) {
+LocalityLevel LocalityLevelFromString(std::string_view name) {
   if (name == "slot") return LocalityLevel::kSlot;
   if (name == "machine") return LocalityLevel::kMachine;
   if (name == "rack") return LocalityLevel::kRack;
   if (name == "cross-rack") return LocalityLevel::kCrossRack;
-  throw std::runtime_error("unknown locality level: " + name);
+  throw std::runtime_error("unknown locality level: " + std::string(name));
 }
 
 // ---------------------------------------------------------------------------
@@ -115,11 +138,10 @@ StreamingCsvTraceReader::StreamingCsvTraceReader(std::istream& in,
 StreamingCsvTraceReader::~StreamingCsvTraceReader() = default;
 
 void StreamingCsvTraceReader::ReadHeader() {
-  std::string line;
-  if (!std::getline(*in_, line))
+  if (!std::getline(*in_, line_))
     throw std::runtime_error("trace csv: empty input (" + source_ + ")");
   ++line_no_;
-  if (line != kHeader) Fail(line_no_, "unexpected header");
+  if (line_ != kHeader) Fail(line_no_, "unexpected header");
 }
 
 bool StreamingCsvTraceReader::Next(AppSpec& out) {
@@ -133,13 +155,14 @@ bool StreamingCsvTraceReader::Next(AppSpec& out) {
     return false;
   }
 
-  std::string line;
-  while (std::getline(*in_, line)) {
+  std::array<std::string_view, kFields> f;
+  while (std::getline(*in_, line_)) {
     ++line_no_;
-    if (line.empty()) continue;
-    const auto f = SplitCsvLine(line);
-    if (f.size() != 14)
-      Fail(line_no_, "expected 14 fields, got " + std::to_string(f.size()));
+    if (line_.empty()) continue;
+    const std::size_t fields = SplitCsvLine(line_, f);
+    if (fields != kFields)
+      Fail(line_no_, "expected " + std::to_string(kFields) + " fields, got " +
+                         std::to_string(fields));
     try {
       const auto app_index = Number<long long>(f[0], "app_index", line_no_);
       const bool starts_app = app_index != current_index_;
@@ -157,8 +180,9 @@ bool StreamingCsvTraceReader::Next(AppSpec& out) {
             next_app.arrival < last_arrival_) {
           Fail(line_no_,
                "streamed trace must be arrival-sorted: app " +
-                   std::to_string(app_index) + " arrives at " + f[2] +
-                   " but app " + std::to_string(current_index_) +
+                   std::to_string(app_index) + " arrives at " +
+                   std::string(f[2]) + " but app " +
+                   std::to_string(current_index_) +
                    " arrived at " + std::to_string(last_arrival_) +
                    " (sort the CSV by arrival, or slurp it with "
                    "ReadTraceCsvFile)");
@@ -219,13 +243,11 @@ StreamingTraceWriter::StreamingTraceWriter(const std::string& path)
       source_(path) {
   if (!*owned_) throw std::runtime_error("cannot open for writing: " + path);
   *out_ << kHeader << '\n';
-  out_->precision(17);
 }
 
 StreamingTraceWriter::StreamingTraceWriter(std::ostream& out)
     : out_(&out), source_("<stream>") {
   *out_ << kHeader << '\n';
-  out_->precision(17);
 }
 
 StreamingTraceWriter::~StreamingTraceWriter() {
@@ -236,7 +258,14 @@ StreamingTraceWriter::~StreamingTraceWriter() {
 void StreamingTraceWriter::Append(const AppSpec& app) {
   if (closed_)
     throw std::logic_error("StreamingTraceWriter: Append after Close");
-  WriteAppRows(*out_, app, apps_written_);
+  if (app.name.find_first_of(",\n\r") != std::string::npos)
+    throw std::invalid_argument(
+        "trace csv: app " + std::to_string(apps_written_) +
+        " has a name with a comma or a line break, which the format cannot "
+        "hold");
+  rows_.clear();
+  AppendAppRows(rows_, app, apps_written_);
+  out_->write(rows_.data(), static_cast<std::streamsize>(rows_.size()));
   ++apps_written_;
   jobs_written_ += app.jobs.size();
 }

@@ -7,6 +7,11 @@
 //   app_index,app_name,arrival,tuner,target_loss,
 //   num_tasks,gpus_per_task,total_work,total_iterations,
 //   loss_scale,loss_decay,loss_floor,model,max_span
+// Every double is printf "%.17g" in the C locale (std::to_chars), whatever
+// the process or stream locale, and reads back (std::from_chars) to the same
+// bits; integers are plain decimal. Fields are not quoted, so an app name
+// may not hold a comma or a line break: the writer refuses one. A row has
+// exactly 14 fields; a trailing comma makes a 15th.
 //
 // Two ways to consume a trace:
 //   - slurped: ReadTraceCsv / ReadTraceCsvFile materialize the whole
@@ -16,14 +21,17 @@
 //     The streaming path requires arrival-sorted input (the simulator
 //     injects arrivals as the stream advances) and fails with a pointed,
 //     line-numbered error otherwise; the slurped path stays permissive.
-// StreamingTraceWriter is the mirror image for producers: append apps one
-// at a time and nothing but the current row is ever buffered. WriteTraceCsv
-// is implemented on top of it, so both paths emit byte-identical CSV.
+// The reader holds one line and the app it is assembling. StreamingTraceWriter
+// is the mirror image for producers: append apps one at a time, and nothing
+// but the current app's rows is ever buffered (one write per app).
+// WriteTraceCsv is implemented on top of it, so both paths emit
+// byte-identical CSV.
 #pragma once
 
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "workload/job_spec.h"
@@ -79,6 +87,7 @@ class StreamingCsvTraceReader : public TraceReader {
   bool require_sorted_;
   std::string source_;  // for error messages ("path" or "<stream>")
 
+  std::string line_;  // the line being parsed, reused
   std::size_t line_no_ = 0;
   long long current_index_ = -1;
   double last_arrival_ = 0.0;
@@ -103,6 +112,8 @@ class StreamingTraceWriter {
   StreamingTraceWriter(const StreamingTraceWriter&) = delete;
   StreamingTraceWriter& operator=(const StreamingTraceWriter&) = delete;
 
+  /// Throws std::invalid_argument, naming the app's index, when its name
+  /// holds a comma or a line break; nothing of that app is written.
   void Append(const AppSpec& app);
   /// Flush and (for the owning form) close; throws on write failure.
   /// Idempotent; Append after Close is an error.
@@ -115,6 +126,7 @@ class StreamingTraceWriter {
   std::unique_ptr<std::ofstream> owned_;
   std::ostream* out_;
   std::string source_;
+  std::string rows_;  // the app being written, reused
   std::size_t apps_written_ = 0;
   std::size_t jobs_written_ = 0;
   bool closed_ = false;
@@ -131,7 +143,7 @@ std::vector<AppSpec> ReadTraceCsvFile(const std::string& path);
 
 /// Round-trip helpers used by tests.
 const char* ToString(TunerKind kind);
-TunerKind TunerKindFromString(const std::string& name);
-LocalityLevel LocalityLevelFromString(const std::string& name);
+TunerKind TunerKindFromString(std::string_view name);
+LocalityLevel LocalityLevelFromString(std::string_view name);
 
 }  // namespace themis

@@ -589,6 +589,30 @@ TEST(SweepCsv, OneRowPerRunWithHeaderAndQuoting) {
   EXPECT_EQ(lines[2].substr(0, 7), "bad,,0,");
 }
 
+// Numbers are printf "%.17g" in the C locale: 17 significant digits, which
+// read back to the same double; integers are plain decimal.
+TEST(SweepCsv, NumbersArePrintf17g) {
+  ScenarioRun run;
+  run.name = "edge";
+  run.ok = true;
+  run.result.policy_name = "Themis";
+  run.result.max_fairness = 0.1;
+  run.result.median_fairness = 1.0 / 3.0;
+  run.result.min_fairness = 5e-324;
+  run.result.jains_index = 1.0;
+  run.result.avg_completion_time = 1e300;
+  run.result.gpu_time = 12345678.0;
+  run.result.peak_contention = 1e-5;
+  run.result.unfinished_apps = 2;
+  run.result.machine_failures = 1234567;
+  run.result.scheduling_passes = 17;
+  const std::string csv = SweepCsv({run});
+  EXPECT_EQ(csv.substr(csv.find('\n') + 1),
+            "edge,Themis,1,0.10000000000000001,0.33333333333333331,"
+            "4.9406564584124654e-324,1,1.0000000000000001e+300,12345678,"
+            "1.0000000000000001e-05,2,1234567,17,\n");
+}
+
 TEST(SweepCsv, WritesScenarioGridResultsToDisk) {
   const auto specs = PolicySeedGrid(SmallConfig(PolicyKind::kThemis, 3),
                                     {PolicyKind::kThemis, PolicyKind::kDrf},

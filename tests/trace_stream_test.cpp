@@ -8,6 +8,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <locale>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -143,6 +144,79 @@ TEST(StreamingCsvTraceReader, RejectsTrailingJunkInNumbersWithLineAndField) {
           << e.what();
     }
   }
+}
+
+// A trailing comma is a 15th, empty field, not the end of the 14th.
+TEST(StreamingCsvTraceReader, RejectsTrailingCommaWithLineAndFieldCount) {
+  std::stringstream ss;
+  WriteTraceCsv(ss, SmallTrace(3, 2));
+  std::string header, row, rest;
+  std::getline(ss, header);
+  std::getline(ss, row);
+  std::getline(ss, rest, '\0');
+  const std::pair<std::string, std::string> cases[] = {
+      {row + ",", "trace csv line 2: expected 14 fields, got 15"},
+      {row + ",,x", "trace csv line 2: expected 14 fields, got 16"}};
+  for (const auto& [bad, want] : cases) {
+    std::stringstream in(header + "\n" + bad + "\n" + rest);
+    try {
+      ReadTraceCsv(in);
+      ADD_FAILURE() << "accepted " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(e.what(), want);
+    }
+  }
+}
+
+// The format has no quoting, so a name that would split its row or its
+// line is refused at write time, naming the app.
+TEST(StreamingTraceWriter, RejectsNamesItCannotReadBack) {
+  for (const std::string name : {"a,b", "a\nb", "a\rb"}) {
+    std::vector<AppSpec> apps = SmallTrace(3, 3);
+    apps[2].name = name;
+    std::stringstream out;
+    StreamingTraceWriter writer(out);
+    writer.Append(apps[0]);
+    writer.Append(apps[1]);
+    try {
+      writer.Append(apps[2]);
+      ADD_FAILURE() << "wrote the name " << name;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("app 2"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(writer.apps_written(), 2u);
+  }
+}
+
+/// A numpunct that writes 1234.5 as "1.234,5": the shape of a
+/// comma-decimal locale, built in so no installed locale is needed.
+struct CommaDecimal : std::numpunct<char> {
+  char do_decimal_point() const override { return ','; }
+  char do_thousands_sep() const override { return '.'; }
+  std::string do_grouping() const override { return "\3"; }
+};
+
+// The bytes depend on the values alone, not on the stream's locale.
+TEST(StreamingTraceWriter, IgnoresTheStreamLocale) {
+  std::vector<AppSpec> apps = SmallTrace(3, 12);
+  apps[0].arrival = 1234.5;
+  apps[0].jobs[0].total_iterations = 12345678.0;
+  std::stringstream classic;
+  WriteTraceCsv(classic, apps);
+
+  const std::locale comma(std::locale::classic(), new CommaDecimal);
+  std::stringstream local;
+  local.imbue(comma);
+  WriteTraceCsv(local, apps);
+  EXPECT_EQ(local.str(), classic.str());
+
+  std::stringstream in(local.str());
+  in.imbue(comma);
+  const std::vector<AppSpec> loaded = ReadTraceCsv(in);
+  ASSERT_EQ(loaded.size(), apps.size());
+  EXPECT_EQ(loaded[0].arrival, 1234.5);
+  EXPECT_EQ(loaded[0].jobs[0].total_iterations, 12345678.0);
 }
 
 /// The error a trace fails with once field `field` of line 3 — the first
