@@ -10,6 +10,11 @@
 //     frame types (re-encoding a parsed frame reproduces the original
 //     bytes), and a malformed-input table where every bad line draws a
 //     pointed WireError instead of a crash.
+//   - WireCodecPins: the exact bytes of every encoder on edge inputs, and
+//     an FNV-1a hash over ParseWireMessage's outcomes on a seeded mutation
+//     corpus (tests/wire_corpus.h), so a codec rewrite that changes one
+//     byte, one decoded value or one error text fails here. The round trips
+//     above compare the codec only with itself.
 //   - GrantDigest: order insensitivity, Merge, and distinct grants not
 //     cancelling.
 #include <gtest/gtest.h>
@@ -31,6 +36,8 @@
 #include "net/frame.h"
 #include "net/socket.h"
 #include "net/wire.h"
+#include "placement/model_profile.h"
+#include "wire_corpus.h"
 #include "workload/trace_gen.h"
 
 namespace themis {
@@ -444,6 +451,117 @@ TEST(WireCodec, TruncatedHelloIsRejectedNotCrashed) {
     EXPECT_THROW(net::ParseWireMessage(frame.substr(0, cut)), net::WireError)
         << cut;
   }
+}
+
+// ---------------------------------------------------------------------------
+// WireCodecPins: the codec against fixed bytes instead of against itself.
+// ---------------------------------------------------------------------------
+
+TEST(WireCodecPins, EncoderBytesOnEdgeInputs) {
+  const double two53 = 9007199254740992.0;
+  ResourceOffer offer;
+  offer.round_id = std::numeric_limits<std::uint64_t>::max();
+  offer.time = -0.0;
+  offer.lease_duration = 62.500000000000014;
+  offer.gpus = {0, std::numeric_limits<GpuId>::max()};
+  offer.free_per_machine = {std::numeric_limits<int>::min(),
+                            std::numeric_limits<int>::max()};
+  offer.machine_speeds = {0.1,   1.0 / 3.0,   1e17,   two53 - 1, two53,
+                          two53 + 2, 1e300, 5e-324, -0.0};
+  EXPECT_EQ(net::EncodeOffer(offer),
+            "{\"type\":\"offer\",\"round\":18446744073709551616,\"time\":-0,"
+            "\"lease\":62.500000000000014,\"gpus\":[0,4294967295],"
+            "\"free_per_machine\":[-2147483648,2147483647],"
+            "\"machine_speeds\":[0.1,0.3333333333333333,1e+17,"
+            "9007199254740991,9007199254740992,9007199254740994,1e+300,"
+            "5e-324,-0]}");
+  EXPECT_EQ(net::EncodeOffer(ResourceOffer{}),
+            "{\"type\":\"offer\",\"round\":0,\"time\":0,\"lease\":0,"
+            "\"gpus\":[],\"free_per_machine\":[],\"machine_speeds\":[]}");
+
+  GrantSet grants;
+  grants.round_id = (std::uint64_t{1} << 53) + 1;  // rounds to 2^53
+  grants.lease_expiry = 1.0 / 3.0;
+  grants.grants.push_back(
+      {kNoApp, kNoJob, {std::numeric_limits<GpuId>::max(), 0}});
+  grants.grants.push_back({0, 0, {}});
+  grants.diagnostics = {std::numeric_limits<int>::max(), 0, -1, true, 3};
+  EXPECT_EQ(net::EncodeGrant(grants, {kNoApp, 0}),
+            "{\"type\":\"grant\",\"round\":9007199254740992,"
+            "\"lease_expiry\":0.3333333333333333,\"grants\":["
+            "{\"app\":4294967295,\"job\":4294967295,\"gpus\":[4294967295,0]},"
+            "{\"app\":0,\"job\":0,\"gpus\":[]}],\"diagnostics\":{"
+            "\"offered\":2147483647,\"granted\":0,\"leftover\":-1,"
+            "\"auction_ran\":true,\"participants\":3},"
+            "\"finished_apps\":[4294967295,0]}");
+  EXPECT_EQ(net::EncodeGrant(GrantSet{}, {}),
+            "{\"type\":\"grant\",\"round\":0,\"lease_expiry\":0,\"grants\":[],"
+            "\"diagnostics\":{\"offered\":0,\"granted\":0,\"leftover\":0,"
+            "\"auction_ran\":false,\"participants\":0},\"finished_apps\":[]}");
+
+  EXPECT_EQ(net::EncodeBid(std::numeric_limits<std::uint64_t>::max(),
+                           {{kNoApp, std::numeric_limits<int>::min()}, {0, 0}}),
+            "{\"type\":\"bid\",\"round\":18446744073709551616,\"demands\":["
+            "{\"app\":4294967295,\"unmet_gpus\":-2147483648},"
+            "{\"app\":0,\"unmet_gpus\":0}]}");
+  EXPECT_EQ(net::EncodeBid(0, {}),
+            "{\"type\":\"bid\",\"round\":0,\"demands\":[]}");
+  EXPECT_EQ(net::EncodeWelcome(std::numeric_limits<std::int64_t>::max(),
+                               {kNoApp, 0}),
+            "{\"type\":\"welcome\",\"protocol\":1,"
+            "\"agent_id\":9223372036854775808,\"app_ids\":[4294967295,0]}");
+  EXPECT_EQ(net::EncodeWelcome(std::numeric_limits<std::int64_t>::min(), {}),
+            "{\"type\":\"welcome\",\"protocol\":1,"
+            "\"agent_id\":-9223372036854775808,\"app_ids\":[]}");
+  EXPECT_EQ(net::EncodeAck((std::uint64_t{1} << 53) - 1),
+            "{\"type\":\"ack\",\"round\":9007199254740991}");
+  EXPECT_EQ(net::EncodeError("", "\x01\"\\\n\t\xc3\xa9"),
+            "{\"type\":\"error\",\"code\":\"\","
+            "\"detail\":\"\\u0001\\\"\\\\\\n\\t\xc3\xa9\"}");
+  EXPECT_EQ(net::EncodeClose(""), "{\"type\":\"close\",\"reason\":\"\"}");
+  EXPECT_EQ(net::EncodeHello("", {}),
+            "{\"type\":\"hello\",\"agent\":\"\",\"apps\":[]}");
+
+  AppSpec app;
+  app.name = "";
+  app.arrival = -0.0;
+  app.tuner = TunerKind::kHyperDrive;
+  app.target_loss = 5e-324;
+  JobSpec job;
+  job.num_tasks = std::numeric_limits<int>::max();
+  job.gpus_per_task = 1;
+  job.total_work = 1e300;
+  job.total_iterations = 1e17;
+  job.loss = LossCurve(0.1, 1.0 / 3.0, 0.0);
+  job.model = ModelByName("ResNet50");
+  job.max_span = LocalityLevel::kCrossRack;
+  app.jobs = {job};
+  EXPECT_EQ(net::EncodeHello("agent \"x\"", {app}),
+            "{\"type\":\"hello\",\"agent\":\"agent \\\"x\\\"\",\"apps\":[{"
+            "\"name\":\"\",\"arrival\":-0,\"tuner\":\"hyperdrive\","
+            "\"target_loss\":5e-324,\"jobs\":[{\"num_tasks\":2147483647,"
+            "\"gpus_per_task\":1,\"total_work\":1e+300,"
+            "\"total_iterations\":1e+17,\"loss_scale\":0.1,"
+            "\"loss_decay\":0.3333333333333333,\"loss_floor\":0,"
+            "\"model\":\"ResNet50\",\"max_span\":\"cross-rack\"}]}]}");
+}
+
+TEST(WireCodecPins, MutationCorpusOutcomesArePinned) {
+  const std::vector<std::string> corpus =
+      wire_corpus::Corpus(/*seed=*/20261020, /*count=*/60000);
+  std::uint64_t hash = 1469598103934665603ull;  // FNV-1a 64
+  std::size_t accepted = 0;
+  for (const std::string& line : corpus) {
+    const std::string outcome = wire_corpus::WireOutcome(line);
+    ASSERT_NE(outcome.rfind("LEAK", 0), 0u) << line << " -> " << outcome;
+    accepted += outcome.rfind("ok ", 0) == 0;
+    for (const char c : outcome + '\n') {
+      hash ^= static_cast<unsigned char>(c);
+      hash *= 1099511628211ull;
+    }
+  }
+  EXPECT_EQ(accepted, 19015u);
+  EXPECT_EQ(hash, 14803430384832732737ull);
 }
 
 TEST(GrantDigest, OrderInsensitiveAndMergeable) {
