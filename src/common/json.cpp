@@ -1,9 +1,8 @@
 #include "common/json.h"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstdint>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
@@ -21,252 +20,240 @@ namespace {
 
 }  // namespace
 
-class JsonParser {
- public:
-  /// Containers deeper than this fail the parse. The daemon feeds untrusted
-  /// network frames here: without a bound, a line of nested '[' well under
-  /// the frame cap drives one recursion level per byte and overflows the
-  /// stack. 64 is far beyond any scenario file or wire frame (which nest
-  /// 3-4 deep) while keeping worst-case stack use trivial.
-  static constexpr int kMaxDepth = 64;
+void JsonReader::Fail(const std::string& what) const {
+  throw std::runtime_error("json line " + std::to_string(line_) + ": " + what);
+}
 
-  explicit JsonParser(const std::string& text) : text_(text) {}
+void JsonReader::Expect(char c) {
+  Peek();
+  if (text_[pos_] != c) Fail(std::string("expected '") + c + "'");
+  ++pos_;
+}
 
-  JsonValue ParseDocument() {
-    JsonValue v = ParseValue();
-    SkipWhitespace();
-    if (pos_ != text_.size()) Fail("trailing characters after document");
-    return v;
+bool JsonReader::Consume(std::string_view literal) {
+  if (text_.substr(pos_, literal.size()) != literal) return false;
+  pos_ += literal.size();
+  return true;
+}
+
+void JsonReader::ReadNull() {
+  Peek();
+  if (!Consume("null")) Fail("invalid literal");
+}
+
+bool JsonReader::ReadBool() {
+  Peek();
+  if (Consume("true")) return true;
+  if (Consume("false")) return false;
+  Fail("invalid literal");
+}
+
+double JsonReader::ReadNumberSlow() {
+  // Strict JSON number grammar: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+  // Lenient scanning (leading '+', bare '.') would let files parse here
+  // that every standard JSON tool rejects — against the fail-loudly goal.
+  const char* const begin = text_.data() + pos_;
+  const char* const end = text_.data() + text_.size();
+  const char* p = begin;
+  auto digit = [&] { return p < end && IsDigit(*p); };
+  const bool negative = *p == '-';
+  if (negative) ++p;
+  if (!digit()) Fail("invalid value");
+  const char* const int_begin = p;
+  std::uint64_t integer = 0;
+  if (*p == '0') {
+    ++p;  // no leading zeros on multi-digit ints
+  } else {
+    while (digit()) integer = integer * 10 + static_cast<unsigned>(*p++ - '0');
   }
-
- private:
-  [[noreturn]] void Fail(const std::string& what) const {
-    throw std::runtime_error("json line " + std::to_string(line_) + ": " +
-                             what);
+  bool plain = p - int_begin <= 15;  // an integer of at most 15 digits
+  if (p < end && *p == '.') {
+    plain = false;
+    ++p;
+    if (!digit()) Fail("digits required after decimal point");
+    while (digit()) ++p;
   }
-
-  void SkipWhitespace() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '\n') ++line_;
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
+  if (p < end && (*p == 'e' || *p == 'E')) {
+    plain = false;
+    ++p;
+    if (p < end && (*p == '+' || *p == '-')) ++p;
+    if (!digit()) Fail("digits required in exponent");
+    while (digit()) ++p;
   }
-
-  char Peek() {
-    SkipWhitespace();
-    if (pos_ >= text_.size()) Fail("unexpected end of input");
-    return text_[pos_];
+  pos_ = static_cast<std::size_t>(p - text_.data());
+  // Below 2^53 the conversion is exact, so it equals from_chars's; "-0"
+  // stays negative zero.
+  if (plain) {
+    const double d = static_cast<double>(integer);
+    return negative ? -d : d;
   }
+  // std::from_chars, not strtod: strtod honors the process locale, so a
+  // ',' decimal separator would silently parse "1.5" as 1.0 and break the
+  // parse(write(v)) == v property the wire digests rely on. from_chars is
+  // locale-independent and the exact inverse of the to_chars writer.
+  double d = 0.0;
+  const auto res = std::from_chars(begin, p, d);
+  if (res.ec != std::errc() || res.ptr != p) Fail("number outside double range");
+  return d;
+}
 
-  void Expect(char c) {
-    if (Peek() != c) Fail(std::string("expected '") + c + "'");
+std::string_view JsonReader::ReadString() {
+  Expect('"');
+  const std::size_t start = pos_;
+  // Fast path: no escape before the closing quote, so the text is the value.
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (c == '"') return text_.substr(start, pos_++ - start);
+    if (c == '\\' || c == '\n') break;
     ++pos_;
   }
-
-  bool Consume(const char* literal) {
-    const std::size_t len = std::char_traits<char>::length(literal);
-    if (text_.compare(pos_, len, literal) != 0) return false;
-    pos_ += len;
-    return true;
+  buffer_.assign(text_.data() + start, pos_ - start);
+  while (true) {
+    if (pos_ >= text_.size()) Fail("unterminated string");
+    const char c = text_[pos_++];
+    if (c == '"') return buffer_;
+    if (c == '\n') Fail("raw newline in string");
+    if (c == '\\') AppendEscape();
+    else buffer_ += c;
   }
+}
 
-  JsonValue ParseValue() {
-    const char c = Peek();
-    switch (c) {
-      case '{': return ParseObject();
-      case '[': return ParseArray();
-      case '"': {
-        JsonValue v;
-        v.type_ = JsonValue::Type::kString;
-        v.string_ = ParseString();
-        return v;
-      }
-      case 't':
-        if (Consume("true")) {
-          JsonValue v;
-          v.type_ = JsonValue::Type::kBool;
-          v.bool_ = true;
-          return v;
-        }
-        Fail("invalid literal");
-      case 'f':
-        if (Consume("false")) {
-          JsonValue v;
-          v.type_ = JsonValue::Type::kBool;
-          v.bool_ = false;
-          return v;
-        }
-        Fail("invalid literal");
-      case 'n':
-        if (Consume("null")) return JsonValue{};
-        Fail("invalid literal");
-      default: return ParseNumber();
-    }
+void JsonReader::AppendEscape() {
+  if (pos_ >= text_.size()) Fail("unterminated escape");
+  const char e = text_[pos_++];
+  switch (e) {
+    case '"': buffer_ += '"'; return;
+    case '\\': buffer_ += '\\'; return;
+    case '/': buffer_ += '/'; return;
+    case 'b': buffer_ += '\b'; return;
+    case 'f': buffer_ += '\f'; return;
+    case 'n': buffer_ += '\n'; return;
+    case 'r': buffer_ += '\r'; return;
+    case 't': buffer_ += '\t'; return;
+    case 'u': break;
+    default: Fail("invalid escape");
   }
-
-  void EnterContainer() {
-    if (++depth_ > kMaxDepth)
-      Fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+  if (pos_ + 4 > text_.size()) Fail("truncated \\u escape");
+  unsigned code = 0;
+  for (int i = 0; i < 4; ++i) {
+    const char h = text_[pos_++];
+    code <<= 4;
+    if (h >= '0' && h <= '9') code += h - '0';
+    else if (h >= 'a' && h <= 'f') code += 10 + h - 'a';
+    else if (h >= 'A' && h <= 'F') code += 10 + h - 'A';
+    else Fail("invalid \\u escape");
   }
+  // UTF-8 encode the BMP code point (surrogate pairs are not needed by
+  // scenario files or frames; reject them loudly instead of mis-encoding).
+  if (code >= 0xD800 && code <= 0xDFFF) Fail("surrogate pairs unsupported");
+  if (code < 0x80) {
+    buffer_ += static_cast<char>(code);
+  } else if (code < 0x800) {
+    buffer_ += static_cast<char>(0xC0 | (code >> 6));
+    buffer_ += static_cast<char>(0x80 | (code & 0x3F));
+  } else {
+    buffer_ += static_cast<char>(0xE0 | (code >> 12));
+    buffer_ += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+    buffer_ += static_cast<char>(0x80 | (code & 0x3F));
+  }
+}
 
-  JsonValue ParseObject() {
-    EnterContainer();
-    Expect('{');
-    JsonValue v;
-    v.type_ = JsonValue::Type::kObject;
-    if (Peek() == '}') {
+void JsonReader::EnterContainer() {
+  if (++depth_ > kMaxDepth)
+    Fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+}
+
+void JsonReader::BeginArray() {
+  EnterContainer();
+  Expect('[');
+  fresh_ = true;
+}
+
+void JsonReader::BeginObject() {
+  EnterContainer();
+  Expect('{');
+  fresh_ = true;
+}
+
+bool JsonReader::NextMember(std::string_view& key) {
+  Peek();
+  const char c = text_[pos_];
+  if (fresh_) {
+    fresh_ = false;
+    if (c == '}') {
       ++pos_;
       --depth_;
-      return v;
+      return false;
     }
-    while (true) {
-      if (Peek() != '"') Fail("expected object key string");
-      std::string key = ParseString();
-      Expect(':');
-      v.members_.emplace_back(std::move(key), ParseValue());
-      const char c = Peek();
-      if (c == ',') {
-        ++pos_;
-        continue;
-      }
-      if (c == '}') {
-        ++pos_;
-        --depth_;
-        return v;
-      }
-      Fail("expected ',' or '}' in object");
+  } else if (c == ',') {
+    ++pos_;
+  } else if (c == '}') {
+    ++pos_;
+    --depth_;
+    return false;
+  } else {
+    Fail("expected ',' or '}' in object");
+  }
+  if (Peek() != Type::kString) Fail("expected object key string");
+  key = ReadString();
+  Expect(':');
+  return true;
+}
+
+void JsonReader::Skip() {
+  switch (Peek()) {
+    case Type::kNull: ReadNull(); return;
+    case Type::kBool: ReadBool(); return;
+    case Type::kNumber: ReadNumber(); return;
+    case Type::kString: ReadString(); return;
+    case Type::kArray:
+      BeginArray();
+      while (NextItem()) Skip();
+      return;
+    case Type::kObject: {
+      BeginObject();
+      std::string_view key;
+      while (NextMember(key)) Skip();
+      return;
     }
   }
+}
 
-  JsonValue ParseArray() {
-    EnterContainer();
-    Expect('[');
-    JsonValue v;
-    v.type_ = JsonValue::Type::kArray;
-    if (Peek() == ']') {
-      ++pos_;
-      --depth_;
-      return v;
-    }
-    while (true) {
-      v.items_.push_back(ParseValue());
-      const char c = Peek();
-      if (c == ',') {
-        ++pos_;
-        continue;
+void JsonReader::ExpectEnd() {
+  SkipWhitespace();
+  if (pos_ != text_.size()) Fail("trailing characters after document");
+}
+
+JsonValue JsonValue::Read(JsonReader& reader) {
+  JsonValue v;
+  v.type_ = reader.Peek();
+  switch (v.type_) {
+    case Type::kNull: reader.ReadNull(); break;
+    case Type::kBool: v.bool_ = reader.ReadBool(); break;
+    case Type::kNumber: v.number_ = reader.ReadNumber(); break;
+    case Type::kString: v.string_ = reader.ReadString(); break;
+    case Type::kArray:
+      reader.BeginArray();
+      while (reader.NextItem()) v.items_.push_back(Read(reader));
+      break;
+    case Type::kObject: {
+      reader.BeginObject();
+      std::string_view key;
+      while (reader.NextMember(key)) {
+        std::string name(key);
+        v.members_.emplace_back(std::move(name), Read(reader));
       }
-      if (c == ']') {
-        ++pos_;
-        --depth_;
-        return v;
-      }
-      Fail("expected ',' or ']' in array");
+      break;
     }
   }
-
-  std::string ParseString() {
-    Expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) Fail("unterminated string");
-      char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c == '\n') Fail("raw newline in string");
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) Fail("unterminated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) Fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code += h - '0';
-            else if (h >= 'a' && h <= 'f') code += 10 + h - 'a';
-            else if (h >= 'A' && h <= 'F') code += 10 + h - 'A';
-            else Fail("invalid \\u escape");
-          }
-          // UTF-8 encode the BMP code point (surrogate pairs are not needed
-          // by scenario files; reject them loudly instead of mis-encoding).
-          if (code >= 0xD800 && code <= 0xDFFF)
-            Fail("surrogate pairs unsupported");
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xC0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (code & 0x3F));
-          }
-          break;
-        }
-        default: Fail("invalid escape");
-      }
-    }
-  }
-
-  JsonValue ParseNumber() {
-    // Strict JSON number grammar: -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-    // Lenient scanning (leading '+', bare '.') would let files parse here
-    // that every standard JSON tool rejects — against the fail-loudly goal.
-    const std::size_t start = pos_;
-    auto digit = [&] {
-      return pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]));
-    };
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    if (!digit()) Fail("invalid value");
-    if (text_[pos_] == '0') ++pos_;  // no leading zeros on multi-digit ints
-    else while (digit()) ++pos_;
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      if (!digit()) Fail("digits required after decimal point");
-      while (digit()) ++pos_;
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
-        ++pos_;
-      if (!digit()) Fail("digits required in exponent");
-      while (digit()) ++pos_;
-    }
-    // std::from_chars, not strtod: strtod honors the process locale, so a
-    // ',' decimal separator would silently parse "1.5" as 1.0 and break the
-    // parse(write(v)) == v property the wire digests rely on. from_chars is
-    // locale-independent and the exact inverse of the to_chars writer.
-    JsonValue v;
-    v.type_ = JsonValue::Type::kNumber;
-    const auto res =
-        std::from_chars(text_.data() + start, text_.data() + pos_, v.number_);
-    if (res.ec != std::errc() || res.ptr != text_.data() + pos_)
-      Fail("number outside double range");
-    return v;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-  std::size_t line_ = 1;
-  int depth_ = 0;  // open containers; bounded by kMaxDepth
-};
+  return v;
+}
 
 JsonValue JsonValue::Parse(const std::string& text) {
-  return JsonParser(text).ParseDocument();
+  JsonReader reader(text);
+  JsonValue v = Read(reader);
+  reader.ExpectEnd();
+  return v;
 }
 
 bool JsonValue::AsBool() const {
@@ -360,28 +347,34 @@ bool JsonValue::operator==(const JsonValue& other) const {
   return false;
 }
 
-std::string JsonWriter::FormatNumber(double d) {
+void JsonWriter::WriteNumber(double d, std::string& out) {
   if (!std::isfinite(d))
     throw std::invalid_argument(
         "json: cannot serialize non-finite number (NaN or Inf)");
-  // Integral doubles within the exact-integer range print as plain
-  // integers: stable, human-readable, and round-trip exact (the parser's
-  // strtod maps the decimal integer back to the same double).
-  // Negative zero must skip the integral fast path: casting through
-  // long long would print "0" and lose the sign bit on the round trip.
-  if (d == static_cast<double>(static_cast<long long>(d)) &&
-      std::abs(d) < 9.007199254740992e15 && !(d == 0.0 && std::signbit(d))) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(d));
-    return buf;
+  char buf[32];  // "-2.2250738585072014e-308" is the longest: 24 chars
+  // Integral doubles below 2^53 in magnitude print as plain integers:
+  // stable, human-readable, and round-trip exact. Negative zero must skip
+  // this path: printing it through an integer would give "0" and lose the
+  // sign bit on the round trip.
+  if (std::abs(d) < 9007199254740992.0 && d == std::trunc(d) &&
+      !(d == 0.0 && std::signbit(d))) {
+    const auto res =
+        std::to_chars(buf, buf + sizeof buf, static_cast<long long>(d));
+    out.append(buf, res.ptr);
+    return;
   }
   // Shortest representation that round-trips (std::to_chars guarantee).
-  char buf[64];
   const auto res = std::to_chars(buf, buf + sizeof buf, d);
-  return std::string(buf, res.ptr);
+  out.append(buf, res.ptr);
 }
 
-void JsonWriter::WriteString(const std::string& s, std::string& out) {
+std::string JsonWriter::FormatNumber(double d) {
+  std::string out;
+  WriteNumber(d, out);
+  return out;
+}
+
+void JsonWriter::WriteString(std::string_view s, std::string& out) {
   out += '"';
   for (const char raw : s) {
     const unsigned char c = static_cast<unsigned char>(raw);
@@ -395,9 +388,10 @@ void JsonWriter::WriteString(const std::string& s, std::string& out) {
       case '\t': out += "\\t"; break;
       default:
         if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
+          static const char kHex[] = "0123456789abcdef";
+          out += "\\u00";
+          out += kHex[c >> 4];
+          out += kHex[c & 0xF];
         } else {
           out += raw;
         }
@@ -415,7 +409,7 @@ void JsonWriter::Write(const JsonValue& v, std::string& out) {
       out += v.AsBool() ? "true" : "false";
       break;
     case JsonValue::Type::kNumber:
-      out += FormatNumber(v.AsNumber());
+      WriteNumber(v.AsNumber(), out);
       break;
     case JsonValue::Type::kString:
       WriteString(v.AsString(), out);

@@ -1,6 +1,10 @@
 #include "net/wire.h"
 
+#include <array>
 #include <cmath>
+#include <iterator>
+#include <span>
+#include <string_view>
 #include <utility>
 
 #include "common/json.h"
@@ -12,78 +16,174 @@ namespace themis::net {
 namespace {
 
 // --------------------------------------------------------------------------
-// Decode helpers: every lookup names the frame type and field on failure,
-// so the resulting ERROR frame tells the AGENT exactly what was wrong.
+// Encode helpers: every frame is appended straight into one string, numbers
+// through JsonWriter::WriteNumber (integers as the double they convert to),
+// strings through JsonWriter::WriteString.
 // --------------------------------------------------------------------------
 
-[[noreturn]] void Fail(const std::string& ctx, const std::string& what) {
-  throw WireError("wire: " + ctx + ": " + what);
+template <typename T>
+void Number(std::string& out, T x) {
+  JsonWriter::WriteNumber(static_cast<double>(x), out);
 }
 
-const JsonValue& Get(const JsonValue& obj, const char* key,
-                     const std::string& ctx) {
-  const JsonValue* v = obj.Find(key);
+template <typename T>
+void Numbers(std::string& out, const std::vector<T>& xs) {
+  out += '[';
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    if (i > 0) out += ',';
+    Number(out, xs[i]);
+  }
+  out += ']';
+}
+
+void String(std::string& out, std::string_view s) {
+  JsonWriter::WriteString(s, out);
+}
+
+// --------------------------------------------------------------------------
+// Decode helpers. A frame is read twice through JsonReader: once whole, to
+// check its syntax and note where each top-level member starts, then field
+// by field in a fixed order. So a syntax error anywhere wins over any field
+// error, and field errors come in the same order whatever the member order
+// on the line. Every lookup names the frame type and field on failure, so
+// the resulting ERROR frame tells the AGENT exactly what was wrong.
+// --------------------------------------------------------------------------
+
+[[noreturn]] void Fail(const char* ctx, const std::string& what) {
+  throw WireError(std::string("wire: ") + ctx + ": " + what);
+}
+
+/// Every member name the decoders look up, per object kind.
+constexpr std::string_view kFrameFields[] = {
+    "type",     "agent",       "apps",          "protocol",
+    "agent_id", "app_ids",     "round",         "time",
+    "lease",    "gpus",        "free_per_machine", "machine_speeds",
+    "demands",  "lease_expiry", "grants",       "diagnostics",
+    "finished_apps", "code",   "detail",        "reason"};
+constexpr std::string_view kAppFields[] = {"name", "arrival", "tuner",
+                                           "target_loss", "jobs"};
+constexpr std::string_view kJobFields[] = {
+    "num_tasks",  "gpus_per_task", "total_work", "total_iterations",
+    "loss_scale", "loss_decay",    "loss_floor", "model", "max_span"};
+constexpr std::string_view kDemandFields[] = {"app", "unmet_gpus"};
+constexpr std::string_view kGrantFields[] = {"app", "job", "gpus"};
+constexpr std::string_view kDiagnosticFields[] = {
+    "offered", "granted", "leftover", "auction_ran", "participants"};
+
+/// One object's members of interest: where the first occurrence of each
+/// name's value starts (later duplicates are ignored), read back on demand
+/// through a reader of its own. Built from a value that is not an object,
+/// it has no members, so every lookup reports the field missing.
+class Fields {
+ public:
+  /// Reads the value at `r`'s position; `r` ends up just past it.
+  Fields(JsonReader& r, std::span<const std::string_view> names)
+      : names_(names), reader_(r.text()) {
+    at_.fill(kAbsent);
+    is_object_ = r.Peek() == JsonValue::Type::kObject;
+    if (!is_object_) {
+      r.Skip();
+      return;
+    }
+    r.BeginObject();
+    std::string_view key;
+    while (r.NextMember(key)) {
+      for (std::size_t i = 0; i < names_.size(); ++i) {
+        if (key != names_[i]) continue;
+        if (at_[i] == kAbsent) at_[i] = r.offset();
+        break;
+      }
+      r.Skip();
+    }
+  }
+
+  bool is_object() const { return is_object_; }
+
+  /// The reader at the value of `key`, or nullptr when it is absent.
+  JsonReader* Find(std::string_view key) {
+    for (std::size_t i = 0; i < names_.size(); ++i) {
+      if (names_[i] != key) continue;
+      if (at_[i] == kAbsent) return nullptr;
+      reader_.Seek(at_[i]);
+      return &reader_;
+    }
+    return nullptr;
+  }
+
+ private:
+  static constexpr std::size_t kAbsent = std::string_view::npos;
+
+  std::span<const std::string_view> names_;
+  std::array<std::size_t, std::size(kFrameFields)> at_;
+  bool is_object_ = false;
+  JsonReader reader_;
+};
+
+JsonReader& Get(Fields& obj, const char* key, const char* ctx) {
+  JsonReader* v = obj.Find(key);
   if (v == nullptr) Fail(ctx, std::string("missing field \"") + key + "\"");
   return *v;
 }
 
-double Num(const JsonValue& obj, const char* key, const std::string& ctx) {
-  const JsonValue& v = Get(obj, key, ctx);
-  if (!v.is_number())
+double Num(Fields& obj, const char* key, const char* ctx) {
+  JsonReader& v = Get(obj, key, ctx);
+  if (v.Peek() != JsonValue::Type::kNumber)
     Fail(ctx, std::string("field \"") + key + "\" must be a number");
-  return v.AsNumber();
+  return v.ReadNumber();
 }
 
-std::int64_t Int(const JsonValue& obj, const char* key,
-                 const std::string& ctx) {
+std::int64_t Int(Fields& obj, const char* key, const char* ctx) {
   const double d = Num(obj, key, ctx);
   if (d != std::floor(d) || std::abs(d) > 9.0e15)
     Fail(ctx, std::string("field \"") + key + "\" must be an integer");
   return static_cast<std::int64_t>(d);
 }
 
-const std::string& Str(const JsonValue& obj, const char* key,
-                       const std::string& ctx) {
-  const JsonValue& v = Get(obj, key, ctx);
-  if (!v.is_string())
+/// The view lives until the next string read through `obj`.
+std::string_view Str(Fields& obj, const char* key, const char* ctx) {
+  JsonReader& v = Get(obj, key, ctx);
+  if (v.Peek() != JsonValue::Type::kString)
     Fail(ctx, std::string("field \"") + key + "\" must be a string");
-  return v.AsString();
+  return v.ReadString();
 }
 
-bool Boolean(const JsonValue& obj, const char* key, const std::string& ctx) {
-  const JsonValue& v = Get(obj, key, ctx);
-  if (!v.is_bool())
+bool Boolean(Fields& obj, const char* key, const char* ctx) {
+  JsonReader& v = Get(obj, key, ctx);
+  if (v.Peek() != JsonValue::Type::kBool)
     Fail(ctx, std::string("field \"") + key + "\" must be a bool");
-  return v.AsBool();
+  return v.ReadBool();
 }
 
-const std::vector<JsonValue>& Arr(const JsonValue& obj, const char* key,
-                                  const std::string& ctx) {
-  const JsonValue& v = Get(obj, key, ctx);
-  if (!v.is_array())
+/// The reader inside the array `key`: walk it with NextItem.
+JsonReader& Arr(Fields& obj, const char* key, const char* ctx) {
+  JsonReader& v = Get(obj, key, ctx);
+  if (v.Peek() != JsonValue::Type::kArray)
     Fail(ctx, std::string("field \"") + key + "\" must be an array");
-  return v.items();
+  v.BeginArray();
+  return v;
 }
 
 template <typename T>
-std::vector<T> IntVector(const JsonValue& obj, const char* key,
-                         const std::string& ctx) {
+std::vector<T> IntVector(Fields& obj, const char* key,
+                         const char* ctx) {
   std::vector<T> out;
-  for (const JsonValue& v : Arr(obj, key, ctx)) {
-    if (!v.is_number())
+  JsonReader& v = Arr(obj, key, ctx);
+  while (v.NextItem()) {
+    if (v.Peek() != JsonValue::Type::kNumber)
       Fail(ctx, std::string("field \"") + key + "\" must hold numbers");
-    out.push_back(static_cast<T>(v.AsNumber()));
+    out.push_back(static_cast<T>(v.ReadNumber()));
   }
   return out;
 }
 
-std::vector<double> DoubleVector(const JsonValue& obj, const char* key,
-                                 const std::string& ctx) {
+std::vector<double> DoubleVector(Fields& obj, const char* key,
+                                 const char* ctx) {
   std::vector<double> out;
-  for (const JsonValue& v : Arr(obj, key, ctx)) {
-    if (!v.is_number())
+  JsonReader& v = Arr(obj, key, ctx);
+  while (v.NextItem()) {
+    if (v.Peek() != JsonValue::Type::kNumber)
       Fail(ctx, std::string("field \"") + key + "\" must hold numbers");
-    out.push_back(v.AsNumber());
+    out.push_back(v.ReadNumber());
   }
   return out;
 }
@@ -93,21 +193,29 @@ std::vector<double> DoubleVector(const JsonValue& obj, const char* key,
 // trace_io.cpp WriteAppRows).
 // --------------------------------------------------------------------------
 
-JsonValue JobToJson(const JobSpec& job) {
-  JsonValue j = JsonValue::MakeObject();
-  j.Set("num_tasks", JsonValue::MakeNumber(job.num_tasks));
-  j.Set("gpus_per_task", JsonValue::MakeNumber(job.gpus_per_task));
-  j.Set("total_work", JsonValue::MakeNumber(job.total_work));
-  j.Set("total_iterations", JsonValue::MakeNumber(job.total_iterations));
-  j.Set("loss_scale", JsonValue::MakeNumber(job.loss.scale()));
-  j.Set("loss_decay", JsonValue::MakeNumber(job.loss.decay()));
-  j.Set("loss_floor", JsonValue::MakeNumber(job.loss.floor()));
-  j.Set("model", JsonValue::MakeString(job.model.name));
-  j.Set("max_span", JsonValue::MakeString(ToString(job.max_span)));
-  return j;
+void AppendJob(std::string& out, const JobSpec& job) {
+  out += "{\"num_tasks\":";
+  Number(out, job.num_tasks);
+  out += ",\"gpus_per_task\":";
+  Number(out, job.gpus_per_task);
+  out += ",\"total_work\":";
+  Number(out, job.total_work);
+  out += ",\"total_iterations\":";
+  Number(out, job.total_iterations);
+  out += ",\"loss_scale\":";
+  Number(out, job.loss.scale());
+  out += ",\"loss_decay\":";
+  Number(out, job.loss.decay());
+  out += ",\"loss_floor\":";
+  Number(out, job.loss.floor());
+  out += ",\"model\":";
+  String(out, job.model.name);
+  out += ",\"max_span\":";
+  String(out, ToString(job.max_span));
+  out += '}';
 }
 
-JobSpec JobFromJson(const JsonValue& j, const std::string& ctx) {
+JobSpec JobFromFields(Fields& j, const char* ctx) {
   JobSpec job;
   job.num_tasks = static_cast<int>(Int(j, "num_tasks", ctx));
   job.gpus_per_task = static_cast<int>(Int(j, "gpus_per_task", ctx));
@@ -118,8 +226,12 @@ JobSpec JobFromJson(const JsonValue& j, const std::string& ctx) {
   if (!(job.total_work > 0.0) || !(job.total_iterations > 0.0))
     Fail(ctx, "total_work and total_iterations must be positive");
   try {
-    job.loss = LossCurve(Num(j, "loss_scale", ctx), Num(j, "loss_decay", ctx),
-                         Num(j, "loss_floor", ctx));
+    // Floor, decay, scale: the order the loss fields have always been
+    // checked in, which decides the error when several are bad.
+    const double floor = Num(j, "loss_floor", ctx);
+    const double decay = Num(j, "loss_decay", ctx);
+    const double scale = Num(j, "loss_scale", ctx);
+    job.loss = LossCurve(scale, decay, floor);
     job.model = ModelByName(Str(j, "model", ctx));
     job.max_span = LocalityLevelFromString(Str(j, "max_span", ctx));
   } catch (const WireError&) {
@@ -130,19 +242,24 @@ JobSpec JobFromJson(const JsonValue& j, const std::string& ctx) {
   return job;
 }
 
-JsonValue AppToJson(const AppSpec& app) {
-  JsonValue a = JsonValue::MakeObject();
-  a.Set("name", JsonValue::MakeString(app.name));
-  a.Set("arrival", JsonValue::MakeNumber(app.arrival));
-  a.Set("tuner", JsonValue::MakeString(ToString(app.tuner)));
-  a.Set("target_loss", JsonValue::MakeNumber(app.target_loss));
-  JsonValue jobs = JsonValue::MakeArray();
-  for (const JobSpec& job : app.jobs) jobs.Append(JobToJson(job));
-  a.Set("jobs", std::move(jobs));
-  return a;
+void AppendApp(std::string& out, const AppSpec& app) {
+  out += "{\"name\":";
+  String(out, app.name);
+  out += ",\"arrival\":";
+  Number(out, app.arrival);
+  out += ",\"tuner\":";
+  String(out, ToString(app.tuner));
+  out += ",\"target_loss\":";
+  Number(out, app.target_loss);
+  out += ",\"jobs\":[";
+  for (std::size_t i = 0; i < app.jobs.size(); ++i) {
+    if (i > 0) out += ',';
+    AppendJob(out, app.jobs[i]);
+  }
+  out += "]}";
 }
 
-AppSpec AppFromJson(const JsonValue& a, const std::string& ctx) {
+AppSpec AppFromFields(Fields& a, const char* ctx) {
   AppSpec app;
   app.name = Str(a, "name", ctx);
   app.arrival = Num(a, "arrival", ctx);
@@ -154,18 +271,26 @@ AppSpec AppFromJson(const JsonValue& a, const std::string& ctx) {
     Fail(ctx, e.what());
   }
   app.target_loss = Num(a, "target_loss", ctx);
-  const auto& jobs = Arr(a, "jobs", ctx);
-  if (jobs.empty()) Fail(ctx, "app must declare at least one job");
-  for (const JsonValue& j : jobs) app.jobs.push_back(JobFromJson(j, ctx));
+  JsonReader& jobs = Arr(a, "jobs", ctx);
+  if (!jobs.NextItem()) Fail(ctx, "app must declare at least one job");
+  do {
+    Fields job(jobs, kJobFields);
+    app.jobs.push_back(JobFromFields(job, ctx));
+  } while (jobs.NextItem());
   return app;
 }
 
-template <typename T>
-JsonValue NumberArray(const std::vector<T>& xs) {
-  JsonValue arr = JsonValue::MakeArray();
-  for (const T& x : xs)
-    arr.Append(JsonValue::MakeNumber(static_cast<double>(x)));
-  return arr;
+/// Checks the whole line's syntax and notes where its top-level members
+/// start.
+Fields ReadFrame(const std::string& line) {
+  JsonReader reader(line);
+  try {
+    Fields doc(reader, kFrameFields);
+    reader.ExpectEnd();
+    return doc;
+  } catch (const std::exception& e) {
+    throw WireError(std::string("wire: frame is not valid JSON: ") + e.what());
+  }
 }
 
 }  // namespace
@@ -186,123 +311,140 @@ const char* ToString(MsgType type) {
 
 std::string EncodeHello(const std::string& agent_name,
                         const std::vector<AppSpec>& apps) {
-  JsonValue m = JsonValue::MakeObject();
-  m.Set("type", JsonValue::MakeString("hello"));
-  m.Set("agent", JsonValue::MakeString(agent_name));
-  JsonValue arr = JsonValue::MakeArray();
-  for (const AppSpec& app : apps) arr.Append(AppToJson(app));
-  m.Set("apps", std::move(arr));
-  return JsonWriter::Write(m);
+  std::string out = "{\"type\":\"hello\",\"agent\":";
+  String(out, agent_name);
+  out += ",\"apps\":[";
+  for (std::size_t i = 0; i < apps.size(); ++i) {
+    if (i > 0) out += ',';
+    AppendApp(out, apps[i]);
+  }
+  out += "]}";
+  return out;
 }
 
 std::string EncodeWelcome(std::int64_t agent_id,
                           const std::vector<AppId>& app_ids) {
-  JsonValue m = JsonValue::MakeObject();
-  m.Set("type", JsonValue::MakeString("welcome"));
-  m.Set("protocol", JsonValue::MakeNumber(kProtocolVersion));
-  m.Set("agent_id", JsonValue::MakeNumber(static_cast<double>(agent_id)));
-  m.Set("app_ids", NumberArray(app_ids));
-  return JsonWriter::Write(m);
+  std::string out = "{\"type\":\"welcome\",\"protocol\":";
+  Number(out, kProtocolVersion);
+  out += ",\"agent_id\":";
+  Number(out, agent_id);
+  out += ",\"app_ids\":";
+  Numbers(out, app_ids);
+  out += '}';
+  return out;
 }
 
 std::string EncodeOffer(const ResourceOffer& offer) {
-  JsonValue m = JsonValue::MakeObject();
-  m.Set("type", JsonValue::MakeString("offer"));
-  m.Set("round", JsonValue::MakeNumber(static_cast<double>(offer.round_id)));
-  m.Set("time", JsonValue::MakeNumber(offer.time));
-  m.Set("lease", JsonValue::MakeNumber(offer.lease_duration));
-  m.Set("gpus", NumberArray(offer.gpus));
-  m.Set("free_per_machine", NumberArray(offer.free_per_machine));
-  m.Set("machine_speeds", NumberArray(offer.machine_speeds));
-  return JsonWriter::Write(m);
+  std::string out;
+  out.reserve(128 + 8 * (offer.gpus.size() + offer.free_per_machine.size() +
+                         offer.machine_speeds.size()));
+  out += "{\"type\":\"offer\",\"round\":";
+  Number(out, offer.round_id);
+  out += ",\"time\":";
+  Number(out, offer.time);
+  out += ",\"lease\":";
+  Number(out, offer.lease_duration);
+  out += ",\"gpus\":";
+  Numbers(out, offer.gpus);
+  out += ",\"free_per_machine\":";
+  Numbers(out, offer.free_per_machine);
+  out += ",\"machine_speeds\":";
+  Numbers(out, offer.machine_speeds);
+  out += '}';
+  return out;
 }
 
 std::string EncodeBid(std::uint64_t round_id,
                       const std::vector<BidDemand>& demands) {
-  JsonValue m = JsonValue::MakeObject();
-  m.Set("type", JsonValue::MakeString("bid"));
-  m.Set("round", JsonValue::MakeNumber(static_cast<double>(round_id)));
-  JsonValue arr = JsonValue::MakeArray();
-  for (const BidDemand& d : demands) {
-    JsonValue e = JsonValue::MakeObject();
-    e.Set("app", JsonValue::MakeNumber(static_cast<double>(d.app)));
-    e.Set("unmet_gpus", JsonValue::MakeNumber(d.unmet_gpus));
-    arr.Append(std::move(e));
+  std::string out = "{\"type\":\"bid\",\"round\":";
+  Number(out, round_id);
+  out += ",\"demands\":[";
+  for (std::size_t i = 0; i < demands.size(); ++i) {
+    out += i > 0 ? ",{\"app\":" : "{\"app\":";
+    Number(out, demands[i].app);
+    out += ",\"unmet_gpus\":";
+    Number(out, demands[i].unmet_gpus);
+    out += '}';
   }
-  m.Set("demands", std::move(arr));
-  return JsonWriter::Write(m);
+  out += "]}";
+  return out;
 }
 
 std::string EncodeGrant(const GrantSet& grants,
                         const std::vector<AppId>& finished_apps) {
-  JsonValue m = JsonValue::MakeObject();
-  m.Set("type", JsonValue::MakeString("grant"));
-  m.Set("round", JsonValue::MakeNumber(static_cast<double>(grants.round_id)));
-  m.Set("lease_expiry", JsonValue::MakeNumber(grants.lease_expiry));
-  JsonValue arr = JsonValue::MakeArray();
-  for (const Grant& g : grants.grants) {
-    JsonValue e = JsonValue::MakeObject();
-    e.Set("app", JsonValue::MakeNumber(static_cast<double>(g.app)));
-    e.Set("job", JsonValue::MakeNumber(static_cast<double>(g.job)));
-    e.Set("gpus", NumberArray(g.gpus));
-    arr.Append(std::move(e));
+  std::string out;
+  out.reserve(256 + 8 * grants.TotalGpus() + 32 * grants.grants.size());
+  out += "{\"type\":\"grant\",\"round\":";
+  Number(out, grants.round_id);
+  out += ",\"lease_expiry\":";
+  Number(out, grants.lease_expiry);
+  out += ",\"grants\":[";
+  for (std::size_t i = 0; i < grants.grants.size(); ++i) {
+    const Grant& g = grants.grants[i];
+    out += i > 0 ? ",{\"app\":" : "{\"app\":";
+    Number(out, g.app);
+    out += ",\"job\":";
+    Number(out, g.job);
+    out += ",\"gpus\":";
+    Numbers(out, g.gpus);
+    out += '}';
   }
-  m.Set("grants", std::move(arr));
-  JsonValue diag = JsonValue::MakeObject();
-  diag.Set("offered", JsonValue::MakeNumber(grants.diagnostics.offered_gpus));
-  diag.Set("granted", JsonValue::MakeNumber(grants.diagnostics.granted_gpus));
-  diag.Set("leftover",
-           JsonValue::MakeNumber(grants.diagnostics.leftover_gpus));
-  diag.Set("auction_ran",
-           JsonValue::MakeBool(grants.diagnostics.auction_ran));
-  diag.Set("participants",
-           JsonValue::MakeNumber(grants.diagnostics.auction_participants));
-  m.Set("diagnostics", std::move(diag));
-  m.Set("finished_apps", NumberArray(finished_apps));
-  return JsonWriter::Write(m);
+  const RoundDiagnostics& diag = grants.diagnostics;
+  out += "],\"diagnostics\":{\"offered\":";
+  Number(out, diag.offered_gpus);
+  out += ",\"granted\":";
+  Number(out, diag.granted_gpus);
+  out += ",\"leftover\":";
+  Number(out, diag.leftover_gpus);
+  out += diag.auction_ran ? ",\"auction_ran\":true" : ",\"auction_ran\":false";
+  out += ",\"participants\":";
+  Number(out, diag.auction_participants);
+  out += "},\"finished_apps\":";
+  Numbers(out, finished_apps);
+  out += '}';
+  return out;
 }
 
 std::string EncodeAck(std::uint64_t round_id) {
-  JsonValue m = JsonValue::MakeObject();
-  m.Set("type", JsonValue::MakeString("ack"));
-  m.Set("round", JsonValue::MakeNumber(static_cast<double>(round_id)));
-  return JsonWriter::Write(m);
+  std::string out = "{\"type\":\"ack\",\"round\":";
+  Number(out, round_id);
+  out += '}';
+  return out;
 }
 
 std::string EncodeError(const std::string& code, const std::string& detail) {
-  JsonValue m = JsonValue::MakeObject();
-  m.Set("type", JsonValue::MakeString("error"));
-  m.Set("code", JsonValue::MakeString(code));
-  m.Set("detail", JsonValue::MakeString(detail));
-  return JsonWriter::Write(m);
+  std::string out = "{\"type\":\"error\",\"code\":";
+  String(out, code);
+  out += ",\"detail\":";
+  String(out, detail);
+  out += '}';
+  return out;
 }
 
 std::string EncodeClose(const std::string& reason) {
-  JsonValue m = JsonValue::MakeObject();
-  m.Set("type", JsonValue::MakeString("close"));
-  m.Set("reason", JsonValue::MakeString(reason));
-  return JsonWriter::Write(m);
+  std::string out = "{\"type\":\"close\",\"reason\":";
+  String(out, reason);
+  out += '}';
+  return out;
 }
 
 WireMessage ParseWireMessage(const std::string& line) {
-  JsonValue doc;
-  try {
-    doc = JsonValue::Parse(line);
-  } catch (const std::exception& e) {
-    throw WireError(std::string("wire: frame is not valid JSON: ") + e.what());
-  }
+  Fields doc = ReadFrame(line);
   if (!doc.is_object()) throw WireError("wire: frame must be a JSON object");
-  const JsonValue* type = doc.Find("type");
-  if (type == nullptr || !type->is_string())
+  JsonReader* type = doc.Find("type");
+  if (type == nullptr || type->Peek() != JsonValue::Type::kString)
     throw WireError("wire: frame missing string field \"type\"");
-  const std::string& t = type->AsString();
+  const std::string t(type->ReadString());
 
   WireMessage msg;
   if (t == "hello") {
     msg.type = MsgType::kHello;
     msg.agent_name = Str(doc, "agent", "hello");
-    for (const JsonValue& a : Arr(doc, "apps", "hello"))
-      msg.apps.push_back(AppFromJson(a, "hello.apps"));
+    JsonReader& apps = Arr(doc, "apps", "hello");
+    while (apps.NextItem()) {
+      Fields app(apps, kAppFields);
+      msg.apps.push_back(AppFromFields(app, "hello.apps"));
+    }
   } else if (t == "welcome") {
     msg.type = MsgType::kWelcome;
     msg.protocol = static_cast<int>(Int(doc, "protocol", "welcome"));
@@ -320,7 +462,9 @@ WireMessage ParseWireMessage(const std::string& line) {
   } else if (t == "bid") {
     msg.type = MsgType::kBid;
     msg.round_id = static_cast<std::uint64_t>(Int(doc, "round", "bid"));
-    for (const JsonValue& d : Arr(doc, "demands", "bid")) {
+    JsonReader& demands = Arr(doc, "demands", "bid");
+    while (demands.NextItem()) {
+      Fields d(demands, kDemandFields);
       BidDemand demand;
       demand.app = static_cast<AppId>(Int(d, "app", "bid.demands"));
       demand.unmet_gpus =
@@ -332,14 +476,16 @@ WireMessage ParseWireMessage(const std::string& line) {
     msg.round_id = static_cast<std::uint64_t>(Int(doc, "round", "grant"));
     msg.grants.round_id = msg.round_id;
     msg.grants.lease_expiry = Num(doc, "lease_expiry", "grant");
-    for (const JsonValue& g : Arr(doc, "grants", "grant")) {
+    JsonReader& grants = Arr(doc, "grants", "grant");
+    while (grants.NextItem()) {
+      Fields g(grants, kGrantFields);
       Grant grant;
       grant.app = static_cast<AppId>(Int(g, "app", "grant.grants"));
       grant.job = static_cast<JobId>(Int(g, "job", "grant.grants"));
       grant.gpus = IntVector<GpuId>(g, "gpus", "grant.grants");
       msg.grants.grants.push_back(std::move(grant));
     }
-    const JsonValue& diag = Get(doc, "diagnostics", "grant");
+    Fields diag(Get(doc, "diagnostics", "grant"), kDiagnosticFields);
     msg.grants.diagnostics.offered_gpus =
         static_cast<int>(Int(diag, "offered", "grant.diagnostics"));
     msg.grants.diagnostics.granted_gpus =
