@@ -41,12 +41,14 @@ void String(std::string& out, std::string_view s) {
 }
 
 // --------------------------------------------------------------------------
-// Decode helpers. A frame is read twice through JsonReader: once whole, to
-// check its syntax and note where each top-level member starts, then field
-// by field in a fixed order. So a syntax error anywhere wins over any field
-// error, and field errors come in the same order whatever the member order
-// on the line. Every lookup names the frame type and field on failure, so
-// the resulting ERROR frame tells the AGENT exactly what was wrong.
+// Decode helpers. A frame is read in one pass through one JsonReader, its
+// fields asked for in a fixed order: a member found ahead of its turn is
+// skipped and read back when asked for, and a member never asked for is
+// skipped. So field errors come in the same order whatever the member order
+// on the line. When a frame is rejected, a second pass checks the whole
+// line's syntax, because a syntax error anywhere names the frame instead.
+// Every lookup names the frame type and field on failure, so the resulting
+// ERROR frame tells the AGENT exactly what was wrong.
 // --------------------------------------------------------------------------
 
 [[noreturn]] void Fail(const char* ctx, const std::string& what) {
@@ -70,53 +72,91 @@ constexpr std::string_view kGrantFields[] = {"app", "job", "gpus"};
 constexpr std::string_view kDiagnosticFields[] = {
     "offered", "granted", "leftover", "auction_ran", "participants"};
 
-/// One object's members of interest: where the first occurrence of each
-/// name's value starts (later duplicates are ignored), read back on demand
-/// through a reader of its own. Built from a value that is not an object,
-/// it has no members, so every lookup reports the field missing.
+/// Cursor over one object's members. Find hands out the reader at a
+/// member's value, which the caller then reads whole (or throws); Close
+/// reads on to the object's end. Only the first occurrence of a name counts.
+/// Opened on a value that is not an object, it has no members, so every
+/// lookup reports the field missing.
 class Fields {
  public:
-  /// Reads the value at `r`'s position; `r` ends up just past it.
+  /// Opens the value at `r`'s position; `r` is shared with the caller.
   Fields(JsonReader& r, std::span<const std::string_view> names)
-      : names_(names), reader_(r.text()) {
-    at_.fill(kAbsent);
-    is_object_ = r.Peek() == JsonValue::Type::kObject;
-    if (!is_object_) {
+      : r_(r), names_(names) {
+    at_.fill(kUnseen);
+    if (r.Peek() == JsonValue::Type::kObject) {
+      r.BeginObject();
+    } else {
       r.Skip();
-      return;
+      done_ = true;
     }
-    r.BeginObject();
-    std::string_view key;
-    while (r.NextMember(key)) {
-      for (std::size_t i = 0; i < names_.size(); ++i) {
-        if (key != names_[i]) continue;
-        if (at_[i] == kAbsent) at_[i] = r.offset();
-        break;
-      }
-      r.Skip();
-    }
+    is_object_ = !done_;
+    frontier_ = r.offset();
   }
 
   bool is_object() const { return is_object_; }
 
   /// The reader at the value of `key`, or nullptr when it is absent.
   JsonReader* Find(std::string_view key) {
-    for (std::size_t i = 0; i < names_.size(); ++i) {
-      if (names_[i] != key) continue;
-      if (at_[i] == kAbsent) return nullptr;
-      reader_.Seek(at_[i]);
-      return &reader_;
+    const std::size_t want = IndexOf(key);
+    Resume();
+    if (at_[want] != kUnseen) {  // passed already: go back for it
+      r_.Seek(at_[want]);
+      return &r_;
+    }
+    for (std::string_view k; !done_;) {
+      if (!r_.NextMember(k)) {
+        done_ = true;
+      } else if (const std::size_t i = IndexOf(k);
+                 i != kUnseen && at_[i] == kUnseen) {
+        at_[i] = r_.offset();
+        if (i == want) {
+          in_value_ = true;
+          return &r_;
+        }
+        r_.Skip();
+      } else {
+        r_.Skip();
+      }
+      frontier_ = r_.offset();
     }
     return nullptr;
   }
 
- private:
-  static constexpr std::size_t kAbsent = std::string_view::npos;
+  /// Reads past every member not asked for; the reader ends after the
+  /// object.
+  void Close() {
+    Resume();
+    for (std::string_view k; !done_;) {
+      if (r_.NextMember(k)) r_.Skip();
+      else done_ = true;
+    }
+    frontier_ = r_.offset();
+  }
 
+ private:
+  static constexpr std::size_t kUnseen = std::string_view::npos;
+
+  std::size_t IndexOf(std::string_view key) const {
+    for (std::size_t i = 0; i < names_.size(); ++i)
+      if (names_[i] == key) return i;
+    return kUnseen;
+  }
+
+  /// Back to where the member walk stopped: past the value the caller just
+  /// read, if Find handed one out from there.
+  void Resume() {
+    if (in_value_) frontier_ = r_.offset();
+    in_value_ = false;
+    r_.Seek(frontier_);
+  }
+
+  JsonReader& r_;
   std::span<const std::string_view> names_;
   std::array<std::size_t, std::size(kFrameFields)> at_;
+  std::size_t frontier_ = 0;  // where the member walk resumes
+  bool in_value_ = false;     // the caller is reading the frontier's value
+  bool done_ = false;         // the walk is past the closing '}'
   bool is_object_ = false;
-  JsonReader reader_;
 };
 
 JsonReader& Get(Fields& obj, const char* key, const char* ctx) {
@@ -276,21 +316,112 @@ AppSpec AppFromFields(Fields& a, const char* ctx) {
   do {
     Fields job(jobs, kJobFields);
     app.jobs.push_back(JobFromFields(job, ctx));
+    job.Close();
   } while (jobs.NextItem());
   return app;
 }
 
-/// Checks the whole line's syntax and notes where its top-level members
-/// start.
-Fields ReadFrame(const std::string& line) {
-  JsonReader reader(line);
+/// Throws the frame's first syntax error, if it has one.
+void CheckSyntax(const std::string& line) {
   try {
-    Fields doc(reader, kFrameFields);
+    JsonReader reader(line);
+    reader.Skip();
     reader.ExpectEnd();
-    return doc;
   } catch (const std::exception& e) {
     throw WireError(std::string("wire: frame is not valid JSON: ") + e.what());
   }
+}
+
+WireMessage Decode(const std::string& line) {
+  JsonReader reader(line);
+  Fields doc(reader, kFrameFields);
+  if (!doc.is_object()) throw WireError("wire: frame must be a JSON object");
+  JsonReader* type = doc.Find("type");
+  if (type == nullptr || type->Peek() != JsonValue::Type::kString)
+    throw WireError("wire: frame missing string field \"type\"");
+  const std::string t(type->ReadString());
+
+  WireMessage msg;
+  if (t == "hello") {
+    msg.type = MsgType::kHello;
+    msg.agent_name = Str(doc, "agent", "hello");
+    JsonReader& apps = Arr(doc, "apps", "hello");
+    while (apps.NextItem()) {
+      Fields app(apps, kAppFields);
+      msg.apps.push_back(AppFromFields(app, "hello.apps"));
+      app.Close();
+    }
+  } else if (t == "welcome") {
+    msg.type = MsgType::kWelcome;
+    msg.protocol = static_cast<int>(Int(doc, "protocol", "welcome"));
+    msg.agent_id = Int(doc, "agent_id", "welcome");
+    msg.app_ids = IntVector<AppId>(doc, "app_ids", "welcome");
+  } else if (t == "offer") {
+    msg.type = MsgType::kOffer;
+    msg.offer.round_id = static_cast<std::uint64_t>(Int(doc, "round", "offer"));
+    msg.offer.time = Num(doc, "time", "offer");
+    msg.offer.lease_duration = Num(doc, "lease", "offer");
+    msg.offer.gpus = IntVector<GpuId>(doc, "gpus", "offer");
+    msg.offer.free_per_machine = IntVector<int>(doc, "free_per_machine",
+                                                "offer");
+    msg.offer.machine_speeds = DoubleVector(doc, "machine_speeds", "offer");
+  } else if (t == "bid") {
+    msg.type = MsgType::kBid;
+    msg.round_id = static_cast<std::uint64_t>(Int(doc, "round", "bid"));
+    JsonReader& demands = Arr(doc, "demands", "bid");
+    while (demands.NextItem()) {
+      Fields d(demands, kDemandFields);
+      BidDemand demand;
+      demand.app = static_cast<AppId>(Int(d, "app", "bid.demands"));
+      demand.unmet_gpus =
+          static_cast<int>(Int(d, "unmet_gpus", "bid.demands"));
+      d.Close();
+      msg.demands.push_back(demand);
+    }
+  } else if (t == "grant") {
+    msg.type = MsgType::kGrant;
+    msg.round_id = static_cast<std::uint64_t>(Int(doc, "round", "grant"));
+    msg.grants.round_id = msg.round_id;
+    msg.grants.lease_expiry = Num(doc, "lease_expiry", "grant");
+    JsonReader& grants = Arr(doc, "grants", "grant");
+    while (grants.NextItem()) {
+      Fields g(grants, kGrantFields);
+      Grant grant;
+      grant.app = static_cast<AppId>(Int(g, "app", "grant.grants"));
+      grant.job = static_cast<JobId>(Int(g, "job", "grant.grants"));
+      grant.gpus = IntVector<GpuId>(g, "gpus", "grant.grants");
+      g.Close();
+      msg.grants.grants.push_back(std::move(grant));
+    }
+    Fields diag(Get(doc, "diagnostics", "grant"), kDiagnosticFields);
+    msg.grants.diagnostics.offered_gpus =
+        static_cast<int>(Int(diag, "offered", "grant.diagnostics"));
+    msg.grants.diagnostics.granted_gpus =
+        static_cast<int>(Int(diag, "granted", "grant.diagnostics"));
+    msg.grants.diagnostics.leftover_gpus =
+        static_cast<int>(Int(diag, "leftover", "grant.diagnostics"));
+    msg.grants.diagnostics.auction_ran =
+        Boolean(diag, "auction_ran", "grant.diagnostics");
+    msg.grants.diagnostics.auction_participants =
+        static_cast<int>(Int(diag, "participants", "grant.diagnostics"));
+    diag.Close();
+    msg.finished_apps = IntVector<AppId>(doc, "finished_apps", "grant");
+  } else if (t == "ack") {
+    msg.type = MsgType::kAck;
+    msg.round_id = static_cast<std::uint64_t>(Int(doc, "round", "ack"));
+  } else if (t == "error") {
+    msg.type = MsgType::kError;
+    msg.code = Str(doc, "code", "error");
+    msg.detail = Str(doc, "detail", "error");
+  } else if (t == "close") {
+    msg.type = MsgType::kClose;
+    msg.reason = Str(doc, "reason", "close");
+  } else {
+    throw WireError("wire: unknown message type \"" + t + "\"");
+  }
+  doc.Close();
+  reader.ExpectEnd();
+  return msg;
 }
 
 }  // namespace
@@ -429,88 +560,12 @@ std::string EncodeClose(const std::string& reason) {
 }
 
 WireMessage ParseWireMessage(const std::string& line) {
-  Fields doc = ReadFrame(line);
-  if (!doc.is_object()) throw WireError("wire: frame must be a JSON object");
-  JsonReader* type = doc.Find("type");
-  if (type == nullptr || type->Peek() != JsonValue::Type::kString)
-    throw WireError("wire: frame missing string field \"type\"");
-  const std::string t(type->ReadString());
-
-  WireMessage msg;
-  if (t == "hello") {
-    msg.type = MsgType::kHello;
-    msg.agent_name = Str(doc, "agent", "hello");
-    JsonReader& apps = Arr(doc, "apps", "hello");
-    while (apps.NextItem()) {
-      Fields app(apps, kAppFields);
-      msg.apps.push_back(AppFromFields(app, "hello.apps"));
-    }
-  } else if (t == "welcome") {
-    msg.type = MsgType::kWelcome;
-    msg.protocol = static_cast<int>(Int(doc, "protocol", "welcome"));
-    msg.agent_id = Int(doc, "agent_id", "welcome");
-    msg.app_ids = IntVector<AppId>(doc, "app_ids", "welcome");
-  } else if (t == "offer") {
-    msg.type = MsgType::kOffer;
-    msg.offer.round_id = static_cast<std::uint64_t>(Int(doc, "round", "offer"));
-    msg.offer.time = Num(doc, "time", "offer");
-    msg.offer.lease_duration = Num(doc, "lease", "offer");
-    msg.offer.gpus = IntVector<GpuId>(doc, "gpus", "offer");
-    msg.offer.free_per_machine = IntVector<int>(doc, "free_per_machine",
-                                                "offer");
-    msg.offer.machine_speeds = DoubleVector(doc, "machine_speeds", "offer");
-  } else if (t == "bid") {
-    msg.type = MsgType::kBid;
-    msg.round_id = static_cast<std::uint64_t>(Int(doc, "round", "bid"));
-    JsonReader& demands = Arr(doc, "demands", "bid");
-    while (demands.NextItem()) {
-      Fields d(demands, kDemandFields);
-      BidDemand demand;
-      demand.app = static_cast<AppId>(Int(d, "app", "bid.demands"));
-      demand.unmet_gpus =
-          static_cast<int>(Int(d, "unmet_gpus", "bid.demands"));
-      msg.demands.push_back(demand);
-    }
-  } else if (t == "grant") {
-    msg.type = MsgType::kGrant;
-    msg.round_id = static_cast<std::uint64_t>(Int(doc, "round", "grant"));
-    msg.grants.round_id = msg.round_id;
-    msg.grants.lease_expiry = Num(doc, "lease_expiry", "grant");
-    JsonReader& grants = Arr(doc, "grants", "grant");
-    while (grants.NextItem()) {
-      Fields g(grants, kGrantFields);
-      Grant grant;
-      grant.app = static_cast<AppId>(Int(g, "app", "grant.grants"));
-      grant.job = static_cast<JobId>(Int(g, "job", "grant.grants"));
-      grant.gpus = IntVector<GpuId>(g, "gpus", "grant.grants");
-      msg.grants.grants.push_back(std::move(grant));
-    }
-    Fields diag(Get(doc, "diagnostics", "grant"), kDiagnosticFields);
-    msg.grants.diagnostics.offered_gpus =
-        static_cast<int>(Int(diag, "offered", "grant.diagnostics"));
-    msg.grants.diagnostics.granted_gpus =
-        static_cast<int>(Int(diag, "granted", "grant.diagnostics"));
-    msg.grants.diagnostics.leftover_gpus =
-        static_cast<int>(Int(diag, "leftover", "grant.diagnostics"));
-    msg.grants.diagnostics.auction_ran =
-        Boolean(diag, "auction_ran", "grant.diagnostics");
-    msg.grants.diagnostics.auction_participants =
-        static_cast<int>(Int(diag, "participants", "grant.diagnostics"));
-    msg.finished_apps = IntVector<AppId>(doc, "finished_apps", "grant");
-  } else if (t == "ack") {
-    msg.type = MsgType::kAck;
-    msg.round_id = static_cast<std::uint64_t>(Int(doc, "round", "ack"));
-  } else if (t == "error") {
-    msg.type = MsgType::kError;
-    msg.code = Str(doc, "code", "error");
-    msg.detail = Str(doc, "detail", "error");
-  } else if (t == "close") {
-    msg.type = MsgType::kClose;
-    msg.reason = Str(doc, "reason", "close");
-  } else {
-    throw WireError("wire: unknown message type \"" + t + "\"");
+  try {
+    return Decode(line);
+  } catch (const std::exception&) {
+    CheckSyntax(line);
+    throw;
   }
-  return msg;
 }
 
 namespace {

@@ -444,6 +444,53 @@ TEST(WireCodec, MalformedFramesDrawPointedErrors) {
   }
 }
 
+/// `v` with the members of every object in reverse order, and an unknown
+/// member holding nested containers up front.
+JsonValue Shuffled(const JsonValue& v) {
+  if (v.is_array()) {
+    JsonValue out = JsonValue::MakeArray();
+    for (const JsonValue& item : v.items()) out.Append(Shuffled(item));
+    return out;
+  }
+  if (!v.is_object()) return v;
+  JsonValue out = JsonValue::MakeObject();
+  JsonValue junk = JsonValue::MakeArray();
+  junk.Append(JsonValue::MakeObject());
+  junk.Append(v);
+  out.Set("zz", std::move(junk));
+  const auto& members = v.members();
+  for (auto it = members.rbegin(); it != members.rend(); ++it)
+    out.Set(it->first, Shuffled(it->second));
+  return out;
+}
+
+TEST(WireCodec, MemberOrderAndUnknownMembersDoNotMatter) {
+  GrantSet grants;
+  grants.round_id = 4;
+  grants.lease_expiry = 40.5;
+  grants.grants.push_back({1, 0, {0, 1, 2, 3}});
+  grants.grants.push_back({2, 1, {7}});
+  grants.diagnostics = {5, 5, 0, true, 2};
+  ResourceOffer offer;
+  offer.round_id = 3;
+  offer.time = 1.0 / 3.0;
+  offer.gpus = {4, 5};
+  offer.free_per_machine = {0, 2};
+  offer.machine_speeds = {1.0, 0.5};
+  const std::string frames[] = {
+      net::EncodeHello("a", SampleApps(2)), net::EncodeWelcome(3, {1, 2}),
+      net::EncodeOffer(offer),             net::EncodeBid(9, {{2, 8}, {5, 0}}),
+      net::EncodeGrant(grants, {2}),       net::EncodeAck(3),
+      net::EncodeError("c", "d"),          net::EncodeClose("r")};
+  for (const std::string& frame : frames) {
+    const std::string shuffled =
+        JsonWriter::Write(Shuffled(JsonValue::Parse(frame)));
+    EXPECT_EQ(wire_corpus::WireOutcome(shuffled),
+              wire_corpus::WireOutcome(frame))
+        << shuffled;
+  }
+}
+
 TEST(WireCodec, TruncatedHelloIsRejectedNotCrashed) {
   const std::string frame = net::EncodeHello("a", SampleApps(1));
   for (std::size_t cut : {frame.size() / 4, frame.size() / 2,
