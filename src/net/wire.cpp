@@ -1,8 +1,10 @@
 #include "net/wire.h"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <iterator>
+#include <limits>
 #include <span>
 #include <string_view>
 #include <utility>
@@ -172,11 +174,45 @@ double Num(Fields& obj, const char* key, const char* ctx) {
   return v.ReadNumber();
 }
 
-std::int64_t Int(Fields& obj, const char* key, const char* ctx) {
+/// Whole numbers beyond this magnitude are refused: every integer up to it
+/// is exact as a double.
+constexpr double kMaxWireInteger = 9.0e15;
+
+/// The whole numbers an integer field of type T accepts: those T holds,
+/// within +-kMaxWireInteger.
+template <typename T>
+constexpr double kIntegerMin = std::max(
+    static_cast<double>(std::numeric_limits<T>::min()), -kMaxWireInteger);
+template <typename T>
+constexpr double kIntegerMax = std::min(
+    static_cast<double>(std::numeric_limits<T>::max()), kMaxWireInteger);
+
+/// The one integer conversion of the decoder: false unless `d` is a whole
+/// number in [kIntegerMin<T>, kIntegerMax<T>].
+template <typename T>
+bool ToInteger(double d, T& out) {
+  if (!(d >= kIntegerMin<T> && d <= kIntegerMax<T>) || d != std::floor(d))
+    return false;
+  out = static_cast<T>(d);
+  return true;
+}
+
+template <typename T>
+std::string IntegerRange() {
+  return "[" + std::to_string(static_cast<long long>(kIntegerMin<T>)) + ", " +
+         std::to_string(static_cast<long long>(kIntegerMax<T>)) + "]";
+}
+
+template <typename T>
+T Int(Fields& obj, const char* key, const char* ctx) {
   const double d = Num(obj, key, ctx);
-  if (d != std::floor(d) || std::abs(d) > 9.0e15)
+  if (d != std::floor(d) || std::abs(d) > kMaxWireInteger)
     Fail(ctx, std::string("field \"") + key + "\" must be an integer");
-  return static_cast<std::int64_t>(d);
+  T out;
+  if (!ToInteger(d, out))
+    Fail(ctx, std::string("field \"") + key + "\" must be an integer in " +
+                  IntegerRange<T>());
+  return out;
 }
 
 /// The view lives until the next string read through `obj`.
@@ -204,14 +240,15 @@ JsonReader& Arr(Fields& obj, const char* key, const char* ctx) {
 }
 
 template <typename T>
-std::vector<T> IntVector(Fields& obj, const char* key,
-                         const char* ctx) {
+std::vector<T> IntVector(Fields& obj, const char* key, const char* ctx) {
   std::vector<T> out;
   JsonReader& v = Arr(obj, key, ctx);
   while (v.NextItem()) {
     if (v.Peek() != JsonValue::Type::kNumber)
       Fail(ctx, std::string("field \"") + key + "\" must hold numbers");
-    out.push_back(static_cast<T>(v.ReadNumber()));
+    if (!ToInteger(v.ReadNumber(), out.emplace_back()))
+      Fail(ctx, std::string("field \"") + key + "\" must hold integers in " +
+                    IntegerRange<T>());
   }
   return out;
 }
@@ -257,8 +294,8 @@ void AppendJob(std::string& out, const JobSpec& job) {
 
 JobSpec JobFromFields(Fields& j, const char* ctx) {
   JobSpec job;
-  job.num_tasks = static_cast<int>(Int(j, "num_tasks", ctx));
-  job.gpus_per_task = static_cast<int>(Int(j, "gpus_per_task", ctx));
+  job.num_tasks = Int<int>(j, "num_tasks", ctx);
+  job.gpus_per_task = Int<int>(j, "gpus_per_task", ctx);
   job.total_work = Num(j, "total_work", ctx);
   job.total_iterations = Num(j, "total_iterations", ctx);
   if (job.num_tasks <= 0 || job.gpus_per_task <= 0)
@@ -353,12 +390,12 @@ WireMessage Decode(const std::string& line) {
     }
   } else if (t == "welcome") {
     msg.type = MsgType::kWelcome;
-    msg.protocol = static_cast<int>(Int(doc, "protocol", "welcome"));
-    msg.agent_id = Int(doc, "agent_id", "welcome");
+    msg.protocol = Int<int>(doc, "protocol", "welcome");
+    msg.agent_id = Int<std::int64_t>(doc, "agent_id", "welcome");
     msg.app_ids = IntVector<AppId>(doc, "app_ids", "welcome");
   } else if (t == "offer") {
     msg.type = MsgType::kOffer;
-    msg.offer.round_id = static_cast<std::uint64_t>(Int(doc, "round", "offer"));
+    msg.offer.round_id = Int<std::uint64_t>(doc, "round", "offer");
     msg.offer.time = Num(doc, "time", "offer");
     msg.offer.lease_duration = Num(doc, "lease", "offer");
     msg.offer.gpus = IntVector<GpuId>(doc, "gpus", "offer");
@@ -367,48 +404,48 @@ WireMessage Decode(const std::string& line) {
     msg.offer.machine_speeds = DoubleVector(doc, "machine_speeds", "offer");
   } else if (t == "bid") {
     msg.type = MsgType::kBid;
-    msg.round_id = static_cast<std::uint64_t>(Int(doc, "round", "bid"));
+    msg.round_id = Int<std::uint64_t>(doc, "round", "bid");
     JsonReader& demands = Arr(doc, "demands", "bid");
     while (demands.NextItem()) {
       Fields d(demands, kDemandFields);
       BidDemand demand;
-      demand.app = static_cast<AppId>(Int(d, "app", "bid.demands"));
+      demand.app = Int<AppId>(d, "app", "bid.demands");
       demand.unmet_gpus =
-          static_cast<int>(Int(d, "unmet_gpus", "bid.demands"));
+          Int<int>(d, "unmet_gpus", "bid.demands");
       d.Close();
       msg.demands.push_back(demand);
     }
   } else if (t == "grant") {
     msg.type = MsgType::kGrant;
-    msg.round_id = static_cast<std::uint64_t>(Int(doc, "round", "grant"));
+    msg.round_id = Int<std::uint64_t>(doc, "round", "grant");
     msg.grants.round_id = msg.round_id;
     msg.grants.lease_expiry = Num(doc, "lease_expiry", "grant");
     JsonReader& grants = Arr(doc, "grants", "grant");
     while (grants.NextItem()) {
       Fields g(grants, kGrantFields);
       Grant grant;
-      grant.app = static_cast<AppId>(Int(g, "app", "grant.grants"));
-      grant.job = static_cast<JobId>(Int(g, "job", "grant.grants"));
+      grant.app = Int<AppId>(g, "app", "grant.grants");
+      grant.job = Int<JobId>(g, "job", "grant.grants");
       grant.gpus = IntVector<GpuId>(g, "gpus", "grant.grants");
       g.Close();
       msg.grants.grants.push_back(std::move(grant));
     }
     Fields diag(Get(doc, "diagnostics", "grant"), kDiagnosticFields);
     msg.grants.diagnostics.offered_gpus =
-        static_cast<int>(Int(diag, "offered", "grant.diagnostics"));
+        Int<int>(diag, "offered", "grant.diagnostics");
     msg.grants.diagnostics.granted_gpus =
-        static_cast<int>(Int(diag, "granted", "grant.diagnostics"));
+        Int<int>(diag, "granted", "grant.diagnostics");
     msg.grants.diagnostics.leftover_gpus =
-        static_cast<int>(Int(diag, "leftover", "grant.diagnostics"));
+        Int<int>(diag, "leftover", "grant.diagnostics");
     msg.grants.diagnostics.auction_ran =
         Boolean(diag, "auction_ran", "grant.diagnostics");
     msg.grants.diagnostics.auction_participants =
-        static_cast<int>(Int(diag, "participants", "grant.diagnostics"));
+        Int<int>(diag, "participants", "grant.diagnostics");
     diag.Close();
     msg.finished_apps = IntVector<AppId>(doc, "finished_apps", "grant");
   } else if (t == "ack") {
     msg.type = MsgType::kAck;
-    msg.round_id = static_cast<std::uint64_t>(Int(doc, "round", "ack"));
+    msg.round_id = Int<std::uint64_t>(doc, "round", "ack");
   } else if (t == "error") {
     msg.type = MsgType::kError;
     msg.code = Str(doc, "code", "error");

@@ -444,6 +444,85 @@ TEST(WireCodec, MalformedFramesDrawPointedErrors) {
   }
 }
 
+std::string WireErrorText(const std::string& line) {
+  try {
+    net::ParseWireMessage(line);
+  } catch (const net::WireError& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(WireCodec, HostileIntegersAreRejectedNamingTheField) {
+  std::string hello = net::EncodeHello("a", {wire_corpus::CorpusApp(0, 1)});
+  const std::string tasks = "\"num_tasks\":1,";
+  ASSERT_NE(hello.find(tasks), std::string::npos);
+  hello.replace(hello.find(tasks), tasks.size(), "\"num_tasks\":4294967297,");
+  EXPECT_EQ(WireErrorText(hello),
+            "wire: hello.apps: field \"num_tasks\" must be an integer in "
+            "[-2147483648, 2147483647]");
+
+  const std::string u32 = " must be an integer in [0, 4294967295]";
+  const std::string i32 = " must be an integer in [-2147483648, 2147483647]";
+  const std::string round = " must be an integer in [0, 9000000000000000]";
+  EXPECT_EQ(WireErrorText("{\"type\":\"bid\",\"round\":1,\"demands\":[{\"app\":"
+                          "4294967296,\"unmet_gpus\":-4294967295}]}"),
+            "wire: bid.demands: field \"app\"" + u32);
+  EXPECT_EQ(WireErrorText("{\"type\":\"bid\",\"round\":1,\"demands\":[{\"app\":"
+                          "1,\"unmet_gpus\":-4294967295}]}"),
+            "wire: bid.demands: field \"unmet_gpus\"" + i32);
+  EXPECT_EQ(WireErrorText("{\"type\":\"ack\",\"round\":-1}"),
+            "wire: ack: field \"round\"" + round);
+  EXPECT_EQ(WireErrorText("{\"type\":\"welcome\",\"protocol\":2147483648,"
+                          "\"agent_id\":1,\"app_ids\":[]}"),
+            "wire: welcome: field \"protocol\"" + i32);
+  EXPECT_EQ(WireErrorText(
+                "{\"type\":\"grant\",\"round\":1,\"lease_expiry\":2,"
+                "\"grants\":[{\"app\":1,\"job\":4294967296,\"gpus\":[]}],"
+                "\"diagnostics\":{},\"finished_apps\":[]}"),
+            "wire: grant.grants: field \"job\"" + u32);
+
+  const std::string offer_head =
+      "{\"type\":\"offer\",\"round\":1,\"time\":0,\"lease\":1,";
+  const std::string gpus_error =
+      "wire: offer: field \"gpus\" must hold integers in [0, 4294967295]";
+  for (const char* gpus : {"[1.5]", "[-3]", "[1.5,-3]", "[1e300]",
+                           "[4294967296]", "[0,-0.5]"}) {
+    EXPECT_EQ(WireErrorText(offer_head + "\"gpus\":" + gpus +
+                            ",\"free_per_machine\":[],"
+                            "\"machine_speeds\":[]}"),
+              gpus_error)
+        << gpus;
+  }
+  EXPECT_EQ(WireErrorText(offer_head +
+                          "\"gpus\":[],\"free_per_machine\":[2147483648],"
+                          "\"machine_speeds\":[]}"),
+            "wire: offer: field \"free_per_machine\" must hold integers in "
+            "[-2147483648, 2147483647]");
+
+  // Every range's ends still decode.
+  const net::WireMessage offer = net::ParseWireMessage(
+      "{\"type\":\"offer\",\"round\":9000000000000000,\"time\":0,\"lease\":1,"
+      "\"gpus\":[0,4294967295,-0],"
+      "\"free_per_machine\":[-2147483648,2147483647],\"machine_speeds\":[]}");
+  EXPECT_EQ(offer.offer.round_id, 9000000000000000u);
+  EXPECT_EQ(offer.offer.gpus,
+            (std::vector<GpuId>{0, std::numeric_limits<GpuId>::max(), 0}));
+  EXPECT_EQ(offer.offer.free_per_machine,
+            (std::vector<int>{std::numeric_limits<int>::min(),
+                              std::numeric_limits<int>::max()}));
+  const net::WireMessage bid = net::ParseWireMessage(
+      "{\"type\":\"bid\",\"round\":0,\"demands\":[{\"app\":4294967295,"
+      "\"unmet_gpus\":-2147483648}]}");
+  ASSERT_EQ(bid.demands.size(), 1u);
+  EXPECT_EQ(bid.demands[0].app, kNoApp);
+  EXPECT_EQ(bid.demands[0].unmet_gpus, std::numeric_limits<int>::min());
+  const net::WireMessage welcome = net::ParseWireMessage(
+      "{\"type\":\"welcome\",\"protocol\":1,\"agent_id\":-9000000000000000,"
+      "\"app_ids\":[]}");
+  EXPECT_EQ(welcome.agent_id, -9000000000000000);
+}
+
 /// `v` with the members of every object in reverse order, and an unknown
 /// member holding nested containers up front.
 JsonValue Shuffled(const JsonValue& v) {
@@ -607,8 +686,8 @@ TEST(WireCodecPins, MutationCorpusOutcomesArePinned) {
       hash *= 1099511628211ull;
     }
   }
-  EXPECT_EQ(accepted, 19015u);
-  EXPECT_EQ(hash, 14803430384832732737ull);
+  EXPECT_EQ(accepted, 18080u);
+  EXPECT_EQ(hash, 7975845286094317556ull);
 }
 
 TEST(GrantDigest, OrderInsensitiveAndMergeable) {
