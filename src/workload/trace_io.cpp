@@ -1,6 +1,7 @@
 #include "workload/trace_io.h"
 
 #include <array>
+#include <cmath>
 #include <fstream>
 #include <stdexcept>
 #include <string_view>
@@ -36,10 +37,18 @@ std::size_t SplitCsvLine(std::string_view line,
                            what);
 }
 
-/// The whole of `field` (header column `name`) as a T.
+/// The whole of `field` (header column `name`) as a T. A floating-point
+/// field must be finite: from_chars reads "nan" and "inf", which no trace
+/// holds and which would slip past the arrival order and shape checks.
 template <class T>
 T Number(std::string_view field, const char* name, std::size_t line_no) {
-  if (const std::optional<T> v = ParseNumber<T>(field)) return *v;
+  const std::optional<T> v = ParseNumber<T>(field);
+  if constexpr (std::is_floating_point_v<T>) {
+    if (v && !std::isfinite(*v))
+      Fail(line_no, std::string(name) + ": expected a finite number, got \"" +
+                        std::string(field) + "\"");
+  }
+  if (v) return *v;
   Fail(line_no, std::string(name) + ": expected " + KnobType<T>() +
                     ", got \"" + std::string(field) + "\"");
 }
@@ -263,6 +272,12 @@ void StreamingTraceWriter::Append(const AppSpec& app) {
         "trace csv: app " + std::to_string(apps_written_) +
         " has a name with a comma or a line break, which the format cannot "
         "hold");
+  // An app is its job rows: one without jobs would leave a gap in the
+  // app indices, which the reader refuses.
+  if (app.jobs.empty())
+    throw std::invalid_argument("trace csv: app " +
+                                std::to_string(apps_written_) +
+                                " has no jobs, which the format cannot hold");
   rows_.clear();
   AppendAppRows(rows_, app, apps_written_);
   out_->write(rows_.data(), static_cast<std::streamsize>(rows_.size()));

@@ -113,7 +113,8 @@ class StreamingTraceWriter {
   StreamingTraceWriter& operator=(const StreamingTraceWriter&) = delete;
 
   /// Throws std::invalid_argument, naming the app's index, when its name
-  /// holds a comma or a line break; nothing of that app is written.
+  /// holds a comma or a line break or it has no jobs; nothing of that app
+  /// is written.
   void Append(const AppSpec& app);
   /// Flush and (for the owning form) close; throws on write failure.
   /// Idempotent; Append after Close is an error.

@@ -189,6 +189,77 @@ TEST(StreamingTraceWriter, RejectsNamesItCannotReadBack) {
   }
 }
 
+// An app is its job rows, so one without jobs would leave a gap in the app
+// indices that the reader refuses; the writer refuses it instead, naming
+// the app and writing nothing of it.
+TEST(StreamingTraceWriter, RejectsAppsWithoutJobs) {
+  std::vector<AppSpec> apps = SmallTrace(3, 3);
+  const AppSpec empty = [&] {
+    AppSpec a = apps[1];
+    a.jobs.clear();
+    return a;
+  }();
+  std::stringstream out;
+  StreamingTraceWriter writer(out);
+  writer.Append(apps[0]);
+  const std::string before = out.str();
+  try {
+    writer.Append(empty);
+    ADD_FAILURE() << "wrote an app without jobs";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("app 1 has no jobs"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(out.str(), before);
+  EXPECT_EQ(writer.apps_written(), 1u);
+  writer.Append(apps[1]);
+  writer.Append(apps[2]);
+  writer.Close();
+
+  std::stringstream whole;
+  WriteTraceCsv(whole, apps);
+  EXPECT_EQ(out.str(), whole.str());
+}
+
+// from_chars reads "nan" and "inf"; a trace field must be finite, and the
+// error names the line and the column.
+TEST(StreamingCsvTraceReader, RejectsNonFiniteNumbersWithLineAndField) {
+  const std::string header =
+      "app_index,app_name,arrival,tuner,target_loss,num_tasks,gpus_per_task,"
+      "total_work,total_iterations,loss_scale,loss_decay,loss_floor,model,"
+      "max_span\n";
+  const auto row = [](const std::string& arrival, const std::string& work) {
+    return "0,a," + arrival + ",none,0.1,1,4," + work +
+           ",1000,0.5,0.6,0,VGG16,cross-rack\n";
+  };
+  std::stringstream finite(header + row("0", "60"));
+  ASSERT_EQ(ReadTraceCsv(finite).size(), 1u);
+  const std::pair<std::string, std::string> cases[] = {
+      {header + row("nan", "inf"),
+       "line 2: arrival: expected a finite number, got \"nan\""},
+      {header + row("0", "inf"),
+       "line 2: total_work: expected a finite number, got \"inf\""},
+      {header + row("-INF", "60"),
+       "line 2: arrival: expected a finite number, got \"-INF\""},
+      {header + row("0", "60") + "1,b,5,none,0.1,1,4,60,1000,0.5,0.6,"
+                                  "infinity,VGG16,cross-rack\n",
+       "line 3: loss_floor: expected a finite number, got \"infinity\""}};
+  for (const auto& [csv, want] : cases) {
+    std::stringstream in(csv);
+    StreamingCsvTraceReader reader(in);
+    AppSpec spec;
+    try {
+      while (reader.Next(spec)) {
+      }
+      ADD_FAILURE() << "accepted a non-finite field, expected: " << want;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 /// A numpunct that writes 1234.5 as "1.234,5": the shape of a
 /// comma-decimal locale, built in so no installed locale is needed.
 struct CommaDecimal : std::numpunct<char> {
