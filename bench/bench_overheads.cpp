@@ -22,6 +22,7 @@
 #include "core/agent.h"
 #include "core/rho_index.h"
 #include "core/themis_policy.h"
+#include "net/wire.h"
 #include "round_harness.h"
 #include "sim/experiment.h"
 #include "workload/trace_gen.h"
@@ -256,6 +257,63 @@ void BM_TraceCsvRead(benchmark::State& state) {
                           state.iterations());
 }
 BENCHMARK(BM_TraceCsvRead)->Unit(benchmark::kMicrosecond);
+
+// ---------------------------------------------------------------------------
+// Wire codec: the frames every daemon round sends to each AGENT (OFFER,
+// GRANT) and reads back (BID). The OFFER is the whole free pool of the
+// 256-GPU, 88-machine Simulation256 cluster; the GRANT is one session's
+// share of a round, one 4-GPU grant; the BID is one app's demand.
+// ---------------------------------------------------------------------------
+
+const ResourceOffer& WireBenchOffer() {
+  static const ResourceOffer offer = [] {
+    const Cluster cluster(ClusterSpec::Simulation256());
+    return MakeOffer(/*round_id=*/117, /*now=*/1234.5678901234567,
+                     /*lease_duration=*/10.0, cluster);
+  }();
+  return offer;
+}
+
+GrantSet WireBenchGrant() {
+  GrantSet grants;
+  grants.round_id = 117;
+  grants.lease_expiry = 1244.5678901234567;
+  grants.grants.push_back({201, 3, {96, 97, 98, 99}});
+  grants.diagnostics = {256, 212, 44, true, 19};
+  return grants;
+}
+
+void BM_WireEncodeOffer(benchmark::State& state) {
+  const ResourceOffer& offer = WireBenchOffer();
+  for (auto _ : state) benchmark::DoNotOptimize(net::EncodeOffer(offer));
+}
+BENCHMARK(BM_WireEncodeOffer)->Unit(benchmark::kMicrosecond);
+
+void BM_WireParseOffer(benchmark::State& state) {
+  const std::string frame = net::EncodeOffer(WireBenchOffer());
+  for (auto _ : state) benchmark::DoNotOptimize(net::ParseWireMessage(frame));
+}
+BENCHMARK(BM_WireParseOffer)->Unit(benchmark::kMicrosecond);
+
+void BM_WireEncodeGrant(benchmark::State& state) {
+  const GrantSet grants = WireBenchGrant();
+  const std::vector<AppId> finished;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(net::EncodeGrant(grants, finished));
+}
+BENCHMARK(BM_WireEncodeGrant)->Unit(benchmark::kMicrosecond);
+
+void BM_WireParseGrant(benchmark::State& state) {
+  const std::string frame = net::EncodeGrant(WireBenchGrant(), {});
+  for (auto _ : state) benchmark::DoNotOptimize(net::ParseWireMessage(frame));
+}
+BENCHMARK(BM_WireParseGrant)->Unit(benchmark::kMicrosecond);
+
+void BM_WireParseBid(benchmark::State& state) {
+  const std::string frame = net::EncodeBid(117, {{201, 8}});
+  for (auto _ : state) benchmark::DoNotOptimize(net::ParseWireMessage(frame));
+}
+BENCHMARK(BM_WireParseBid)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------------------
 // BM_FilterProbe: ARBITER filter+probe cost vs live-app population, one
