@@ -177,22 +177,15 @@ void JsonReader::BeginObject() {
 
 bool JsonReader::NextMember(std::string_view& key) {
   Peek();
-  const char c = text_[pos_];
-  if (fresh_) {
-    fresh_ = false;
-    if (c == '}') {
-      ++pos_;
-      --depth_;
-      return false;
-    }
-  } else if (c == ',') {
-    ++pos_;
-  } else if (c == '}') {
+  const bool first = std::exchange(fresh_, false);
+  if (text_[pos_] == '}') {
     ++pos_;
     --depth_;
     return false;
-  } else {
-    Fail("expected ',' or '}' in object");
+  }
+  if (!first) {
+    if (text_[pos_] != ',') Fail("expected ',' or '}' in object");
+    ++pos_;
   }
   if (Peek() != Type::kString) Fail("expected object key string");
   key = ReadString();

@@ -157,19 +157,17 @@ class JsonReader {
   /// closing ']' is consumed.
   bool NextItem() {
     Peek();
-    const char c = text_[pos_];
-    if (fresh_) {
-      fresh_ = false;
-      if (c != ']') return true;
-    } else if (c == ',') {
+    const bool first = std::exchange(fresh_, false);
+    if (text_[pos_] == ']') {
       ++pos_;
-      return true;
-    } else if (c != ']') {
-      Fail("expected ',' or ']' in array");
+      --depth_;
+      return false;
     }
-    ++pos_;
-    --depth_;
-    return false;
+    if (!first) {
+      if (text_[pos_] != ',') Fail("expected ',' or ']' in array");
+      ++pos_;
+    }
+    return true;
   }
   void BeginObject();
   /// Reads the next key and its ':' into `key` (valid as ReadString's

@@ -7,6 +7,7 @@
 #include <limits>
 #include <span>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "common/json.h"
@@ -18,28 +19,78 @@ namespace themis::net {
 namespace {
 
 // --------------------------------------------------------------------------
-// Encode helpers: every frame is appended straight into one string, numbers
-// through JsonWriter::WriteNumber (integers as the double they convert to),
-// strings through JsonWriter::WriteString.
+// Encode helpers: every frame is appended straight into one string. Numbers
+// go through JsonWriter::WriteNumber (integers as the double they convert
+// to), strings through JsonWriter::WriteString.
 // --------------------------------------------------------------------------
 
 template <typename T>
-void Number(std::string& out, T x) {
+  requires std::is_arithmetic_v<T>
+void Value(std::string& out, T x) {
   JsonWriter::WriteNumber(static_cast<double>(x), out);
 }
+void Value(std::string& out, bool b) { out += b ? "true" : "false"; }
+void Value(std::string& out, std::string_view s) {
+  JsonWriter::WriteString(s, out);
+}
+// Without this, a C string would convert to bool rather than to a view.
+void Value(std::string& out, const char* s) { Value(out, std::string_view(s)); }
+void Value(std::string& out, const JobSpec& job);
+void Value(std::string& out, const AppSpec& app);
+void Value(std::string& out, const BidDemand& demand);
+void Value(std::string& out, const Grant& grant);
+void Value(std::string& out, const RoundDiagnostics& diag);
 
 template <typename T>
-void Numbers(std::string& out, const std::vector<T>& xs) {
+void Value(std::string& out, const std::vector<T>& xs) {
   out += '[';
   for (std::size_t i = 0; i < xs.size(); ++i) {
     if (i > 0) out += ',';
-    Number(out, xs[i]);
+    Value(out, xs[i]);
   }
   out += ']';
 }
 
-void String(std::string& out, std::string_view s) {
-  JsonWriter::WriteString(s, out);
+/// Appends `"key":value` as the next member of the object `out` is in.
+template <typename T>
+void Member(std::string& out, std::string_view key, const T& value) {
+  if (out.back() != '{') out += ',';
+  out += '"';
+  out += key;
+  out += "\":";
+  Value(out, value);
+}
+
+/// A frame up to its first member: `{"type":"<type>"`.
+std::string Open(std::string_view type) {
+  std::string out = "{";
+  Member(out, "type", type);
+  return out;
+}
+
+void Value(std::string& out, const BidDemand& demand) {
+  out += '{';
+  Member(out, "app", demand.app);
+  Member(out, "unmet_gpus", demand.unmet_gpus);
+  out += '}';
+}
+
+void Value(std::string& out, const Grant& grant) {
+  out += '{';
+  Member(out, "app", grant.app);
+  Member(out, "job", grant.job);
+  Member(out, "gpus", grant.gpus);
+  out += '}';
+}
+
+void Value(std::string& out, const RoundDiagnostics& diag) {
+  out += '{';
+  Member(out, "offered", diag.offered_gpus);
+  Member(out, "granted", diag.granted_gpus);
+  Member(out, "leftover", diag.leftover_gpus);
+  Member(out, "auction_ran", diag.auction_ran);
+  Member(out, "participants", diag.auction_participants);
+  out += '}';
 }
 
 // --------------------------------------------------------------------------
@@ -97,9 +148,11 @@ class Fields {
 
   bool is_object() const { return is_object_; }
 
-  /// The reader at the value of `key`, or nullptr when it is absent.
+  /// The reader at the value of `key`, or nullptr when it is absent (or
+  /// not one of the names).
   JsonReader* Find(std::string_view key) {
     const std::size_t want = IndexOf(key);
+    if (want == kUnseen) return nullptr;
     Resume();
     if (at_[want] != kUnseen) {  // passed already: go back for it
       r_.Seek(at_[want]);
@@ -154,6 +207,8 @@ class Fields {
 
   JsonReader& r_;
   std::span<const std::string_view> names_;
+  // Where each name's first value starts; no object kind has more names
+  // than a frame.
   std::array<std::size_t, std::size(kFrameFields)> at_;
   std::size_t frontier_ = 0;  // where the member walk resumes
   bool in_value_ = false;     // the caller is reading the frontier's value
@@ -270,25 +325,17 @@ std::vector<double> DoubleVector(Fields& obj, const char* key,
 // trace_io.cpp WriteAppRows).
 // --------------------------------------------------------------------------
 
-void AppendJob(std::string& out, const JobSpec& job) {
-  out += "{\"num_tasks\":";
-  Number(out, job.num_tasks);
-  out += ",\"gpus_per_task\":";
-  Number(out, job.gpus_per_task);
-  out += ",\"total_work\":";
-  Number(out, job.total_work);
-  out += ",\"total_iterations\":";
-  Number(out, job.total_iterations);
-  out += ",\"loss_scale\":";
-  Number(out, job.loss.scale());
-  out += ",\"loss_decay\":";
-  Number(out, job.loss.decay());
-  out += ",\"loss_floor\":";
-  Number(out, job.loss.floor());
-  out += ",\"model\":";
-  String(out, job.model.name);
-  out += ",\"max_span\":";
-  String(out, ToString(job.max_span));
+void Value(std::string& out, const JobSpec& job) {
+  out += '{';
+  Member(out, "num_tasks", job.num_tasks);
+  Member(out, "gpus_per_task", job.gpus_per_task);
+  Member(out, "total_work", job.total_work);
+  Member(out, "total_iterations", job.total_iterations);
+  Member(out, "loss_scale", job.loss.scale());
+  Member(out, "loss_decay", job.loss.decay());
+  Member(out, "loss_floor", job.loss.floor());
+  Member(out, "model", job.model.name);
+  Member(out, "max_span", ToString(job.max_span));
   out += '}';
 }
 
@@ -319,21 +366,14 @@ JobSpec JobFromFields(Fields& j, const char* ctx) {
   return job;
 }
 
-void AppendApp(std::string& out, const AppSpec& app) {
-  out += "{\"name\":";
-  String(out, app.name);
-  out += ",\"arrival\":";
-  Number(out, app.arrival);
-  out += ",\"tuner\":";
-  String(out, ToString(app.tuner));
-  out += ",\"target_loss\":";
-  Number(out, app.target_loss);
-  out += ",\"jobs\":[";
-  for (std::size_t i = 0; i < app.jobs.size(); ++i) {
-    if (i > 0) out += ',';
-    AppendJob(out, app.jobs[i]);
-  }
-  out += "]}";
+void Value(std::string& out, const AppSpec& app) {
+  out += '{';
+  Member(out, "name", app.name);
+  Member(out, "arrival", app.arrival);
+  Member(out, "tuner", ToString(app.tuner));
+  Member(out, "target_loss", app.target_loss);
+  Member(out, "jobs", app.jobs);
+  out += '}';
 }
 
 AppSpec AppFromFields(Fields& a, const char* ctx) {
@@ -479,119 +519,74 @@ const char* ToString(MsgType type) {
 
 std::string EncodeHello(const std::string& agent_name,
                         const std::vector<AppSpec>& apps) {
-  std::string out = "{\"type\":\"hello\",\"agent\":";
-  String(out, agent_name);
-  out += ",\"apps\":[";
-  for (std::size_t i = 0; i < apps.size(); ++i) {
-    if (i > 0) out += ',';
-    AppendApp(out, apps[i]);
-  }
-  out += "]}";
+  std::string out = Open("hello");
+  Member(out, "agent", agent_name);
+  Member(out, "apps", apps);
+  out += '}';
   return out;
 }
 
 std::string EncodeWelcome(std::int64_t agent_id,
                           const std::vector<AppId>& app_ids) {
-  std::string out = "{\"type\":\"welcome\",\"protocol\":";
-  Number(out, kProtocolVersion);
-  out += ",\"agent_id\":";
-  Number(out, agent_id);
-  out += ",\"app_ids\":";
-  Numbers(out, app_ids);
+  std::string out = Open("welcome");
+  Member(out, "protocol", kProtocolVersion);
+  Member(out, "agent_id", agent_id);
+  Member(out, "app_ids", app_ids);
   out += '}';
   return out;
 }
 
 std::string EncodeOffer(const ResourceOffer& offer) {
-  std::string out;
-  out.reserve(128 + 8 * (offer.gpus.size() + offer.free_per_machine.size() +
-                         offer.machine_speeds.size()));
-  out += "{\"type\":\"offer\",\"round\":";
-  Number(out, offer.round_id);
-  out += ",\"time\":";
-  Number(out, offer.time);
-  out += ",\"lease\":";
-  Number(out, offer.lease_duration);
-  out += ",\"gpus\":";
-  Numbers(out, offer.gpus);
-  out += ",\"free_per_machine\":";
-  Numbers(out, offer.free_per_machine);
-  out += ",\"machine_speeds\":";
-  Numbers(out, offer.machine_speeds);
+  std::string out = Open("offer");
+  Member(out, "round", offer.round_id);
+  Member(out, "time", offer.time);
+  Member(out, "lease", offer.lease_duration);
+  Member(out, "gpus", offer.gpus);
+  Member(out, "free_per_machine", offer.free_per_machine);
+  Member(out, "machine_speeds", offer.machine_speeds);
   out += '}';
   return out;
 }
 
 std::string EncodeBid(std::uint64_t round_id,
                       const std::vector<BidDemand>& demands) {
-  std::string out = "{\"type\":\"bid\",\"round\":";
-  Number(out, round_id);
-  out += ",\"demands\":[";
-  for (std::size_t i = 0; i < demands.size(); ++i) {
-    out += i > 0 ? ",{\"app\":" : "{\"app\":";
-    Number(out, demands[i].app);
-    out += ",\"unmet_gpus\":";
-    Number(out, demands[i].unmet_gpus);
-    out += '}';
-  }
-  out += "]}";
+  std::string out = Open("bid");
+  Member(out, "round", round_id);
+  Member(out, "demands", demands);
+  out += '}';
   return out;
 }
 
 std::string EncodeGrant(const GrantSet& grants,
                         const std::vector<AppId>& finished_apps) {
-  std::string out;
-  out.reserve(256 + 8 * grants.TotalGpus() + 32 * grants.grants.size());
-  out += "{\"type\":\"grant\",\"round\":";
-  Number(out, grants.round_id);
-  out += ",\"lease_expiry\":";
-  Number(out, grants.lease_expiry);
-  out += ",\"grants\":[";
-  for (std::size_t i = 0; i < grants.grants.size(); ++i) {
-    const Grant& g = grants.grants[i];
-    out += i > 0 ? ",{\"app\":" : "{\"app\":";
-    Number(out, g.app);
-    out += ",\"job\":";
-    Number(out, g.job);
-    out += ",\"gpus\":";
-    Numbers(out, g.gpus);
-    out += '}';
-  }
-  const RoundDiagnostics& diag = grants.diagnostics;
-  out += "],\"diagnostics\":{\"offered\":";
-  Number(out, diag.offered_gpus);
-  out += ",\"granted\":";
-  Number(out, diag.granted_gpus);
-  out += ",\"leftover\":";
-  Number(out, diag.leftover_gpus);
-  out += diag.auction_ran ? ",\"auction_ran\":true" : ",\"auction_ran\":false";
-  out += ",\"participants\":";
-  Number(out, diag.auction_participants);
-  out += "},\"finished_apps\":";
-  Numbers(out, finished_apps);
+  std::string out = Open("grant");
+  Member(out, "round", grants.round_id);
+  Member(out, "lease_expiry", grants.lease_expiry);
+  Member(out, "grants", grants.grants);
+  Member(out, "diagnostics", grants.diagnostics);
+  Member(out, "finished_apps", finished_apps);
   out += '}';
   return out;
 }
 
 std::string EncodeAck(std::uint64_t round_id) {
-  std::string out = "{\"type\":\"ack\",\"round\":";
-  Number(out, round_id);
+  std::string out = Open("ack");
+  Member(out, "round", round_id);
   out += '}';
   return out;
 }
 
 std::string EncodeError(const std::string& code, const std::string& detail) {
-  std::string out = "{\"type\":\"error\",\"code\":";
-  String(out, code);
-  out += ",\"detail\":";
-  String(out, detail);
+  std::string out = Open("error");
+  Member(out, "code", code);
+  Member(out, "detail", detail);
   out += '}';
   return out;
 }
 
 std::string EncodeClose(const std::string& reason) {
-  std::string out = "{\"type\":\"close\",\"reason\":";
-  String(out, reason);
+  std::string out = Open("close");
+  Member(out, "reason", reason);
   out += '}';
   return out;
 }
