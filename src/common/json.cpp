@@ -93,7 +93,8 @@ double JsonReader::ReadNumberSlow() {
   // locale-independent and the exact inverse of the to_chars writer.
   double d = 0.0;
   const auto res = std::from_chars(begin, p, d);
-  if (res.ec != std::errc() || res.ptr != p) Fail("number outside double range");
+  if (res.ec != std::errc() || res.ptr != p)
+    Fail("number outside double range");
   return d;
 }
 

@@ -108,12 +108,13 @@ class JsonReader {
   /// (which nest 3-4 deep) while keeping worst-case stack use trivial.
   static constexpr int kMaxDepth = 64;
 
+  using Type = JsonValue::Type;
+
   explicit JsonReader(std::string_view text) : text_(text) {}
 
   /// The type of the next value, judged by its first byte: anything that
   /// does not open an object, array, string or literal is taken for a
   /// number, and ReadNumber then rejects it. Throws at the end of input.
-  using Type = JsonValue::Type;
   Type Peek() {
     SkipWhitespace();
     if (pos_ >= text_.size()) Fail("unexpected end of input");
@@ -179,7 +180,6 @@ class JsonReader {
   /// Throws unless only whitespace remains.
   void ExpectEnd();
 
-  std::string_view text() const { return text_; }
   /// Offset of the next unread byte; Seek returns to one. The document
   /// must have been read past `offset` without error already.
   std::size_t offset() const { return pos_; }

@@ -263,14 +263,14 @@ T Int(Fields& obj, const char* key, const char* ctx) {
   const double d = Num(obj, key, ctx);
   if (d != std::floor(d) || std::abs(d) > kMaxWireInteger)
     Fail(ctx, std::string("field \"") + key + "\" must be an integer");
-  T out;
+  T out{};
   if (!ToInteger(d, out))
     Fail(ctx, std::string("field \"") + key + "\" must be an integer in " +
                   IntegerRange<T>());
   return out;
 }
 
-/// The view lives until the next string read through `obj`.
+/// The view lives until the next string read from the frame.
 std::string_view Str(Fields& obj, const char* key, const char* ctx) {
   JsonReader& v = Get(obj, key, ctx);
   if (v.Peek() != JsonValue::Type::kString)
@@ -450,8 +450,7 @@ WireMessage Decode(const std::string& line) {
       Fields d(demands, kDemandFields);
       BidDemand demand;
       demand.app = Int<AppId>(d, "app", "bid.demands");
-      demand.unmet_gpus =
-          Int<int>(d, "unmet_gpus", "bid.demands");
+      demand.unmet_gpus = Int<int>(d, "unmet_gpus", "bid.demands");
       d.Close();
       msg.demands.push_back(demand);
     }

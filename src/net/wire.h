@@ -23,8 +23,14 @@
 // is also what makes daemon-served rounds bit-identical to the in-process
 // RunRound path.
 //
-// Doubles cross the wire in shortest round-trip form (common/json.h
-// JsonWriter), so specs and offers survive serialization bit-for-bit.
+// The codec builds no JSON tree. Encoders append each frame straight into
+// one string, numbers through JsonWriter::WriteNumber, the tree's one JSON
+// number formatter (shortest round-trip form, so specs and offers survive
+// serialization bit for bit), strings through JsonWriter::WriteString.
+// ParseWireMessage reads each frame through common/json.h's JsonReader, the
+// tree's one JSON grammar, and fills the WireMessage directly.
+// tests/wire_test.cpp's WireCodecPins pins the frame bytes, and the decoded
+// values and error texts over a mutation corpus.
 #pragma once
 
 #include <cstdint>
@@ -116,7 +122,10 @@ std::string EncodeClose(const std::string& reason);
 
 /// Decode one frame. Throws WireError with a pointed message on anything
 /// malformed (bad JSON, non-object, missing "type", unknown type, missing
-/// or mistyped fields, unknown model/tuner/span names).
+/// or mistyped fields, an integer its field's type cannot hold, unknown
+/// model/tuner/span names). A syntax error anywhere in the line wins over
+/// field errors; field errors come in a fixed order whatever the member
+/// order; of duplicate keys the first counts.
 WireMessage ParseWireMessage(const std::string& line);
 
 /// Order-insensitive digest of a grant stream, for cross-checking the
