@@ -221,17 +221,29 @@ TEST_F(ThemisPolicyTest, DiagnosticsResetEveryRound) {
 // The leftover stage against the reference loop in tests/leftover_oracle.h.
 
 /// One random leftover stage on a 256-GPU cluster, built from `seed` alone
-/// so two worlds with the same arguments are identical: 1-40 apps with 1-4
-/// jobs each (shapes drawn from the trace generator, re-shaped to gangs of
-/// 1, 2, 4 or 8 GPUs and up to 24 tasks). A third of the jobs hold random
-/// whole gangs, now and then one GPU short or over, on shuffled GPUs, so
-/// big apps spread over many machines; some jobs are killed, finished or
-/// capped, some carry a placement constraint. The offer is a random
-/// ascending subset of the GPUs nobody holds — what an auction left, empty
-/// one time in eight — and each app took part in the auction with
-/// probability 0.3.
+/// so two worlds with the same arguments are identical.
+///
+/// kSmall: 1-40 apps with 1-4 jobs each (shapes drawn from the trace
+/// generator, re-shaped to gangs of 1, 2, 4 or 8 GPUs and up to 24 tasks).
+/// A third of the jobs hold random whole gangs, now and then one GPU short
+/// or over, on shuffled GPUs, so big apps spread over many machines; some
+/// jobs are killed, finished or capped, some carry a placement constraint.
+/// The offer is a random ascending subset of the GPUs nobody holds — what
+/// an auction left, empty one time in eight — and each app took part in the
+/// auction with probability 0.3.
+///
+/// kBurst: the stage sim-burst runs after a same-instant burst. 80-100
+/// apps with 30-80 jobs each (median 55) of up to 4 tasks, one job in 40
+/// holding gangs until half the cluster is held, so nearly every app is
+/// hungry and their demand dwarfs the pool. The offer is never empty, and the share of apps that took part in
+/// the auction is 0.3, 0.9 or 1 per world: with few or no outsiders the
+/// first pass runs dry early and the second pass (everyone) hands out the
+/// rest.
+enum class WorldShape { kSmall, kBurst };
+
 struct LeftoverWorld {
-  LeftoverWorld(std::uint64_t seed, bool mixed, EstimationMode mode)
+  LeftoverWorld(std::uint64_t seed, bool mixed, EstimationMode mode,
+                WorldShape shape = WorldShape::kSmall)
       : cluster(mixed ? ClusterSpec::Simulation256Mixed()
                       : ClusterSpec::Simulation256()),
         estimator(EstimatorConfig{mode, mode == EstimationMode::kNoisy ? 0.2 : 0.0,
@@ -248,13 +260,22 @@ struct LeftoverWorld {
                                    LocalityLevel::kMachine,
                                    LocalityLevel::kRack,
                                    LocalityLevel::kCrossRack};
-    const int num_apps = gen.UniformInt(1, 40);
+    const bool burst = shape == WorldShape::kBurst;
+    const int num_apps = burst ? gen.UniformInt(80, 100) : gen.UniformInt(1, 40);
+    const double join_rates[] = {0.3, 0.9, 1.0};
+    const double join = burst ? join_rates[gen.UniformInt(0, 2)] : 0.3;
+    // Holdings stop at half the cluster in a burst, leaving room to offer.
+    const std::size_t min_free = burst ? topo.num_gpus() / 2 : 0;
     for (int a = 0; a < num_apps; ++a) {
       TraceConfig trace;
       trace.seed = gen.NextU64();
       trace.num_apps = 1;
-      trace.jobs_per_app_median = 2.0;
-      trace.jobs_per_app_max = 4;
+      trace.jobs_per_app_median = burst ? 55.0 : 2.0;
+      if (burst) {
+        trace.jobs_per_app_sigma = 0.3;
+        trace.jobs_per_app_min = 30;
+      }
+      trace.jobs_per_app_max = burst ? 80 : 4;
       auto app = std::make_unique<AppState>();
       app->id = static_cast<AppId>(a);
       app->spec = TraceGenerator(trace).Generate().front();
@@ -263,7 +284,7 @@ struct LeftoverWorld {
       JobId next = 0;
       for (JobSpec& js : app->spec.jobs) {
         js.gpus_per_task = gangs[gen.UniformInt(0, 3)];
-        js.num_tasks = gen.UniformInt(1, 24);
+        js.num_tasks = gen.UniformInt(1, burst ? 4 : 24);
         js.max_span = gen.UniformInt(0, 3) == 0 ? spans[gen.UniformInt(0, 3)]
                                                 : LocalityLevel::kCrossRack;
         JobState job;
@@ -275,13 +296,13 @@ struct LeftoverWorld {
         const int fate = gen.UniformInt(0, 9);
         if (fate == 0) job.alive = false;
         if (fate == 1) job.finished = true;
-        int held = gen.UniformInt(0, 2) != 0
+        int held = gen.UniformInt(0, burst ? 39 : 2) != 0
                        ? 0
                        : js.gpus_per_task *
                              gen.UniformInt(0, job.parallelism_cap /
                                                    js.gpus_per_task);
         if (gen.UniformInt(0, 7) == 0) held += gen.UniformInt(-1, 1);
-        for (int k = 0; k < held && !free.empty(); ++k) {
+        for (int k = 0; k < held && free.size() > min_free; ++k) {
           job.gpus.push_back(free.back());
           cluster.Allocate(free.back(), app->id, job.id, now + 20.0);
           free.pop_back();
@@ -291,10 +312,12 @@ struct LeftoverWorld {
       app->ideal_time = std::max(1e-9, app->spec.IdealRunningTime());
       index.Update(app.get());
       apps.push_back(app.get());
-      if (gen.NextDouble() < 0.3) participants.push_back(app.get());
+      if (gen.NextDouble() < join) participants.push_back(app.get());
       owned.push_back(std::move(app));
     }
-    const double keep = gen.UniformInt(0, 7) == 0 ? 0.0 : gen.Uniform(0.05, 1.0);
+    const double keep = burst                      ? gen.Uniform(0.3, 1.0)
+                        : gen.UniformInt(0, 7) == 0 ? 0.0
+                                                    : gen.Uniform(0.05, 1.0);
     offer.time = now;
     offer.lease_duration = 20.0;
     for (GpuId g : free)
@@ -313,63 +336,120 @@ struct LeftoverWorld {
   ResourceOffer offer;
 };
 
+std::string EstimatorName(EstimationMode mode) {
+  switch (mode) {
+    case EstimationMode::kClairvoyant:
+      return "Clairvoyant";
+    case EstimationMode::kNoisy:
+      return "Noisy";
+    case EstimationMode::kCurveFit:
+      return "CurveFit";
+  }
+  return "Unknown";
+}
+
+/// What a run of stages handed out, summed over its seeds.
+struct StageTally {
+  long long grants = 0;
+  long long second_pass = 0;  // grants to auction participants
+  int contested = 0;          // stages with more than one winning app
+};
+
+/// Stages one world with AllocateLeftovers and its twin with the oracle,
+/// and requires the same grants in order and the same next draws.
+void ExpectStageMatchesOracle(std::uint64_t seed, bool mixed,
+                              EstimationMode mode, WorldShape shape,
+                              StageTally& tally) {
+  LeftoverWorld fast(seed, mixed, mode, shape);
+  LeftoverWorld ref(seed, mixed, mode, shape);
+  SchedulerContext fast_ctx(fast.offer, &fast.cluster, &fast.estimator,
+                            &fast.apps, fast.index, &fast.rng);
+  SchedulerContext ref_ctx(ref.offer, &ref.cluster, &ref.estimator, &ref.apps,
+                           ref.index, &ref.rng);
+  const Agent agent(&fast.cluster.topology(), &fast.estimator, fast.now);
+  AllocateLeftovers(fast_ctx, agent, fast.participants);
+  oracle::AllocateLeftovers(ref_ctx, ref.participants);
+
+  const GrantSet got = fast_ctx.TakeGrants();
+  const GrantSet want = ref_ctx.TakeGrants();
+  ASSERT_EQ(got.grants.size(), want.grants.size()) << "seed " << seed;
+  for (std::size_t i = 0; i < got.grants.size(); ++i) {
+    EXPECT_EQ(got.grants[i].app, want.grants[i].app) << "seed " << seed;
+    EXPECT_EQ(got.grants[i].job, want.grants[i].job) << "seed " << seed;
+    ASSERT_EQ(got.grants[i].gpus, want.grants[i].gpus)
+        << "seed " << seed << " grant " << i;
+  }
+  tally.grants += static_cast<long long>(got.grants.size());
+  std::set<AppId> joined;
+  for (const AppState* app : fast.participants) joined.insert(app->id);
+  std::set<AppId> winners;
+  for (const Grant& g : got.grants) {
+    winners.insert(g.app);
+    if (joined.count(g.app) != 0) ++tally.second_pass;
+  }
+  if (winners.size() > 1) ++tally.contested;
+
+  // Both streams must sit at the same place: the round's RNG drew once
+  // per gang, and the estimator was asked the same sequence.
+  EXPECT_EQ(fast.rng.NextU64(), ref.rng.NextU64()) << "seed " << seed;
+  const JobSpec& probe = fast.owned.front()->jobs.front().spec;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                fast.estimator.RemainingWork(probe, 0.0, 0.1)),
+            std::bit_cast<std::uint64_t>(
+                ref.estimator.RemainingWork(probe, 0.0, 0.1)))
+      << "seed " << seed;
+}
+
 class LeftoverOracle
     : public ::testing::TestWithParam<std::tuple<bool, EstimationMode>> {};
 
 TEST_P(LeftoverOracle, StagesTheReferenceGrantsAndDraws) {
   const auto [mixed, mode] = GetParam();
-  long long grants = 0;
-  int contested = 0;
-  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
-    LeftoverWorld fast(seed, mixed, mode);
-    LeftoverWorld ref(seed, mixed, mode);
-    SchedulerContext fast_ctx(fast.offer, &fast.cluster, &fast.estimator,
-                              &fast.apps, fast.index, &fast.rng);
-    SchedulerContext ref_ctx(ref.offer, &ref.cluster, &ref.estimator,
-                             &ref.apps, ref.index, &ref.rng);
-    const Agent agent(&fast.cluster.topology(), &fast.estimator, fast.now);
-    AllocateLeftovers(fast_ctx, agent, fast.participants);
-    oracle::AllocateLeftovers(ref_ctx, ref.participants);
-
-    const GrantSet got = fast_ctx.TakeGrants();
-    const GrantSet want = ref_ctx.TakeGrants();
-    ASSERT_EQ(got.grants.size(), want.grants.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < got.grants.size(); ++i) {
-      EXPECT_EQ(got.grants[i].app, want.grants[i].app) << "seed " << seed;
-      EXPECT_EQ(got.grants[i].job, want.grants[i].job) << "seed " << seed;
-      ASSERT_EQ(got.grants[i].gpus, want.grants[i].gpus)
-          << "seed " << seed << " grant " << i;
-    }
-    grants += static_cast<long long>(got.grants.size());
-    std::set<AppId> winners;
-    for (const Grant& g : got.grants) winners.insert(g.app);
-    if (winners.size() > 1) ++contested;
-
-    // Both streams must sit at the same place: the round's RNG drew once
-    // per gang, and the estimator was asked the same sequence.
-    EXPECT_EQ(fast.rng.NextU64(), ref.rng.NextU64()) << "seed " << seed;
-    const JobSpec& probe = fast.owned.front()->jobs.front().spec;
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(
-                  fast.estimator.RemainingWork(probe, 0.0, 0.1)),
-              std::bit_cast<std::uint64_t>(
-                  ref.estimator.RemainingWork(probe, 0.0, 0.1)))
-        << "seed " << seed;
-  }
+  StageTally tally;
+  for (std::uint64_t seed = 1; seed <= 400 && !HasFatalFailure(); ++seed)
+    ExpectStageMatchesOracle(seed, mixed, mode, WorldShape::kSmall, tally);
   // The stages must hand out real leftovers, to several apps at a time.
-  EXPECT_GT(grants, 2500) << grants;
-  EXPECT_GT(contested, 150) << contested;
+  EXPECT_GT(tally.grants, 2500) << tally.grants;
+  EXPECT_GT(tally.contested, 150) << tally.contested;
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Worlds, LeftoverOracle,
     ::testing::Combine(::testing::Bool(),
                        ::testing::Values(EstimationMode::kClairvoyant,
-                                         EstimationMode::kNoisy)),
+                                         EstimationMode::kNoisy,
+                                         EstimationMode::kCurveFit)),
     [](const auto& info) {
       return std::string(std::get<0>(info.param) ? "Mixed" : "Uniform") +
-             (std::get<1>(info.param) == EstimationMode::kNoisy
-                  ? "Noisy"
-                  : "Clairvoyant");
+             EstimatorName(std::get<1>(info.param));
+    });
+
+/// sim-burst's stage: ~90 hungry apps of ~55 jobs over a pool far smaller
+/// than their demand, under both stateless estimators.
+class LeftoverOracleBurst
+    : public ::testing::TestWithParam<std::tuple<bool, EstimationMode>> {};
+
+TEST_P(LeftoverOracleBurst, StagesTheReferenceGrantsAndDraws) {
+  const auto [mixed, mode] = GetParam();
+  StageTally tally;
+  for (std::uint64_t seed = 1; seed <= 100 && !HasFatalFailure(); ++seed)
+    ExpectStageMatchesOracle(seed, mixed, mode, WorldShape::kBurst, tally);
+  // Many gangs per stage, spread over many apps, in both passes.
+  EXPECT_GT(tally.grants, 2000) << tally.grants;
+  EXPECT_GT(tally.contested, 90) << tally.contested;
+  EXPECT_GT(tally.second_pass, 800) << tally.second_pass;
+  EXPECT_GT(tally.grants - tally.second_pass, 1100)
+      << tally.grants - tally.second_pass;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Worlds, LeftoverOracleBurst,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(EstimationMode::kClairvoyant,
+                                         EstimationMode::kCurveFit)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) ? "Mixed" : "Uniform") +
+             EstimatorName(std::get<1>(info.param));
     });
 
 TEST(LeftoverOracleJobOrder, MatchesStableSortWithTiedWork) {
