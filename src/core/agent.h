@@ -73,7 +73,10 @@ class Agent {
   /// order — the job driving the min() in T_SH first. Fills `order` with
   /// sorted (remaining work, job index) pairs, asking the estimator once
   /// per active job in ascending job order; the caller owns the buffer, so
-  /// a loop reuses its capacity.
+  /// a loop reuses its capacity. PrepareBid and DistributeToJobs call it
+  /// once per call, and the leftover stage once per app per stage: the
+  /// key, remaining work, cannot move within a round, since progress and
+  /// liveness change only between rounds.
   void JobPriorityOrder(const AppState& app,
                         std::vector<std::pair<Work, int>>& order) const;
 

@@ -198,133 +198,282 @@ GrantSet ThemisPolicy::RunRound(const ResourceOffer& offer,
   return ctx.TakeGrants();
 }
 
+namespace {
+
+/// One of the stage's lists (the candidates, or the anchored candidates):
+/// a flag per app, in app order, and a Fenwick tree over the flags, so
+/// adding or dropping a member and finding the k-th member cost O(log n).
+class MemberList {
+ public:
+  /// Rebuild from the flags in O(n).
+  void Assign(std::vector<char> member) {
+    member_ = std::move(member);
+    const std::size_t n = member_.size();
+    tree_.assign(n + 1, 0);
+    size_ = 0;
+    for (std::size_t i = 1; i <= n; ++i) {
+      tree_[i] += member_[i - 1];
+      size_ += member_[i - 1];
+      const std::size_t up = i + (i & (~i + 1));
+      if (up <= n) tree_[up] += tree_[i];
+    }
+    top_ = 1;
+    while (top_ * 2 <= n) top_ *= 2;
+  }
+  void Set(std::size_t i, bool on) {
+    if (member_[i] == on) return;
+    member_[i] = on;
+    const int delta = on ? 1 : -1;
+    size_ += delta;
+    for (++i; i < tree_.size(); i += i & (~i + 1)) tree_[i] += delta;
+  }
+  int size() const { return size_; }
+  /// Index of the k-th member (0-based), k < size().
+  std::size_t Find(int k) const {
+    std::size_t at = 0;
+    for (std::size_t step = top_; step > 0; step /= 2)
+      if (at + step < tree_.size() && tree_[at + step] <= k) {
+        at += step;
+        k -= tree_[at];
+      }
+    return at;
+  }
+
+ private:
+  std::vector<char> member_;
+  std::vector<int> tree_;  // 1-based partial sums
+  std::size_t top_ = 1;    // largest power of two <= n
+  int size_ = 0;
+};
+
+}  // namespace
+
 void AllocateLeftovers(SchedulerContext& ctx, const Agent& agent,
                        const std::vector<AppState*>& participants) {
   // An auction that took the whole pool leaves nothing to list apps for.
   if (ctx.free_pool().empty()) return;
+  const GpuPool& pool = ctx.free_pool();  // each grant shrinks it
+  const Topology& topo = ctx.topology();
 
   // Participant lookups are O(log P) against a sorted id vector.
   std::vector<AppId> participant_ids;
   participant_ids.reserve(participants.size());
   for (const AppState* app : participants) participant_ids.push_back(app->id);
   std::sort(participant_ids.begin(), participant_ids.end());
+  // Only apps that held a GPU at round start (the rho index's holders) or
+  // were granted one by this round's auction hold any; the others own no
+  // machine to anchor on until the stage grants them a gang.
+  std::vector<AppId> granted_ids;
+  for (const Grant& g : ctx.grants().grants) granted_ids.push_back(g.app);
+  std::sort(granted_ids.begin(), granted_ids.end());
+  const std::vector<AppState*>& holders = ctx.rho_index()->holders();
+  auto next_holder = holders.begin();
 
-  // The context's pool serves the whole stage: each grant shrinks it.
-  const GpuPool& pool = ctx.free_pool();
-
-  // The hungry apps in context order, listed once for both passes: during
-  // the stage only a winner's gangs change (its demand shrinks, its
-  // machines grow), so only the winner's entry is refreshed, and an app
-  // that starts sated stays sated.
-  struct Hungry {
+  // One entry per active app, in context order: the candidate list is the
+  // entries whose membership flag is set, in that order. An entry is
+  // examined the first time its pass admits it (outsiders in the first
+  // pass, the participants in the second) and then kept current grant by
+  // grant. Every cursor below only moves forward, because within a stage
+  // the pool only shrinks and a job's gang only grows.
+  struct Entry {
     AppState* app;
     bool participant;
-    int gang;  // smallest gang among jobs that can grow; 0 once sated
-    // The distinct machines it holds GPUs on, ascending: listed the first
-    // time the app is a candidate, then grown by each gang it is granted.
-    std::vector<MachineId> machines;
-    bool machines_known;
-    // machines[0, drained) have no pooled GPU left. The pool only shrinks,
-    // so a drained machine stays drained and the anchored check resumes
-    // where it stopped; only a grant can add a machine below `drained`.
-    std::size_t drained;
+    bool may_hold;
+    bool examined = false;
+    // Fit witness: app->jobs[fit_job] can grow by a gang of `gang` <=
+    // pool.size() GPUs; every job before it cannot (anymore). gang = 0
+    // once no job fits, for the rest of the stage.
+    std::size_t fit_job = 0;
+    int gang = 0;
+    // Anchor: `live` counts the machines registered for this app that
+    // still have pooled GPUs. GPUs before (anchor_job, anchor_gpu) in its
+    // jobs were all on drained machines when passed; gangs the stage grants
+    // it register their machines directly.
+    int live = 0;
+    std::size_t anchor_job = 0;
+    std::size_t anchor_gpu = 0;
+    // Its job order, ranked[rank_next, rank_end), made the first time it
+    // wins a gang this stage; jobs before rank_next can no longer grow.
+    std::size_t rank_next = 0;
+    std::size_t rank_end = 0;
+    bool ranked = false;
   };
-  auto smallest_gang = [](const AppState& app) {
-    int smallest = 0;
-    for (const JobState& job : app.jobs)
-      if (job.UnmetGangs() > 0 &&
-          (smallest == 0 || job.spec.gpus_per_task < smallest))
-        smallest = job.spec.gpus_per_task;
-    return smallest;
-  };
-  std::vector<Hungry> hungry;
+  std::vector<Entry> entries;
+  entries.reserve(ctx.apps().size());
   for (AppState* app : ctx.apps()) {
-    const int gang = smallest_gang(*app);
-    if (gang > 0)
-      hungry.push_back({app,
-                        std::binary_search(participant_ids.begin(),
-                                           participant_ids.end(), app->id),
-                        gang, {}, false, 0});
+    while (next_holder != holders.end() && (*next_holder)->id < app->id)
+      ++next_holder;
+    const bool holder = next_holder != holders.end() && *next_holder == app;
+    entries.push_back(
+        {app,
+         std::binary_search(participant_ids.begin(), participant_ids.end(),
+                            app->id),
+         holder || std::binary_search(granted_ids.begin(), granted_ids.end(),
+                                      app->id)});
   }
-  const Topology& topo = ctx.topology();
-  // Does the app hold a GPU on a machine that still has pooled GPUs?
-  auto anchored_in_pool = [&](Hungry& h) {
-    if (!h.machines_known) {
-      for (const JobState& job : h.app->jobs)
-        for (GpuId g : job.gpus) h.machines.push_back(topo.gpu(g).machine);
-      std::sort(h.machines.begin(), h.machines.end());
-      h.machines.erase(std::unique(h.machines.begin(), h.machines.end()),
-                       h.machines.end());
-      h.machines_known = true;
+
+  // Per machine: -2 once it has no pooled GPU, else the newest node of its
+  // list of (entry, next) registrations. A machine's list is walked once,
+  // when its last pooled GPU is granted.
+  constexpr int kDrained = -2;
+  std::vector<int> head(topo.num_machines(), kDrained);
+  for (const GpuPool::Bucket& b : pool.buckets()) head[b.machine] = -1;
+  std::vector<std::pair<std::size_t, int>> nodes;
+  auto register_machine = [&](std::size_t e, MachineId m) {
+    nodes.emplace_back(e, head[m]);
+    head[m] = static_cast<int>(nodes.size()) - 1;
+    ++entries[e].live;
+  };
+  // Find the next held GPU on a machine with pooled GPUs, if any.
+  auto reanchor = [&](std::size_t e) {
+    Entry& x = entries[e];
+    const std::vector<JobState>& jobs = x.app->jobs;
+    for (; x.anchor_job < jobs.size(); ++x.anchor_job, x.anchor_gpu = 0) {
+      const std::vector<GpuId>& held = jobs[x.anchor_job].gpus;
+      while (x.anchor_gpu < held.size()) {
+        const MachineId m = topo.gpu(held[x.anchor_gpu++]).machine;
+        if (head[m] != kDrained) {
+          register_machine(e, m);
+          return;
+        }
+      }
     }
-    while (h.drained < h.machines.size() &&
-           pool.on_machine(h.machines[h.drained]).empty())
-      ++h.drained;
-    return h.drained < h.machines.size();
+  };
+  // Gangs are kept in a max-heap so that a shrinking pool finds the
+  // entries whose witness no longer fits; stale pairs are skipped.
+  std::vector<std::pair<int, std::size_t>> fits;
+  auto refit = [&](std::size_t e) {
+    Entry& x = entries[e];
+    const std::vector<JobState>& jobs = x.app->jobs;
+    for (; x.fit_job < jobs.size(); ++x.fit_job) {
+      const JobState& job = jobs[x.fit_job];
+      if (job.spec.gpus_per_task <= pool.size() && job.UnmetGangs() > 0) {
+        if (x.gang != job.spec.gpus_per_task) {
+          x.gang = job.spec.gpus_per_task;
+          fits.emplace_back(x.gang, e);
+          std::push_heap(fits.begin(), fits.end());
+        }
+        return;
+      }
+    }
+    x.gang = 0;
   };
 
   // Two passes: first apps that did not participate in the auction (the
   // paper's rule — they cannot game leftovers), then, purely for work
   // conservation, anyone with unmet demand.
-  std::vector<Hungry*> candidates;
-  std::vector<Hungry*> anchored;
-  std::vector<std::pair<Work, int>> order;
-  for (const bool outsiders_only : {true, false}) {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      if (pool.empty()) return;
-      // Candidates that can absorb at least one whole gang.
-      candidates.clear();
-      for (Hungry& h : hungry)
-        if (h.gang > 0 && h.gang <= pool.size() &&
-            !(outsiders_only && h.participant))
-          candidates.push_back(&h);
-      if (candidates.empty()) break;
+  bool outsiders_only = true;
+  auto is_candidate = [&](const Entry& x) {
+    return x.examined && x.gang > 0 && !(outsiders_only && x.participant);
+  };
+  MemberList candidates;
+  MemberList anchored;
+  auto sync = [&](std::size_t e) {
+    const bool candidate = is_candidate(entries[e]);
+    candidates.Set(e, candidate);
+    anchored.Set(e, candidate && entries[e].live > 0);
+  };
 
+  std::vector<std::pair<Work, int>> order;
+  std::vector<int> ranked;
+  std::vector<GpuId> picked;
+  std::vector<GpuId> combined;
+  std::vector<std::size_t> changed;
+  for (const bool pass_outsiders_only : {true, false}) {
+    outsiders_only = pass_outsiders_only;
+    if (pool.empty()) return;
+    std::vector<char> candidate(entries.size());
+    std::vector<char> anchor(entries.size());
+    for (std::size_t e = 0; e < entries.size(); ++e) {
+      Entry& x = entries[e];
+      if (!x.examined && !(outsiders_only && x.participant)) {
+        x.examined = true;
+        if (!x.may_hold) x.anchor_job = x.app->jobs.size();
+        refit(e);
+        if (x.gang > 0) reanchor(e);
+      }
+      candidate[e] = is_candidate(x);
+      anchor[e] = candidate[e] && x.live > 0;
+    }
+    candidates.Assign(std::move(candidate));
+    anchored.Assign(std::move(anchor));
+
+    while (!pool.empty() && candidates.size() > 0) {
       // Paper: "when many such candidate apps exist for a GPU, one of the
       // apps is picked at random"; prefer apps already placed on machines
       // with free GPUs.
-      anchored.clear();
-      for (Hungry* h : candidates)
-        if (anchored_in_pool(*h)) anchored.push_back(h);
-      auto& pick_from = anchored.empty() ? candidates : anchored;
-      Hungry& winner = *pick_from[ctx.rng().UniformInt(
-          0, static_cast<int>(pick_from.size()) - 1)];
+      MemberList& pick_from = anchored.size() > 0 ? anchored : candidates;
+      const std::size_t w =
+          pick_from.Find(ctx.rng().UniformInt(0, pick_from.size() - 1));
+      Entry& winner = entries[w];
       AppState* app = winner.app;
+      if (!winner.ranked) {
+        winner.ranked = true;
+        agent.JobPriorityOrder(*app, order);
+        winner.rank_next = ranked.size();
+        for (const auto& [left, j] : order) ranked.push_back(j);
+        winner.rank_end = ranked.size();
+      }
 
       // Give its highest-priority job one gang, placed near its gang.
-      agent.JobPriorityOrder(*app, order);
-      for (const auto& [left, j] : order) {
-        JobState& job = app->jobs[j];
-        if (job.UnmetGangs() <= 0) continue;
+      JobState* granted = nullptr;
+      for (std::size_t r = winner.rank_next; r < winner.rank_end; ++r) {
+        JobState& job = app->jobs[ranked[r]];
         const int gang = job.spec.gpus_per_task;
-        std::vector<GpuId> picked =
-            PickBestPlacedNear(gang, pool, job.gpus, topo);
-        if (static_cast<int>(picked.size()) < gang) continue;
+        if (gang > pool.size() || job.UnmetGangs() <= 0) {
+          // Neither ever changes back within the stage.
+          if (r == winner.rank_next) ++winner.rank_next;
+          continue;
+        }
+        PickBestPlacedNear(gang, pool, job.gpus, topo, picked);
         // Respect placement constraints: a gang the job cannot run on
         // (S = 0) would hold the lease without making progress.
-        std::vector<GpuId> combined = job.gpus;
+        combined.assign(job.gpus.begin(), job.gpus.end());
         combined.insert(combined.end(), picked.begin(), picked.end());
         combined.resize(combined.size() - combined.size() % gang);
         if (combined.empty() ||
             EffectiveJobRate(job.spec, combined, topo) <= 0.0)
           continue;
         ctx.Grant(*app, job, picked);
-        winner.gang = smallest_gang(*app);
-        // The winner was a candidate, so its machine list is known.
-        std::vector<MachineId>& held = winner.machines;
-        for (GpuId g : picked) {
-          const MachineId m = topo.gpu(g).machine;
-          const auto at = std::lower_bound(held.begin(), held.end(), m);
-          if (at != held.end() && *at == m) continue;
-          winner.drained = std::min(
-              winner.drained, static_cast<std::size_t>(at - held.begin()));
-          held.insert(at, m);
-        }
-        progress = true;
+        granted = &job;
         break;
       }
+      if (granted == nullptr) break;  // this pass makes no more progress
+
+      // Only the winner's job and the pool changed. A machine the gang
+      // drained unanchors whoever counted it; one it left pooled GPUs on
+      // anchors the winner.
+      changed.clear();
+      // A gang's GPUs come machine by machine, so a repeat is the last one.
+      auto last = static_cast<MachineId>(topo.num_machines());
+      for (GpuId g : picked) {
+        const MachineId m = topo.gpu(g).machine;
+        if (m == last || head[m] == kDrained) continue;
+        last = m;
+        if (!pool.on_machine(m).empty()) {
+          register_machine(w, m);
+          continue;
+        }
+        for (int n = head[m]; n >= 0; n = nodes[n].second) {
+          const std::size_t e = nodes[n].first;
+          if (--entries[e].live == 0) changed.push_back(e);
+        }
+        head[m] = kDrained;
+      }
+      for (const std::size_t e : changed)
+        if (entries[e].live == 0 && entries[e].gang > 0) reanchor(e);
+      if (granted == &app->jobs[winner.fit_job] && granted->UnmetGangs() <= 0)
+        refit(w);
+      changed.push_back(w);
+      while (!fits.empty() && fits.front().first > pool.size()) {
+        std::pop_heap(fits.begin(), fits.end());
+        const auto [gang, e] = fits.back();
+        fits.pop_back();
+        if (entries[e].gang != gang) continue;  // stale
+        refit(e);
+        changed.push_back(e);
+      }
+      for (const std::size_t e : changed) sync(e);
     }
   }
 }

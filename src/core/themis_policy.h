@@ -13,14 +13,15 @@
 //   6. stage leftover GPUs work-conservingly for apps outside the auction,
 //      one gang at a time, preferring machines those apps already occupy
 //      (Sec. 5.1 "Leftover Allocation"). The stage picks from the
-//      context's pool, shrunk by the auction's grants, and lists the hungry
-//      apps once, each with its smallest growable gang; every iteration
-//      filters that list by the pool's size. An app's distinct machines are
-//      listed the first time it is a candidate, and a grant merges the
-//      gang's machines into the winner's list and refreshes only the
-//      winner's entry (its gangs are the only ones that changed, and the
-//      pool only shrinks). So a gang costs its pick, the winner's job order
-//      and the candidate checks, never a pass over all the winner holds.
+//      context's pool, shrunk by the auction's grants, and keeps the
+//      candidate and anchored lists (same members, same order, one draw
+//      per gang) across gangs instead of rebuilding them: each app is
+//      examined once per pass that admits it, and after a grant only the
+//      winner, the apps anchored on a machine the gang drained and the apps
+//      whose gang the shrunken pool no longer fits are looked at again. An
+//      app's jobs are ordered once per stage, the first time it wins. So a
+//      gang costs its pick, its grant and O(log n) bookkeeping, never a
+//      pass over the winner's jobs or the other candidates.
 //      A round whose auction took the whole pool skips the stage before
 //      listing anything.
 // The returned GrantSet carries the round's auction diagnostics (offered /
@@ -102,6 +103,11 @@ class ThemisPolicy final : public IRoundScheduler {
 /// Step 6: hand out whatever is still in the context's pool after the
 /// auction, one gang at a time, first to apps outside `participants`, then
 /// to anyone still hungry. Draws the winner of each gang from ctx.rng().
+/// Estimator calls: one Agent::JobPriorityOrder per app per stage, made the
+/// first time the app wins a gang (so a stateful estimator such as kNoisy
+/// draws once per active job of each distinct winner). Reads the rho
+/// index's holders and the grants staged so far to skip the anchor scan of
+/// apps that hold no GPU.
 void AllocateLeftovers(SchedulerContext& ctx, const Agent& agent,
                        const std::vector<AppState*>& participants);
 

@@ -110,17 +110,25 @@ void GpuPool::Remove(GpuId g) {
 
 namespace {
 
-// Appends GPUs bucket by bucket, in the given bucket order, up to `count`.
-std::vector<GpuId> FillInOrder(int count, const GpuPool& pool,
-                               const std::vector<const GpuPool::Bucket*>& order) {
-  std::vector<GpuId> picked;
+// Fills `picked` bucket by bucket, in the given bucket order, up to `count`.
+void FillInOrder(int count, const GpuPool& pool,
+                 const std::vector<const GpuPool::Bucket*>& order,
+                 std::vector<GpuId>& picked) {
+  picked.clear();
   picked.reserve(static_cast<std::size_t>(std::min(count, pool.size())));
   for (const GpuPool::Bucket* b : order) {
     for (GpuId id : pool.gpus(*b)) {
-      if (static_cast<int>(picked.size()) == count) return picked;
+      if (static_cast<int>(picked.size()) == count) return;
       picked.push_back(id);
     }
   }
+}
+
+std::vector<GpuId> FillInOrder(
+    int count, const GpuPool& pool,
+    const std::vector<const GpuPool::Bucket*>& order) {
+  std::vector<GpuId> picked;
+  FillInOrder(count, pool, order, picked);
   return picked;
 }
 
@@ -187,8 +195,22 @@ std::vector<GpuId> PickBestPlaced(int count, const GpuPool& pool) {
 std::vector<GpuId> PickBestPlacedNear(int count, const GpuPool& pool,
                                       const std::vector<GpuId>& anchor,
                                       const Topology& topo) {
-  if (count <= 0 || pool.empty()) return {};
-  if (anchor.empty()) return PickBestPlaced(count, pool);
+  std::vector<GpuId> picked;
+  PickBestPlacedNear(count, pool, anchor, topo, picked);
+  return picked;
+}
+
+void PickBestPlacedNear(int count, const GpuPool& pool,
+                        const std::vector<GpuId>& anchor, const Topology& topo,
+                        std::vector<GpuId>& picked) {
+  if (count <= 0 || pool.empty()) {
+    picked.clear();
+    return;
+  }
+  if (anchor.empty()) {
+    picked = PickBestPlaced(count, pool);
+    return;
+  }
 
   // An anchor is one job's gang, so a sorted vector beats a tree.
   std::vector<MachineId> anchor_machines;
@@ -225,7 +247,7 @@ std::vector<GpuId> PickBestPlacedNear(int count, const GpuPool& pool,
                      if (a->speed != b->speed) return a->speed > b->speed;
                      return a->size > b->size;
                    });
-  return FillInOrder(count, pool, order);
+  FillInOrder(count, pool, order, picked);
 }
 
 std::vector<GpuId> PickFastest(int count, const GpuPool& pool) {

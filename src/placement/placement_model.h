@@ -105,6 +105,11 @@ std::vector<GpuId> PickBestPlaced(int count, const GpuPool& pool);
 std::vector<GpuId> PickBestPlacedNear(int count, const GpuPool& pool,
                                       const std::vector<GpuId>& anchor,
                                       const Topology& topo);
+/// Same pick, written into `picked` (cleared first), so a loop reuses its
+/// capacity.
+void PickBestPlacedNear(int count, const GpuPool& pool,
+                        const std::vector<GpuId>& anchor, const Topology& topo,
+                        std::vector<GpuId>& picked);
 
 /// The `count` fastest pooled GPUs, placement-unaware: machines by
 /// descending generation speed (ties ascending machine id), each machine's

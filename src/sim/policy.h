@@ -49,8 +49,9 @@ class SchedulerContext {
   Rng& rng() { return *rng_; }
 
   /// The maintained rho index (core/rho_index.h) over apps(); never null.
-  /// It reflects state as of round start; policies must not read it after
-  /// staging grants (grants change holdings the index has not seen yet).
+  /// It reflects state as of round start: once grants are staged it misses
+  /// their holdings, so a policy reading it then must add grants() (as the
+  /// THEMIS leftover stage does for its holders).
   RhoIndex* rho_index() const { return rho_index_; }
 
   /// The offer's pool, shrunk by every grant staged so far. Policies pick
