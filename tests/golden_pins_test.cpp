@@ -215,7 +215,7 @@ const Pin kPins[] = {
     {PolicyKind::kTiresias, Mode::kFailures,  0xb06434c280f491bdull},
     {PolicyKind::kSlaq,     Mode::kFailures,  0xbc0c5c52977677acull},
     {PolicyKind::kDrf,      Mode::kFailures,  0x00a58c10022e7236ull},
-    {PolicyKind::kThemis,   Mode::kNoisy,       0xf7a06d2847bdecfdull},
+    {PolicyKind::kThemis,   Mode::kNoisy,       0x5fde5cf2b60284f4ull},
     {PolicyKind::kThemis,   Mode::kGenerations, 0x37f431655e09629full},
     {PolicyKind::kThemis,   Mode::kTiebreakOff, 0xc346ee9600b3a643ull},
     {PolicyKind::kThemis,   Mode::kCutoff,      0xf9ed872348fc9485ull},

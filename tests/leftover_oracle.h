@@ -1,9 +1,12 @@
 // Reference leftover stage: the loop ThemisPolicy's step 6 ran before
 // each grant cost only the work of its gang, kept as a test oracle.
 //
-// After every grant it rebuilds the winner's machine list from every GPU
-// the app holds and re-sorts it, and it orders jobs with a stable_sort of
-// job indices by remaining work. themis_policy_test runs it and
+// Before each gang it lists the candidates and their anchors afresh, and
+// after every grant it rebuilds the winner's machine list from every GPU
+// the app holds and re-sorts it. It orders an app's jobs with a
+// stable_sort of job indices by remaining work, once per stage, the first
+// time the app wins a gang (the key cannot move within a round, so only a
+// stateful estimator's draws tell how often). themis_policy_test runs it and
 // AllocateLeftovers on two identically seeded worlds and requires the
 // same grants in the same order, and the same next draws from the round's
 // RNG and from the estimator afterwards, so the production stage must keep
@@ -58,6 +61,8 @@ inline void AllocateLeftovers(SchedulerContext& ctx,
     int gang;  // smallest gang among jobs that can grow; 0 once sated
     std::vector<MachineId> machines;  // where it holds GPUs, ascending
     bool machines_known;
+    std::vector<int> order;  // its job order, made at its first win
+    bool ordered;
   };
   auto smallest_gang = [](const AppState& app) {
     int smallest = 0;
@@ -74,7 +79,7 @@ inline void AllocateLeftovers(SchedulerContext& ctx,
       hungry.push_back({app,
                         std::binary_search(participant_ids.begin(),
                                            participant_ids.end(), app->id),
-                        gang, {}, false});
+                        gang, {}, false, {}, false});
   }
   // Does the app hold a GPU on a machine that still has pooled GPUs? A
   // merge of two ascending machine lists.
@@ -126,7 +131,11 @@ inline void AllocateLeftovers(SchedulerContext& ctx,
       AppState* app = winner.app;
 
       // Give its highest-priority job one gang, placed near its gang.
-      for (int j : JobPriorityOrder(*app, ctx.estimator())) {
+      if (!winner.ordered) {
+        winner.order = JobPriorityOrder(*app, ctx.estimator());
+        winner.ordered = true;
+      }
+      for (int j : winner.order) {
         JobState& job = app->jobs[j];
         if (job.UnmetGangs() <= 0) continue;
         const int gang = job.spec.gpus_per_task;

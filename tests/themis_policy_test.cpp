@@ -452,6 +452,42 @@ INSTANTIATE_TEST_SUITE_P(
              EstimatorName(std::get<1>(info.param));
     });
 
+TEST(LeftoverOracleDraws, NoisyStageDrawsOncePerActiveJobOfEachWinner) {
+  // The stage orders an app's jobs once, the first time it wins, so a
+  // kNoisy estimator ends exactly one draw per active job of each distinct
+  // winner ahead of a same-seed twin, however many gangs each app won.
+  int repeat_winners = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    LeftoverWorld world(seed, /*mixed=*/false, EstimationMode::kNoisy);
+    // Without placement constraints every drawn app gets its gang, so the
+    // apps drawn are the apps granted.
+    for (AppState* app : world.apps)
+      for (JobState& job : app->jobs)
+        job.spec.max_span = LocalityLevel::kCrossRack;
+    WorkEstimator twin(world.estimator.config());
+    SchedulerContext ctx(world.offer, &world.cluster, &world.estimator,
+                         &world.apps, world.index, &world.rng);
+    const Agent agent(&world.cluster.topology(), &world.estimator, world.now);
+    AllocateLeftovers(ctx, agent, world.participants);
+    const GrantSet grants = ctx.TakeGrants();
+
+    std::set<AppId> winners;
+    for (const Grant& g : grants.grants) winners.insert(g.app);
+    if (grants.grants.size() > winners.size()) ++repeat_winners;
+    std::size_t draws = 0;
+    for (const AppState* app : world.apps)
+      if (winners.count(app->id) != 0) draws += app->ActiveJobs().size();
+    const JobSpec& probe = world.owned.front()->jobs.front().spec;
+    for (std::size_t i = 0; i < draws; ++i) twin.RemainingWork(probe, 0.0, 0.1);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                  world.estimator.RemainingWork(probe, 0.0, 0.1)),
+              std::bit_cast<std::uint64_t>(twin.RemainingWork(probe, 0.0, 0.1)))
+        << "seed " << seed << ": " << draws << " draws expected";
+  }
+  // Apps that win several gangs in one stage are what the rule is about.
+  EXPECT_GT(repeat_winners, 80) << repeat_winners;
+}
+
 TEST(LeftoverOracleJobOrder, MatchesStableSortWithTiedWork) {
   // Jobs copied from one spec at the same progress tie on remaining work,
   // so only the tie-break by job index orders them.
