@@ -4,7 +4,7 @@
 
 namespace themis {
 namespace {
-LogLevel g_level = LogLevel::kWarn;
+constexpr LogLevel kLevel = LogLevel::kWarn;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -18,11 +18,10 @@ const char* LevelName(LogLevel level) {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level = level; }
-LogLevel GetLogLevel() { return g_level; }
+LogLevel GetLogLevel() { return kLevel; }
 
 void LogMessage(LogLevel level, const std::string& msg) {
-  if (static_cast<int>(level) < static_cast<int>(g_level)) return;
+  if (static_cast<int>(level) < static_cast<int>(kLevel)) return;
   std::fprintf(stderr, "[%s] %s\n", LevelName(level), msg.c_str());
 }
 

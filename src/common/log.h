@@ -1,6 +1,6 @@
-// Minimal leveled logger. Simulations are silent by default; examples and
-// debugging sessions can raise the level. Not thread-safe by design — the
-// simulator is single-threaded and deterministic.
+// Minimal leveled logger: warnings and errors go to stderr, debug and info
+// lines are dropped. Not thread-safe by design — the simulator is
+// single-threaded and deterministic.
 #pragma once
 
 #include <sstream>
@@ -10,7 +10,6 @@ namespace themis {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
-void SetLogLevel(LogLevel level);
 LogLevel GetLogLevel();
 
 void LogMessage(LogLevel level, const std::string& msg);

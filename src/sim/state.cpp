@@ -67,12 +67,6 @@ int AppState::UnmetDemand() const {
   return total;
 }
 
-std::vector<JobView> AppState::Views() const {
-  std::vector<JobView> views;
-  Views(views);
-  return views;
-}
-
 void AppState::Views(std::vector<JobView>& out) const {
   out.clear();
   out.reserve(jobs.size());

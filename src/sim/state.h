@@ -124,10 +124,9 @@ struct AppState {
   /// MaxParallelism) — this app's contribution to the contention yardstick.
   int CapDemand() const;
 
-  /// JobView vector for the tuner.
-  std::vector<JobView> Views() const;
-  /// Same, filling `out` in place — the simulator's tuner walk reuses one
-  /// scratch vector across apps instead of allocating per Step.
+  /// JobView vector for the tuner, filled in place — the simulator's tuner
+  /// walk reuses one scratch vector across apps instead of allocating per
+  /// Step.
   void Views(std::vector<JobView>& out) const;
 };
 
