@@ -439,6 +439,7 @@ void AllocateLeftovers(SchedulerContext& ctx, const Agent& agent,
         break;
       }
       if (granted == nullptr) break;  // this pass makes no more progress
+      if (pool.empty()) return;
 
       // Only the winner's job and the pool changed. A machine the gang
       // drained unanchors whoever counted it; one it left pooled GPUs on
