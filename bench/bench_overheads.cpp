@@ -13,7 +13,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <ctime>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -159,6 +161,99 @@ void BM_LeftoverStage(benchmark::State& state) {
 }
 BENCHMARK(BM_LeftoverStage)->Arg(256)->Arg(1024)->Arg(4096)
     ->Unit(benchmark::kMicrosecond);
+
+/// One leftover stage in sim-burst's shape: `apps` hungry apps of 55 jobs
+/// each on the 256-GPU Simulation256 cluster, after an auction that left 16
+/// GPUs. As under a tuner mid-search, 48 of each app's jobs have finished
+/// and the 7 that can still grow sit anywhere in its job list; every third
+/// app holds a gang, and every fifth took part in the auction. The stage
+/// hands out a few gangs, so its cost is listing the apps and their
+/// anchors, not the gangs: a stage that scans every job of every app (and
+/// every job of every candidate for the machines it holds) pays for all
+/// 55 jobs of each app here.
+struct ManyAppsWorld {
+  explicit ManyAppsWorld(int num_apps) : cluster(ClusterSpec::Simulation256()) {
+    constexpr int kJobs = 55;
+    constexpr int kLive = 7;
+    Rng gen(11);
+    std::vector<GpuId> free(cluster.num_gpus());
+    for (GpuId g = 0; g < static_cast<GpuId>(free.size()); ++g) free[g] = g;
+    gen.Shuffle(free);
+    for (int a = 0; a < num_apps; ++a) {
+      auto app = std::make_unique<AppState>();
+      app->id = static_cast<AppId>(a);
+      app->arrived = true;
+      app->spec.target_loss = 0.1;
+      std::vector<int> live(kJobs);
+      for (int j = 0; j < kJobs; ++j) live[j] = j;
+      gen.Shuffle(live);
+      live.resize(kLive);
+      for (int j = 0; j < kJobs; ++j) {
+        JobState job;
+        job.id = static_cast<JobId>(j);
+        job.spec = BenchJobSpec(60.0 + j, 2, j % 3 == 0 ? 2 : 4);
+        job.parallelism_cap = job.spec.MaxParallelism();
+        job.finished = std::find(live.begin(), live.end(), j) == live.end();
+        app->spec.jobs.push_back(job.spec);
+        app->jobs.push_back(std::move(job));
+      }
+      if (a % 3 == 0) {
+        JobState& job = app->jobs[live.front()];
+        for (int k = 0; k < job.spec.gpus_per_task; ++k) {
+          cluster.Allocate(free.back(), app->id, job.id, /*expiry=*/1.0e9);
+          job.gpus.push_back(free.back());
+          free.pop_back();
+        }
+      }
+      app->ideal_time = std::max(1e-9, app->spec.IdealRunningTime());
+      index.Update(app.get());
+      apps.push_back(app.get());
+      if (a % 5 == 0) participants.push_back(app.get());
+      owned.push_back(std::move(app));
+    }
+    // The auction's winners hold all but kLeft of the rest.
+    while (free.size() > kLeft) {
+      cluster.Allocate(free.back(), static_cast<AppId>(num_apps), 0, 1.0e9);
+      free.pop_back();
+    }
+    offer = MakeOffer(0, 10.0, 20.0, cluster);
+  }
+
+  static constexpr int kLeft = 16;
+  Cluster cluster;
+  std::vector<std::unique_ptr<AppState>> owned;
+  AppList apps;
+  std::vector<AppState*> participants;
+  RhoIndex index;
+  Rng rng{5};
+  ResourceOffer offer;
+};
+
+void BM_LeftoverStageManyApps(benchmark::State& state) {
+  const int num_apps = static_cast<int>(state.range(0));
+  WorkEstimator est({});
+  std::optional<ManyAppsWorld> world;
+  std::int64_t gangs = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    world.reset();  // the last stage's world is torn down untimed
+    world.emplace(num_apps);
+    SchedulerContext ctx(world->offer, &world->cluster, &est, &world->apps,
+                         world->index, &world->rng);
+    const Agent agent(&world->cluster.topology(), &est, 10.0);
+    state.ResumeTiming();
+    AllocateLeftovers(ctx, agent, world->participants);
+    state.PauseTiming();
+    const GrantSet grants = ctx.TakeGrants();
+    if (grants.TotalGpus() != ManyAppsWorld::kLeft)
+      state.SkipWithError("pool not soaked");
+    gangs += static_cast<std::int64_t>(grants.grants.size());
+    state.ResumeTiming();
+  }
+  state.counters["gangs"] = benchmark::Counter(
+      static_cast<double>(gangs), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_LeftoverStageManyApps)->Arg(96)->Unit(benchmark::kMicrosecond);
 
 /// One full ARBITER scheduling pass (probe + offer + auction + leftovers).
 void BM_ThemisSchedulingPass(benchmark::State& state) {
@@ -524,10 +619,24 @@ int RunFilterProbeSweep(const std::vector<int>& populations) {
 // bit-identicality the pool contract promises; the process exits non-zero
 // only on an identity failure (a correctness bug), never on a throughput
 // number — wall-clock assertions live in CI, where the core count is known.
+// Each leg also reports its process CPU time over wall time, the cores the
+// round actually ran on. A speedup that tracks cpu/wall means the round
+// used every core it got: a failing speedup with cpu/wall ~1 at 8 threads
+// is a host that gave the process one core, or code that no longer fans
+// out (which then reads ~1 on every run, however idle the box). A speedup
+// far below cpu/wall means the threads ran but wasted the cores.
 // ---------------------------------------------------------------------------
+
+/// CPU time of the whole process, every thread, in seconds.
+double ProcessCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
 
 struct ParallelRoundRun {
   double rounds_per_sec = 0.0;
+  double cpu_per_wall = 0.0;
   std::uint64_t fingerprint = 0;
   int granted_gpus = 0;
 };
@@ -545,6 +654,7 @@ ParallelRoundRun MeasureParallelRound(int machines, int apps_count,
   ParallelRoundRun run;
   WorkEstimator est({});
   double total_s = 0.0;
+  double cpu_s = 0.0;
   for (int r = 0; r < rounds; ++r) {
     // Fresh world per round (grants mutate app and cluster state), so every
     // round prices the identical offer and the per-round grant streams can
@@ -578,11 +688,13 @@ ParallelRoundRun MeasureParallelRound(int machines, int apps_count,
     for (auto& app : apps) harness.Sync(*app);
     ThemisPolicy policy(cfg);
 
+    const double cpu_start = ProcessCpuSeconds();
     const auto start = std::chrono::steady_clock::now();
     const GrantSet grants = harness.Run(policy, list);
     total_s +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
             .count();
+    cpu_s += ProcessCpuSeconds() - cpu_start;
 
     for (const Grant& grant : grants.grants)
       for (GpuId g : grant.gpus) {
@@ -594,6 +706,7 @@ ParallelRoundRun MeasureParallelRound(int machines, int apps_count,
       }
   }
   run.rounds_per_sec = static_cast<double>(rounds) / std::max(1e-9, total_s);
+  run.cpu_per_wall = cpu_s / std::max(1e-9, total_s);
   return run;
 }
 
@@ -613,8 +726,8 @@ int RunParallelRoundSweep() {
 
   std::printf("\nBM_ParallelRound: %d-GPU rounds/sec vs round_threads\n",
               machines * 8);
-  std::printf("%8s %12s %9s %10s\n", "threads", "rounds/s", "speedup",
-              "identical");
+  std::printf("%8s %12s %9s %9s %10s\n", "threads", "rounds/s", "speedup",
+              "cpu/wall", "identical");
   bool ok = true;
   ParallelRoundRun baseline;
   for (const int threads : {1, 2, 4, 8}) {
@@ -626,14 +739,15 @@ int RunParallelRoundSweep() {
                            run.granted_gpus > 0;
     const double speedup =
         run.rounds_per_sec / std::max(1e-9, baseline.rounds_per_sec);
-    std::printf("%8d %12.2f %8.2fx %10s\n", threads, run.rounds_per_sec,
-                speedup, identical ? "yes" : "NO");
+    std::printf("%8d %12.2f %8.2fx %9.2f %10s\n", threads, run.rounds_per_sec,
+                speedup, run.cpu_per_wall, identical ? "yes" : "NO");
     std::string tag = "@";
     tag += std::to_string(threads);
     tag += "threads";
     report.Metric("parallel_rounds_per_sec" + tag, run.rounds_per_sec);
     report.Metric("parallel_round_speedup" + tag, speedup);
     report.Metric("parallel_round_identical" + tag, identical ? 1.0 : 0.0);
+    report.Metric("parallel_round_cpu_per_wall" + tag, run.cpu_per_wall);
     ok = ok && identical;
   }
   if (!report.Write()) ok = false;
