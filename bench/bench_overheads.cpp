@@ -109,8 +109,9 @@ BENCHMARK(BM_PartialAllocation)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(24);
 /// every machine, one leftover gang at a time, so each gang goes to an app
 /// that already holds 4096 GPUs or more at the largest point. A stage that
 /// re-reads everything the winner holds after each grant pays for all of
-/// it on every gang here; what is left per gang is the app's job order
-/// (one estimate and a sort over its jobs) and the pick from the pool.
+/// it on every gang here, and so does one that orders or rescans the
+/// winner's jobs per gang; what is left per gang is the pick from the pool
+/// and the grant.
 void BM_LeftoverStage(benchmark::State& state) {
   const int pool_gpus = static_cast<int>(state.range(0));
   const int machines = pool_gpus / 4;
