@@ -12,6 +12,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "common/json.h"
@@ -288,6 +289,88 @@ TEST(Scenario, InvalidSimConfigRejectedAtLoadTime) {
   EXPECT_THROW(LoadScenarios(R"({"scenarios": [
       {"name": "a", "sim": {"restart_overhead_minutes": -1}}]})"),
                std::invalid_argument);
+}
+
+// One fault per document; each rejection's exact text and exception type.
+// A scenario author reads these texts to find the fault, so any change to
+// one shows here.
+TEST(Scenario, ScenarioErrorPins) {
+  struct Pin {
+    std::string document;
+    std::string what;
+    const std::type_info& type = typeid(std::runtime_error);
+  };
+  // The document with `member` added to its one scenario.
+  auto in_scenario = [](const std::string& member) {
+    return R"({"scenarios": [{"name": "a", )" + member + "}]}";
+  };
+  const Pin pins[] = {
+      {R"({"engine": "x", "scenarios": [{"name": "a"}]})",
+       "unknown key \"engine\" in document"},
+      {in_scenario(R"("polcy": "drf")"), "unknown key \"polcy\" in scenario"},
+      {in_scenario(R"("sim": {"lease": 5})"), "unknown key \"lease\" in sim"},
+      {in_scenario(R"("sim": {"lease_minutes": 5, "lease_minutes": 50})"),
+       "duplicate key \"lease_minutes\" in sim"},
+      {in_scenario(R"("themis": {"short_app_tiebreak": 1})"),
+       "themis.short_app_tiebreak: json: expected bool, got number"},
+      {in_scenario(R"("sim": {"lease_minutes": "5"})"),
+       "sim.lease_minutes: json: expected number, got string"},
+      {in_scenario(R"("policy": 3)"),
+       "scenario.policy: json: expected string, got number"},
+      {in_scenario(R"("sim": 5)"), "json: expected object, got number"},
+      {in_scenario(R"("trace": {"num_apps": 2.5})"),
+       "trace.num_apps: expected int, got 2.5"},
+      {in_scenario(R"("trace": {"seed": -1})"),
+       "trace.seed: expected uint, got -1"},
+      {in_scenario(R"("trace": {"num_apps": 3e9})"),
+       "trace.num_apps: expected int, got 3000000000"},
+      {R"({"base_seed": -3, "scenarios": [{"name": "a"}]})",
+       "document.base_seed: expected uint, got -3"},
+      {in_scenario(R"("cluster": {"preset": "sim256", "racks": 8})"),
+       "scenario: cluster: \"preset\" cannot be combined with explicit "
+       "dimensions"},
+      {in_scenario(R"("cluster": {"preset": "sim512"})"),
+       "scenario: unknown cluster preset: sim512"},
+      {in_scenario(R"("trace_csv": "t.csv", "trace": {"num_apps": 5})"),
+       "scenario: \"trace_csv\" cannot be combined with \"trace\" knobs"},
+      {in_scenario(R"("trace_file": "t.csv", "trace": {"num_apps": 5})"),
+       "scenario: \"trace_file\" cannot be combined with \"trace\" knobs"},
+      {in_scenario(R"("trace_file": "t.csv", "trace_csv": "t.csv")"),
+       "scenario: \"trace_file\" (streamed) and \"trace_csv\" (preloaded) "
+       "are mutually exclusive"},
+      {R"({"defaults": {"name": "x"}, "scenarios": [{"name": "a"}]})",
+       "scenario: \"name\" is per-scenario, not a default"},
+      {R"({"base_seed": 1})", "scenario: missing \"scenarios\" array"},
+      {R"({"scenarios": []})", "scenario: \"scenarios\" array is empty"},
+      {R"({"scenarios": {}})", "json: expected array, got object"},
+      {R"({"scenarios": [3]})", "json: expected object, got number"},
+      {R"([{"name": "a"}])", "scenario: top level must be an object"},
+      {"{\n  \"scenarios\": [\n    {\"name\": nope}]}",
+       "json line 3: invalid literal"},
+      // The syntax error wins over the unknown key ahead of it.
+      {"{\"scenarios\": [{\"name\": \"a\", \"polcy\": 1}],\n\"x\": [1,]}",
+       "json line 2: invalid value"},
+      {in_scenario(R"("cluster": {"racks": 3, "machines_per_rack": 1,
+                                  "generations": ["K80", "V100"]})"),
+       "scenario: cluster.generations lists 2 generations for 3 racks (give "
+       "one per rack, or a single name for the whole cluster)"},
+      {in_scenario(R"("cluster": {"racks": 2, "machines_per_rack": 1,
+                                  "generations": ["K80", "H100"]})"),
+       "scenario: cluster.generations[1]: unknown GPU generation \"H100\" "
+       "(known generations: K80, M60, P100, V100, A100)"},
+      {in_scenario(R"("sim": {"lease_minutes": 0})"),
+       "SimConfig: lease_minutes must be > 0 (got 0.000000)",
+       typeid(std::invalid_argument)},
+  };
+  for (const Pin& pin : pins) {
+    try {
+      LoadScenarios(pin.document);
+      ADD_FAILURE() << "accepted: " << pin.document;
+    } catch (const std::exception& e) {
+      EXPECT_EQ(std::string(e.what()), pin.what) << pin.document;
+      EXPECT_EQ(typeid(e), pin.type) << pin.document;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
