@@ -9,19 +9,18 @@
 
 namespace themis {
 
-namespace {
-
-[[noreturn]] void TypeFail(const char* want, JsonValue::Type got) {
-  static const char* names[] = {"null", "bool", "number",
-                                "string", "array", "object"};
-  throw std::runtime_error(std::string("json: expected ") + want + ", got " +
-                           names[static_cast<int>(got)]);
-}
-
-}  // namespace
-
 void JsonReader::Fail(const std::string& what) const {
   throw std::runtime_error("json line " + std::to_string(line_) + ": " + what);
+}
+
+void JsonReader::Require(Type want) {
+  static const char* names[] = {"null", "bool", "number",
+                                "string", "array", "object"};
+  const Type got = Peek();
+  if (got != want)
+    throw std::runtime_error(std::string("json: expected ") +
+                             names[static_cast<int>(want)] + ", got " +
+                             names[static_cast<int>(got)]);
 }
 
 void JsonReader::Expect(char c) {
@@ -218,127 +217,10 @@ void JsonReader::ExpectEnd() {
   if (pos_ != text_.size()) Fail("trailing characters after document");
 }
 
-JsonValue JsonValue::Read(JsonReader& reader) {
-  JsonValue v;
-  v.type_ = reader.Peek();
-  switch (v.type_) {
-    case Type::kNull: reader.ReadNull(); break;
-    case Type::kBool: v.bool_ = reader.ReadBool(); break;
-    case Type::kNumber: v.number_ = reader.ReadNumber(); break;
-    case Type::kString: v.string_ = reader.ReadString(); break;
-    case Type::kArray:
-      reader.BeginArray();
-      while (reader.NextItem()) v.items_.push_back(Read(reader));
-      break;
-    case Type::kObject: {
-      reader.BeginObject();
-      std::string_view key;
-      while (reader.NextMember(key)) {
-        std::string name(key);
-        v.members_.emplace_back(std::move(name), Read(reader));
-      }
-      break;
-    }
-  }
-  return v;
-}
-
-JsonValue JsonValue::Parse(const std::string& text) {
+void JsonReader::CheckSyntax(std::string_view text) {
   JsonReader reader(text);
-  JsonValue v = Read(reader);
+  reader.Skip();
   reader.ExpectEnd();
-  return v;
-}
-
-bool JsonValue::AsBool() const {
-  if (type_ != Type::kBool) TypeFail("bool", type_);
-  return bool_;
-}
-
-double JsonValue::AsNumber() const {
-  if (type_ != Type::kNumber) TypeFail("number", type_);
-  return number_;
-}
-
-const std::string& JsonValue::AsString() const {
-  if (type_ != Type::kString) TypeFail("string", type_);
-  return string_;
-}
-
-const std::vector<JsonValue>& JsonValue::items() const {
-  if (type_ != Type::kArray) TypeFail("array", type_);
-  return items_;
-}
-
-const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members()
-    const {
-  if (type_ != Type::kObject) TypeFail("object", type_);
-  return members_;
-}
-
-const JsonValue* JsonValue::Find(const std::string& key) const {
-  if (type_ != Type::kObject) return nullptr;
-  for (const auto& [k, v] : members_)
-    if (k == key) return &v;
-  return nullptr;
-}
-
-JsonValue JsonValue::MakeNull() { return JsonValue{}; }
-
-JsonValue JsonValue::MakeBool(bool b) {
-  JsonValue v;
-  v.type_ = Type::kBool;
-  v.bool_ = b;
-  return v;
-}
-
-JsonValue JsonValue::MakeNumber(double n) {
-  JsonValue v;
-  v.type_ = Type::kNumber;
-  v.number_ = n;
-  return v;
-}
-
-JsonValue JsonValue::MakeString(std::string s) {
-  JsonValue v;
-  v.type_ = Type::kString;
-  v.string_ = std::move(s);
-  return v;
-}
-
-JsonValue JsonValue::MakeArray() {
-  JsonValue v;
-  v.type_ = Type::kArray;
-  return v;
-}
-
-JsonValue JsonValue::MakeObject() {
-  JsonValue v;
-  v.type_ = Type::kObject;
-  return v;
-}
-
-void JsonValue::Append(JsonValue v) {
-  if (type_ != Type::kArray) TypeFail("array", type_);
-  items_.push_back(std::move(v));
-}
-
-void JsonValue::Set(std::string key, JsonValue v) {
-  if (type_ != Type::kObject) TypeFail("object", type_);
-  members_.emplace_back(std::move(key), std::move(v));
-}
-
-bool JsonValue::operator==(const JsonValue& other) const {
-  if (type_ != other.type_) return false;
-  switch (type_) {
-    case Type::kNull: return true;
-    case Type::kBool: return bool_ == other.bool_;
-    case Type::kNumber: return number_ == other.number_;
-    case Type::kString: return string_ == other.string_;
-    case Type::kArray: return items_ == other.items_;
-    case Type::kObject: return members_ == other.members_;
-  }
-  return false;
 }
 
 void JsonWriter::WriteNumber(double d, std::string& out) {
@@ -392,53 +274,6 @@ void JsonWriter::WriteString(std::string_view s, std::string& out) {
     }
   }
   out += '"';
-}
-
-void JsonWriter::Write(const JsonValue& v, std::string& out) {
-  switch (v.type()) {
-    case JsonValue::Type::kNull:
-      out += "null";
-      break;
-    case JsonValue::Type::kBool:
-      out += v.AsBool() ? "true" : "false";
-      break;
-    case JsonValue::Type::kNumber:
-      WriteNumber(v.AsNumber(), out);
-      break;
-    case JsonValue::Type::kString:
-      WriteString(v.AsString(), out);
-      break;
-    case JsonValue::Type::kArray: {
-      out += '[';
-      bool first = true;
-      for (const JsonValue& item : v.items()) {
-        if (!first) out += ',';
-        first = false;
-        Write(item, out);
-      }
-      out += ']';
-      break;
-    }
-    case JsonValue::Type::kObject: {
-      out += '{';
-      bool first = true;
-      for (const auto& [key, member] : v.members()) {
-        if (!first) out += ',';
-        first = false;
-        WriteString(key, out);
-        out += ':';
-        Write(member, out);
-      }
-      out += '}';
-      break;
-    }
-  }
-}
-
-std::string JsonWriter::Write(const JsonValue& v) {
-  std::string out;
-  Write(v, out);
-  return out;
 }
 
 }  // namespace themis

@@ -1,92 +1,34 @@
-// The tree's one JSON grammar and one JSON number formatter, shared by
-// scenario files and knobs (src/sim/scenario.*, src/common/knobs.*) and the
-// ARBITER wire protocol (src/net/wire.*).
+// The tree's one JSON grammar, one way to read an object and one JSON
+// number formatter, shared by scenario files and knobs (src/sim/scenario.*,
+// src/common/knobs.*) and the ARBITER wire protocol (src/net/wire.*).
 //
 //   - JsonReader is a pull reader over one document: the full JSON value
 //     grammar (objects, arrays, strings with escapes, numbers, booleans,
-//     null), line-numbered errors and a nesting bound of 64. The wire codec
-//     reads frames through it directly; JsonValue::Parse builds its tree
-//     through it.
-//   - JsonWriter::WriteNumber and WriteString append to a std::string: the
-//     wire encoders append through them, and JsonWriter::Write walks a tree
-//     with them. Numbers take the shortest form that parses back to the
-//     same double, so Parse(Write(v)) reproduces v bit for bit, the
-//     property the newline-delimited wire codec depends on for
-//     grant-stream equivalence.
+//     null), line-numbered errors and a nesting bound of 64. Nothing builds
+//     a tree: every caller reads values straight off the text.
+//   - JsonObject is the cursor every caller reads an object through. It
+//     hands out members by name, in whatever order the caller asks, and
+//     reports the first member it walked past that is not one of the names
+//     or repeats one. What a caller does with that member is the caller's
+//     rule: wire frames ignore it (net/wire.cpp), a knob table rejects it
+//     (ApplyJson, common/knobs.cpp).
+//   - JsonWriter::WriteNumber and WriteString append to a std::string, and
+//     the wire encoders append through them. Numbers take the shortest form
+//     that parses back to the same double, so a decoded frame reproduces
+//     the encoded values bit for bit, the property the newline-delimited
+//     wire codec depends on for grant-stream equivalence.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
-#include <vector>
 
 namespace themis {
-
-class JsonReader;
-
-class JsonValue {
- public:
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-
-  /// Parse one JSON document. Throws std::runtime_error with a line number
-  /// on malformed input, trailing garbage, or containers nested more than
-  /// 64 deep (JsonReader's bound).
-  static JsonValue Parse(const std::string& text);
-
-  Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_bool() const { return type_ == Type::kBool; }
-  bool is_number() const { return type_ == Type::kNumber; }
-  bool is_string() const { return type_ == Type::kString; }
-  bool is_array() const { return type_ == Type::kArray; }
-  bool is_object() const { return type_ == Type::kObject; }
-
-  /// Typed accessors; throw std::runtime_error on type mismatch.
-  bool AsBool() const;
-  double AsNumber() const;
-  const std::string& AsString() const;
-  const std::vector<JsonValue>& items() const;
-  /// Object members in document order (duplicate keys keep both; Find
-  /// returns the first).
-  const std::vector<std::pair<std::string, JsonValue>>& members() const;
-
-  /// Member lookup on an object; nullptr when absent (or not an object).
-  const JsonValue* Find(const std::string& key) const;
-
-  /// Builder constructors, so embedders can assemble documents for
-  /// JsonWriter instead of hand-formatting JSON strings.
-  static JsonValue MakeNull();
-  static JsonValue MakeBool(bool b);
-  static JsonValue MakeNumber(double n);
-  static JsonValue MakeString(std::string s);
-  static JsonValue MakeArray();
-  static JsonValue MakeObject();
-
-  /// Append an element to an array. Throws on non-arrays.
-  void Append(JsonValue v);
-  /// Append a member to an object (no duplicate-key check, matching the
-  /// parser's duplicate behavior: Find returns the first). Throws on
-  /// non-objects.
-  void Set(std::string key, JsonValue v);
-
-  /// Deep structural equality (numbers compare by ==, so two NaNs differ
-  /// and -0.0 == 0.0 — the writer never emits NaN anyway). Backs the
-  /// Parse(Write(v)) == v round-trip property tests.
-  bool operator==(const JsonValue& other) const;
-  bool operator!=(const JsonValue& other) const { return !(*this == other); }
-
- private:
-  static JsonValue Read(JsonReader& reader);
-
-  Type type_ = Type::kNull;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::vector<JsonValue> items_;
-  std::vector<std::pair<std::string, JsonValue>> members_;
-};
 
 /// Pull reader over one JSON document held in memory (not copied: the text
 /// must outlive the reader). Every read skips leading whitespace, and every
@@ -108,7 +50,7 @@ class JsonReader {
   /// (which nest 3-4 deep) while keeping worst-case stack use trivial.
   static constexpr int kMaxDepth = 64;
 
-  using Type = JsonValue::Type;
+  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
   explicit JsonReader(std::string_view text) : text_(text) {}
 
@@ -128,6 +70,10 @@ class JsonReader {
       default: return Type::kNumber;
     }
   }
+
+  /// Throws std::runtime_error("json: expected <want>, got <type>") unless
+  /// the next value is of type `want`.
+  void Require(Type want);
 
   void ReadNull();
   bool ReadBool();
@@ -181,11 +127,18 @@ class JsonReader {
   void ExpectEnd();
 
   /// Offset of the next unread byte; Seek returns to one. The document
-  /// must have been read past `offset` without error already.
+  /// must have been read past `offset` without error already. Line numbers
+  /// count the text again after a Seek back, so only a fresh reader (as in
+  /// CheckSyntax) reports them true.
   std::size_t offset() const { return pos_; }
   void Seek(std::size_t offset) { pos_ = offset; }
 
   [[noreturn]] void Fail(const std::string& what) const;
+
+  /// Throws the first syntax error in `text`, if it has one. A caller that
+  /// rejects a document for what it says, not how it is spelled, runs this
+  /// first, so a syntax error anywhere in the text is the one reported.
+  static void CheckSyntax(std::string_view text);
 
  private:
   static bool IsDigit(char c) { return c >= '0' && c <= '9'; }
@@ -214,22 +167,128 @@ class JsonReader {
   std::string buffer_;  // ReadString's output when the string has escapes
 };
 
-/// Compact single-line JSON serializer.
+/// Cursor over one object's members, which the caller asks for by name out
+/// of a fixed list. Find hands out the reader at a member's value, which
+/// the caller then reads whole (or throws); a member found ahead of its turn
+/// is skipped and read back when asked for. Close reads on to the object's
+/// end. Only the first occurrence of a name counts. Opened on a value that
+/// is not an object, it has no members, so every lookup finds nothing.
+class JsonObject {
+ public:
+  /// The most names one cursor looks up: a wire frame's 20.
+  static constexpr std::size_t kCapacity = 20;
+
+  /// A member the walk passed that is not one of the names, or that
+  /// repeats one.
+  struct Stray {
+    std::string key;
+    bool repeated = false;
+  };
+
+  /// Opens the value at `r`'s position; `r` is shared with the caller.
+  /// `names` holds at most kCapacity names and must outlive the cursor.
+  JsonObject(JsonReader& r, std::span<const std::string_view> names)
+      : r_(r), names_(names) {
+    at_.fill(kUnseen);
+    if (r.Peek() == JsonReader::Type::kObject) {
+      r.BeginObject();
+    } else {
+      r.Skip();
+      done_ = true;
+    }
+    is_object_ = !done_;
+    frontier_ = r.offset();
+  }
+
+  bool is_object() const { return is_object_; }
+
+  /// The reader at the value of `key`, or nullptr when it is absent (or
+  /// not one of the names).
+  JsonReader* Find(std::string_view key) {
+    const std::size_t want = IndexOf(key);
+    if (want == kUnseen) return nullptr;
+    Resume();
+    if (at_[want] != kUnseen) {  // passed already: go back for it
+      r_.Seek(at_[want]);
+      return &r_;
+    }
+    return Walk(want);
+  }
+
+  /// Reads past every member not asked for; the reader ends after the
+  /// object.
+  void Close() {
+    Resume();
+    Walk(kUnseen);
+  }
+
+  /// The first stray member walked past so far; after Close, in the whole
+  /// object.
+  const std::optional<Stray>& stray() const { return stray_; }
+
+ private:
+  static constexpr std::size_t kUnseen = std::string_view::npos;
+
+  std::size_t IndexOf(std::string_view key) const {
+    for (std::size_t i = 0; i < names_.size(); ++i)
+      if (names_[i] == key) return i;
+    return kUnseen;
+  }
+
+  /// Back to where the member walk stopped: past the value the caller just
+  /// read, if Find handed one out from there.
+  void Resume() {
+    if (in_value_) frontier_ = r_.offset();
+    in_value_ = false;
+    r_.Seek(frontier_);
+  }
+
+  /// Walks on to the first occurrence of names_[want], left unread for the
+  /// caller, or to the object's end (nullptr).
+  JsonReader* Walk(std::size_t want) {
+    for (std::string_view k; !done_;) {
+      if (!r_.NextMember(k)) {
+        done_ = true;
+      } else if (const std::size_t i = IndexOf(k);
+                 i != kUnseen && at_[i] == kUnseen) {
+        at_[i] = r_.offset();
+        if (i == want) {
+          in_value_ = true;
+          return &r_;
+        }
+        r_.Skip();
+      } else {
+        if (!stray_) stray_ = Stray{std::string(k), i != kUnseen};
+        r_.Skip();
+      }
+      frontier_ = r_.offset();
+    }
+    return nullptr;
+  }
+
+  JsonReader& r_;
+  std::span<const std::string_view> names_;
+  std::array<std::size_t, kCapacity> at_;  // where each name's value starts
+  std::size_t frontier_ = 0;  // where the member walk resumes
+  bool in_value_ = false;     // the caller is reading the frontier's value
+  bool done_ = false;         // the walk is past the closing '}'
+  bool is_object_ = false;
+  std::optional<Stray> stray_;
+};
+
+/// Compact single-line JSON output, appended piece by piece.
 ///
 /// Guarantees:
 ///   - strings are escaped per RFC 8259 (quote, backslash, and control
 ///     characters below 0x20; other bytes pass through, so UTF-8 text
 ///     round-trips byte-identically),
 ///   - numbers use the shortest representation that parses back to the
-///     same double (std::to_chars), so Parse(Write(v)) == v bit-for-bit,
+///     same double (std::to_chars), so reading it back gives v bit for bit,
 ///   - non-finite numbers throw std::invalid_argument (JSON cannot
 ///     represent them; silently emitting "null" would corrupt frames),
 ///   - output contains no newlines, so one document is one wire frame.
 class JsonWriter {
  public:
-  static std::string Write(const JsonValue& v);
-  static void Write(const JsonValue& v, std::string& out);
-
   /// Appends the quoted, escaped form of `s` (with the surrounding quotes).
   static void WriteString(std::string_view s, std::string& out);
   /// Appends the shortest round-trip decimal form of `d`. Integral values

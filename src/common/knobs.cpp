@@ -1,6 +1,7 @@
 #include "common/knobs.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 
@@ -14,27 +15,37 @@ std::optional<HostPort> ParseHostPort(std::string_view token) {
   return HostPort{std::string(token.substr(0, colon)), *port};
 }
 
-void ApplyJson(const JsonValue& object, const KnobTable& table) {
-  const auto& members = object.members();
-  for (auto it = members.begin(); it != members.end(); ++it) {
-    const std::string& key = it->first;
-    const auto knob = std::find_if(
-        table.knobs.begin(), table.knobs.end(), [&](const Knob& k) {
-          return !k.key.empty() && k.key == key && k.from_json;
-        });
-    if (knob == table.knobs.end())
-      throw std::runtime_error("unknown key \"" + key + "\" in " + table.name);
-    if (std::any_of(members.begin(), it,
-                    [&](const auto& m) { return m.first == key; }))
-      throw std::runtime_error("duplicate key \"" + key + "\" in " +
-                               table.name);
+void ApplyJson(JsonReader& r, const KnobTable& table) {
+  // The cursor's names, and the knob each one sets.
+  std::array<std::string_view, JsonObject::kCapacity> keys;
+  std::array<const Knob*, JsonObject::kCapacity> knobs;
+  std::size_t n = 0;
+  for (const Knob& knob : table.knobs) {
+    if (knob.key.empty() || !knob.from_json) continue;
+    if (n == keys.size())
+      throw std::logic_error("ApplyJson: " + table.name +
+                             " has more JSON keys than JsonObject::kCapacity");
+    keys[n] = knob.key;
+    knobs[n++] = &knob;
+  }
+  r.Require(JsonReader::Type::kObject);
+  JsonObject object(r, std::span(keys.data(), n));
+  for (std::size_t i = 0; i < n; ++i) {
+    JsonReader* value = object.Find(keys[i]);
+    if (value == nullptr) continue;
     try {
-      knob->from_json(it->second);
+      knobs[i]->from_json(*value);
     } catch (const std::runtime_error& e) {
-      if (knob->type == "object") throw;
-      throw std::runtime_error(table.name + "." + key + ": " + e.what());
+      if (knobs[i]->type == "object") throw;
+      throw std::runtime_error(table.name + "." + knobs[i]->key + ": " +
+                               e.what());
     }
   }
+  object.Close();
+  if (const auto& stray = object.stray())
+    throw std::runtime_error(
+        std::string(stray->repeated ? "duplicate" : "unknown") + " key \"" +
+        stray->key + "\" in " + table.name);
 }
 
 void FlagSet::Add(Knob knob) {

@@ -5,6 +5,11 @@
 // (ApplyJson), and the binaries build their flag parsers and --help from
 // them (FlagSet).
 //
+// ApplyJson reads an object off a JsonReader through the one object cursor
+// (JsonObject, common/json.h), the table's keys its names. Its member rule
+// is strict where the wire codec's is lenient: the first stray member the
+// cursor reports, unknown or repeated, fails the load.
+//
 // Numbers are strict on both paths. A flag value goes whole through
 // std::from_chars: "abc", "1x", "" and " 1" are errors, integers reject
 // fractions and overflow, unsigned types a sign. A JSON number must be
@@ -79,22 +84,31 @@ T FromToken(std::string_view token) {
   return *v;
 }
 
+/// The JSON value at `r` as a T, read whole.
 template <class T>
-T FromJson(const JsonValue& v) {
-  if constexpr (std::is_same_v<T, bool>) return v.AsBool();
-  else if constexpr (std::is_same_v<T, std::string>) return v.AsString();
-  else if constexpr (std::is_same_v<T, HostPort>)
-    return FromToken<T>(v.AsString());
-  else if constexpr (std::is_floating_point_v<T>) return v.AsNumber();
-  else {
-    // 2^digits, the first value past max(), is exact as a double.
-    const double d = v.AsNumber();
-    if (d != std::floor(d) ||
-        d < static_cast<double>(std::numeric_limits<T>::min()) ||
-        d >= std::ldexp(1.0, std::numeric_limits<T>::digits))
-      throw std::runtime_error(std::string("expected ") + KnobType<T>() +
-                               ", got " + JsonWriter::FormatNumber(d));
-    return static_cast<T>(d);
+T FromJson(JsonReader& r) {
+  using Type = JsonReader::Type;
+  if constexpr (std::is_same_v<T, bool>) {
+    r.Require(Type::kBool);
+    return r.ReadBool();
+  } else if constexpr (std::is_same_v<T, std::string> ||
+                       std::is_same_v<T, HostPort>) {
+    r.Require(Type::kString);
+    return FromToken<T>(r.ReadString());
+  } else {
+    r.Require(Type::kNumber);
+    const double d = r.ReadNumber();
+    if constexpr (std::is_floating_point_v<T>) {
+      return d;
+    } else {
+      // 2^digits, the first value past max(), is exact as a double.
+      if (d != std::floor(d) ||
+          d < static_cast<double>(std::numeric_limits<T>::min()) ||
+          d >= std::ldexp(1.0, std::numeric_limits<T>::digits))
+        throw std::runtime_error(std::string("expected ") + KnobType<T>() +
+                                 ", got " + JsonWriter::FormatNumber(d));
+      return static_cast<T>(d);
+    }
   }
 }
 
@@ -104,7 +118,7 @@ struct Knob {
   std::string type;  // KnobType of the value, or "object"
   std::string doc;
   std::function<void(std::string_view)> from_flag;
-  std::function<void(const JsonValue&)> from_json;  // null: flag only
+  std::function<void(JsonReader&)> from_json;  // null: flag only
 
   /// A knob that stores its value in `field`.
   template <class T>
@@ -120,14 +134,15 @@ struct Knob {
                      Set set) {
     return {std::move(key), std::move(flag), KnobType<T>(), std::move(doc),
             [set](std::string_view token) { set(FromToken<T>(token)); },
-            [set](const JsonValue& v) { set(FromJson<T>(v)); }};
+            [set](JsonReader& r) { set(FromJson<T>(r)); }};
   }
 
-  /// A JSON-only knob whose value `read` takes as is: a nested object
-  /// applied through its own table (its errors name their own paths), or
-  /// a value kept for later.
+  /// A JSON-only knob whose value `read` reads whole off the reader: a
+  /// nested object applied through its own table (its errors name their
+  /// own paths), or a value kept for later (a copy of the reader, which
+  /// `read` then skips past).
   static Knob Object(std::string key, std::string doc,
-                     std::function<void(const JsonValue&)> read) {
+                     std::function<void(JsonReader&)> read) {
     return {std::move(key), "", "object", std::move(doc), nullptr,
             std::move(read)};
   }
@@ -139,10 +154,13 @@ struct KnobTable {
   std::vector<Knob> knobs;
 };
 
-/// Apply a JSON object through a table. Each member must name a knob with
-/// a JSON form, once: a typo'd key fails the load instead of silently
-/// running the default. Throws std::runtime_error naming the key.
-void ApplyJson(const JsonValue& object, const KnobTable& table);
+/// Apply the JSON object at `r` through a table, reading it whole: each
+/// knob takes its member's value, in table order. Each member must name a
+/// knob with a JSON form, once: a typo'd key fails the load instead of
+/// silently running the default. Throws std::runtime_error naming the key
+/// (the object's first stray member, common/json.h) or the knob whose
+/// value is wrong.
+void ApplyJson(JsonReader& r, const KnobTable& table);
 
 /// A binary's command line: the flags of the knobs added to it, and
 /// operands when `operands` names them for --help.

@@ -1,11 +1,9 @@
 #include "net/wire.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <iterator>
 #include <limits>
-#include <span>
 #include <string_view>
 #include <type_traits>
 #include <utility>
@@ -94,11 +92,12 @@ void Value(std::string& out, const RoundDiagnostics& diag) {
 }
 
 // --------------------------------------------------------------------------
-// Decode helpers. A frame is read in one pass through one JsonReader, its
-// fields asked for in a fixed order: a member found ahead of its turn is
-// skipped and read back when asked for, and a member never asked for is
-// skipped. So field errors come in the same order whatever the member order
-// on the line. When a frame is rejected, a second pass checks the whole
+// Decode helpers. A frame is read in one pass through one JsonReader, each
+// object through a JsonObject cursor, its fields asked for in a fixed
+// order: a member found ahead of its turn is skipped and read back when
+// asked for. A frame ignores the cursor's strays: a member never asked for
+// is skipped, and of a repeated member the first wins. So field errors come
+// in the same order whatever the member order on the line. When a frame is rejected, a second pass checks the whole
 // line's syntax, because a syntax error anywhere names the frame instead.
 // Every lookup names the frame type and field on failure, so the resulting
 // ERROR frame tells the AGENT exactly what was wrong.
@@ -125,106 +124,17 @@ constexpr std::string_view kGrantFields[] = {"app", "job", "gpus"};
 constexpr std::string_view kDiagnosticFields[] = {
     "offered", "granted", "leftover", "auction_ran", "participants"};
 
-/// Cursor over one object's members. Find hands out the reader at a
-/// member's value, which the caller then reads whole (or throws); Close
-/// reads on to the object's end. Only the first occurrence of a name counts.
-/// Opened on a value that is not an object, it has no members, so every
-/// lookup reports the field missing.
-class Fields {
- public:
-  /// Opens the value at `r`'s position; `r` is shared with the caller.
-  Fields(JsonReader& r, std::span<const std::string_view> names)
-      : r_(r), names_(names) {
-    at_.fill(kUnseen);
-    if (r.Peek() == JsonValue::Type::kObject) {
-      r.BeginObject();
-    } else {
-      r.Skip();
-      done_ = true;
-    }
-    is_object_ = !done_;
-    frontier_ = r.offset();
-  }
+static_assert(std::size(kFrameFields) <= JsonObject::kCapacity);
 
-  bool is_object() const { return is_object_; }
-
-  /// The reader at the value of `key`, or nullptr when it is absent (or
-  /// not one of the names).
-  JsonReader* Find(std::string_view key) {
-    const std::size_t want = IndexOf(key);
-    if (want == kUnseen) return nullptr;
-    Resume();
-    if (at_[want] != kUnseen) {  // passed already: go back for it
-      r_.Seek(at_[want]);
-      return &r_;
-    }
-    for (std::string_view k; !done_;) {
-      if (!r_.NextMember(k)) {
-        done_ = true;
-      } else if (const std::size_t i = IndexOf(k);
-                 i != kUnseen && at_[i] == kUnseen) {
-        at_[i] = r_.offset();
-        if (i == want) {
-          in_value_ = true;
-          return &r_;
-        }
-        r_.Skip();
-      } else {
-        r_.Skip();
-      }
-      frontier_ = r_.offset();
-    }
-    return nullptr;
-  }
-
-  /// Reads past every member not asked for; the reader ends after the
-  /// object.
-  void Close() {
-    Resume();
-    for (std::string_view k; !done_;) {
-      if (r_.NextMember(k)) r_.Skip();
-      else done_ = true;
-    }
-    frontier_ = r_.offset();
-  }
-
- private:
-  static constexpr std::size_t kUnseen = std::string_view::npos;
-
-  std::size_t IndexOf(std::string_view key) const {
-    for (std::size_t i = 0; i < names_.size(); ++i)
-      if (names_[i] == key) return i;
-    return kUnseen;
-  }
-
-  /// Back to where the member walk stopped: past the value the caller just
-  /// read, if Find handed one out from there.
-  void Resume() {
-    if (in_value_) frontier_ = r_.offset();
-    in_value_ = false;
-    r_.Seek(frontier_);
-  }
-
-  JsonReader& r_;
-  std::span<const std::string_view> names_;
-  // Where each name's first value starts; no object kind has more names
-  // than a frame.
-  std::array<std::size_t, std::size(kFrameFields)> at_;
-  std::size_t frontier_ = 0;  // where the member walk resumes
-  bool in_value_ = false;     // the caller is reading the frontier's value
-  bool done_ = false;         // the walk is past the closing '}'
-  bool is_object_ = false;
-};
-
-JsonReader& Get(Fields& obj, const char* key, const char* ctx) {
+JsonReader& Get(JsonObject& obj, const char* key, const char* ctx) {
   JsonReader* v = obj.Find(key);
   if (v == nullptr) Fail(ctx, std::string("missing field \"") + key + "\"");
   return *v;
 }
 
-double Num(Fields& obj, const char* key, const char* ctx) {
+double Num(JsonObject& obj, const char* key, const char* ctx) {
   JsonReader& v = Get(obj, key, ctx);
-  if (v.Peek() != JsonValue::Type::kNumber)
+  if (v.Peek() != JsonReader::Type::kNumber)
     Fail(ctx, std::string("field \"") + key + "\" must be a number");
   return v.ReadNumber();
 }
@@ -259,7 +169,7 @@ std::string IntegerRange() {
 }
 
 template <typename T>
-T Int(Fields& obj, const char* key, const char* ctx) {
+T Int(JsonObject& obj, const char* key, const char* ctx) {
   const double d = Num(obj, key, ctx);
   if (d != std::floor(d) || std::abs(d) > kMaxWireInteger)
     Fail(ctx, std::string("field \"") + key + "\" must be an integer");
@@ -271,35 +181,35 @@ T Int(Fields& obj, const char* key, const char* ctx) {
 }
 
 /// The view lives until the next string read from the frame.
-std::string_view Str(Fields& obj, const char* key, const char* ctx) {
+std::string_view Str(JsonObject& obj, const char* key, const char* ctx) {
   JsonReader& v = Get(obj, key, ctx);
-  if (v.Peek() != JsonValue::Type::kString)
+  if (v.Peek() != JsonReader::Type::kString)
     Fail(ctx, std::string("field \"") + key + "\" must be a string");
   return v.ReadString();
 }
 
-bool Boolean(Fields& obj, const char* key, const char* ctx) {
+bool Boolean(JsonObject& obj, const char* key, const char* ctx) {
   JsonReader& v = Get(obj, key, ctx);
-  if (v.Peek() != JsonValue::Type::kBool)
+  if (v.Peek() != JsonReader::Type::kBool)
     Fail(ctx, std::string("field \"") + key + "\" must be a bool");
   return v.ReadBool();
 }
 
 /// The reader inside the array `key`: walk it with NextItem.
-JsonReader& Arr(Fields& obj, const char* key, const char* ctx) {
+JsonReader& Arr(JsonObject& obj, const char* key, const char* ctx) {
   JsonReader& v = Get(obj, key, ctx);
-  if (v.Peek() != JsonValue::Type::kArray)
+  if (v.Peek() != JsonReader::Type::kArray)
     Fail(ctx, std::string("field \"") + key + "\" must be an array");
   v.BeginArray();
   return v;
 }
 
 template <typename T>
-std::vector<T> IntVector(Fields& obj, const char* key, const char* ctx) {
+std::vector<T> IntVector(JsonObject& obj, const char* key, const char* ctx) {
   std::vector<T> out;
   JsonReader& v = Arr(obj, key, ctx);
   while (v.NextItem()) {
-    if (v.Peek() != JsonValue::Type::kNumber)
+    if (v.Peek() != JsonReader::Type::kNumber)
       Fail(ctx, std::string("field \"") + key + "\" must hold numbers");
     if (!ToInteger(v.ReadNumber(), out.emplace_back()))
       Fail(ctx, std::string("field \"") + key + "\" must hold integers in " +
@@ -308,12 +218,12 @@ std::vector<T> IntVector(Fields& obj, const char* key, const char* ctx) {
   return out;
 }
 
-std::vector<double> DoubleVector(Fields& obj, const char* key,
+std::vector<double> DoubleVector(JsonObject& obj, const char* key,
                                  const char* ctx) {
   std::vector<double> out;
   JsonReader& v = Arr(obj, key, ctx);
   while (v.NextItem()) {
-    if (v.Peek() != JsonValue::Type::kNumber)
+    if (v.Peek() != JsonReader::Type::kNumber)
       Fail(ctx, std::string("field \"") + key + "\" must hold numbers");
     out.push_back(v.ReadNumber());
   }
@@ -339,7 +249,7 @@ void Value(std::string& out, const JobSpec& job) {
   out += '}';
 }
 
-JobSpec JobFromFields(Fields& j, const char* ctx) {
+JobSpec JobFromFields(JsonObject& j, const char* ctx) {
   JobSpec job;
   job.num_tasks = Int<int>(j, "num_tasks", ctx);
   job.gpus_per_task = Int<int>(j, "gpus_per_task", ctx);
@@ -376,7 +286,7 @@ void Value(std::string& out, const AppSpec& app) {
   out += '}';
 }
 
-AppSpec AppFromFields(Fields& a, const char* ctx) {
+AppSpec AppFromFields(JsonObject& a, const char* ctx) {
   AppSpec app;
   app.name = Str(a, "name", ctx);
   app.arrival = Num(a, "arrival", ctx);
@@ -391,7 +301,7 @@ AppSpec AppFromFields(Fields& a, const char* ctx) {
   JsonReader& jobs = Arr(a, "jobs", ctx);
   if (!jobs.NextItem()) Fail(ctx, "app must declare at least one job");
   do {
-    Fields job(jobs, kJobFields);
+    JsonObject job(jobs, kJobFields);
     app.jobs.push_back(JobFromFields(job, ctx));
     job.Close();
   } while (jobs.NextItem());
@@ -401,9 +311,7 @@ AppSpec AppFromFields(Fields& a, const char* ctx) {
 /// Throws the frame's first syntax error, if it has one.
 void CheckSyntax(const std::string& line) {
   try {
-    JsonReader reader(line);
-    reader.Skip();
-    reader.ExpectEnd();
+    JsonReader::CheckSyntax(line);
   } catch (const std::exception& e) {
     throw WireError(std::string("wire: frame is not valid JSON: ") + e.what());
   }
@@ -411,10 +319,10 @@ void CheckSyntax(const std::string& line) {
 
 WireMessage Decode(const std::string& line) {
   JsonReader reader(line);
-  Fields doc(reader, kFrameFields);
+  JsonObject doc(reader, kFrameFields);
   if (!doc.is_object()) throw WireError("wire: frame must be a JSON object");
   JsonReader* type = doc.Find("type");
-  if (type == nullptr || type->Peek() != JsonValue::Type::kString)
+  if (type == nullptr || type->Peek() != JsonReader::Type::kString)
     throw WireError("wire: frame missing string field \"type\"");
   const std::string t(type->ReadString());
 
@@ -424,7 +332,7 @@ WireMessage Decode(const std::string& line) {
     msg.agent_name = Str(doc, "agent", "hello");
     JsonReader& apps = Arr(doc, "apps", "hello");
     while (apps.NextItem()) {
-      Fields app(apps, kAppFields);
+      JsonObject app(apps, kAppFields);
       msg.apps.push_back(AppFromFields(app, "hello.apps"));
       app.Close();
     }
@@ -447,7 +355,7 @@ WireMessage Decode(const std::string& line) {
     msg.round_id = Int<std::uint64_t>(doc, "round", "bid");
     JsonReader& demands = Arr(doc, "demands", "bid");
     while (demands.NextItem()) {
-      Fields d(demands, kDemandFields);
+      JsonObject d(demands, kDemandFields);
       BidDemand demand;
       demand.app = Int<AppId>(d, "app", "bid.demands");
       demand.unmet_gpus = Int<int>(d, "unmet_gpus", "bid.demands");
@@ -461,7 +369,7 @@ WireMessage Decode(const std::string& line) {
     msg.grants.lease_expiry = Num(doc, "lease_expiry", "grant");
     JsonReader& grants = Arr(doc, "grants", "grant");
     while (grants.NextItem()) {
-      Fields g(grants, kGrantFields);
+      JsonObject g(grants, kGrantFields);
       Grant grant;
       grant.app = Int<AppId>(g, "app", "grant.grants");
       grant.job = Int<JobId>(g, "job", "grant.grants");
@@ -469,7 +377,7 @@ WireMessage Decode(const std::string& line) {
       g.Close();
       msg.grants.grants.push_back(std::move(grant));
     }
-    Fields diag(Get(doc, "diagnostics", "grant"), kDiagnosticFields);
+    JsonObject diag(Get(doc, "diagnostics", "grant"), kDiagnosticFields);
     msg.grants.diagnostics.offered_gpus =
         Int<int>(diag, "offered", "grant.diagnostics");
     msg.grants.diagnostics.granted_gpus =

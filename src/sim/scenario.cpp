@@ -2,8 +2,10 @@
 
 #include <fstream>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/json.h"
 
@@ -14,21 +16,37 @@ namespace {
   throw std::runtime_error("scenario: " + what);
 }
 
-/// Apply the cluster object's "generations" table: a single name for the
-/// whole cluster, or an array with exactly one name per rack. An unknown
-/// name fails the load, naming where it stood and the known generations.
-void ApplyGenerations(const JsonValue& generations, ClusterSpec& spec) {
-  const bool per_rack = generations.is_array();
-  if (per_rack && generations.items().size() != spec.racks.size())
-    Fail("cluster.generations lists " +
-         std::to_string(generations.items().size()) + " generations for " +
-         std::to_string(spec.racks.size()) +
+/// Where the value of `key` starts in the object at `at`, if it has one.
+/// Reads a copy of `r`, so `r` stays where it is.
+std::optional<std::size_t> Locate(JsonReader r, std::size_t at,
+                                  std::string_view key) {
+  r.Seek(at);
+  JsonObject object(r, std::span(&key, 1));
+  if (object.Find(key) == nullptr) return std::nullopt;
+  return r.offset();
+}
+
+/// Apply the cluster object's "generations" table at `g`: a single name for
+/// the whole cluster, or an array with exactly one name per rack. An
+/// unknown name fails the load, naming where it stood and the known
+/// generations.
+void ApplyGenerations(JsonReader& g, ClusterSpec& spec) {
+  const bool per_rack = g.Peek() == JsonReader::Type::kArray;
+  std::vector<std::string> names;
+  if (per_rack) {
+    g.BeginArray();
+    while (g.NextItem()) names.push_back(FromJson<std::string>(g));
+  } else {
+    names.push_back(FromJson<std::string>(g));
+  }
+  if (per_rack && names.size() != spec.racks.size())
+    Fail("cluster.generations lists " + std::to_string(names.size()) +
+         " generations for " + std::to_string(spec.racks.size()) +
          " racks (give one per rack, or a single name for the whole "
          "cluster)");
   for (std::size_t r = 0; r < spec.racks.size(); ++r) {
-    const JsonValue& name = per_rack ? generations.items()[r] : generations;
     try {
-      const GpuGeneration gen = GpuGenerationByName(name.AsString());
+      const GpuGeneration gen = GpuGenerationByName(names[per_rack ? r : 0]);
       for (MachineSpec& m : spec.racks[r].machines) m.generation = gen;
     } catch (const std::invalid_argument& e) {
       Fail("cluster.generations" +
@@ -38,12 +56,13 @@ void ApplyGenerations(const JsonValue& generations, ClusterSpec& spec) {
   }
 }
 
-ClusterSpec ClusterFromJson(const JsonValue& v) {
+ClusterSpec ClusterFromJson(JsonReader& r) {
+  const std::size_t at = r.offset();
   std::optional<std::string> preset;
   int racks = 1, machines = 1, gpus = 4;
   std::optional<int> slot;
-  const JsonValue* generations = nullptr;
-  ApplyJson(v, {"cluster", {
+  std::optional<JsonReader> generations;  // at the "generations" value
+  ApplyJson(r, {"cluster", {
       Knob::Setter<std::string>("preset", "", "a preset cluster's name",
                                 [&](std::string name) { preset = name; }),
       Knob::Field("racks", "", &racks, "racks (uniform shape)"),
@@ -52,14 +71,19 @@ ClusterSpec ClusterFromJson(const JsonValue& v) {
       Knob::Setter<int>("gpus_per_slot", "", "GPUs per NVLink slot",
                         [&](int s) { slot = s; }),
       Knob::Object("generations", "one GPU generation, or one per rack",
-                   [&](const JsonValue& g) { generations = &g; })}});
+                   [&](JsonReader& g) {
+                     generations = g;
+                     g.Skip();
+                   })}});
   ClusterSpec spec;
   if (preset) {
     // "generations" re-prices a preset's machines without changing its
     // shape, so it is the one key allowed alongside "preset".
-    if (v.members().size() > (generations != nullptr ? 2u : 1u))
-      Fail("cluster: \"preset\" cannot be combined with explicit "
-           "dimensions");
+    for (std::string_view dimension : {"racks", "machines_per_rack",
+                                       "gpus_per_machine", "gpus_per_slot"})
+      if (Locate(r, at, dimension))
+        Fail("cluster: \"preset\" cannot be combined with explicit "
+             "dimensions");
     std::optional<ClusterSpec> named = ClusterSpec::Preset(*preset);
     if (!named) Fail("unknown cluster preset: " + *preset);
     spec = std::move(*named);
@@ -69,45 +93,115 @@ ClusterSpec ClusterFromJson(const JsonValue& v) {
       Fail("cluster dimensions must be positive");
     spec = ClusterSpec::Uniform(racks, machines, gpus, slot_gpus);
   }
-  if (generations != nullptr) ApplyGenerations(*generations, spec);
+  if (generations) ApplyGenerations(*generations, spec);
   return spec;
 }
 
-void ApplyScenarioObject(const JsonValue& v, ScenarioSpec& spec) {
+/// Apply the scenario object at `r`. Returns whether it names itself.
+bool ApplyScenarioObject(JsonReader& r, ScenarioSpec& spec) {
+  const std::size_t at = r.offset();
+  auto has = [&](std::string_view key) {
+    return Locate(r, at, key).has_value();
+  };
   // A replayed CSV fixes the workload, so trace-generation knobs alongside
   // it would be silently ignored — reject the mix (same rule as cluster
   // preset + dimensions). "trace_file" is the streamed replay of the same
   // format, so the same rule applies, and the two replay forms are mutually
   // exclusive.
-  if (v.Find("trace_csv") != nullptr && v.Find("trace") != nullptr)
+  if (has("trace_csv") && has("trace"))
     Fail("\"trace_csv\" cannot be combined with \"trace\" knobs");
-  if (v.Find("trace_file") != nullptr && v.Find("trace") != nullptr)
+  if (has("trace_file") && has("trace"))
     Fail("\"trace_file\" cannot be combined with \"trace\" knobs");
-  if (v.Find("trace_file") != nullptr && v.Find("trace_csv") != nullptr)
+  if (has("trace_file") && has("trace_csv"))
     Fail("\"trace_file\" (streamed) and \"trace_csv\" (preloaded) are "
          "mutually exclusive");
   ExperimentConfig& config = spec.config;
-  ApplyJson(v, {"scenario", {
+  ApplyJson(r, {"scenario", {
       Knob::Field("name", "", &spec.name, "default: the policy's name"),
       PolicyKnob(&config.policy),
       Knob::Object("cluster", "a preset or a uniform shape",
-                   [&](const JsonValue& c) {
-                     config.cluster = ClusterFromJson(c);
-                   }),
-      Knob::Object("trace", "trace generator knobs", [&](const JsonValue& t) {
+                   [&](JsonReader& c) { config.cluster = ClusterFromJson(c); }),
+      Knob::Object("trace", "trace generator knobs", [&](JsonReader& t) {
         ApplyJson(t, TraceKnobs(config.trace));
       }),
       Knob::Field("trace_csv", "", &spec.trace_csv, "preload this trace CSV"),
       Knob::Field("trace_file", "", &spec.trace_file,
                   "stream this arrival-sorted trace CSV"),
-      Knob::Object("sim", "simulator knobs", [&](const JsonValue& s) {
+      Knob::Object("sim", "simulator knobs", [&](JsonReader& s) {
         ApplyJson(s, SimKnobs(config.sim));
         config.sim.Validate();
       }),
-      Knob::Object("themis", "Themis policy knobs", [&](const JsonValue& t) {
+      Knob::Object("themis", "Themis policy knobs", [&](JsonReader& t) {
         ApplyJson(t, ThemisKnobs(config.themis));
         config.themis.Validate();
       })}});
+  return has("name");
+}
+
+/// Whether the defaults object at `defaults` pins a seed in its `table`.
+bool PinsSeed(const JsonReader& r, std::size_t defaults,
+              std::string_view table) {
+  const std::optional<std::size_t> object = Locate(r, defaults, table);
+  return object && Locate(r, *object, "seed");
+}
+
+std::vector<ScenarioSpec> ReadScenarios(JsonReader& r) {
+  if (r.Peek() != JsonReader::Type::kObject)
+    Fail("top level must be an object");
+  std::optional<std::uint64_t> base_seed;
+  std::optional<JsonReader> defaults, scenarios;  // at their values
+  ApplyJson(r, {"document", {
+      Knob::Setter<std::uint64_t>("base_seed", "", "seed unpinned scenarios",
+                                  [&](std::uint64_t s) { base_seed = s; }),
+      Knob::Object("defaults", "merged under every scenario",
+                   [&](JsonReader& d) {
+                     defaults = d;
+                     d.Skip();
+                   }),
+      Knob::Object("scenarios", "the scenario objects", [&](JsonReader& s) {
+        scenarios = s;
+        s.Skip();
+      })}});
+  r.ExpectEnd();
+
+  // Optional "base_seed": scenarios that do not pin a seed themselves get a
+  // position-derived one — decorrelated across the grid, reproducible
+  // across runs. Seeds pinned in "defaults" or per scenario always win.
+  ScenarioSpec base_spec;
+  bool trace_seed_pinned = false, sim_seed_pinned = false;
+  if (defaults) {
+    const std::size_t at = defaults->offset();
+    if (ApplyScenarioObject(*defaults, base_spec))
+      Fail("\"name\" is per-scenario, not a default");
+    trace_seed_pinned = PinsSeed(*defaults, at, "trace");
+    sim_seed_pinned = PinsSeed(*defaults, at, "sim");
+  }
+  if (!scenarios) Fail("missing \"scenarios\" array");
+
+  std::vector<ScenarioSpec> out;
+  scenarios->Require(JsonReader::Type::kArray);
+  scenarios->BeginArray();
+  while (scenarios->NextItem()) {
+    ScenarioSpec spec;
+    spec.config = base_spec.config;
+    if (base_seed) {
+      const std::uint64_t seed = DeriveScenarioSeed(*base_seed, out.size());
+      if (!trace_seed_pinned) spec.config.trace.seed = seed;
+      if (!sim_seed_pinned) spec.config.sim.seed = seed;
+    }
+    if (!ApplyScenarioObject(*scenarios, spec))
+      spec.name = ToString(spec.config.policy);
+    // A scenario that names its own replay source overrides the defaults';
+    // otherwise it inherits whichever form (preloaded or streamed) the
+    // defaults chose. ApplyScenarioObject already rejects setting both.
+    if (spec.trace_csv.empty() && spec.trace_file.empty()) {
+      spec.trace_csv = base_spec.trace_csv;
+      spec.trace_file = base_spec.trace_file;
+    }
+    out.push_back(std::move(spec));
+  }
+  if (out.empty()) Fail("\"scenarios\" array is empty");
+  return out;
 }
 
 }  // namespace
@@ -201,59 +295,13 @@ Knob ClusterFlag(ClusterSpec* cluster) {
 }
 
 std::vector<ScenarioSpec> LoadScenarios(const std::string& json_text) {
-  const JsonValue doc = JsonValue::Parse(json_text);
-  if (!doc.is_object()) Fail("top level must be an object");
-  std::optional<std::uint64_t> base_seed;
-  const JsonValue* defaults = nullptr;
-  const JsonValue* scenarios = nullptr;
-  ApplyJson(doc, {"document", {
-      Knob::Setter<std::uint64_t>("base_seed", "", "seed unpinned scenarios",
-                                  [&](std::uint64_t s) { base_seed = s; }),
-      Knob::Object("defaults", "merged under every scenario",
-                   [&](const JsonValue& d) { defaults = &d; }),
-      Knob::Object("scenarios", "the scenario objects",
-                   [&](const JsonValue& s) { scenarios = &s; })}});
-
-  ScenarioSpec base_spec;
-  if (defaults != nullptr) {
-    ApplyScenarioObject(*defaults, base_spec);
-    if (defaults->Find("name") != nullptr)
-      Fail("\"name\" is per-scenario, not a default");
+  try {
+    JsonReader r(json_text);
+    return ReadScenarios(r);
+  } catch (const std::exception&) {
+    JsonReader::CheckSyntax(json_text);
+    throw;
   }
-  if (scenarios == nullptr) Fail("missing \"scenarios\" array");
-
-  // Optional "base_seed": scenarios that do not pin a seed themselves get a
-  // position-derived one — decorrelated across the grid, reproducible
-  // across runs. Seeds pinned in "defaults" or per scenario always win.
-  const bool trace_seed_pinned =
-      defaults && defaults->Find("trace") &&
-      defaults->Find("trace")->Find("seed") != nullptr;
-  const bool sim_seed_pinned = defaults && defaults->Find("sim") &&
-                               defaults->Find("sim")->Find("seed") != nullptr;
-
-  std::vector<ScenarioSpec> out;
-  out.reserve(scenarios->items().size());
-  for (const JsonValue& entry : scenarios->items()) {
-    ScenarioSpec spec;
-    spec.config = base_spec.config;
-    if (base_seed) {
-      const std::uint64_t seed = DeriveScenarioSeed(*base_seed, out.size());
-      if (!trace_seed_pinned) spec.config.trace.seed = seed;
-      if (!sim_seed_pinned) spec.config.sim.seed = seed;
-    }
-    ApplyScenarioObject(entry, spec);
-    if (entry.Find("name") == nullptr) spec.name = ToString(spec.config.policy);
-    // A scenario that names its own replay source overrides the defaults';
-    // otherwise it inherits whichever form (preloaded or streamed) the
-    // defaults chose. ApplyScenarioObject already rejects setting both.
-    if (spec.trace_csv.empty() && spec.trace_file.empty()) {
-      spec.trace_csv = base_spec.trace_csv;
-      spec.trace_file = base_spec.trace_file;
-    }
-    out.push_back(std::move(spec));
-  }
-  if (out.empty()) Fail("\"scenarios\" array is empty");
-  return out;
 }
 
 std::vector<ScenarioSpec> LoadScenariosFile(const std::string& path) {

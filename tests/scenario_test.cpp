@@ -1,4 +1,4 @@
-// Tests for the scenario subsystem: JSON parsing (common/json.h), scenario
+// Tests for the scenario subsystem: JSON reading (common/json.h), scenario
 // loading (sim/scenario.h), and the thread-pooled SweepRunner — including
 // the load-bearing property that a parallel sweep is bit-identical to
 // running each experiment serially.
@@ -12,6 +12,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <typeinfo>
 #include <vector>
 
@@ -30,53 +31,96 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(Json, ParsesScalarsArraysObjects) {
-  const JsonValue v = JsonValue::Parse(
+  const std::string text =
       R"({"a": 1.5, "b": "text", "c": [1, 2, 3], "d": true, "e": null,
-          "nested": {"x": -2e3}})");
+          "nested": {"x": -2e3}})";
+  constexpr std::string_view kNames[] = {"a", "b", "c", "d",
+                                         "e", "nested", "missing"};
+  constexpr std::string_view kNested[] = {"x"};
+  JsonReader r(text);
+  JsonObject v(r, kNames);
   ASSERT_TRUE(v.is_object());
-  EXPECT_DOUBLE_EQ(v.Find("a")->AsNumber(), 1.5);
-  EXPECT_EQ(v.Find("b")->AsString(), "text");
-  ASSERT_EQ(v.Find("c")->items().size(), 3u);
-  EXPECT_DOUBLE_EQ(v.Find("c")->items()[1].AsNumber(), 2.0);
-  EXPECT_TRUE(v.Find("d")->AsBool());
-  EXPECT_TRUE(v.Find("e")->is_null());
-  EXPECT_DOUBLE_EQ(v.Find("nested")->Find("x")->AsNumber(), -2000.0);
+  // Out of document order: the cursor goes back for a member it passed.
+  EXPECT_EQ(v.Find("b")->ReadString(), "text");
+  EXPECT_DOUBLE_EQ(v.Find("a")->ReadNumber(), 1.5);
+  JsonReader* c = v.Find("c");
+  std::vector<double> items;
+  c->BeginArray();
+  while (c->NextItem()) items.push_back(c->ReadNumber());
+  EXPECT_EQ(items, (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_TRUE(v.Find("d")->ReadBool());
+  v.Find("e")->ReadNull();
+  JsonObject nested(*v.Find("nested"), kNested);
+  EXPECT_DOUBLE_EQ(nested.Find("x")->ReadNumber(), -2000.0);
+  nested.Close();
   EXPECT_EQ(v.Find("missing"), nullptr);
+  EXPECT_EQ(v.Find("not-a-name"), nullptr);
+  v.Close();
+  EXPECT_FALSE(v.stray());
+  r.ExpectEnd();
+}
+
+// The cursor names the first member it passed that is not one of its names
+// or repeats one, and reads on: of a repeated member the first counts.
+TEST(Json, CursorReportsTheFirstStrayMember) {
+  constexpr std::string_view kNames[] = {"a", "b"};
+  double a = 0.0;
+  auto stray = [&](const std::string& text) {
+    JsonReader r(text);
+    JsonObject object(r, kNames);
+    if (JsonReader* v = object.Find("a")) a = v->ReadNumber();
+    object.Close();
+    r.ExpectEnd();
+    const auto& s = object.stray();
+    return s ? (s->repeated ? "repeated " : "unknown ") + s->key : "none";
+  };
+  EXPECT_EQ(stray(R"({"b": 1, "a": 2})"), "none");
+  EXPECT_EQ(a, 2.0);
+  EXPECT_EQ(stray(R"({"a": 1, "zz": [{}], "b": 2, "yy": 3})"), "unknown zz");
+  EXPECT_EQ(stray(R"({"a": 1, "a": 2})"), "repeated a");
+  EXPECT_EQ(a, 1.0);
+  EXPECT_EQ(stray(R"({"b": 1, "": 0, "b": 2})"), "unknown ");
+  EXPECT_EQ(stray("[1, 2]"), "none");  // not an object: no members
+  // The largest knob table fits one cursor.
+  TraceConfig trace;
+  const KnobTable table = TraceKnobs(trace);
+  EXPECT_EQ(table.knobs.size(), 17u);
+  EXPECT_LE(table.knobs.size(), JsonObject::kCapacity);
 }
 
 TEST(Json, ParsesStringEscapes) {
-  const JsonValue v = JsonValue::Parse(R"({"s": "a\"b\\c\n\tA"})");
-  EXPECT_EQ(v.Find("s")->AsString(), "a\"b\\c\n\tA");
+  JsonReader r(R"("a\"b\\c\n\tA")");
+  EXPECT_EQ(r.ReadString(), "a\"b\\c\n\tA");
 }
 
 TEST(Json, RejectsMalformedInputWithLineNumbers) {
-  EXPECT_THROW(JsonValue::Parse("{"), std::runtime_error);
-  EXPECT_THROW(JsonValue::Parse("{\"a\": }"), std::runtime_error);
-  EXPECT_THROW(JsonValue::Parse("[1, 2,]"), std::runtime_error);
-  EXPECT_THROW(JsonValue::Parse("{} trailing"), std::runtime_error);
+  for (const char* bad : {"{", "{\"a\": }", "[1, 2,]", "{} trailing"})
+    EXPECT_THROW(JsonReader::CheckSyntax(bad), std::runtime_error) << bad;
   try {
-    JsonValue::Parse("{\n\n  \"a\": nope\n}");
+    JsonReader::CheckSyntax("{\n\n  \"a\": nope\n}");
     FAIL() << "expected parse error";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
-        << e.what();
+    EXPECT_EQ(std::string(e.what()), "json line 3: invalid literal");
   }
 }
 
 TEST(Json, EnforcesStrictNumberGrammar) {
-  EXPECT_THROW(JsonValue::Parse(R"({"n": +5})"), std::runtime_error);
-  EXPECT_THROW(JsonValue::Parse(R"({"n": .5})"), std::runtime_error);
-  EXPECT_THROW(JsonValue::Parse(R"({"n": 1.})"), std::runtime_error);
-  EXPECT_THROW(JsonValue::Parse(R"({"n": 1e})"), std::runtime_error);
-  EXPECT_THROW(JsonValue::Parse(R"({"n": -})"), std::runtime_error);
-  EXPECT_DOUBLE_EQ(JsonValue::Parse("-0.5e+2").AsNumber(), -50.0);
-  EXPECT_DOUBLE_EQ(JsonValue::Parse("0.25").AsNumber(), 0.25);
+  for (const char* bad : {R"({"n": +5})", R"({"n": .5})", R"({"n": 1.})",
+                          R"({"n": 1e})", R"({"n": -})"})
+    EXPECT_THROW(JsonReader::CheckSyntax(bad), std::runtime_error) << bad;
+  EXPECT_DOUBLE_EQ(JsonReader("-0.5e+2").ReadNumber(), -50.0);
+  EXPECT_DOUBLE_EQ(JsonReader("0.25").ReadNumber(), 0.25);
 }
 
 TEST(Json, TypeMismatchThrows) {
-  const JsonValue v = JsonValue::Parse(R"({"n": 3})");
-  EXPECT_THROW(v.Find("n")->AsString(), std::runtime_error);
-  EXPECT_THROW(v.AsNumber(), std::runtime_error);
+  JsonReader r(R"({"n": 3})");
+  try {
+    r.Require(JsonReader::Type::kNumber);
+    FAIL() << "expected type error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "json: expected number, got object");
+  }
+  EXPECT_NO_THROW(r.Require(JsonReader::Type::kObject));
 }
 
 // ---------------------------------------------------------------------------

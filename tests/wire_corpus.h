@@ -27,7 +27,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/json.h"
+#include "json_tree.h"
 #include "net/wire.h"
 #include "placement/model_profile.h"
 
@@ -118,48 +118,48 @@ inline std::vector<std::string> BaseFrames() {
 
 /// A replacement for any value: another type, a hostile number, or the
 /// original buried inside nested containers.
-inline JsonValue OddValue(const JsonValue& original, Draw& d) {
+inline JsonTree OddValue(const JsonTree& original, Draw& d) {
   static const std::vector<double> kNumbers = {
       -1.0,    0.5,     1.5,           -0.0,         4294967295.0,
       4294967296.0,     -4294967295.0, 2147483648.0, -2147483649.0,
       9e15,    9.1e15,  1e17,          1e300,        5e-324,
       -3.0,    2.0,     0.0,           65536.0,      -1e300};
   switch (d.Below(10)) {
-    case 0: return JsonValue::MakeString(d.Percent(50) ? "" : "VGG16");
-    case 1: return JsonValue::MakeBool(d.Percent(50));
-    case 2: return JsonValue::MakeNull();
-    case 3: return JsonValue::MakeArray();
-    case 4: return JsonValue::MakeObject();
+    case 0: return JsonTree::MakeString(d.Percent(50) ? "" : "VGG16");
+    case 1: return JsonTree::MakeBool(d.Percent(50));
+    case 2: return JsonTree::MakeNull();
+    case 3: return JsonTree::MakeArray();
+    case 4: return JsonTree::MakeObject();
     case 5: {  // an array of hostile numbers
-      JsonValue arr = JsonValue::MakeArray();
+      JsonTree arr = JsonTree::MakeArray();
       for (std::size_t i = 0, n = 1 + d.Below(3); i < n; ++i)
-        arr.Append(JsonValue::MakeNumber(d.Pick(kNumbers)));
+        arr.Append(JsonTree::MakeNumber(d.Pick(kNumbers)));
       return arr;
     }
     case 6: {  // nested around the 64-level bound
-      JsonValue v = original;
+      JsonTree v = original;
       const std::size_t depth = 58 + d.Below(10);
       const bool objects = d.Percent(30);
       for (std::size_t i = 0; i < depth; ++i) {
-        JsonValue outer = objects ? JsonValue::MakeObject()
-                                  : JsonValue::MakeArray();
+        JsonTree outer =
+            objects ? JsonTree::MakeObject() : JsonTree::MakeArray();
         if (objects) outer.Set("k", std::move(v));
         else outer.Append(std::move(v));
         v = std::move(outer);
       }
       return v;
     }
-    default: return JsonValue::MakeNumber(d.Pick(kNumbers));
+    default: return JsonTree::MakeNumber(d.Pick(kNumbers));
   }
 }
 
 /// Copies `v`, applying one document-level mutation at the `target`-th
 /// container child in pre-order (`seen` counts the children walked).
-inline JsonValue MutateTree(const JsonValue& v, std::size_t target,
+inline JsonTree MutateTree(const JsonTree& v, std::size_t target,
                             std::size_t& seen, Draw& d) {
   if (v.is_array()) {
-    JsonValue out = JsonValue::MakeArray();
-    for (const JsonValue& item : v.items()) {
+    JsonTree out = JsonTree::MakeArray();
+    for (const JsonTree& item : v.items()) {
       if (seen++ == target) {
         switch (d.Below(4)) {
           case 0: break;  // drop
@@ -176,7 +176,7 @@ inline JsonValue MutateTree(const JsonValue& v, std::size_t target,
     return out;
   }
   if (v.is_object()) {
-    std::vector<std::pair<std::string, JsonValue>> members;
+    std::vector<std::pair<std::string, JsonTree>> members;
     for (const auto& [key, member] : v.members()) {
       if (seen++ != target) {
         members.emplace_back(key, MutateTree(member, target, seen, d));
@@ -209,17 +209,17 @@ inline JsonValue MutateTree(const JsonValue& v, std::size_t target,
       for (std::size_t i = members.size(); i > 1; --i)
         std::swap(members[i - 1], members[d.Below(i)]);
     }
-    JsonValue out = JsonValue::MakeObject();
+    JsonTree out = JsonTree::MakeObject();
     for (auto& [key, member] : members) out.Set(key, std::move(member));
     return out;
   }
   return v;
 }
 
-inline std::size_t CountChildren(const JsonValue& v) {
+inline std::size_t CountChildren(const JsonTree& v) {
   std::size_t n = 0;
   if (v.is_array()) {
-    for (const JsonValue& item : v.items()) n += 1 + CountChildren(item);
+    for (const JsonTree& item : v.items()) n += 1 + CountChildren(item);
   } else if (v.is_object()) {
     for (const auto& member : v.members())
       n += 1 + CountChildren(member.second);
@@ -276,10 +276,9 @@ inline std::string MutateBytes(std::string s, Draw& d) {
 
 inline std::string Mutate(const std::string& frame, Draw& d) {
   if (d.Percent(45)) return MutateBytes(frame, d);
-  const JsonValue doc = JsonValue::Parse(frame);
+  const JsonTree doc = JsonTree::Parse(frame);
   std::size_t seen = 0;
-  return JsonWriter::Write(
-      MutateTree(doc, d.Below(CountChildren(doc)), seen, d));
+  return MutateTree(doc, d.Below(CountChildren(doc)), seen, d).Write();
 }
 
 /// `count` frames: each a base frame with one mutation, one in five with
