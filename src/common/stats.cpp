@@ -84,12 +84,6 @@ double MomentAccumulator::mean() const {
   return count_ ? sum_ / static_cast<double>(count_) : 0.0;
 }
 
-double MomentAccumulator::variance() const {
-  if (count_ == 0) return 0.0;
-  const double m = mean();
-  return std::max(0.0, sum_squares_ / static_cast<double>(count_) - m * m);
-}
-
 double MomentAccumulator::JainsIndex() const {
   if (count_ == 0 || sum_squares_ == 0.0) return 1.0;
   return (sum_ * sum_) / (static_cast<double>(count_) * sum_squares_);

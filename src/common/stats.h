@@ -66,8 +66,6 @@ class MomentAccumulator {
   double sum() const { return sum_; }
   double sum_squares() const { return sum_squares_; }
   double mean() const;
-  /// Population variance (sum_sq/n - mean^2, clamped at 0); 0 when empty.
-  double variance() const;
   /// Jain's index of the values seen; 1.0 for an empty stream.
   double JainsIndex() const;
 

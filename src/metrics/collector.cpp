@@ -1,6 +1,5 @@
 #include "metrics/collector.h"
 
-#include <sstream>
 
 namespace themis {
 
@@ -54,14 +53,6 @@ std::vector<double> MetricsCollector::Rhos() const {
   return out;
 }
 
-std::vector<double> MetricsCollector::PlacementScores() const {
-  const auto& records = apps();
-  std::vector<double> out;
-  out.reserve(records.size());
-  for (const AppRecord& a : records) out.push_back(a.mean_placement_score);
-  return out;
-}
-
 double MetricsCollector::MaxFairness() const { return rho_range_.max(); }
 
 double MetricsCollector::MinFairness() const { return rho_range_.min(); }
@@ -77,13 +68,5 @@ double MetricsCollector::JainsFairnessIndex() const {
 }
 
 double MetricsCollector::AverageCompletionTime() const { return act_.mean(); }
-
-std::string MetricsCollector::SummaryString() const {
-  std::ostringstream os;
-  os << "apps=" << finished_apps_ << " max_rho=" << MaxFairness()
-     << " median_rho=" << MedianFairness() << " jain=" << JainsFairnessIndex()
-     << " avg_act=" << AverageCompletionTime() << " gpu_time=" << TotalGpuTime();
-  return os.str();
-}
 
 }  // namespace themis

@@ -23,7 +23,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/stats.h"
@@ -88,12 +87,9 @@ class MetricsCollector {
   double JainsFairnessIndex() const;
   double AverageCompletionTime() const;
   std::vector<double> Rhos() const;
-  std::vector<double> PlacementScores() const;
   Work TotalGpuTime() const { return gpu_time_; }
 
   const MetricsConfig& config() const { return config_; }
-
-  std::string SummaryString() const;
 
  private:
   MetricsConfig config_;

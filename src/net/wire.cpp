@@ -541,10 +541,4 @@ void GrantDigest::Add(std::uint64_t round_id, double lease_expiry,
   gpus += static_cast<long long>(g.gpus.size());
 }
 
-void GrantDigest::Merge(const GrantDigest& other) {
-  hash ^= other.hash;
-  grants += other.grants;
-  gpus += other.gpus;
-}
-
 }  // namespace themis::net

@@ -140,7 +140,6 @@ struct GrantDigest {
   long long gpus = 0;
 
   void Add(std::uint64_t round_id, double lease_expiry, const Grant& g);
-  void Merge(const GrantDigest& other);
   bool operator==(const GrantDigest& other) const {
     return hash == other.hash && grants == other.grants && gpus == other.gpus;
   }

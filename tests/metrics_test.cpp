@@ -52,14 +52,6 @@ TEST(Metrics, GpuTimeAccumulates) {
   EXPECT_DOUBLE_EQ(c.TotalGpuTime(), 15.5);
 }
 
-TEST(Metrics, PlacementScoresExtracted) {
-  MetricsCollector c;
-  c.RecordAppFinish(Record(0, 0.0, 10.0, 10.0, 0.8));
-  c.RecordAppFinish(Record(1, 0.0, 10.0, 10.0, 0.4));
-  const auto scores = c.PlacementScores();
-  EXPECT_EQ(scores, (std::vector<double>{0.8, 0.4}));
-}
-
 TEST(Metrics, TimelineOrderPreserved) {
   MetricsCollector c;
   c.RecordAllocation(1.0, 7, 4);
@@ -67,14 +59,6 @@ TEST(Metrics, TimelineOrderPreserved) {
   ASSERT_EQ(c.timeline().size(), 2u);
   EXPECT_EQ(c.timeline()[0].gpus, 4);
   EXPECT_EQ(c.timeline()[1].gpus, 8);
-}
-
-TEST(Metrics, SummaryStringMentionsKeyFields) {
-  MetricsCollector c;
-  c.RecordAppFinish(Record(0, 0.0, 10.0, 10.0));
-  const std::string s = c.SummaryString();
-  EXPECT_NE(s.find("max_rho"), std::string::npos);
-  EXPECT_NE(s.find("jain"), std::string::npos);
 }
 
 // --------------------------------------------------------------------------

@@ -133,7 +133,6 @@ TEST(MomentAccumulator, EmptyAndDegenerateStreams) {
   MomentAccumulator acc;
   EXPECT_DOUBLE_EQ(acc.JainsIndex(), 1.0);
   EXPECT_DOUBLE_EQ(acc.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(acc.variance(), 0.0);
   acc.Add(0.0);
   EXPECT_DOUBLE_EQ(acc.JainsIndex(), 1.0);  // all-zero stream
 }
@@ -143,7 +142,6 @@ TEST(MomentAccumulator, UniformStreamIsPerfectlyFair) {
   for (int i = 0; i < 50; ++i) acc.Add(3.5);
   EXPECT_NEAR(acc.JainsIndex(), 1.0, 1e-12);
   EXPECT_DOUBLE_EQ(acc.mean(), 3.5);
-  EXPECT_NEAR(acc.variance(), 0.0, 1e-9);
 }
 
 }  // namespace

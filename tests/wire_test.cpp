@@ -1,9 +1,10 @@
 // Tests for the wire layer under the ARBITER daemon:
 //
-//   - JsonWriter (common/json.h): Parse(Write(v)) == v property tests —
-//     shortest round-trip number formatting (including random bit
+//   - JsonWriter and JsonReader (common/json.h): write-then-read property
+//     tests — shortest round-trip number formatting (including random bit
 //     patterns), RFC 8259 string escaping, single-line output, non-finite
-//     rejection.
+//     rejection, the nesting bound — and whole documents round-tripped
+//     through the test tree (json_tree.h).
 //   - LineReader / WriteBuffer (net/frame.h): incremental '\n' framing,
 //     CRLF tolerance, oversize poisoning, bounded write queues.
 //   - Wire codec (net/wire.h): encode/parse round trips for all eight
@@ -15,8 +16,7 @@
 //     corpus (tests/wire_corpus.h), so a codec rewrite that changes one
 //     byte, one decoded value or one error text fails here. The round trips
 //     above compare the codec only with itself.
-//   - GrantDigest: order insensitivity, Merge, and distinct grants not
-//     cancelling.
+//   - GrantDigest: order insensitivity, and distinct grants not cancelling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -695,7 +695,7 @@ TEST(WireCodecPins, MutationCorpusOutcomesArePinned) {
   EXPECT_EQ(hash, 7975845286094317556ull);
 }
 
-TEST(GrantDigest, OrderInsensitiveAndMergeable) {
+TEST(GrantDigest, OrderInsensitive) {
   const Grant a{1, 0, {0, 1}};
   const Grant b{2, 1, {5}};
   const Grant c{3, 0, {2, 3, 4}};
@@ -710,13 +710,6 @@ TEST(GrantDigest, OrderInsensitiveAndMergeable) {
   EXPECT_TRUE(fwd == rev);
   EXPECT_EQ(fwd.grants, 3);
   EXPECT_EQ(fwd.gpus, 6);
-
-  net::GrantDigest left, right;
-  left.Add(1, 20.0, a);
-  right.Add(1, 20.0, b);
-  right.Add(2, 25.0, c);
-  left.Merge(right);
-  EXPECT_TRUE(left == fwd);
 
   // Distinct grants do not cancel to the empty digest.
   net::GrantDigest two;
