@@ -80,10 +80,6 @@ void MomentAccumulator::Add(double v) {
   sum_squares_ += v * v;
 }
 
-double MomentAccumulator::mean() const {
-  return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-}
-
 double MomentAccumulator::JainsIndex() const {
   if (count_ == 0 || sum_squares_ == 0.0) return 1.0;
   return (sum_ * sum_) / (static_cast<double>(count_) * sum_squares_);

@@ -65,7 +65,6 @@ class MomentAccumulator {
   std::size_t count() const { return count_; }
   double sum() const { return sum_; }
   double sum_squares() const { return sum_squares_; }
-  double mean() const;
   /// Jain's index of the values seen; 1.0 for an empty stream.
   double JainsIndex() const;
 

@@ -4,17 +4,6 @@
 
 namespace themis {
 
-bool SensitivityProfile::IsValid() const {
-  const double levels[] = {slot, machine, rack, cross_rack};
-  double prev = 1.0 + 1e-12;
-  for (double v : levels) {
-    if (v <= 0.0 || v > 1.0) return false;
-    if (v > prev) return false;
-    prev = v;
-  }
-  return true;
-}
-
 const std::vector<ModelProfile>& CanonicalModels() {
   // Throughputs approximate Fig. 2's single-server bars on P100s; the
   // machine/rack/cross-rack slowdowns are chosen so the 1-server vs 2x2

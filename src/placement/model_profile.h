@@ -22,9 +22,6 @@ struct SensitivityProfile {
   double machine = 1.0;     // spans slots within a machine (PCIe)
   double rack = 1.0;        // spans machines within a rack
   double cross_rack = 1.0;  // spans racks
-
-  /// True iff every level is in (0, 1] and levels are non-increasing.
-  bool IsValid() const;
 };
 
 struct ModelProfile {

@@ -86,11 +86,6 @@ std::span<const GpuId> GpuPool::on_machine(MachineId m) const {
   return gpus(buckets_[i]);
 }
 
-bool GpuPool::Contains(GpuId g) const {
-  const std::span<const GpuId> on = on_machine(topo_->gpu(g).machine);
-  return std::find(on.begin(), on.end(), g) != on.end();
-}
-
 void GpuPool::Remove(GpuId g) {
   const int i = Find(topo_->gpu(g).machine);
   if (i >= 0) {

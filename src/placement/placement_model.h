@@ -72,8 +72,6 @@ class GpuPool {
   /// The pooled GPUs on machine `m`, in input order; empty if none.
   /// O(log buckets).
   std::span<const GpuId> on_machine(MachineId m) const;
-  /// Is `g` pooled? A search of its machine's bucket.
-  bool Contains(GpuId g) const;
 
   /// Remove a picked GPU, keeping the order of the rest; an emptied bucket
   /// is dropped. Throws std::logic_error if `g` is not pooled.

@@ -23,12 +23,6 @@ Time AppSpec::IdealRunningTime() const {
   return best;
 }
 
-Work AppSpec::TotalWork() const {
-  Work w = 0.0;
-  for (const JobSpec& j : jobs) w += j.total_work;
-  return w;
-}
-
 int AppSpec::MaxJobParallelism() const {
   int g = 0;
   for (const JobSpec& j : jobs) g = std::max(g, j.MaxParallelism());

@@ -67,9 +67,6 @@ struct AppSpec {
   /// running at maximum parallelism with perfect placement.
   Time IdealRunningTime() const;
 
-  /// Total serial work across constituent jobs.
-  Work TotalWork() const;
-
   /// Largest single-job parallelism in the app.
   int MaxJobParallelism() const;
 };

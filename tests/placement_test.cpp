@@ -24,9 +24,17 @@ TEST(ModelProfile, CanonicalModelsMatchFig2Roster) {
   EXPECT_THROW(ModelByName("GPT3"), std::out_of_range);
 }
 
+// Every level is in (0, 1], and a wider span never runs faster.
 TEST(ModelProfile, AllSensitivityProfilesValid) {
-  for (const auto& m : CanonicalModels())
-    EXPECT_TRUE(m.sensitivity.IsValid()) << m.name;
+  for (const auto& m : CanonicalModels()) {
+    const SensitivityProfile& s = m.sensitivity;
+    double prev = 1.0;
+    for (const double level : {s.slot, s.machine, s.rack, s.cross_rack}) {
+      EXPECT_GT(level, 0.0) << m.name;
+      EXPECT_LE(level, prev) << m.name;
+      prev = level;
+    }
+  }
 }
 
 TEST(ModelProfile, VggFamilyIsNetworkIntensiveResNetIsNot) {
@@ -44,13 +52,6 @@ TEST(ModelProfile, Fig2CrossServerRatios) {
   const double resnet = ModelByName("ResNet50").sensitivity.rack;
   EXPECT_NEAR(1.0 / vgg, 2.0, 0.25);
   EXPECT_GT(resnet, 0.93);
-}
-
-TEST(SensitivityProfile, ValidityChecks) {
-  EXPECT_TRUE((SensitivityProfile{1.0, 0.9, 0.6, 0.4}).IsValid());
-  EXPECT_FALSE((SensitivityProfile{1.0, 0.9, 0.95, 0.4}).IsValid());  // rise
-  EXPECT_FALSE((SensitivityProfile{1.0, 0.9, 0.6, 0.0}).IsValid());   // zero
-  EXPECT_FALSE((SensitivityProfile{1.1, 0.9, 0.6, 0.4}).IsValid());   // > 1
 }
 
 class PlacementFixture : public ::testing::Test {
@@ -195,16 +196,13 @@ TEST_F(PlacementFixture, GpuPoolFindsGpusByMachine) {
             (std::vector<GpuId>{9, 8}));  // input order
   EXPECT_TRUE(pool.on_machine(1).empty());
   EXPECT_TRUE(pool.on_machine(3).empty());
-  EXPECT_TRUE(pool.Contains(3));
-  EXPECT_FALSE(pool.Contains(1));
-  EXPECT_FALSE(pool.Contains(4));  // machine never pooled
   pool.Remove(3);
-  EXPECT_FALSE(pool.Contains(3));
-  EXPECT_EQ(pool.on_machine(0).size(), 2u);
+  EXPECT_EQ(std::vector<GpuId>(pool.on_machine(0).begin(),
+                               pool.on_machine(0).end()),
+            (std::vector<GpuId>{0, 2}));
   pool.Remove(9);
   pool.Remove(8);
   EXPECT_TRUE(pool.on_machine(2).empty());
-  EXPECT_FALSE(pool.Contains(8));
 }
 
 // GpuPool picks must equal the map-grouping oracle's, pick for pick, over
@@ -328,9 +326,6 @@ TEST(PlacementOracle, PickFastestMatchesSpeedOrderedWalk) {
           const std::span<const GpuId> on = pool.on_machine(m);
           ASSERT_EQ(std::vector<GpuId>(on.begin(), on.end()), expected);
         }
-        for (GpuId g = 0; g < static_cast<GpuId>(topo.num_gpus()); ++g)
-          ASSERT_EQ(pool.Contains(g),
-                    std::binary_search(free.begin(), free.end(), g));
         if (free.empty()) break;
         std::vector<GpuId> taken;
         if (rng.UniformInt(0, 1) == 0) {
