@@ -11,10 +11,11 @@ nm -u lists them, and those it points at in itself, such as vtable slots
 and calls within one file). The non-test objects are those of every target
 under BUILD_DIR/CMakeFiles other than the library and the *_test targets:
 the benches and the examples. A function that none of them references has
-no caller outside the tests,
-unless a caller in its own source file was inlined away; so the script
-then looks for the function's name in that file, with comments and string
-literals removed, besides its definitions.
+no caller outside the tests, unless a caller in its own source file was
+inlined away; so the script then looks for the function's name in that
+file, with comments and string literals removed, besides its definitions.
+A recursive function counts as its own caller, and a function defined in
+a header is not checked.
 
 Each function left is named, and the script exits 1. ALLOWLIST keeps the
 few that tests may own on purpose; an entry that names no such function

@@ -98,17 +98,14 @@ T FromJson(JsonReader& r) {
   } else {
     r.Require(Type::kNumber);
     const double d = r.ReadNumber();
-    if constexpr (std::is_floating_point_v<T>) {
-      return d;
-    } else {
-      // 2^digits, the first value past max(), is exact as a double.
-      if (d != std::floor(d) ||
-          d < static_cast<double>(std::numeric_limits<T>::min()) ||
-          d >= std::ldexp(1.0, std::numeric_limits<T>::digits))
-        throw std::runtime_error(std::string("expected ") + KnobType<T>() +
-                                 ", got " + JsonWriter::FormatNumber(d));
-      return static_cast<T>(d);
-    }
+    // 2^digits, the first value past max(), is exact as a double.
+    if (std::is_integral_v<T> &&
+        (d != std::floor(d) ||
+         d < static_cast<double>(std::numeric_limits<T>::min()) ||
+         d >= std::ldexp(1.0, std::numeric_limits<T>::digits)))
+      throw std::runtime_error(std::string("expected ") + KnobType<T>() +
+                               ", got " + JsonWriter::FormatNumber(d));
+    return static_cast<T>(d);
   }
 }
 
