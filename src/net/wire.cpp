@@ -97,8 +97,9 @@ void Value(std::string& out, const RoundDiagnostics& diag) {
 // order: a member found ahead of its turn is skipped and read back when
 // asked for. A frame ignores the cursor's strays: a member never asked for
 // is skipped, and of a repeated member the first wins. So field errors come
-// in the same order whatever the member order on the line. When a frame is rejected, a second pass checks the whole
-// line's syntax, because a syntax error anywhere names the frame instead.
+// in the same order whatever the member order on the line. When a frame is
+// rejected, a second pass checks the whole line's syntax, because a syntax
+// error anywhere names the frame instead.
 // Every lookup names the frame type and field on failure, so the resulting
 // ERROR frame tells the AGENT exactly what was wrong.
 // --------------------------------------------------------------------------

@@ -156,7 +156,7 @@ inline JsonTree OddValue(const JsonTree& original, Draw& d) {
 /// Copies `v`, applying one document-level mutation at the `target`-th
 /// container child in pre-order (`seen` counts the children walked).
 inline JsonTree MutateTree(const JsonTree& v, std::size_t target,
-                            std::size_t& seen, Draw& d) {
+                           std::size_t& seen, Draw& d) {
   if (v.is_array()) {
     JsonTree out = JsonTree::MakeArray();
     for (const JsonTree& item : v.items()) {
