@@ -157,6 +157,38 @@ TEST(Scenario, LoadsSpecsWithDefaultsMerged) {
   EXPECT_EQ(specs[2].config.policy, PolicyKind::kThemis);
 }
 
+// Members of the top level may stand in any order: defaults and base_seed
+// written after "scenarios" still apply to every scenario, and a seed that
+// such defaults pin still wins over the derived one.
+TEST(Scenario, DefaultsApplyWhereverTheyStand) {
+  const auto first = LoadScenarios(R"({
+    "base_seed": 42,
+    "defaults": {"trace": {"seed": 5, "num_apps": 12},
+                 "sim": {"lease_minutes": 10}, "policy": "gandiva"},
+    "scenarios": [{"name": "a"}, {"name": "b", "policy": "themis"}]
+  })");
+  const auto last = LoadScenarios(R"({
+    "scenarios": [{"name": "a"}, {"name": "b", "policy": "themis"}],
+    "defaults": {"policy": "gandiva", "sim": {"lease_minutes": 10},
+                 "trace": {"num_apps": 12, "seed": 5}},
+    "base_seed": 42
+  })");
+  ASSERT_EQ(first.size(), 2u);
+  ASSERT_EQ(last.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(last[i].name, first[i].name);
+    EXPECT_EQ(last[i].config.policy, first[i].config.policy);
+    EXPECT_EQ(last[i].config.trace.num_apps, 12);
+    EXPECT_EQ(last[i].config.trace.seed, 5u);
+    EXPECT_EQ(last[i].config.sim.seed, DeriveScenarioSeed(42, i));
+    EXPECT_EQ(last[i].config.sim.seed, first[i].config.sim.seed);
+    EXPECT_DOUBLE_EQ(last[i].config.sim.lease_minutes, 10.0);
+  }
+  EXPECT_EQ(last[0].config.policy, PolicyKind::kGandiva);
+  EXPECT_EQ(last[1].config.policy, PolicyKind::kThemis);
+}
+
 // The loader and ArbiterConfig share ThemisConfig::Validate: a knob outside
 // [0, 1] (NaN included, which `--knob nan` reaches through atof) or fewer
 // than one bid row is rejected before any round runs.
