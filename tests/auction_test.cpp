@@ -317,58 +317,112 @@ std::vector<BidTable> TinyAuction(Rng& rng, std::vector<int>& offered) {
   return tables;
 }
 
+/// A tiny auction whose tables hold dominated rows: after the zero row,
+/// each row either grows the row before it by one GPU at the same rho (a
+/// superset worth no more) or asks for a fresh bundle, and about one row in
+/// three carries the zero row's rho.
+std::vector<BidTable> TinyDominatedAuction(Rng& rng, std::vector<int>& offered) {
+  offered.assign(rng.UniformInt(1, 3), 0);
+  for (int& o : offered) o = rng.UniformInt(1, 3);
+  std::vector<BidTable> tables;
+  const int apps = rng.UniformInt(1, 5);
+  for (int i = 0; i < apps; ++i) {
+    const double rho0 = rng.Uniform(1.0, 20.0);
+    BidTable t = Table(static_cast<AppId>(i),
+                       {Row(std::vector<int>(offered.size(), 0), rho0)});
+    const int rows = rng.UniformInt(1, 3);
+    for (int r = 0; r < rows; ++r) {
+      BidRow row = t.rows.back();
+      if (r == 0 || rng.UniformInt(0, 1) == 0) {  // a fresh bundle
+        row.gpus_per_machine.assign(offered.size(), 0);
+        row.rho = rho0 / rng.Uniform(1.2, 4.0);
+      }
+      const int m = rng.UniformInt(0, static_cast<int>(offered.size()) - 1);
+      if (row.gpus_per_machine[m] < offered[m]) ++row.gpus_per_machine[m];
+      if (rng.UniformInt(0, 2) == 0) row.rho = rho0;
+      t.rows.push_back(row);
+    }
+    tables.push_back(std::move(t));
+  }
+  return tables;
+}
+
+/// Checks one auction against the exhaustive oracle: the proportionally
+/// fair welfare, the budget-0 fallback's feasibility, every c_i and every
+/// grant. Counts the winners whose hidden payment withheld something.
+void ExpectMatchesOracle(const std::vector<BidTable>& tables,
+                         const std::vector<int>& offered, int& contested) {
+  const std::vector<const BidTable*> bids = Borrow(tables);
+
+  // Welfare is compared, not rows: tied optima may pick different rows.
+  const double best = OracleMaxLogWelfare(bids, offered);
+  PaConfig pf_cfg;
+  pf_cfg.hidden_payments = false;
+  const PaResult pf = PartialAllocation(bids, offered, pf_cfg);
+  ASSERT_TRUE(pf.exact);
+  ASSERT_NEAR(pf.log_welfare, best, 1e-9);
+
+  // The greedy fallback (no search nodes) is feasible and no better.
+  PaConfig greedy_cfg = pf_cfg;
+  greedy_cfg.max_nodes = 0;
+  const PaResult greedy = PartialAllocation(bids, offered, greedy_cfg);
+  std::vector<int> greedy_rows;
+  for (const PaWinner& w : greedy.winners) greedy_rows.push_back(w.row);
+  std::vector<int> used(offered.size(), 0);
+  for (std::size_t i = 0; i < bids.size(); ++i)
+    for (std::size_t m = 0; m < offered.size(); ++m)
+      used[m] += bids[i]->rows[greedy_rows[i]].gpus_per_machine[m];
+  for (std::size_t m = 0; m < offered.size(); ++m)
+    ASSERT_LE(used[m], offered[m]);
+  ASSERT_NEAR(greedy.log_welfare, OracleLogWelfare(bids, greedy_rows), 1e-9);
+  ASSERT_LE(greedy.log_welfare, best + 1e-9);
+
+  const PaResult r = PartialAllocation(bids, offered);
+  ASSERT_TRUE(r.exact);
+  std::vector<int> rows;
+  for (const PaWinner& w : r.winners) rows.push_back(w.row);
+  ASSERT_NEAR(OracleLogWelfare(bids, rows), best, 1e-9);
+  std::vector<int> leftover = offered;
+  for (std::size_t i = 0; i < bids.size(); ++i) {
+    const PaWinner& w = r.winners[i];
+    const BidRow& row = bids[i]->rows[w.row];
+    if (row.IsZero()) {
+      ASSERT_EQ(w.c, 1.0);
+    } else {
+      ASSERT_NEAR(w.c, OracleRetention(bids, offered, rows, i), 1e-9);
+    }
+    if (w.c < 1.0) ++contested;
+    for (std::size_t m = 0; m < offered.size(); ++m) {
+      const double share = w.c * row.gpus_per_machine[m];
+      ASSERT_EQ(w.granted[m], static_cast<int>(std::floor(share + 1e-9)));
+      leftover[m] -= w.granted[m];
+    }
+  }
+  ASSERT_EQ(r.leftover, leftover);
+}
+
 TEST(PaOracle, MatchesExhaustiveEnumeration) {
   Rng rng(4242);
   int contested = 0;  // winners whose hidden payment withheld something
   for (int n = 0; n < 3000; ++n) {
     std::vector<int> offered;
     const std::vector<BidTable> tables = TinyAuction(rng, offered);
-    const std::vector<const BidTable*> bids = Borrow(tables);
     SCOPED_TRACE("instance " + std::to_string(n));
-
-    // Welfare is compared, not rows: tied optima may pick different rows.
-    const double best = OracleMaxLogWelfare(bids, offered);
-    const PfSolution pf = SolveProportionalFair(bids, offered);
-    ASSERT_TRUE(pf.exact);
-    ASSERT_NEAR(pf.log_welfare, best, 1e-9);
-
-    // The greedy fallback (no search nodes) is feasible and no better.
-    PaConfig greedy_cfg;
-    greedy_cfg.max_nodes = 0;
-    const PfSolution greedy = SolveProportionalFair(bids, offered, greedy_cfg);
-    std::vector<int> used(offered.size(), 0);
-    for (std::size_t i = 0; i < bids.size(); ++i)
-      for (std::size_t m = 0; m < offered.size(); ++m)
-        used[m] += bids[i]->rows[greedy.rows[i]].gpus_per_machine[m];
-    for (std::size_t m = 0; m < offered.size(); ++m)
-      ASSERT_LE(used[m], offered[m]);
-    ASSERT_NEAR(greedy.log_welfare, OracleLogWelfare(bids, greedy.rows), 1e-9);
-    ASSERT_LE(greedy.log_welfare, best + 1e-9);
-
-    const PaResult r = PartialAllocation(bids, offered);
-    ASSERT_TRUE(r.exact);
-    std::vector<int> rows;
-    for (const PaWinner& w : r.winners) rows.push_back(w.row);
-    ASSERT_NEAR(OracleLogWelfare(bids, rows), best, 1e-9);
-    std::vector<int> leftover = offered;
-    for (std::size_t i = 0; i < bids.size(); ++i) {
-      const PaWinner& w = r.winners[i];
-      const BidRow& row = bids[i]->rows[w.row];
-      if (row.IsZero()) {
-        ASSERT_EQ(w.c, 1.0);
-      } else {
-        ASSERT_NEAR(w.c, OracleRetention(bids, offered, rows, i), 1e-9);
-      }
-      if (w.c < 1.0) ++contested;
-      for (std::size_t m = 0; m < offered.size(); ++m) {
-        const double share = w.c * row.gpus_per_machine[m];
-        ASSERT_EQ(w.granted[m], static_cast<int>(std::floor(share + 1e-9)));
-        leftover[m] -= w.granted[m];
-      }
-    }
-    ASSERT_EQ(r.leftover, leftover);
+    ASSERT_NO_FATAL_FAILURE(ExpectMatchesOracle(tables, offered, contested));
   }
   EXPECT_GT(contested, 100);  // the ratio is exercised, not just c = 1
+}
+
+TEST(PaOracle, DominatedRowsMatchExhaustiveEnumeration) {
+  Rng rng(2929);
+  int contested = 0;
+  for (int n = 0; n < 3000; ++n) {
+    std::vector<int> offered;
+    const std::vector<BidTable> tables = TinyDominatedAuction(rng, offered);
+    SCOPED_TRACE("instance " + std::to_string(n));
+    ASSERT_NO_FATAL_FAILURE(ExpectMatchesOracle(tables, offered, contested));
+  }
+  EXPECT_GT(contested, 100);
 }
 
 TEST(PartialAllocation, GreedyFallbackStaysFeasible) {

@@ -10,6 +10,10 @@
 // of PartialAllocation's result over ~2000 seeded random auctions, at node
 // budgets small enough to cut the branch-and-bound short. A solver rewrite
 // must keep the search order, not just the optimum, to leave it unchanged.
+// Next to it, ExactSolutionsArePinned hashes only what a finished search
+// returns (budget 0 and the default budget, which never cuts its smaller
+// auctions), on AGENT tables full of dominated rows: a change that prunes
+// the search without changing any exact answer leaves that one unchanged.
 //
 // A third pin hashes the AGENT alone: CurrentRho, every PrepareBid row and
 // its concrete GPUs, and DistributeToJobs, for seeded random apps under all
@@ -499,6 +503,156 @@ TEST(BidDigest, AgentOutputIsPinned) {
   EXPECT_GT(distributed, 300);
 #if defined(__x86_64__)
   EXPECT_EQ(h.value(), 0xdd8998c749fd618cull) << std::hex << "0x" << h.value();
+#else
+  GTEST_SKIP() << "golden constants are pinned on x86-64 only";
+#endif
+}
+
+/// Rows of `t` that ask at least as many GPUs, on every machine, as a row
+/// ahead of them in descending-value order (ties in table order). Such a
+/// row fits only where that earlier row fits and is worth no more, so no
+/// exact solve can need it.
+int DominatedRows(const BidTable& t) {
+  std::vector<std::size_t> order(t.rows.size());
+  for (std::size_t r = 0; r < order.size(); ++r) order[r] = r;
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return t.rows[a].Value() > t.rows[b].Value();
+  });
+  int dominated = 0;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const auto& asks = t.rows[order[k]].gpus_per_machine;
+    for (std::size_t e = 0; e < k; ++e) {
+      const auto& earlier = t.rows[order[e]].gpus_per_machine;
+      bool covers = true;
+      for (std::size_t m = 0; m < asks.size(); ++m)
+        covers = covers && earlier[m] <= asks[m];
+      if (covers) {
+        ++dominated;
+        break;
+      }
+    }
+  }
+  return dominated;
+}
+
+/// A random auction the default node budget always finishes: 1-6 machines
+/// of 0-4 free GPUs, 1-8 bidders, up to 6 rows each. Like an AGENT's
+/// cumulative bundles, a row often grows the one before it, and it often
+/// repeats an earlier rho, the zero row's included.
+PaInstance RandomDominatedInstance(Rng& rng) {
+  PaInstance inst;
+  const int machines = rng.UniformInt(1, 6);
+  for (int m = 0; m < machines; ++m)
+    inst.offered.push_back(rng.UniformInt(0, 4));
+  const int bidders = rng.UniformInt(1, 8);
+  for (int b = 0; b < bidders; ++b) {
+    BidTable t;
+    t.app = static_cast<AppId>(200 + b);
+    BidRow row;
+    row.gpus_per_machine.assign(machines, 0);
+    row.rho = rng.Uniform(1.0, 40.0);
+    t.rows.push_back(row);
+    const int rows = rng.UniformInt(0, 5);
+    for (int r = 0; r < rows; ++r) {
+      if (rng.UniformInt(0, 2) == 0)  // a fresh bundle, not a growth
+        row.gpus_per_machine.assign(machines, 0);
+      const int m = rng.UniformInt(0, machines - 1);
+      if (row.gpus_per_machine[m] < inst.offered[m]) ++row.gpus_per_machine[m];
+      const int pick = rng.UniformInt(0, 3);
+      if (pick == 0) row.rho = t.rows.front().rho;
+      if (pick >= 2)
+        row.rho = t.rows.front().rho /
+                  (1.0 + row.TotalGpus() * rng.Uniform(0.2, 1.5));
+      t.rows.push_back(row);  // pick 1 repeats the previous row's rho
+    }
+    inst.tables.push_back(std::move(t));
+  }
+  return inst;
+}
+
+// What the solver must return whenever its search finishes, on tables full
+// of dominated rows: the greedy + local-search answer at budget 0 and the
+// optimum at the default budget, each with hidden payments on and off.
+// SolverOutputIsPinned above also pins searches the budget cuts short,
+// which legitimately move when the search visits fewer rows; this pin must
+// not move for any change that keeps the exact answers. Half the auctions
+// are AGENT bids (PrepareBid) for scarce offers on Simulation256, where
+// later cumulative bundles often add GPUs that do not lower rho; the other
+// half are RandomDominatedInstance's.
+TEST(PaDigest, ExactSolutionsArePinned) {
+  const std::int64_t budgets[] = {0, PaConfig{}.max_nodes};
+  const Topology topo(ClusterSpec::Simulation256());
+  WorkEstimator est({});
+  Rng rng(20261021);
+  ResultHash h;
+  int rows = 0;
+  int dominated = 0;
+  int zero_ties = 0;
+  const auto pin = [&](const std::vector<const BidTable*>& bids,
+                       const std::vector<int>& offered) {
+    for (const BidTable* t : bids) {
+      for (const BidRow& row : t->rows)
+        if (!row.IsZero() && row.rho == t->rows.front().rho) ++zero_ties;
+      rows += static_cast<int>(t->rows.size());
+      dominated += DominatedRows(*t);
+    }
+    for (const std::int64_t budget : budgets) {
+      for (const bool hidden : {true, false}) {
+        PaConfig cfg;
+        cfg.max_nodes = budget;
+        cfg.hidden_payments = hidden;
+        const PaResult r = PartialAllocation(bids, offered, cfg);
+        if (budget > 0) {
+          EXPECT_TRUE(r.exact);
+        }
+        for (const PaWinner& w : r.winners) {
+          h.Add(static_cast<std::uint64_t>(w.app));
+          h.Add(w.row);
+          h.Add(w.c);
+          for (int g : w.granted) h.Add(g);
+        }
+        for (int g : r.leftover) h.Add(g);
+        h.Add(r.log_welfare);
+      }
+    }
+  };
+  for (int n = 0; n < 1000; ++n) {
+    // Held GPUs come off the back of a shuffled cluster, the offer off its
+    // front: 1-16 GPUs for 2-12 bidders.
+    std::vector<GpuId> all(topo.num_gpus());
+    for (GpuId g = 0; g < static_cast<GpuId>(all.size()); ++g) all[g] = g;
+    rng.Shuffle(all);
+    const Time now = rng.Uniform(1.0, 500.0);
+    const int bidders = rng.UniformInt(2, 12);
+    std::vector<std::unique_ptr<AppState>> apps;
+    for (int b = 0; b < bidders; ++b)
+      apps.push_back(RandomBidApp(rng, static_cast<AppId>(b), now, all));
+    std::vector<GpuId> offered(all.begin(),
+                               all.begin() + rng.UniformInt(1, 16));
+    std::sort(offered.begin(), offered.end());
+    std::vector<int> per_machine(topo.num_machines(), 0);
+    for (GpuId g : offered) ++per_machine[topo.gpu(g).machine];
+    const Agent agent(&topo, &est, now);
+    std::vector<AgentBid> agent_bids;
+    for (const auto& app : apps)
+      agent_bids.push_back(agent.PrepareBid(*app, offered, 6));
+    std::vector<const BidTable*> bids;
+    for (const AgentBid& bid : agent_bids) bids.push_back(&bid.table);
+    pin(bids, per_machine);
+  }
+  for (int n = 0; n < 1000; ++n) {
+    const PaInstance inst = RandomDominatedInstance(rng);
+    std::vector<const BidTable*> bids;
+    for (const BidTable& t : inst.tables) bids.push_back(&t);
+    pin(bids, inst.offered);
+  }
+  // The tables must really be full of rows a dominance cut would skip:
+  // over a quarter of all rows, and many that gain nothing over the zero
+  // row.
+  EXPECT_GT(dominated * 4, rows) << dominated << " of " << rows;
+  EXPECT_GT(zero_ties, 1000);
+#if defined(__x86_64__)
+  EXPECT_EQ(h.value(), 0x31b9668833fd0d11ull) << std::hex << "0x" << h.value();
 #else
   GTEST_SKIP() << "golden constants are pinned on x86-64 only";
 #endif
