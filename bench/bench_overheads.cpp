@@ -102,6 +102,62 @@ void BM_PartialAllocation(benchmark::State& state) {
 }
 BENCHMARK(BM_PartialAllocation)->Arg(2)->Arg(4)->Arg(8)->Arg(16)->Arg(24);
 
+/// One auction in sim-burst's shape: apps from a burst, holding no GPUs
+/// yet, bid for a scarce 12-GPU offer on Simulation256 (a whole 4-GPU
+/// machine, half of two others, a whole 2-GPU machine and two 1-GPU
+/// machines, spread over three racks). Their jobs are the trace
+/// generator's, so most apps have many jobs and their later cumulative
+/// bundles often add GPUs that do not lower rho.
+void BM_PartialAllocationScarce(benchmark::State& state) {
+  const int n_apps = static_cast<int>(state.range(0));
+  Cluster cluster(ClusterSpec::Simulation256());
+  const Topology& topo = cluster.topology();
+  WorkEstimator est({});
+  TraceConfig trace;
+  trace.seed = 12;
+  trace.num_apps = n_apps;
+  std::vector<std::unique_ptr<AppState>> apps;
+  for (const AppSpec& spec : TraceGenerator(trace).Generate()) {
+    auto app = std::make_unique<AppState>();
+    app->id = static_cast<AppId>(apps.size());
+    app->spec = spec;
+    app->arrived = true;
+    for (std::size_t j = 0; j < spec.jobs.size(); ++j) {
+      JobState job;
+      job.id = static_cast<JobId>(j);
+      job.spec = spec.jobs[j];
+      job.parallelism_cap = job.spec.MaxParallelism();
+      app->jobs.push_back(std::move(job));
+    }
+    app->ideal_time = std::max(1e-9, app->spec.IdealRunningTime());
+    apps.push_back(std::move(app));
+  }
+  // (machine, free GPUs) over racks 0, 1 and 3 (22 machines per rack).
+  const std::pair<int, int> free_gpus[] = {{3, 4}, {27, 2}, {36, 2},
+                                           {72, 2}, {84, 1}, {85, 1}};
+  std::vector<GpuId> offered;
+  std::vector<int> offered_vec(cluster.num_machines(), 0);
+  for (GpuId g = 0; g < static_cast<GpuId>(topo.num_gpus()); ++g) {
+    const int m = topo.gpu(g).machine;
+    for (const auto& [machine, count] : free_gpus) {
+      if (m == machine && offered_vec[m] < count) {
+        offered.push_back(g);
+        ++offered_vec[m];
+      }
+    }
+  }
+  const Agent agent(&topo, &est, 10.0);
+  std::vector<AgentBid> bids;
+  for (const auto& app : apps) bids.push_back(agent.PrepareBid(*app, offered, 6));
+  std::vector<const BidTable*> tables;
+  for (const AgentBid& bid : bids) tables.push_back(&bid.table);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(PartialAllocation(tables, offered_vec));
+  }
+}
+BENCHMARK(BM_PartialAllocationScarce)->Arg(19)->Arg(40)
+    ->Unit(benchmark::kMicrosecond);
+
 /// One leftover stage (ThemisPolicy step 6) vs the GPUs left in the pool.
 /// The cluster has pool/4 machines of 8 GPUs, and one app holds 4 GPUs on
 /// every machine through satisfied jobs of 8 tasks x 4 GPUs, each spanning
