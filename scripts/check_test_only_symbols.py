@@ -37,9 +37,6 @@ ALLOWLIST = {
     "themis::AppState::FinalRho":
         "perfbench/daemon.cpp reads it; perfbench builds outside this tree",
     # Oracles: library entry points that tests check properties against.
-    "themis::SolveProportionalFair":
-        "the PF stage alone, for PA's property tests; RunPartialAllocation "
-        "runs the same search inside",
     "themis::Agent::HypotheticalRho":
         "rho of one allocation, for the agent tests of V = 1/rho",
     "themis::WorkEstimator::TotalWork":

@@ -9,12 +9,12 @@ namespace themis {
 namespace {
 
 void Validate(const std::vector<const BidTable*>& bids,
-              const std::vector<int>& offered, const char* who) {
+              const std::vector<int>& offered) {
   for (const BidTable* b : bids) {
     if (b == nullptr)
-      throw std::invalid_argument(std::string(who) + ": null bid table");
+      throw std::invalid_argument("PartialAllocation: null bid table");
     const std::string err = ValidateBid(*b, offered);
-    if (!err.empty()) throw std::invalid_argument(std::string(who) + ": " + err);
+    if (!err.empty()) throw std::invalid_argument("PartialAllocation: " + err);
   }
 }
 
@@ -170,6 +170,13 @@ void LocalSearch(const Problem& p, const std::vector<std::size_t>& apps,
   }
 }
 
+/// Stage 1's answer: the chosen row per app and the achieved log welfare.
+struct PfSolution {
+  std::vector<int> rows;
+  double log_welfare = 0.0;
+  bool exact = true;
+};
+
 struct BnbState {
   std::vector<int> best_rows;
   double best_log = -1e18;
@@ -253,17 +260,10 @@ struct BnbState {
 
 }  // namespace
 
-PfSolution SolveProportionalFair(const std::vector<const BidTable*>& bids,
-                                 const std::vector<int>& offered,
-                                 const PaConfig& config) {
-  Validate(bids, offered, "SolveProportionalFair");
-  return Solve(BuildProblem(bids, offered), kNoSkip, config);
-}
-
 PaResult PartialAllocation(const std::vector<const BidTable*>& bids,
                            const std::vector<int>& offered,
                            const PaConfig& config) {
-  Validate(bids, offered, "PartialAllocation");
+  Validate(bids, offered);
 
   PaResult result;
   result.leftover = offered;

@@ -50,6 +50,8 @@ struct PaConfig {
   /// Ablation switch: when false, stage 2 is skipped (c_i = 1 for every
   /// winner) — the mechanism degenerates to plain proportional fairness,
   /// losing its truth-telling incentive. Exposed for the ablation bench.
+  /// The result is then stage 1 alone: its rows, log_welfare and exact are
+  /// the proportionally fair solve's.
   bool hidden_payments = true;
 };
 
@@ -87,16 +89,5 @@ struct PaResult {
 PaResult PartialAllocation(const std::vector<const BidTable*>& bids,
                            const std::vector<int>& offered,
                            const PaConfig& config = {});
-
-/// Exposed for testing: stage-1 proportional-fair row selection only.
-/// Returns the chosen row index per app and the achieved log-welfare.
-struct PfSolution {
-  std::vector<int> rows;
-  double log_welfare = 0.0;
-  bool exact = true;
-};
-PfSolution SolveProportionalFair(const std::vector<const BidTable*>& bids,
-                                 const std::vector<int>& offered,
-                                 const PaConfig& config = {});
 
 }  // namespace themis

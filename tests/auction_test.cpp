@@ -33,6 +33,22 @@ std::vector<const BidTable*> Borrow(const std::vector<BidTable>& tables) {
   return out;
 }
 
+/// Stage 1 alone: with hidden payments off, PartialAllocation's rows,
+/// log_welfare and exact are the proportionally fair solve's.
+PaResult ProportionalFair(const std::vector<const BidTable*>& bids,
+                          const std::vector<int>& offered,
+                          PaConfig config = {}) {
+  config.hidden_payments = false;
+  return PartialAllocation(bids, offered, config);
+}
+
+/// The chosen row per app, in input order.
+std::vector<int> Rows(const PaResult& r) {
+  std::vector<int> rows;
+  for (const PaWinner& w : r.winners) rows.push_back(w.row);
+  return rows;
+}
+
 TEST(BidValidation, AcceptsWellFormedBid) {
   const auto bid = Table(1, {Row({0, 0}, 8.0), Row({2, 0}, 4.0)});
   EXPECT_EQ(ValidateBid(bid, {4, 4}), "");
@@ -84,8 +100,8 @@ TEST(PartialAllocation, PicksWelfareMaximizingAssignment) {
   // 1.25x: welfare is maximized by giving the machine to A.
   const auto a = Table(1, {Row({0}, 8.0), Row({4}, 2.0)});
   const auto b = Table(2, {Row({0}, 5.0), Row({4}, 4.0)});
-  const PfSolution pf = SolveProportionalFair({&a, &b}, {4});
-  EXPECT_EQ(pf.rows, (std::vector<int>{1, 0}));
+  const PaResult pf = ProportionalFair({&a, &b}, {4});
+  EXPECT_EQ(Rows(pf), (std::vector<int>{1, 0}));
   EXPECT_TRUE(pf.exact);
 }
 
@@ -94,8 +110,8 @@ TEST(PartialAllocation, SplitsAcrossMachinesWhenProductPrefersIt) {
   // gains nothing more from the second: product prefers one each.
   const auto a = Table(1, {Row({0, 0}, 8.0), Row({2, 0}, 4.0), Row({2, 2}, 3.9)});
   const auto b = Table(2, {Row({0, 0}, 8.0), Row({0, 2}, 4.0), Row({2, 2}, 3.9)});
-  const PfSolution pf = SolveProportionalFair({&a, &b}, {2, 2});
-  EXPECT_EQ(pf.rows, (std::vector<int>{1, 1}));
+  const PaResult pf = ProportionalFair({&a, &b}, {2, 2});
+  EXPECT_EQ(Rows(pf), (std::vector<int>{1, 1}));
 }
 
 TEST(PartialAllocation, HiddenPaymentShrinksContestedGrants) {
@@ -236,24 +252,24 @@ TEST(PartialAllocation, ParetoEfficiencyOfProportionalFairStage) {
   const auto a = Table(1, {Row({0, 0}, 9.0), Row({2, 0}, 5.0), Row({2, 2}, 3.0)});
   const auto b = Table(2, {Row({0, 0}, 7.0), Row({0, 2}, 4.0), Row({2, 2}, 2.5)});
   const std::vector<int> offered{2, 2};
-  const PfSolution pf = SolveProportionalFair({&a, &b}, offered);
+  const std::vector<int> pf_rows = Rows(ProportionalFair({&a, &b}, offered));
   const std::vector<BidTable> bids{a, b};
   std::vector<int> used(2, 0);
   for (std::size_t i = 0; i < bids.size(); ++i)
     for (int m = 0; m < 2; ++m)
-      used[m] += bids[i].rows[pf.rows[i]].gpus_per_machine[m];
+      used[m] += bids[i].rows[pf_rows[i]].gpus_per_machine[m];
   for (std::size_t i = 0; i < bids.size(); ++i) {
     for (std::size_t r = 0; r < bids[i].rows.size(); ++r) {
-      if (static_cast<int>(r) == pf.rows[i]) continue;
+      if (static_cast<int>(r) == pf_rows[i]) continue;
       bool fits = true;
       for (int m = 0; m < 2; ++m) {
-        const int next = used[m] - bids[i].rows[pf.rows[i]].gpus_per_machine[m] +
+        const int next = used[m] - bids[i].rows[pf_rows[i]].gpus_per_machine[m] +
                          bids[i].rows[r].gpus_per_machine[m];
         if (next > offered[m]) fits = false;
       }
       if (fits) {
         EXPECT_LE(bids[i].rows[r].Value(),
-                  bids[i].rows[pf.rows[i]].Value() + 1e-12);
+                  bids[i].rows[pf_rows[i]].Value() + 1e-12);
       }
     }
   }
@@ -267,7 +283,7 @@ TEST(PartialAllocation, ThrowsOnInvalidBid) {
 TEST(PartialAllocation, ValidatesTheLastOfSeveralTables) {
   // The tables are validated once, at the entry; the hidden-payment
   // re-solves trust them. So a bad table must be caught wherever it sits,
-  // here behind two good ones, by both entry points.
+  // here behind two good ones, with hidden payments on and off.
   const std::vector<int> offered{2, 2};
   const BidTable a = Table(1, {Row({0, 0}, 6.0), Row({2, 0}, 3.0)});
   const BidTable b = Table(2, {Row({0, 0}, 6.0), Row({0, 2}, 3.0)});
@@ -287,7 +303,6 @@ TEST(PartialAllocation, ValidatesTheLastOfSeveralTables) {
     no_payments.hidden_payments = false;
     EXPECT_THROW(PartialAllocation(bids, offered, no_payments),
                  std::invalid_argument);
-    EXPECT_THROW(SolveProportionalFair(bids, offered), std::invalid_argument);
   }
   EXPECT_NO_THROW(PartialAllocation({&a, &b}, offered));
 }
@@ -356,18 +371,15 @@ void ExpectMatchesOracle(const std::vector<BidTable>& tables,
 
   // Welfare is compared, not rows: tied optima may pick different rows.
   const double best = OracleMaxLogWelfare(bids, offered);
-  PaConfig pf_cfg;
-  pf_cfg.hidden_payments = false;
-  const PaResult pf = PartialAllocation(bids, offered, pf_cfg);
+  const PaResult pf = ProportionalFair(bids, offered);
   ASSERT_TRUE(pf.exact);
   ASSERT_NEAR(pf.log_welfare, best, 1e-9);
 
   // The greedy fallback (no search nodes) is feasible and no better.
-  PaConfig greedy_cfg = pf_cfg;
+  PaConfig greedy_cfg;
   greedy_cfg.max_nodes = 0;
-  const PaResult greedy = PartialAllocation(bids, offered, greedy_cfg);
-  std::vector<int> greedy_rows;
-  for (const PaWinner& w : greedy.winners) greedy_rows.push_back(w.row);
+  const PaResult greedy = ProportionalFair(bids, offered, greedy_cfg);
+  const std::vector<int> greedy_rows = Rows(greedy);
   std::vector<int> used(offered.size(), 0);
   for (std::size_t i = 0; i < bids.size(); ++i)
     for (std::size_t m = 0; m < offered.size(); ++m)
@@ -379,8 +391,7 @@ void ExpectMatchesOracle(const std::vector<BidTable>& tables,
 
   const PaResult r = PartialAllocation(bids, offered);
   ASSERT_TRUE(r.exact);
-  std::vector<int> rows;
-  for (const PaWinner& w : r.winners) rows.push_back(w.row);
+  const std::vector<int> rows = Rows(r);
   ASSERT_NEAR(OracleLogWelfare(bids, rows), best, 1e-9);
   std::vector<int> leftover = offered;
   for (std::size_t i = 0; i < bids.size(); ++i) {
@@ -466,12 +477,10 @@ TEST_P(PaScaleTest, ExactAndGreedyAgreeOnWelfareOrBetter) {
   }
   PaConfig exact_cfg;
   exact_cfg.max_nodes = 5'000'000;
-  const PfSolution exact =
-      SolveProportionalFair(Borrow(bids), offered, exact_cfg);
+  const PaResult exact = ProportionalFair(Borrow(bids), offered, exact_cfg);
   PaConfig greedy_cfg;
   greedy_cfg.max_nodes = 0;
-  const PfSolution greedy =
-      SolveProportionalFair(Borrow(bids), offered, greedy_cfg);
+  const PaResult greedy = ProportionalFair(Borrow(bids), offered, greedy_cfg);
   EXPECT_TRUE(exact.exact);
   EXPECT_GE(exact.log_welfare, greedy.log_welfare - 1e-9);
   // Greedy + local search is only the over-budget fallback; it should land

@@ -170,18 +170,19 @@ TEST_P(PaRandomInstanceTest, RemovingABidderNeverHurtsTheOthers) {
 
   PaConfig cfg;
   cfg.max_nodes = 1'000'000;
+  cfg.hidden_payments = false;  // stage 1 alone: the PF rows and welfare
   std::vector<const BidTable*> all;
   for (const BidTable& t : bids) all.push_back(&t);
-  const PfSolution full = SolveProportionalFair(all, offered, cfg);
+  const PaResult full = PartialAllocation(all, offered, cfg);
   for (int drop = 0; drop < n_apps; ++drop) {
     std::vector<const BidTable*> others;
     double others_log_in_full = 0.0;
     for (int i = 0; i < n_apps; ++i) {
       if (i == drop) continue;
       others.push_back(&bids[i]);
-      others_log_in_full += std::log(bids[i].rows[full.rows[i]].Value());
+      others_log_in_full += std::log(bids[i].rows[full.winners[i].row].Value());
     }
-    const PfSolution without = SolveProportionalFair(others, offered, cfg);
+    const PaResult without = PartialAllocation(others, offered, cfg);
     EXPECT_GE(without.log_welfare, others_log_in_full - 1e-9);
   }
 }
