@@ -31,16 +31,20 @@ struct Ask {
 /// shared by the stage-1 solve and every hidden-payment re-solve. Rows are
 /// flattened across apps: app i owns flat rows first_row[i] ..
 /// first_row[i + 1] - 1, and flat row g asks for asks[first_ask[g]] ..
-/// asks[first_ask[g + 1] - 1], its nonzero machines only, since a row
-/// touches a few machines of the offer.
+/// asks[first_ask[g + 1] - 1], its nonzero machines only and in machine
+/// order, since a row touches a few machines of the offer.
 struct Problem {
   std::vector<int> offered;
   std::vector<std::size_t> first_row;
   /// log V per flat row.
   std::vector<double> log_value;
-  /// Per app, its row indices in visit order: descending log value, ties in
-  /// table order, so the branch-and-bound explores promising rows first.
+  /// Per app, the row indices it visits, in visit order: descending log
+  /// value, ties in table order, so the branch-and-bound explores promising
+  /// rows first. App i's run is row_order[first_visit[i]] ..
+  /// row_order[first_visit[i + 1] - 1]; rows dominated by an earlier one
+  /// are left out.
   std::vector<int> row_order;
+  std::vector<std::size_t> first_visit;
   /// Best (max) log value per app, for optimistic pruning bounds.
   std::vector<double> best_log;
   /// Apps by descending gain of their best row over their zero row, ties in
@@ -52,10 +56,24 @@ struct Problem {
   std::size_t apps() const { return best_log.size(); }
   double Log(std::size_t i, int r) const { return log_value[first_row[i] + r]; }
   std::span<const int> Order(std::size_t i) const {
-    return {row_order.data() + first_row[i],
-            row_order.data() + first_row[i + 1]};
+    return {row_order.data() + first_visit[i],
+            row_order.data() + first_visit[i + 1]};
   }
 };
+
+/// True if flat row `a` asks no more GPUs than flat row `b` on every
+/// machine, so `a` fits wherever `b` fits. Walks both sparse ask lists.
+bool AsksNoMore(const Problem& p, std::size_t a, std::size_t b) {
+  std::size_t k = p.first_ask[b];
+  for (std::size_t j = p.first_ask[a]; j < p.first_ask[a + 1]; ++j) {
+    while (k < p.first_ask[b + 1] && p.asks[k].machine < p.asks[j].machine)
+      ++k;
+    if (k == p.first_ask[b + 1] || p.asks[k].machine != p.asks[j].machine ||
+        p.asks[k].gpus < p.asks[j].gpus)
+      return false;
+  }
+  return true;
+}
 
 Problem BuildProblem(const std::vector<const BidTable*>& bids,
                      const std::vector<int>& offered) {
@@ -63,6 +81,7 @@ Problem BuildProblem(const std::vector<const BidTable*>& bids,
   p.offered = offered;
   p.best_log.resize(bids.size());
   p.first_row.push_back(0);
+  p.first_visit.push_back(0);
   p.first_ask.push_back(0);
   for (std::size_t i = 0; i < bids.size(); ++i) {
     const auto& rows = bids[i]->rows;
@@ -77,10 +96,24 @@ Problem BuildProblem(const std::vector<const BidTable*>& bids,
         if (gpus[m] != 0) p.asks.push_back({static_cast<int>(m), gpus[m]});
       p.first_ask.push_back(p.asks.size());
     }
-    std::stable_sort(p.row_order.begin() + base, p.row_order.end(),
-                     [&](int a, int b) {
-                       return p.log_value[base + a] > p.log_value[base + b];
-                     });
+    const auto visit = p.row_order.begin() + p.first_visit[i];
+    std::stable_sort(visit, p.row_order.end(), [&](int a, int b) {
+      return p.log_value[base + a] > p.log_value[base + b];
+    });
+    // Keep a row only if no row kept before it asks no more on every
+    // machine. A dropped row's dominator fits wherever it fits, is worth at
+    // least as much and is tried first, so every subtree under the dropped
+    // row is matched by one already searched that is at least as good. No
+    // search that runs to its end, nor the greedy and local-search passes
+    // (which take the first fitting row), would ever have picked it.
+    auto kept = visit;
+    for (auto r = visit; r != p.row_order.end(); ++r)
+      if (std::none_of(visit, kept, [&](int k) {
+            return AsksNoMore(p, base + k, base + *r);
+          }))
+        *kept++ = *r;
+    p.row_order.erase(kept, p.row_order.end());
+    p.first_visit.push_back(p.row_order.size());
     p.best_log[i] = best;
     p.first_row.push_back(p.log_value.size());
   }
