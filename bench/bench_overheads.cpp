@@ -670,7 +670,7 @@ int RunFilterProbeSweep(const std::vector<int>& populations) {
 // each row kept as the sparse list of machines it asks for. With hidden
 // payments on, all 512 re-solves would search that same problem, each
 // skipping its own app by index (BM_PartialAllocation above: 24 bidders on
-// a 128-GPU offer take ~0.10 ms, against ~0.30 ms when every re-solve rebuilt
+// a 128-GPU offer take ~0.05 ms, against ~0.30 ms when every re-solve rebuilt
 // the problem and checked rows against every machine). Grant
 // streams are fingerprint-checked across thread counts for the
 // bit-identicality the pool contract promises; the process exits non-zero

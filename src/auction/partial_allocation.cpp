@@ -100,12 +100,11 @@ Problem BuildProblem(const std::vector<const BidTable*>& bids,
     std::stable_sort(visit, p.row_order.end(), [&](int a, int b) {
       return p.log_value[base + a] > p.log_value[base + b];
     });
-    // Keep a row only if no row kept before it asks no more on every
-    // machine. A dropped row's dominator fits wherever it fits, is worth at
-    // least as much and is tried first, so every subtree under the dropped
-    // row is matched by one already searched that is at least as good. No
-    // search that runs to its end, nor the greedy and local-search passes
-    // (which take the first fitting row), would ever have picked it.
+    // Drop a row when a row kept before it asks at most as many GPUs on
+    // every machine. That row fits wherever the dropped one fits, is worth
+    // at least as much and is tried first, so every subtree under the
+    // dropped row is matched by one already searched that is at least as
+    // good; the greedy and local-search passes take the first fitting row.
     auto kept = visit;
     for (auto r = visit; r != p.row_order.end(); ++r)
       if (std::none_of(visit, kept, [&](int k) {

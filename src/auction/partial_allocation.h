@@ -9,6 +9,18 @@
 // a greedy + local-search incumbent, and when the search space exceeds a
 // node budget it returns the best answer found so far, marked inexact.
 //
+// Each app's rows are visited in descending value, ties in table order, and
+// a row is skipped when it asks at least as many GPUs, on every machine, as
+// a row visited before it. AGENT rows are cumulative bundles, so on a scarce
+// offer many later rows add GPUs without lowering rho. A skipped row's
+// dominator fits wherever it fits, is worth at least as much and is tried
+// first, so the skipped row could never start a strict improvement: every
+// search that finishes, and the budget-0 greedy path, returns the same rows,
+// c_i and welfare as a search over every row. The node budget counts
+// branch-and-bound nodes over the kept rows only; a search it cuts short
+// may stop at a different incumbent than one that also branched on the
+// skipped rows.
+//
 // Stage 2 (hidden payments / truth-telling): each app i keeps only a fraction
 //     c_i = Prod_{j!=i} V_j(R_pf) / Prod_{j!=i} V_j(R_pf^{-i})
 // of its proportionally fair bundle, where R_pf^{-i} is the optimum of the
@@ -17,8 +29,8 @@
 // truthful reporting of V a dominant strategy for homogeneous valuations.
 //
 // Stage 1 and the N stage-2 re-solves all search one problem, built once per
-// auction: the tables are validated, their logs taken and their rows sorted
-// once, and a re-solve skips app i by index. Each row is kept sparse, as the
+// auction: the tables are validated, their logs taken, their rows sorted and
+// their dominated rows dropped once, and a re-solve skips app i by index. Each row is kept sparse, as the
 // list of machines it asks for, since a row touches a few machines of an
 // offer that may span dozens.
 //
